@@ -52,8 +52,10 @@ from .selfdual import (
     f_t_map,
     kato_ratio,
     l2_shell_orthogonality,
+    shell_pairings,
 )
 from .spectrum import (
+    ModeSet,
     SpectralMode,
     SpectrumReport,
     constant_norm_check,

@@ -23,12 +23,12 @@ import numpy as np
 from .polys import (
     CoframeField,
     PolyScalar,
-    coframe_inner,
-    div,
+    coframe_gram,
+    div_norms,
     make_basis,
     operator_matrix,
-    sphere_integral,
 )
+from .spectrum import ModeSet
 
 __all__ = [
     "ModeExpansion",
@@ -36,6 +36,7 @@ __all__ = [
     "propagate",
     "evolve_ode",
     "div_residual",
+    "gram_norm",
     "load_initial_field",
     "dump_initial_field",
 ]
@@ -44,60 +45,68 @@ DIV_TOL = 1e-8
 
 
 def div_residual(eta):
-    """L^2 norm of div(eta) over the sphere."""
-    d = div(eta)
-    return float(np.sqrt(max(sphere_integral(d * d), 0.0)))
+    """L^2 norm of div(eta) over the sphere, sqrt(r^T G r) with r = Dv c."""
+    D = eta.degree
+    return div_norms(D, make_basis(D).coframe_to_vector(eta.as_float()))[0]
+
+
+def gram_norm(D, v):
+    """L^2 norm of the coframe field with coefficient vector v on the degree <= D basis."""
+    return float(np.sqrt(max(v @ coframe_gram(D) @ v, 0.0)))
 
 
 @dataclass
 class ModeExpansion:
-    """Spectral expansion sum_m C_m eta_m of a divergence-free field."""
+    """Spectral expansion sum_m a_m eta_m of a divergence-free field."""
 
-    terms: list  # (SpectralMode, coefficient) pairs
+    modes: ModeSet
+    a: np.ndarray  # one coefficient per mode; dropped coefficients are zero
     t0: float = 1.0
     residual: float = 0.0  # L^2 distance between the input and the expansion
 
-    def field(self):
-        out = CoframeField.zero()
-        for mode, c in self.terms:
-            if c:
-                out = out + c * mode.field
-        return out
+    @property
+    def terms(self):
+        """(SpectralMode, coefficient) pairs of the nonzero coefficients."""
+        return [(self.modes[k], float(self.a[k])) for k in np.flatnonzero(self.a)]
+
+    def coefficients(self, t):
+        """Coefficient vector of the solution at radius t, C (a o (t/t0)^(lambda-2))."""
+        if t <= 0:
+            raise ValueError(f"the evolution lives on t > 0, got t = {t}")
+        scale = (t / self.t0) ** (self.modes.lam_int - 2)
+        return self.modes.C @ (self.a * scale)
+
+    def distance(self, field, t):
+        """L^2 distance between field and the solution at radius t."""
+        D = self.modes.D
+        return gram_norm(D, make_basis(D).coframe_to_vector(field) - self.coefficients(t))
 
 
 def decompose_initial(eta0, modes, drop_tol=1e-13):
     """Expand a divergence-free field over Gram-orthonormal eigenfields.
 
-    Coefficients are the L^2 pairings <eta0, eta_m>.  The reconstruction
-    residual is reported on the returned expansion; it vanishes whenever
-    eta0 lies in the degree window spanned by the modes.  Fields that are
-    not divergence-free are rejected.
+    Coefficients are the L^2 pairings a = C^T G c0; entries with
+    |a| <= drop_tol are zeroed.  The reconstruction residual, the Gram norm
+    of c0 - C a, is reported on the returned expansion; it vanishes whenever
+    eta0 lies in the degree window spanned by the modes.  A field of higher
+    degree than the modes is compared on its own, larger basis.  Fields that
+    are not divergence-free are rejected.
     """
     r = div_residual(eta0)
     if r > DIV_TOL:
         raise ValueError(f"initial field is not divergence-free (residual {r:.3e})")
-    terms = []
-    recon = CoframeField.zero()
-    for mode in modes:
-        c = float(coframe_inner(eta0, mode.field))
-        if abs(c) > drop_tol:
-            terms.append((mode, c))
-            recon = recon + c * mode.field
-    diff = eta0.as_float() - recon
-    residual = float(np.sqrt(max(sphere_integral(diff.norm_sq_poly()), 0.0)))
-    return ModeExpansion(terms=terms, t0=1.0, residual=residual)
+    D = max(eta0.degree, modes.D)
+    c0 = make_basis(D).coframe_to_vector(eta0.as_float())
+    C = modes.embedded(D)
+    a = C.T @ (coframe_gram(D) @ c0)
+    a[np.abs(a) <= drop_tol] = 0.0
+    return ModeExpansion(modes=modes, a=a, t0=1.0, residual=gram_norm(D, c0 - C @ a))
 
 
 def propagate(expansion, t):
-    """Exact solution at radius t: sum_m C_m (t/t0)^(lambda_m - 2) eta_m."""
-    if t <= 0:
-        raise ValueError(f"the evolution lives on t > 0, got t = {t}")
-    out = CoframeField.zero()
-    for mode, c in expansion.terms:
-        factor = c * (t / expansion.t0) ** (mode.lam_int - 2)
-        if factor:
-            out = out + factor * mode.field
-    return out
+    """Exact solution at radius t: sum_m a_m (t/t0)^(lambda_m - 2) eta_m."""
+    c = expansion.coefficients(t)
+    return make_basis(expansion.modes.D).coframe_from_vector(c)
 
 
 def evolve_ode(eta0, u0, u1, steps):

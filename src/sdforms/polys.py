@@ -42,6 +42,7 @@ __all__ = [
     "coframe_inner",
     "operator_matrix",
     "coframe_gram",
+    "div_norms",
     "left_invariant_coframe",
     "right_invariant_coframe",
     "gradient_coframe",
@@ -436,15 +437,25 @@ class PolyBasis:
         return G
 
     def gram(self):
-        """Scalar Gram matrix as floats, actual integrals including pi^2."""
-        G = self.gram_over_pi2()
-        return np.array([[float(w) for w in row] for row in G]) * pi * pi
+        """Scalar Gram matrix as floats, actual integrals including pi^2.
+
+        The matrix is cached per degree and returned read-only.
+        """
+        return _scalar_gram(self.D)
 
 
 @lru_cache(maxsize=8)
 def make_basis(D):
     """Basis descriptor for polynomials of degree <= D on the sphere."""
     return PolyBasis(D)
+
+
+@lru_cache(maxsize=8)
+def _scalar_gram(D):
+    G = make_basis(D).gram_over_pi2()
+    G = np.array([[float(w) for w in row] for row in G]) * pi * pi
+    G.flags.writeable = False
+    return G
 
 
 @lru_cache(maxsize=8)
@@ -503,6 +514,21 @@ def _curl_matrix(D):
 def coframe_gram(D):
     """Gram matrix of the coframe basis (block-diagonal scalar Gram)."""
     return np.kron(np.eye(3), make_basis(D).gram())
+
+
+def div_norms(D, C):
+    """L^2 norms of div over the coefficient columns of C.
+
+    ``C`` is one coframe coefficient vector on the degree <= D basis, or a
+    (3N, K) matrix of them; the result lists one norm per vector.
+    """
+    Dv = _div_matrix(D)
+    G = make_basis(D).gram()
+    norms = []
+    for c in np.atleast_2d(np.asarray(C).T):
+        r = Dv @ c
+        norms.append(float(np.sqrt(max(r @ G @ r, 0.0))))
+    return norms
 
 
 def operator_matrix(kind, D):

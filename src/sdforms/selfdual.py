@@ -39,6 +39,7 @@ __all__ = [
     "harmonic_residual",
     "kato_ratio",
     "l2_shell_orthogonality",
+    "shell_pairings",
     "ball_orthogonality",
     "dump_point_samples",
 ]
@@ -256,6 +257,19 @@ def l2_shell_orthogonality(mode1, mode2, t):
         raise ValueError(f"shell radius must be positive, got {t}")
     pairing = float(coframe_inner(mode1.field, mode2.field))
     return t ** (mode1.lam_int + mode2.lam_int - 1) * pairing
+
+
+def shell_pairings(modes, t):
+    """All shell integrals of :func:`l2_shell_orthogonality` at once.
+
+    For a :class:`~sdforms.spectrum.ModeSet` entry (i, j) is
+    t^(lam_i + lam_j - 1) times entry (i, j) of the L^2 pairing table
+    C^T G C.
+    """
+    if t <= 0:
+        raise ValueError(f"shell radius must be positive, got {t}")
+    lam = modes.lam_int
+    return float(t) ** (lam[:, None] + lam[None, :] - 1) * modes.pairings()
 
 
 def ball_orthogonality(mode1, mode2, radius, n_nodes=64):

@@ -22,22 +22,25 @@ together with a completeness count proving no further spectrum exists in the
 model (in particular none at -1, 0, +1).
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh, null_space
 
 from . import exactla
 from .polys import (
-    CoframeField,
     coframe_gram,
+    div_norms,
     make_basis,
     operator_matrix,
 )
 
 __all__ = [
     "SpectralMode",
+    "ModeSet",
     "SpectrumReport",
     "trusted_window",
     "divergence_free_subspace",
@@ -58,18 +61,75 @@ def trusted_window(D):
     return (-(D - WINDOW_NEG_OFFSET), D + WINDOW_POS_OFFSET)
 
 
-@dataclass
+@dataclass(eq=False)
 class SpectralMode:
-    """One L^2-normalized eigenfield of *d with its eigenvalue."""
+    """One L^2-normalized eigenfield of *d with its eigenvalue.
+
+    The field is kept as its coefficient vector on the degree <= D basis and
+    materialized as a :class:`CoframeField` on first access of ``field``.
+    """
 
     lam: float
     lam_int: int
-    field: CoframeField
-    norm: float = 1.0
+    coeffs: np.ndarray
+    degree: int
+
+    @cached_property
+    def field(self):
+        return make_basis(self.degree).coframe_from_vector(self.coeffs)
 
     def norm_spread(self, points):
         vals = self.field.norm_sq_poly()(points)
         return float(vals.max() - vals.min())
+
+
+class ModeSet(Sequence):
+    """Eigenfields of *d as one coefficient matrix, sorted by eigenvalue.
+
+    ``C`` is the (3N, K) matrix whose columns are Gram-orthonormal
+    coefficient vectors on the degree <= D coframe basis; ``lam`` holds the
+    float eigenvalues and ``lam_int`` the integers they cluster to.  As a
+    sequence it yields :class:`SpectralMode` views of the columns, built
+    when the set is (or passed in as ``modes``); slicing gives a ModeSet
+    sharing those views, so a field materialized once serves every slice.
+    """
+
+    def __init__(self, D, C, lam, lam_int, modes=None):
+        self.D = D
+        self.C = C
+        self.lam = lam
+        self.lam_int = lam_int
+        if modes is None:
+            modes = [SpectralMode(float(lam[k]), int(lam_int[k]), C[:, k], D)
+                     for k in range(C.shape[1])]
+        self._modes = modes
+
+    def __len__(self):
+        return len(self._modes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return ModeSet(self.D, self.C[:, i], self.lam[i], self.lam_int[i],
+                           self._modes[i])
+        return self._modes[i]
+
+    def embedded(self, D):
+        """C on the degree <= D basis, D >= self.D.
+
+        Within each frame component the degree <= self.D reduced monomials
+        are a prefix of the degree <= D ones, so embedding is by index.
+        """
+        if D == self.D:
+            return self.C
+        n, n_big = make_basis(self.D).dim, make_basis(D).dim
+        out = np.zeros((3 * n_big, len(self)))
+        for m in range(3):
+            out[m * n_big:m * n_big + n] = self.C[m * n:(m + 1) * n]
+        return out
+
+    def pairings(self):
+        """The L^2 pairing table C^T G C of all modes."""
+        return self.C.T @ coframe_gram(self.D) @ self.C
 
 
 @dataclass
@@ -197,22 +257,13 @@ def _as_fraction(v):
     return Fraction(i)
 
 
-def _mode_div_residual(D, coefficient_vectors):
-    Dv = operator_matrix("div", D).matrix
-    G = make_basis(D).gram()
-    worst = 0.0
-    for c in coefficient_vectors:
-        r = Dv @ c
-        worst = max(worst, float(np.sqrt(max(r @ G @ r, 0.0))))
-    return worst
-
-
 def eigen_decompose(D, ring="float"):
     """Spectral decomposition of *d on the divergence-free subspace.
 
-    Returns (modes, report).  Modes are L^2-normalized and sorted by
-    eigenvalue; in the exact ring the eigenfields come from rational kernels
-    of the integer shifts and the report additionally certifies completeness
+    Returns (modes, report).  ``modes`` is a :class:`ModeSet` of
+    L^2-normalized eigenfields sorted by eigenvalue; in the exact ring the
+    eigenfields come from rational kernels of the integer shifts and the
+    report additionally certifies completeness
     (multiplicities sum to the subspace dimension) and the absence of
     spectrum at -1, 0, +1.
     """
@@ -220,7 +271,6 @@ def eigen_decompose(D, ring="float"):
         raise ValueError(f"degree bound must be >= 0, got {D}")
     if ring == "exact":
         return _eigen_decompose_exact(D)
-    basis = make_basis(D)
     sub = divergence_free_subspace(D)
     B = sub.matrix
     G = coframe_gram(D)
@@ -232,36 +282,26 @@ def eigen_decompose(D, ring="float"):
         raise ArithmeticError(
             f"star_d not Gram-self-adjoint on the kernel (defect {asym:.3e})")
     w, V = eigh((A + A.T) / 2.0, M)
-    modes = []
-    coeff_vectors = []
-    for lam, v in zip(w, V.T):
-        c = B @ v
-        coeff_vectors.append(c)
-        modes.append(SpectralMode(
-            lam=float(lam),
-            lam_int=int(round(lam)),
-            field=basis.coframe_from_vector(c),
-            norm=1.0,
-        ))
-    max_dev = float(max((abs(m.lam - m.lam_int) for m in modes), default=0.0))
-    mults = {}
-    for m in modes:
-        mults[m.lam_int] = mults.get(m.lam_int, 0) + 1
+    # the printed max_div_residual is pure rounding noise; one product per
+    # column, rather than B @ V, keeps its digits stable
+    C = np.column_stack([B @ v for v in V.T])
+    modes = ModeSet(D, C, w, np.rint(w).astype(int))
+    lams, counts = np.unique(modes.lam_int, return_counts=True)
+    mults = {int(lam): int(k) for lam, k in zip(lams, counts)}
     report = SpectrumReport(
         degree=D,
         ring="float",
         subspace_dim=sub.dim,
         window=trusted_window(D),
         multiplicities=mults,
-        max_integer_deviation=max_dev,
-        max_div_residual=_mode_div_residual(D, coeff_vectors),
+        max_integer_deviation=float(np.max(np.abs(w - modes.lam_int), initial=0.0)),
+        max_div_residual=max(div_norms(D, modes.C), default=0.0),
         complete=sum(mults.values()) == sub.dim,
     )
     return modes, report
 
 
 def _eigen_decompose_exact(D):
-    basis = make_basis(D)
     sub = divergence_free_subspace(D, ring="exact")
     null = sub.exact_basis
     K = len(null)
@@ -283,8 +323,8 @@ def _eigen_decompose_exact(D):
     lo, hi = trusted_window(D)
     lambdas = sorted({k for k in range(lo - 1, hi + 2)})
     mults = {}
-    modes = []
-    coeff_vectors = []
+    cols = []
+    lams = []
     for lam in lambdas:
         shifted = [
             [SB[r][k] - lam * null[k][r] for k in range(K)]
@@ -302,12 +342,10 @@ def _eigen_decompose_exact(D):
                     c += float(coef) * np.array([float(v) for v in null[k]])
             raw.append(c)
         for c in _gram_orthonormalize(raw, D):
-            coeff_vectors.append(c)
-            modes.append(SpectralMode(
-                lam=float(lam), lam_int=lam,
-                field=basis.coframe_from_vector(c), norm=1.0,
-            ))
-    modes.sort(key=lambda m: m.lam)
+            cols.append(c)
+            lams.append(lam)
+    C = np.column_stack(cols)
+    modes = ModeSet(D, C, np.array(lams, dtype=float), np.array(lams, dtype=int))
     report = SpectrumReport(
         degree=D,
         ring="exact",
@@ -315,7 +353,7 @@ def _eigen_decompose_exact(D):
         window=trusted_window(D),
         multiplicities=mults,
         max_integer_deviation=0.0,
-        max_div_residual=_mode_div_residual(D, coeff_vectors),
+        max_div_residual=max(div_norms(D, C), default=0.0),
         complete=sum(mults.values()) == K,
         forbidden_multiplicities={lam: mults.get(lam, 0) for lam in (-1, 0, 1)},
     )

@@ -183,3 +183,47 @@ def test_failure_records_shape(capsys, monkeypatch):
     rec = rep["failures"][0]
     assert {"module", "operation", "input", "observed", "tolerance",
             "reason"} <= set(rec)
+
+
+def test_orthogonality_fails_when_nothing_checked(capsys):
+    # at degree 0 every mode has eigenvalue 2, so there is no distinct pair
+    code, rep = run(capsys, "verify", "orthogonality", "--degree", "0")
+    assert code == 1
+    assert rep["status"] == "fail"
+    assert rep["details"]["distinct_pairs_checked"] == 0
+    assert rep["failures"][0]["reason"] == "no distinct eigenvalue pairs to check"
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--t1", "nan"], "--t1"),
+    (["--t1", "inf"], "--t1"),
+    (["--t0", "0"], "--t0"),
+    (["--t0", "-1"], "--t0"),
+    (["--t0=-inf"], "--t0"),
+    (["--steps", "0"], "--steps"),
+    (["--steps", "-3"], "--steps"),
+])
+def test_evolve_rejects_bad_flags(capsys, tmp_path, flags, named):
+    # the flags are checked before the initial-data file is even read
+    code, rep = run(capsys, "evolve", "--init", str(tmp_path / "missing.json"), *flags)
+    assert code == 2
+    assert rep["status"] == "error"
+    assert named in rep["message"]
+
+
+def test_evolve_fails_when_cross_check_skipped(capsys, tmp_path, monkeypatch):
+    # modes one degree short of the field cannot span it: the decomposition
+    # residual is large, the cross-check is skipped and that is a failure
+    from sdforms import spectrum
+
+    full = spectrum.eigen_decompose
+    monkeypatch.setattr("sdforms.cli.spectrum.eigen_decompose",
+                        lambda D, ring="float": full(D - 1, ring))
+    init = tmp_path / "init.json"
+    dump_initial_field(right_invariant_coframe(1), str(init))
+    code, rep = run(capsys, "evolve", "--init", str(init), "--steps", "10")
+    assert code == 1
+    assert rep["status"] == "fail"
+    assert rep["spectral_cross_check"] is None
+    assert rep["decomposition_residual"] > 1e-8
+    assert rep["failures"][0]["operation"] == "decompose_initial"

@@ -105,8 +105,8 @@ def test_propagate_rejects_nonpositive_time(modes_d2):
 
 def test_per_mode_energy_scaling(modes_d2):
     # ||eta(t)||^2 of a pure lambda mode is (t/t0)^(2 lambda - 4)
-    for mode in modes_d2[:6]:
-        exp = ModeExpansion(terms=[(mode, 1.0)], t0=1.0)
+    for k, mode in enumerate(modes_d2[:6]):
+        exp = ModeExpansion(modes_d2, np.eye(len(modes_d2))[k], t0=1.0)
         for t in (0.5, 1.5):
             e = sphere_integral(propagate(exp, t).norm_sq_poly())
             assert_allclose(e, t ** (2 * mode.lam_int - 4), rtol=1e-9)
