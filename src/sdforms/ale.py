@@ -33,7 +33,6 @@ from math import pi
 
 import numpy as np
 
-from .frames import RIGHT_MULT
 from .polys import left_invariant_coframe, right_invariant_coframe, sphere_integral
 from .quadrature import radial_gauss, s3_quadrature
 from .selfdual import SelfDualForm, wedge_norm_sq
@@ -130,21 +129,6 @@ class ALEModel:
             raise ValueError("the metric lives on R^4 minus the origin")
         return self.conformal_factor(t) ** 2 * np.eye(4)
 
-    def log_factor_gradient(self, x):
-        """Cartesian gradient of log(conformal factor) at x."""
-        x = np.asarray(x, dtype=float)
-        t2 = x @ x
-        f = self.epsilon ** 2 + 1.0 / t2
-        return (-2.0 / t2 ** 2 / f) * x
-
-    def christoffel(self, x):
-        """Exact Christoffel symbols Gamma[s, m, n] of the conformal metric."""
-        phi = self.log_factor_gradient(x)
-        eye = np.eye(4)
-        return (np.einsum("sm,n->smn", eye, phi)
-                + np.einsum("sn,m->smn", eye, phi)
-                - np.einsum("mn,s->smn", eye, phi))
-
     def _christoffel_fd(self, x, step):
         dg = np.empty((4, 4, 4))
         for m in range(4):
@@ -228,18 +212,15 @@ class AKFormParams:
 
 
 # the two pinned unit-norm eigenfields: eta^1 (eigenvalue +2) and phi^1
-# (eigenvalue -2), both of pointwise norm one on the sphere
-def _eta_plus():
-    return left_invariant_coframe(1)
-
-
-def _eta_minus():
-    return right_invariant_coframe(1)
+# (eigenvalue -2), both of pointwise norm one on the sphere; built once,
+# since the energy quadrature makes a form from them at every radial node
+_ETA_PLUS = left_invariant_coframe(1)
+_ETA_MINUS = right_invariant_coframe(1)
 
 
 def frame_pairing_poly():
     """Pointwise inner product <eta_2, eta_{-2}> as a polynomial on the sphere."""
-    eta, phi = _eta_plus(), _eta_minus()
+    eta, phi = _ETA_PLUS, _ETA_MINUS
     total = eta.alpha[0] * phi.alpha[0]
     for m in (1, 2):
         total = total + eta.alpha[m] * phi.alpha[m]
@@ -249,8 +230,8 @@ def frame_pairing_poly():
 def ak_form(params):
     """The closed self-dual form as a flat-space series evaluator."""
     return SelfDualForm([
-        (params.alpha * params.epsilon ** 4, 2, _eta_plus()),
-        (params.beta, -2, _eta_minus()),
+        (params.alpha * params.epsilon ** 4, 2, _ETA_PLUS),
+        (params.beta, -2, _ETA_MINUS),
     ])
 
 
@@ -330,34 +311,9 @@ def grad_energy_boundary(params, A, extrapolate=True):
     return (16.0 * w2 - w1) / 15.0
 
 
-def _star_batch(M):
-    out = np.empty_like(M)
-    out[..., 0, 1] = M[..., 2, 3]
-    out[..., 2, 3] = M[..., 0, 1]
-    out[..., 0, 2] = -M[..., 1, 3]
-    out[..., 1, 3] = -M[..., 0, 2]
-    out[..., 0, 3] = M[..., 1, 2]
-    out[..., 1, 2] = M[..., 0, 3]
-    for a in range(4):
-        out[..., a, a] = 0.0
-        for b in range(a):
-            out[..., a, b] = -out[..., b, a]
-    return out
-
-
 def ak_matrix_batch(params, X):
-    """Vectorized component matrices of the form at points X of shape (..., 4)."""
-    X = np.asarray(X, dtype=float)
-    t = np.linalg.norm(X, axis=-1)
-    n = X / t[..., None]
-    xi = np.einsum("nm,...m->...n", RIGHT_MULT[0], X) / t[..., None]
-    A = np.einsum("...i,...j->...ij", n, xi) - np.einsum("...i,...j->...ij", xi, n)
-    w_minus = (A + _star_batch(A)) / np.sqrt(2.0)
-    w_plus = np.zeros_like(w_minus)
-    w_plus[..., 0, 1] = w_plus[..., 2, 3] = 1.0 / np.sqrt(2.0)
-    w_plus[..., 1, 0] = w_plus[..., 3, 2] = -1.0 / np.sqrt(2.0)
-    c_plus = params.alpha * params.epsilon ** 4
-    return c_plus * w_plus + (params.beta * t ** -4)[..., None, None] * w_minus
+    """Component matrices of the form at points X of shape (..., 4)."""
+    return ak_form(params)(X)
 
 
 def grad_norm_sq_batch(params, X, h=1e-4):
@@ -371,15 +327,12 @@ def grad_norm_sq_batch(params, X, h=1e-4):
     flat = X.reshape(-1, 4)
     t = np.linalg.norm(flat, axis=-1)
     f = params.epsilon ** 2 + t ** -2
-    omega = ak_matrix_batch(params, flat)
-    # partial derivatives, stencil h * t per axis
-    grad = np.empty(flat.shape[:1] + (4, 4, 4))
-    for s in range(4):
-        dx = np.zeros(4)
-        dx[s] = 1.0
-        step = (h * t)[:, None] * dx[None, :]
-        grad[:, s] = (ak_matrix_batch(params, flat + step)
-                      - ak_matrix_batch(params, flat - step)) / (2.0 * h * t)[:, None, None]
+    # the point and its central-difference stencil, step h * t along each
+    # axis, in one evaluation: step[s] moves every point along axis s
+    step = (h * t)[None, :, None] * np.eye(4)[:, None, :]
+    M = ak_matrix_batch(params, np.concatenate([flat[None], flat + step, flat - step]))
+    omega = M[0]
+    grad = ((M[1:5] - M[5:]) / (2.0 * h * t)[None, :, None, None]).swapaxes(0, 1)
     # connection terms: nabla_s w_mn = d_s w_mn - Gam^p_sm w_pn - Gam^p_sn w_mp
     # with Gamma^p_{sm} = delta^p_s phi_m + delta^p_m phi_s - delta_{sm} phi^p
     phi = (-2.0 / t ** 4 / f)[:, None] * flat      # gradient of log f

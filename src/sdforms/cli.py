@@ -57,7 +57,7 @@ def _round_floats(obj, digits=12):
 
 
 def _emit(report, output=None, name=None):
-    blob = json.dumps(_round_floats(report), indent=1, sort_keys=True)
+    blob = json.dumps(_round_floats(report), indent=1, sort_keys=True, allow_nan=False)
     print(blob)
     if output and name:
         import os
@@ -105,17 +105,19 @@ def cmd_spectrum(args):
     return 0 if not failures else 1
 
 
-def _check_evolve_flags(args):
-    for flag in ("t0", "t1"):
+def _check_flags(args, positive=(), finite=(), counts=()):
+    """Reject out-of-range numeric flags, naming the flag, before any work."""
+    rules = ([(f, "finite and > 0", lambda v: math.isfinite(v) and v > 0) for f in positive]
+             + [(f, "finite", math.isfinite) for f in finite]
+             + [(f, ">= 1", lambda v: v >= 1) for f in counts])
+    for flag, rule, holds in rules:
         value = getattr(args, flag)
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"--{flag} must be finite and > 0, got {value}")
-    if args.steps < 1:
-        raise ValueError(f"--steps must be >= 1, got {args.steps}")
+        if not holds(value):
+            raise ValueError(f"--{flag.replace('_', '-')} must be {rule}, got {value}")
 
 
 def cmd_evolve(args):
-    _check_evolve_flags(args)
+    _check_flags(args, positive=("t0", "t1"), counts=("steps",))
     failures = []
     eta0 = evolution.load_initial_field(args.init)
     u0, u1 = math.log(args.t0), math.log(args.t1)
@@ -131,7 +133,8 @@ def cmd_evolve(args):
         t = args.t1 / args.t0
         err = expansion.distance(result, t)
         err_fine = expansion.distance(evolution.evolve_ode(eta0, u0, u1, 2 * args.steps), t)
-        ratio = err / err_fine if err_fine > 1e-14 else float("inf")
+        # at rounding level the ratio measures nothing
+        ratio = err / err_fine if err_fine > 1e-14 else None
         cross = {"error": err, "error_double_steps": err_fine,
                  "step_doubling_ratio": ratio}
         if err_fine > 1e-14 and ratio < 8.0:
@@ -225,6 +228,7 @@ def _verify_kato(args):
              (1.5, -2, right_invariant_coframe(2))]),
     }
     worst = {}
+    evaluated = {}
     pts = _annulus_samples(args.samples, args.seed)
     for name, sdf in forms.items():
         ratios = []
@@ -235,13 +239,17 @@ def _verify_kato(args):
                 continue
             if r is not None:
                 ratios.append(r)
+        evaluated[name] = len(ratios)
         worst[name] = max(ratios) if ratios else None
-        if ratios and max(ratios) > KATO_BOUND:
+        if not ratios:
+            failures.append(_failure("selfdual_r4", "kato_ratio", {"form": name},
+                                     0, 1, "no point with a defined Kato ratio"))
+        elif max(ratios) > KATO_BOUND:
             failures.append(_failure("selfdual_r4", "kato_ratio", {"form": name},
                                      max(ratios), KATO_BOUND,
                                      "sharpened Kato bound violated"))
-    return failures, {"max_ratio_per_form": worst, "bound": KATO_BOUND,
-                      "samples": args.samples, "h": KATO_DEFAULT_H}
+    return failures, {"max_ratio_per_form": worst, "points_evaluated_per_form": evaluated,
+                      "bound": KATO_BOUND, "samples": args.samples, "h": KATO_DEFAULT_H}
 
 
 def _verify_orthogonality(args):
@@ -272,7 +280,8 @@ def _verify_elliptic(args):
     sdf = ale.ak_form(ale.AKFormParams(1.0, 1.0, 0.2))
     h = 1e-4
     pts = _annulus_samples(args.samples, args.seed, lo=0.5, hi=3.0)
-    worst = 0.0
+    # margin = value + tolerance, positive wherever the check passes
+    worst = worst_x = None
     checked = 0
     for x in pts:
         try:
@@ -282,13 +291,14 @@ def _verify_elliptic(args):
         checked += 1
         tol = 2.0 * max(abs(coarse) / (2 * h) ** 2, 1.0) * h ** 2 + 5e-6
         val = regularity.sqrt_elliptic_check(sdf, x, h)
-        worst = min(worst, val + tol)
+        if worst is None or val + tol < worst:
+            worst, worst_x = val + tol, list(map(float, x))
         if val < -tol:
             failures.append(_failure("regularity", "sqrt_elliptic_check",
                                      {"x": list(map(float, x))}, val, -tol,
                                      "sqrt-norm subharmonicity violated"))
     return failures, {"points_checked": checked, "h": h,
-                      "worst_margin": worst}
+                      "worst_margin": worst, "worst_margin_x": worst_x}
 
 
 VERIFY_SUITES = {
@@ -301,6 +311,7 @@ VERIFY_SUITES = {
 
 
 def cmd_verify(args):
+    _check_flags(args, counts=("samples",))
     failures, details = VERIFY_SUITES[args.suite](args)
     report = {
         "suite": args.suite,
@@ -314,6 +325,8 @@ def cmd_verify(args):
 
 
 def cmd_ale_report(args):
+    _check_flags(args, positive=("epsilon", "rho_max", "h"), finite=("alpha", "beta"),
+                 counts=("ricci_samples",))
     failures = []
     params = ale.AKFormParams(args.alpha, args.beta, args.epsilon)
     model = params.model
@@ -381,7 +394,7 @@ def cmd_ale_report(args):
                                      "end asymptotics out of envelope"))
 
     # energy block
-    A = max(20.0, 10.0 / params.epsilon if params.epsilon else 20.0)
+    A = max(20.0, 10.0 / params.epsilon)
     energy = {}
     if args.alpha == 0.0 and args.beta == 0.0:
         energy = {"boundary": 0.0, "volume": 0.0, "relative_agreement": 0.0}
@@ -449,7 +462,7 @@ def cmd_ale_report(args):
         for rho in np.linspace(-args.rho_max, args.rho_max, 201):
             if abs(rho) < 1e-9:
                 rho = 0.0
-            t = float(model.t_of_rho(rho)) if params.epsilon else None
+            t = float(model.t_of_rho(rho))
             nsq = float(ale.ak_norm_sq_closed_form(params, t, 0.0))
             rsq = 192 * params.epsilon ** 4 / (rho ** 2 + 4 * params.epsilon ** 2) ** 4
             rows.append(f"{rho:.12e},{nsq:.12e},{rsq:.12e}")
@@ -490,6 +503,7 @@ def cmd_moser(args):
 
 
 def cmd_decay(args):
+    _check_flags(args, positive=("epsilon", "rho_max"), finite=("alpha", "beta"))
     failures = []
     params = ale.AKFormParams(args.alpha, args.beta, args.epsilon)
     profile = ale.decay_profile(params, args.end, rho_min=10.0,

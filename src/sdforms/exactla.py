@@ -1,4 +1,4 @@
-"""Exact rational linear algebra: rank and nullspace by fraction-free pivoting.
+"""Exact rational linear algebra: nullspace by fraction-free pivoting.
 
 Small dense solver over ``fractions.Fraction`` used for the rational-ring
 spectrum certificates, where float eigensolvers are replaced by exact kernel
@@ -7,7 +7,7 @@ ranks of integer shifts.
 
 from fractions import Fraction
 
-__all__ = ["rref", "rank", "nullspace"]
+__all__ = ["rref", "nullspace"]
 
 
 def rref(rows):
@@ -38,11 +38,6 @@ def rref(rows):
         if r == n_rows:
             break
     return pivots
-
-
-def rank(rows):
-    """Rank of a matrix given as a list of Fraction rows (copied, not mutated)."""
-    return len(rref([list(r) for r in rows]))
 
 
 def nullspace(rows, n_cols=None):

@@ -46,6 +46,8 @@ __all__ = [
     "left_invariant_coframe",
     "right_invariant_coframe",
     "gradient_coframe",
+    "monomial_table",
+    "evaluate_monomials",
 ]
 
 
@@ -133,20 +135,9 @@ class PolyScalar:
     def as_float(self):
         return PolyScalar({e: float(c) for e, c in self.coeffs.items()})
 
-    def as_exact(self):
-        return PolyScalar({e: Fraction(c) for e, c in self.coeffs.items()})
-
     def __call__(self, x):
         """Evaluate at points x of shape (..., 4)."""
-        x = np.asarray(x, dtype=float)
-        val = np.zeros(x.shape[:-1])
-        for e, c in self.coeffs.items():
-            term = float(c) * np.ones(x.shape[:-1])
-            for nu in range(4):
-                if e[nu]:
-                    term = term * x[..., nu] ** e[nu]
-            val += term
-        return val
+        return evaluate_monomials(*monomial_table([self]), np.moveaxis(x, -1, 0))[0]
 
     def __eq__(self, other):
         return isinstance(other, PolyScalar) and self.coeffs == other.coeffs
@@ -160,6 +151,39 @@ class PolyScalar:
         terms = sorted(self.coeffs.items(), key=lambda ec: (sum(ec[0]), ec[0]))
         body = " + ".join(f"{c}*x^{e}" for e, c in terms)
         return f"PolyScalar({body})"
+
+
+def monomial_table(polys):
+    """Exponent table E (K, 4) and float coefficients C (K, P) of P polynomials.
+
+    Row k of E is a monomial occurring in at least one polynomial and
+    C[k, j] its coefficient in polynomial j, so that
+    ``evaluate_monomials(E, C, x)[j]`` is the value of ``polys[j]``.
+    """
+    exps = list(dict.fromkeys(e for p in polys for e in p.coeffs))
+    index = {e: k for k, e in enumerate(exps)}
+    C = np.zeros((len(exps), len(polys)))
+    for j, p in enumerate(polys):
+        for e, c in p.coeffs.items():
+            C[index[e], j] = float(c)
+    return np.array(exps, dtype=np.intp).reshape(-1, 4), C
+
+
+def evaluate_monomials(E, C, x):
+    """Values of the polynomials of a monomial table at points x of shape (4, ...).
+
+    Coordinates come first so that each power is built along the points, by
+    repeated multiplication up to the largest exponent in the table; the
+    result has shape (P, ...).
+    """
+    x = np.asarray(x, dtype=float)
+    V = np.ones((len(E),) + x.shape[1:])
+    for nu in range(4):
+        powers = [np.ones(x.shape[1:])]
+        for _ in range(int(E[:, nu].max(initial=0))):
+            powers.append(powers[-1] * x[nu])
+        V *= np.array(powers)[E[:, nu]]
+    return (C.T @ V.reshape(len(E), x[0].size)).reshape(C.shape[1:] + x.shape[1:])
 
 
 def _axis_index(axis):
@@ -281,7 +305,8 @@ class CoframeField:
 
     def evaluate(self, x):
         """Frame components at points x of shape (..., 4); returns (..., 3)."""
-        return np.stack([a(x) for a in self.alpha], axis=-1)
+        values = evaluate_monomials(*monomial_table(self.alpha), np.moveaxis(x, -1, 0))
+        return np.moveaxis(values, 0, -1)
 
     def norm_sq_poly(self):
         """Pointwise squared norm sum_i a_i^2 as a PolyScalar."""

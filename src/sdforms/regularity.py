@@ -18,6 +18,8 @@ from math import exp, log1p
 
 import numpy as np
 
+from .selfdual import stencil_laplacian, stencil_points
+
 __all__ = [
     "MoserEvaluation",
     "moser_product",
@@ -103,17 +105,9 @@ def sqrt_elliptic_check(sdf, x, h, zero_tol=1e-8):
     For closed self-dual forms on flat space this is nonnegative; the
     returned value should only dip below zero by the stencil error C h^2.
     Rejects points where |omega| is too small for the square root to be
-    differentiable.
+    differentiable, and stencils that reach the origin.
     """
-    x = np.asarray(x, dtype=float)
-    if np.linalg.norm(x) <= 2 * h:
-        raise ValueError("stencil crosses the origin")
-    if sdf.norm(x) <= zero_tol:
+    norms = sdf.norm(stencil_points(x, h))
+    if norms[0] <= zero_tol:
         raise ValueError("|omega| vanishes at x; |omega|^(1/2) is not smooth there")
-    center = np.sqrt(sdf.norm(x))
-    total = -8.0 * center
-    for m in range(4):
-        dx = np.zeros(4)
-        dx[m] = h
-        total += np.sqrt(sdf.norm(x + dx)) + np.sqrt(sdf.norm(x - dx))
-    return float(total) / h ** 2
+    return float(stencil_laplacian(np.sqrt(norms), h))

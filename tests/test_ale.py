@@ -23,6 +23,7 @@ from sdforms.ale import (
     grad_energy_volume,
     sup_grad,
 )
+from sdforms.frames import RIGHT_MULT
 from sdforms.selfdual import d_residual, star_two_form, wedge_norm_sq
 
 
@@ -155,6 +156,40 @@ def test_ak_form_eval_matches_closed_form_norm():
         _, norm_sq = ak_form_eval(params, x)
         expected = ak_norm_sq_closed_form(params, t, float(pairing_poly(u)))
         assert_allclose(norm_sq, expected, rtol=1e-10, atol=1e-14)
+
+
+def ak_matrices_by_hand(params, X):
+    """The form written out: alpha eps^4 times the constant Kahler matrix
+    plus beta t^-4 times F^{-1}(phi^1), phi^1 = (x * e_hat_1) / t."""
+    X = np.asarray(X, dtype=float)
+    t = np.linalg.norm(X, axis=-1)
+    n = X / t[..., None]
+    xi = np.einsum("nm,...m->...n", RIGHT_MULT[0], X) / t[..., None]
+    A = np.einsum("...i,...j->...ij", n, xi) - np.einsum("...i,...j->...ij", xi, n)
+    star = np.zeros_like(A)
+    star[..., 0, 1] = A[..., 2, 3]
+    star[..., 2, 3] = A[..., 0, 1]
+    star[..., 0, 2] = -A[..., 1, 3]
+    star[..., 1, 3] = -A[..., 0, 2]
+    star[..., 0, 3] = A[..., 1, 2]
+    star[..., 1, 2] = A[..., 0, 3]
+    star = star - np.swapaxes(star, -1, -2)
+    w_minus = (A + star) / np.sqrt(2.0)
+    w_plus = np.zeros((4, 4))
+    w_plus[0, 1] = w_plus[2, 3] = 1.0 / np.sqrt(2.0)
+    w_plus = w_plus - w_plus.T
+    return (params.alpha * params.epsilon ** 4 * w_plus
+            + (params.beta * t ** -4)[..., None, None] * w_minus)
+
+
+@pytest.mark.parametrize("alpha,beta,eps", [(0.6, 0.9, 0.2), (1.0, 0.0, 0.1),
+                                            (0.0, -1.3, 0.5), (2.0, 1.0, 1.0)])
+def test_ak_matrix_batch_matches_hand_formula(alpha, beta, eps):
+    params = AKFormParams(alpha, beta, eps)
+    pts = random_points(60, seed=7).reshape(3, 20, 4)
+    batch = ak_matrix_batch(params, pts)
+    assert batch.shape == (3, 20, 4, 4)
+    assert_allclose(batch, ak_matrices_by_hand(params, pts), rtol=0, atol=1e-12)
 
 
 def test_ak_matrix_batch_consistent_with_series():

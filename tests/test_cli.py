@@ -227,3 +227,98 @@ def test_evolve_fails_when_cross_check_skipped(capsys, tmp_path, monkeypatch):
     assert rep["spectral_cross_check"] is None
     assert rep["decomposition_residual"] > 1e-8
     assert rep["failures"][0]["operation"] == "decompose_initial"
+
+
+def strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-finite {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_elliptic_reports_true_worst_margin(capsys):
+    code, rep = run(capsys, "verify", "elliptic")
+    d = rep["details"]
+    assert code == 0
+    assert d["points_checked"] == 500
+    assert d["worst_margin"] > 0.0
+    assert len(d["worst_margin_x"]) == 4
+
+
+@pytest.mark.parametrize("suite", ["frames", "kato", "elliptic", "hodge"])
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_rejects_nonpositive_samples(capsys, suite, samples):
+    code, rep = run(capsys, "verify", suite, "--samples", samples)
+    assert code == 2
+    assert rep["status"] == "error"
+    assert "--samples" in rep["message"]
+
+
+def test_kato_reports_points_evaluated(capsys):
+    code, rep = run(capsys, "verify", "kato", "--samples", "30")
+    assert code == 0
+    assert rep["details"]["points_evaluated_per_form"] == {
+        "ak_mixed": 30, "kahler_plus_decaying": 30, "pure_minus_two": 30}
+
+
+def test_kato_fails_when_a_form_has_no_points(capsys, monkeypatch):
+    # a ratio that is undefined everywhere checks nothing, which must fail
+    monkeypatch.setattr("sdforms.cli.selfdual.kato_ratio", lambda sdf, x, h: None)
+    code, rep = run(capsys, "verify", "kato", "--samples", "5")
+    assert code == 1
+    assert set(rep["details"]["points_evaluated_per_form"].values()) == {0}
+    assert len(rep["failures"]) == 3
+    assert rep["failures"][0]["reason"] == "no point with a defined Kato ratio"
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--epsilon", "nan"], "--epsilon"),
+    (["--epsilon", "inf"], "--epsilon"),
+    (["--epsilon", "0"], "--epsilon"),
+    (["--epsilon=-0.1"], "--epsilon"),
+    (["--epsilon", "0.1", "--rho-max", "0"], "--rho-max"),
+    (["--epsilon", "0.1", "--rho-max", "inf"], "--rho-max"),
+    (["--epsilon", "0.1", "--h", "nan"], "--h"),
+    (["--epsilon", "0.1", "--h=-1e-3"], "--h"),
+    (["--epsilon", "0.1", "--alpha", "nan"], "--alpha"),
+    (["--epsilon", "0.1", "--beta=-inf"], "--beta"),
+    (["--epsilon", "0.1", "--ricci-samples", "0"], "--ricci-samples"),
+])
+def test_ale_report_rejects_bad_flags(capsys, monkeypatch, flags, named):
+    # the flags are checked before any computation
+    from sdforms import ale
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("computation ran")
+
+    monkeypatch.setattr(ale.AKFormParams, "__post_init__", forbidden)
+    code, rep = run(capsys, "ale-report", *flags)
+    assert code == 2
+    assert rep["status"] == "error"
+    assert named in rep["message"]
+
+
+def test_evolve_ratio_at_rounding_level_is_null(capsys, tmp_path, monkeypatch):
+    # both step-doubling errors at rounding level: the ratio is undefined,
+    # reported as null rather than as a non-JSON infinity
+    from sdforms.evolution import ModeExpansion
+
+    monkeypatch.setattr(ModeExpansion, "distance", lambda self, field, t: 0.0)
+    init = tmp_path / "init.json"
+    dump_initial_field(left_invariant_coframe(1), str(init))
+    code = dispatch(["evolve", "--init", str(init), "--steps", "4"])
+    rep = strict_json(capsys.readouterr().out)
+    assert code == 0
+    assert rep["spectral_cross_check"]["step_doubling_ratio"] is None
+
+
+def test_non_finite_report_value_is_an_error(capsys, monkeypatch):
+    # no report is printed with NaN in it: strict JSON or a usage error
+    from sdforms.ale import DecayReport
+
+    monkeypatch.setattr("sdforms.cli.ale.decay_classify",
+                        lambda profile: DecayReport(float("nan"), 0.0, "FastDecay"))
+    code = dispatch(["decay", "--epsilon", "0.1", "--beta", "0", "--end", "minus"])
+    rep = strict_json(capsys.readouterr().out)
+    assert code == 2
+    assert rep["status"] == "error"

@@ -290,3 +290,51 @@ def test_l2_inner_orthogonality_of_frames():
         total = total + a * b
     assert abs(sphere_integral(total)) < 1e-14
     assert abs(l2_inner(PolyScalar.coordinate(0), PolyScalar.coordinate(1))) < 1e-14
+
+
+# ---------------------------------------------------------------- evaluation
+
+def exact_value(f, x):
+    """The canonical representative of f evaluated in rationals at a float point."""
+    xq = [Fraction(float(v)) for v in x]
+    total = Fraction(0)
+    for e, c in f.coeffs.items():
+        term = Fraction(c)
+        for v, k in zip(xq, e):
+            term *= v ** k
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_poly_eval_matches_exact_rationals(seed):
+    # degree <= 6 with random exponents: x3^2 and higher reduce to mixed
+    # monomials, so the canonical forms carry x3 terms; the points lie off
+    # the sphere, where the representative itself is what gets evaluated
+    rng = np.random.default_rng(100 + seed)
+    coeffs = {}
+    for _ in range(25):
+        e = tuple(int(k) for k in rng.multinomial(int(rng.integers(0, 7)), [0.25] * 4))
+        coeffs[e] = float(rng.uniform(-3.0, 3.0))
+    f = PolyScalar(coeffs)
+    assert any(e[3] for e in f.coeffs)
+    pts = rng.uniform(-1.5, 1.5, size=(40, 4))
+    vals = f(pts)
+    assert vals.shape == (40,)
+    for x, v in zip(pts, vals):
+        # relative to the sum of |term|, the scale of the rounding error
+        scale = float(sum(abs(Fraction(c)) * np.prod(np.abs(x) ** np.array(e))
+                          for e, c in f.coeffs.items()))
+        assert abs(Fraction(float(v)) - exact_value(f, x)) <= 1e-12 * scale
+    assert f(pts[0]) == pytest.approx(float(exact_value(f, pts[0])), rel=1e-12, abs=1e-12)
+
+
+def test_coframe_evaluate_stacks_component_values():
+    rng = np.random.default_rng(7)
+    eta = CoframeField(tuple(random_poly(rng, degree=4) for _ in range(3)))
+    pts = rng.standard_normal((3, 5, 4))
+    vals = eta.evaluate(pts)
+    assert vals.shape == (3, 5, 3)
+    for m in range(3):
+        assert_allclose(vals[..., m], eta.alpha[m](pts), rtol=1e-14, atol=1e-14)
+    assert_allclose(CoframeField.zero().evaluate(pts), 0.0)

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sdforms.evolution import decompose_initial
-from sdforms.polys import left_invariant_coframe, right_invariant_coframe
+from sdforms.polys import CoframeField, left_invariant_coframe, right_invariant_coframe
 from sdforms.selfdual import (
     SelfDualForm,
     ball_orthogonality,
@@ -56,6 +56,38 @@ def test_wedge_norm_on_selfdual_equals_component_sum():
         SD = (M + star_two_form(M)) / 2
         comp = sum(SD[a, b] ** 2 for a in range(4) for b in range(a + 1, 4))
         assert_allclose(wedge_norm_sq(SD), comp, atol=1e-12)
+
+
+def test_two_form_maps_on_stacks():
+    # stacked inputs give the stacked one-point values
+    rng = np.random.default_rng(20)
+    A = rng.standard_normal((2, 5, 4, 4))
+    M = A - np.swapaxes(A, -1, -2)
+    x = random_points(10, seed=21).reshape(2, 5, 4)
+    xi = rng.standard_normal((2, 5, 4))
+    star, wedge = star_two_form(M), wedge_norm_sq(M)
+    inv, fwd = f_t_inverse(xi, x), f_t_map(M, x)
+    assert star.shape == inv.shape == (2, 5, 4, 4)
+    assert wedge.shape == (2, 5) and fwd.shape == (2, 5, 4)
+    for i in range(2):
+        for k in range(5):
+            assert_allclose(star[i, k], star_two_form(M[i, k]), rtol=0, atol=1e-14)
+            assert_allclose(wedge[i, k], wedge_norm_sq(M[i, k]), rtol=0, atol=1e-14)
+            assert_allclose(inv[i, k], f_t_inverse(xi[i, k], x[i, k]), rtol=0, atol=1e-14)
+            assert_allclose(fwd[i, k], f_t_map(M[i, k], x[i, k]), rtol=0, atol=1e-14)
+
+
+def test_star_two_form_matches_index_definition():
+    rng = np.random.default_rng(22)
+    A = rng.standard_normal((4, 4))
+    M = A - A.T
+    expected = np.zeros((4, 4))
+    for (a, b), (c, d, sign) in {(0, 1): (2, 3, 1), (0, 2): (1, 3, -1),
+                                 (0, 3): (1, 2, 1), (1, 2): (0, 3, 1),
+                                 (1, 3): (0, 2, -1), (2, 3): (0, 1, 1)}.items():
+        expected[a, b] = sign * M[c, d]
+        expected[b, a] = -expected[a, b]
+    assert_allclose(star_two_form(M), expected, rtol=0, atol=0)
 
 
 # ----------------------------------------------------------------- Kahler basis
@@ -160,6 +192,36 @@ def test_series_from_mode_expansion(modes_d2):
 
         xi = f_t_map(sdf(x), x)
         assert_allclose(xi, tangent_covector(eta0, x), atol=1e-10)
+
+
+def test_series_batch_matches_one_point_values():
+    # the three forms of `verify kato` and a degree-3 mode expansion
+    from sdforms.ale import AKFormParams, ak_form
+
+    modes_d3 = eigen_decompose(3)[0]
+    rng = np.random.default_rng(30)
+    eta0 = CoframeField.zero()
+    for lam in (-3, -2, 3, 4, 5):
+        mode = next(m for m in modes_d3 if m.lam_int == lam)
+        eta0 = eta0 + mode.field * float(rng.uniform(0.5, 1.5))
+    forms = {
+        "ak_mixed": ak_form(AKFormParams(1.0, 1.0, 0.2)),
+        "pure_minus_two": minus_two_form(),
+        "kahler_plus_decaying": SelfDualForm([(0.5, 2, left_invariant_coframe(1)),
+                                              (1.5, -2, right_invariant_coframe(2))]),
+        "expansion_d3": SelfDualForm.from_expansion(decompose_initial(eta0, modes_d3)),
+    }
+    pts = random_points(24, seed=31).reshape(2, 3, 4, 4)
+    for name, sdf in forms.items():
+        M, norms = sdf(pts), sdf.norm(pts)
+        assert M.shape == (2, 3, 4, 4, 4) and norms.shape == (2, 3, 4), name
+        for idx in np.ndindex(2, 3, 4):
+            single = sdf(pts[idx])
+            scale = max(1.0, float(np.max(np.abs(single))))
+            assert_allclose(M[idx], single, rtol=0, atol=1e-14 * scale, err_msg=name)
+            assert isinstance(sdf.norm(pts[idx]), float)
+            assert_allclose(norms[idx], sdf.norm(pts[idx]), rtol=1e-14, atol=1e-14,
+                            err_msg=name)
 
 
 # ----------------------------------------------------------------- closedness
