@@ -10,7 +10,7 @@ operator produces is already exact spectrum, so the only effect of the
 cutoff is missing multiplicity outside the window.
 
 The float path solves the generalized symmetric eigenproblem with the L^2
-Gram matrix.  The exact path re-derives the multiplicities as rational
+Gram matrix.  The exact path re-derives the multiplicities as integer
 kernel ranks of *d - lambda and certifies that they exhaust the subspace,
 which proves there is no spectrum at -1, 0, +1 in the model.
 """

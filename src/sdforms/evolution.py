@@ -47,7 +47,7 @@ DIV_TOL = 1e-8
 def div_residual(eta):
     """L^2 norm of div(eta) over the sphere, sqrt(r^T G r) with r = Dv c."""
     D = eta.degree
-    return div_norms(D, make_basis(D).coframe_to_vector(eta.as_float()))[0]
+    return div_norms(D, make_basis(D).coframe_to_vector(eta))[0]
 
 
 def gram_norm(D, v):
@@ -96,7 +96,7 @@ def decompose_initial(eta0, modes, drop_tol=1e-13):
     if r > DIV_TOL:
         raise ValueError(f"initial field is not divergence-free (residual {r:.3e})")
     D = max(eta0.degree, modes.D)
-    c0 = make_basis(D).coframe_to_vector(eta0.as_float())
+    c0 = make_basis(D).coframe_to_vector(eta0)
     C = modes.embedded(D)
     a = C.T @ (coframe_gram(D) @ c0)
     a[np.abs(a) <= drop_tol] = 0.0
@@ -124,7 +124,7 @@ def evolve_ode(eta0, u0, u1, steps):
     D = eta0.degree
     basis = make_basis(D)
     C = operator_matrix("curl", D).matrix
-    y = basis.coframe_to_vector(eta0.as_float())
+    y = basis.coframe_to_vector(eta0)
     h = (u1 - u0) / steps
     for _ in range(steps):
         k1 = C @ y

@@ -425,41 +425,24 @@ class PolyBasis:
         self.index = {e: k for k, e in enumerate(self.monomials)}
         self.dim = len(self.monomials)
 
-    def to_vector(self, f, ring="float"):
-        if ring == "exact":
-            v = [Fraction(0)] * self.dim
-        else:
-            v = np.zeros(self.dim)
+    def to_vector(self, f):
+        v = np.zeros(self.dim)
         for e, c in f.coeffs.items():
             k = self.index.get(e)
             if k is None:
                 raise ValueError(f"monomial {e} outside degree-{self.D} basis")
-            v[k] = Fraction(c) if ring == "exact" else float(c)
+            v[k] = float(c)
         return v
 
     def from_vector(self, v):
         return PolyScalar({self.monomials[k]: c for k, c in enumerate(v) if c})
 
-    def coframe_to_vector(self, eta, ring="float"):
-        parts = [self.to_vector(a, ring=ring) for a in eta.alpha]
-        if ring == "exact":
-            return parts[0] + parts[1] + parts[2]
-        return np.concatenate(parts)
+    def coframe_to_vector(self, eta):
+        return np.concatenate([self.to_vector(a) for a in eta.alpha])
 
     def coframe_from_vector(self, v):
         n = self.dim
         return CoframeField(tuple(self.from_vector(v[m * n:(m + 1) * n]) for m in range(3)))
-
-    def gram_over_pi2(self):
-        """Exact scalar Gram matrix, entries in units of pi^2."""
-        G = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        for a in range(self.dim):
-            ea = self.monomials[a]
-            for b in range(a, self.dim):
-                eb = self.monomials[b]
-                w = monomial_integral_over_pi2(tuple(i + j for i, j in zip(ea, eb)))
-                G[a][b] = G[b][a] = w
-        return G
 
     def gram(self):
         """Scalar Gram matrix as floats, actual integrals including pi^2.
@@ -477,8 +460,18 @@ def make_basis(D):
 
 @lru_cache(maxsize=8)
 def _scalar_gram(D):
-    G = make_basis(D).gram_over_pi2()
-    G = np.array([[float(w) for w in row] for row in G]) * pi * pi
+    """Float scalar Gram matrix, one exact integral per distinct exponent sum.
+
+    Entry (a, b) is the integral of x^(e_a + e_b); each sum is encoded as
+    one integer key in base 2D + 1, and the rational integral of each
+    distinct key is converted to a float once.
+    """
+    E = np.array(make_basis(D).monomials, dtype=np.int64)
+    sums = (E[:, None, :] + E[None, :, :]).reshape(-1, 4)
+    keys = sums @ (2 * D + 1) ** np.arange(3, -1, -1, dtype=np.int64)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    values = np.array([float(monomial_integral_over_pi2(e)) for e in sums[first].tolist()])
+    G = values[inverse].reshape(len(E), len(E)) * pi * pi
     G.flags.writeable = False
     return G
 
@@ -506,7 +499,6 @@ class OperatorMatrix:
     domain: str
     codomain: str
     degree: int
-    gram: np.ndarray
 
     def to_json(self):
         return {
@@ -560,17 +552,16 @@ def operator_matrix(kind, D):
     """Matrix of div, curl or star_d on the degree <= D coframe space.
 
     Columns follow the coframe vectorization: component-major order over the
-    reduced monomial basis.  The attached Gram matrix is that of the domain.
+    reduced monomial basis.
     """
     if D < 0:
         raise ValueError(f"degree bound must be >= 0, got {D}")
     n = make_basis(D).dim
-    gram = coframe_gram(D)
     if kind == "div":
-        return OperatorMatrix(_div_matrix(D), "coframe", "scalar", D, gram)
+        return OperatorMatrix(_div_matrix(D), "coframe", "scalar", D)
     if kind == "curl":
-        return OperatorMatrix(_curl_matrix(D), "coframe", "coframe", D, gram)
+        return OperatorMatrix(_curl_matrix(D), "coframe", "coframe", D)
     if kind == "star_d":
         return OperatorMatrix(_curl_matrix(D) + 2.0 * np.eye(3 * n),
-                              "coframe", "coframe", D, gram)
+                              "coframe", "coframe", D)
     raise ValueError(f"unknown operator kind {kind!r}")

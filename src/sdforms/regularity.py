@@ -57,7 +57,8 @@ def moser_product(c, N=200, convergence_tol=1e-12):
     partial products converge; convergence is flagged once the relative
     change of the log falls below the tolerance.  The claimed bound is e^c;
     the ratio product/bound exceeds 1 for c of order one and tends to 1 as
-    c -> 0.
+    c -> 0.  Raises ValueError when e^c or the product overflows a float
+    (c above about 709).
     """
     if c < 0:
         raise ValueError(f"the product needs c >= 0, got {c}")
@@ -71,8 +72,11 @@ def moser_product(c, N=200, convergence_tol=1e-12):
         if log_total > 0 and term <= convergence_tol * log_total:
             converged = True
             break
-    product = exp(log_total)
-    bound = exp(c)
+    try:
+        product = exp(log_total)
+        bound = exp(c)
+    except OverflowError:
+        raise ValueError(f"c = {c} is too large: e^c or the product overflows a float") from None
     # ratio from the log difference keeps precision when both sides are ~1
     ratio = exp(log_total - c)
     return MoserEvaluation(

@@ -17,18 +17,17 @@ comparing runs at D and D + 2).
 
 Two scalar rings are supported.  The float ring solves the generalized
 symmetric eigenproblem with the L^2 Gram matrix; the exact ring certifies
-multiplicities by rational kernel ranks of the integer shifts *d - lambda,
+multiplicities by exact integer kernel ranks of the shifts *d - lambda,
 together with a completeness count proving no further spectrum exists in the
 model (in particular none at -1, 0, +1).
 """
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh, null_space
+from scipy.linalg import cholesky, eigh, null_space, solve_triangular
 
 from . import exactla
 from .polys import (
@@ -213,7 +212,7 @@ class DivergenceFreeSubspace:
 
     degree: int
     matrix: np.ndarray  # (3N, K), columns span the kernel
-    exact_basis: list = None  # Fraction vectors when built in the exact ring
+    exact_basis: np.ndarray = None  # (3N, K) Python ints when built in the exact ring
 
     @property
     def dim(self):
@@ -225,36 +224,39 @@ class DivergenceFreeSubspace:
 
     def projector_defect(self):
         """Norm of (I - P) star_d P measuring *d-invariance of the subspace."""
-        S = operator_matrix("star_d", self.degree).matrix
-        Q = np.linalg.qr(self.matrix)[0]
-        image = S @ Q
-        defect = image - Q @ (Q.T @ image)
-        return float(np.linalg.norm(defect))
+        return _invariance_defect(self.matrix, operator_matrix("star_d", self.degree).matrix)
+
+
+def _invariance_defect(B, S):
+    Q = np.linalg.qr(B)[0]
+    image = S @ Q
+    defect = image - Q @ (Q.T @ image)
+    return float(np.linalg.norm(defect))
 
 
 def divergence_free_subspace(D, ring="float"):
     """Basis of ker(div) within the degree <= D coframe space.
 
     The float ring returns an SVD nullspace with orthonormal coefficient
-    columns; the exact ring a rational row-echelon nullspace.  The dimension
-    is 2 * sum_{d<=D}(d+1)^2 + 1.
+    columns; the exact ring primitive integer kernel vectors from
+    fraction-free elimination, kept as ``exact_basis``.  The dimension is
+    2 * sum_{d<=D}(d+1)^2 + 1.
     """
     Dv = operator_matrix("div", D).matrix
     if ring == "exact":
-        rows = [[_as_fraction(v) for v in row] for row in Dv]
-        null = exactla.nullspace(rows)
-        cols = np.array([[float(v) for v in vec] for vec in null]).T
-        if cols.size == 0:
-            cols = cols.reshape(Dv.shape[1], 0)
-        return DivergenceFreeSubspace(D, cols, exact_basis=null)
+        null = exactla.nullspace(_integer_matrix(Dv).tolist())
+        N = np.array(null, dtype=object).T.reshape(Dv.shape[1], len(null))
+        return DivergenceFreeSubspace(D, N.astype(float), exact_basis=N)
     return DivergenceFreeSubspace(D, null_space(Dv))
 
 
-def _as_fraction(v):
-    i = int(round(v))
-    if v != i:
+def _integer_matrix(M):
+    """M as an object array of Python ints; the exact ring needs integer operators."""
+    R = np.rint(M)
+    if not np.array_equal(R, M):
+        v = M[R != M][0]
         raise ValueError(f"operator entry {v} is not an integer; exact ring unavailable")
-    return Fraction(i)
+    return R.astype(np.int64).astype(object)
 
 
 def eigen_decompose(D, ring="float"):
@@ -262,7 +264,7 @@ def eigen_decompose(D, ring="float"):
 
     Returns (modes, report).  ``modes`` is a :class:`ModeSet` of
     L^2-normalized eigenfields sorted by eigenvalue; in the exact ring the
-    eigenfields come from rational kernels of the integer shifts and the
+    eigenfields come from integer kernels of the integer shifts and the
     report additionally certifies completeness
     (multiplicities sum to the subspace dimension) and the absence of
     spectrum at -1, 0, +1.
@@ -272,9 +274,13 @@ def eigen_decompose(D, ring="float"):
     if ring == "exact":
         return _eigen_decompose_exact(D)
     sub = divergence_free_subspace(D)
+    return _eigen_decompose_float(sub, operator_matrix("star_d", D).matrix, coframe_gram(D))
+
+
+def _eigen_decompose_float(sub, S, G):
+    """Float eigen-decomposition on a given subspace, star_d matrix S and Gram G."""
+    D = sub.degree
     B = sub.matrix
-    G = coframe_gram(D)
-    S = operator_matrix("star_d", D).matrix
     A = B.T @ G @ (S @ B)
     M = B.T @ G @ B
     asym = float(np.max(np.abs(A - A.T)))
@@ -303,48 +309,26 @@ def eigen_decompose(D, ring="float"):
 
 def _eigen_decompose_exact(D):
     sub = divergence_free_subspace(D, ring="exact")
-    null = sub.exact_basis
-    K = len(null)
-    S = operator_matrix("star_d", D).matrix
-    S_rows = [[_as_fraction(v) for v in row] for row in S]
-    n3 = len(S_rows)
-    # SB[r][k] = row r of S applied to null vector k, computed once
-    SB = []
-    for r in range(n3):
-        row = []
-        for vec in null:
-            acc = Fraction(0)
-            for c in range(n3):
-                s = S_rows[r][c]
-                if s:
-                    acc += s * vec[c]
-            row.append(acc)
-        SB.append(row)
+    N = sub.exact_basis
+    K = sub.dim
+    SN = _integer_matrix(operator_matrix("star_d", D).matrix) @ N
+    G = coframe_gram(D)
     lo, hi = trusted_window(D)
-    lambdas = sorted({k for k in range(lo - 1, hi + 2)})
     mults = {}
-    cols = []
+    blocks = []
     lams = []
-    for lam in lambdas:
-        shifted = [
-            [SB[r][k] - lam * null[k][r] for k in range(K)]
-            for r in range(n3)
-        ]
-        kernel = exactla.nullspace(shifted, n_cols=K)
+    for lam in range(lo - 1, hi + 2):
+        kernel = exactla.nullspace((SN - lam * N).tolist(), n_cols=K)
         if not kernel:
             continue
         mults[lam] = len(kernel)
-        raw = []
-        for vec in kernel:
-            c = np.zeros(n3)
-            for k, coef in enumerate(vec):
-                if coef:
-                    c += float(coef) * np.array([float(v) for v in null[k]])
-            raw.append(c)
-        for c in _gram_orthonormalize(raw, D):
-            cols.append(c)
-            lams.append(lam)
-    C = np.column_stack(cols)
+        V = (N @ np.array(kernel, dtype=object).T).astype(float)
+        # Gram-Schmidt in the L^2 product: V = Q L^T with L the Cholesky
+        # factor of V^T G V, so Q^T G Q = I
+        L = cholesky(V.T @ G @ V, lower=True)
+        blocks.append(solve_triangular(L, V.T, lower=True).T)
+        lams += [lam] * len(kernel)
+    C = np.hstack(blocks)
     modes = ModeSet(D, C, np.array(lams, dtype=float), np.array(lams, dtype=int))
     report = SpectrumReport(
         degree=D,
@@ -358,19 +342,6 @@ def _eigen_decompose_exact(D):
         forbidden_multiplicities={lam: mults.get(lam, 0) for lam in (-1, 0, 1)},
     )
     return modes, report
-
-
-def _gram_orthonormalize(vectors, D):
-    """Gram-orthonormalize coefficient vectors in the L^2 inner product."""
-    G = coframe_gram(D)
-    out = []
-    for c in vectors:
-        for o in out:
-            c = c - (o @ G @ c) * o
-        n = float(np.sqrt(max(c @ G @ c, 0.0)))
-        if n > 1e-12:
-            out.append(c / n)
-    return out
 
 
 def constant_norm_check(mode, n_samples=1000, seed=7):
@@ -388,9 +359,10 @@ def constant_norm_check(mode, n_samples=1000, seed=7):
 def hodge_laplacian_check(D):
     """Spectrum of the Hodge Laplacian (*d)^2 on the divergence-free subspace.
 
-    Returns a dict with the clustered eigenvalues mu, their minimum, and the
+    Returns a dict with the clustered eigenvalues mu, their minimum, the
     maximum deviation of each mu from the square of the matching *d
-    eigenvalue.  Every trusted mu is at least 4.
+    eigenvalue and the *d-invariance defect of the subspace; one subspace
+    serves all three.  Every trusted mu is at least 4.
     """
     sub = divergence_free_subspace(D)
     B = sub.matrix
@@ -399,7 +371,7 @@ def hodge_laplacian_check(D):
     A2 = B.T @ G @ (S @ (S @ B))
     M = B.T @ G @ B
     mu = eigh((A2 + A2.T) / 2.0, M, eigvals_only=True)
-    _, report = eigen_decompose(D)
+    _, report = _eigen_decompose_float(sub, S, G)
     lam_sq = sorted(lam * lam for lam, k in report.multiplicities.items()
                     for _ in range(k))
     mu_sorted = np.sort(mu)
@@ -413,5 +385,6 @@ def hodge_laplacian_check(D):
         "mu_min": float(mu_sorted[0]) if mu_sorted.size else None,
         "mu_multiplicities": clustered,
         "max_square_pairing_deviation": pairing,
+        "subspace_invariance_defect": _invariance_defect(B, S),
         "window": trusted_window(D),
     }

@@ -322,3 +322,30 @@ def test_non_finite_report_value_is_an_error(capsys, monkeypatch):
     rep = strict_json(capsys.readouterr().out)
     assert code == 2
     assert rep["status"] == "error"
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--points", "0"], "--points"),
+    (["--c-min", "0"], "--c-min"),
+    (["--c-min", "nan"], "--c-min"),
+    (["--c-max", "inf"], "--c-max"),
+    (["--c-max=-1"], "--c-max"),
+])
+def test_moser_rejects_bad_flags(capsys, monkeypatch, flags, named):
+    # the flags are checked before any computation; --points 0 used to pass
+    def forbidden(*args, **kwargs):
+        raise AssertionError("computation ran")
+
+    monkeypatch.setattr("sdforms.cli.regularity.moser_product", forbidden)
+    code, rep = run(capsys, "moser", *flags)
+    assert code == 2
+    assert rep["status"] == "error"
+    assert named in rep["message"]
+
+
+def test_moser_overflow_is_an_error(capsys):
+    # e^c overflows a float for c above about 709
+    code, rep = run(capsys, "moser", "--c-max", "1e3")
+    assert code == 2
+    assert rep["status"] == "error"
+    assert "c = 1000.0" in rep["message"]

@@ -15,6 +15,7 @@ from sdforms.polys import (
     l2_inner,
     left_invariant_coframe,
     make_basis,
+    monomial_integral_over_pi2,
     operator_matrix,
     right_invariant_coframe,
     sphere_integral,
@@ -83,6 +84,16 @@ def test_basis_gram_positive_definite():
     w = np.linalg.eigvalsh(G)
     assert w.min() > 0
     assert_allclose(G, G.T)
+
+
+@pytest.mark.parametrize("D", range(7))
+def test_scalar_gram_matches_fraction_table(D):
+    # oracle: every entry integrated exactly as a Fraction, then converted
+    basis = make_basis(D)
+    table = [[monomial_integral_over_pi2(tuple(i + j for i, j in zip(ea, eb)))
+              for eb in basis.monomials] for ea in basis.monomials]
+    expected = np.array([[float(w) for w in row] for row in table]) * pi * pi
+    assert np.array_equal(basis.gram(), expected)
 
 
 def test_basis_rejects_negative_degree():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,3 +138,10 @@ def test_sqrt_elliptic_rejects_zero_norm():
     zero = SelfDualForm([])
     with pytest.raises(ValueError):
         sqrt_elliptic_check(zero, np.array([1.0, 0, 0, 0]), 1e-3)
+
+
+@pytest.mark.parametrize("c", [710.0, 1e300])
+def test_moser_product_overflow_raises_value_error(c):
+    # e^c overflows a float for c above about 709.78
+    with pytest.raises(ValueError, match=re.escape(f"c = {c} is too large")):
+        moser_product(c)

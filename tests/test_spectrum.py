@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sdforms.polys import coframe_gram, left_invariant_coframe, make_basis, right_invariant_coframe
+from sdforms.polys import (
+    coframe_gram,
+    left_invariant_coframe,
+    make_basis,
+    operator_matrix,
+    right_invariant_coframe,
+)
 from sdforms.spectrum import (
     constant_norm_check,
     divergence_free_subspace,
@@ -134,6 +140,38 @@ def test_exact_matches_float_clustering():
     _, exact = eigen_decompose(2, ring="exact")
     _, flt = eigen_decompose(2)
     assert exact.multiplicities == flt.multiplicities
+
+
+def test_exact_degree3_matches_float(decomposition_d3):
+    modes, exact = eigen_decompose(3, ring="exact")
+    _, flt = decomposition_d3
+    assert exact.multiplicities == flt.multiplicities
+    assert exact.complete and exact.subspace_dim == flt.subspace_dim
+    assert exact.max_div_residual <= 1e-14
+    pairings = modes.pairings()
+    assert np.max(np.abs(pairings - np.eye(len(modes)))) <= 1e-10
+
+
+def test_exact_subspace_is_primitive_integer_kernel():
+    sub = divergence_free_subspace(2, ring="exact")
+    N = sub.exact_basis
+    assert all(type(v) is int for v in N.ravel())
+    Dv = operator_matrix("div", 2).matrix.astype(np.int64).astype(object)
+    assert not (Dv @ N).any()
+    assert all(np.gcd.reduce(N[:, k]) == 1 for k in range(sub.dim))
+
+
+def test_exact_ring_rejects_non_integer_operator(monkeypatch):
+    from sdforms import polys, spectrum
+
+    def halved(kind, D):
+        op = polys.operator_matrix(kind, D)
+        op.matrix = op.matrix / 2
+        return op
+
+    monkeypatch.setattr(spectrum, "operator_matrix", halved)
+    with pytest.raises(ValueError, match="not an integer; exact ring unavailable"):
+        eigen_decompose(1, ring="exact")
 
 
 # ------------------------------------------------------------- mode checks
