@@ -9,10 +9,13 @@ eigenvalues in the window -D <= lambda <= D + 2; everything the truncated
 operator produces is already exact spectrum, so the only effect of the
 cutoff is missing multiplicity outside the window.
 
-The float path solves the generalized symmetric eigenproblem with the L^2
-Gram matrix.  The exact path re-derives the multiplicities as integer
-kernel ranks of *d - lambda and certifies that they exhaust the subspace,
-which proves there is no spectrum at -1, 0, +1 in the model.
+Both paths work one harmonic degree k at a time: *d is block diagonal on
+the harmonic pieces H_k^3, and each block carries only k + 2 and -k.  The
+float path solves one standard symmetric eigenproblem per block in an
+L^2-orthonormal basis.  The exact path re-derives the multiplicities as
+integer kernel ranks of *d - lambda per block and certifies that they
+exhaust the subspace, which proves there is no spectrum at -1, 0, +1 in
+the model.
 """
 
 import json

@@ -622,7 +622,8 @@ def dispatch(argv=None):
     args = _apply_config(args, parser, argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
+        # an OverflowError means a flag put the model outside the float range
         print(json.dumps({"status": "error", "message": str(exc)}))
         return 2
 

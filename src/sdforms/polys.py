@@ -539,13 +539,10 @@ def div_norms(D, C):
     ``C`` is one coframe coefficient vector on the degree <= D basis, or a
     (3N, K) matrix of them; the result lists one norm per vector.
     """
-    Dv = _div_matrix(D)
-    G = make_basis(D).gram()
-    norms = []
-    for c in np.atleast_2d(np.asarray(C).T):
-        r = Dv @ c
-        norms.append(float(np.sqrt(max(r @ G @ r, 0.0))))
-    return norms
+    basis = make_basis(D)
+    R = _div_matrix(D) @ np.asarray(C).reshape(3 * basis.dim, -1)
+    sq = np.einsum("ik,ik->k", R, basis.gram() @ R)
+    return np.sqrt(np.maximum(sq, 0.0)).tolist()
 
 
 def operator_matrix(kind, D):

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdforms.cli import dispatch
 from sdforms.evolution import dump_initial_field
@@ -349,3 +353,66 @@ def test_moser_overflow_is_an_error(capsys):
     assert code == 2
     assert rep["status"] == "error"
     assert "c = 1000.0" in rep["message"]
+
+
+def test_decay_overflow_is_an_error(capsys):
+    # epsilon^2 leaves the float range; this printed a traceback before
+    code, rep = run(capsys, "decay", "--epsilon=1e300", "--end=plus")
+    assert code == 2
+    assert rep["status"] == "error"
+
+
+def test_spectrum_degree10_passes(capsys):
+    # the monomial Gram route gave an integer deviation of 5.0e-8 here
+    code, rep = run(capsys, "spectrum", "--degree", "10")
+    assert code == 0
+    assert rep["status"] == "pass"
+    assert rep["residuals"]["max_integer_deviation"] <= 1e-12
+    assert rep["complete"]
+
+
+#: flag values at and past the edges: non-finite, signed zeros, negatives,
+#: subnormal and overflowing magnitudes, plus ordinary values
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0, -0.0, -1.0,
+                     5e-324, 1e-300, 1e300, 1.7e308, 700.0, 710.0]),
+    st.floats(min_value=-1e3, max_value=1e3),
+)
+
+
+def exit_and_stdout(argv):
+    """Exit code and stdout of one in-process run, usage errors included."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        try:
+            code = dispatch(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, buf.getvalue()
+
+
+def assert_exit_and_strict_json(argv):
+    code, out = exit_and_stdout(argv)
+    assert code in (0, 1, 2), (argv, code)
+    rep = strict_json(out)
+    assert rep["status"] == {0: "pass", 1: "fail", 2: "error"}[code], argv
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(min_value=-2, max_value=3), st.booleans())
+def test_spectrum_degree_flag_values(degree, exact):
+    assert_exit_and_strict_json(["spectrum", f"--degree={degree}"] + ["--exact"] * exact)
+
+
+@settings(max_examples=40, deadline=None)
+@given(EDGE_FLOATS, EDGE_FLOATS, st.integers(min_value=-2, max_value=40))
+def test_moser_flag_values(c_min, c_max, points):
+    assert_exit_and_strict_json(["moser", f"--c-min={c_min!r}", f"--c-max={c_max!r}",
+                                 f"--points={points}"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(EDGE_FLOATS, EDGE_FLOATS, EDGE_FLOATS, EDGE_FLOATS, st.sampled_from(["plus", "minus"]))
+def test_decay_flag_values(epsilon, alpha, beta, rho_max, end):
+    assert_exit_and_strict_json(["decay", f"--epsilon={epsilon!r}", f"--alpha={alpha!r}",
+                                 f"--beta={beta!r}", f"--rho-max={rho_max!r}", f"--end={end}"])

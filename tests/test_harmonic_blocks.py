@@ -1,0 +1,172 @@
+"""Harmonic-degree blocks of the *d spectrum against a dense monomial oracle.
+
+The oracle is the route the blocks replaced: the generalized symmetric
+eigenproblem B^T G S B v = lam B^T G B v on an SVD basis B of ker(div) over
+all monomials at once, reduced to a standard problem by a Cholesky factor.
+"""
+
+import os
+import subprocess
+import sys
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+import sdforms
+from sdforms import polys
+from sdforms.polys import coframe_gram, make_basis, monomial_integral_over_pi2, operator_matrix
+from sdforms.spectrum import (
+    SpectrumReport,
+    _degree_offsets,
+    _frame_laplacian,
+    _gram_factor,
+    _harmonic_basis,
+    _integer_matrix,
+    divergence_free_subspace,
+    eigen_decompose,
+)
+
+
+def dense_monomial_modes(D):
+    """Oracle eigenvalues and Gram-orthonormal eigenvector columns on the monomials."""
+    Dv = operator_matrix("div", D).matrix
+    S = operator_matrix("star_d", D).matrix
+    G = coframe_gram(D)
+    _, s, vh = np.linalg.svd(Dv)
+    B = vh[int(np.sum(s > max(Dv.shape) * np.finfo(float).eps * s.max())):].T
+    A = B.T @ G @ S @ B
+    Linv = np.linalg.inv(np.linalg.cholesky(B.T @ G @ B))
+    w, X = np.linalg.eigh(Linv @ ((A + A.T) / 2.0) @ Linv.T)
+    return w, B @ (Linv.T @ X)
+
+
+def projectors(lam_int, C, G):
+    """Eigenspace projector C_lam C_lam^T G for each integer eigenvalue."""
+    return {int(lam): C[:, lam_int == lam] @ C[:, lam_int == lam].T @ G
+            for lam in np.unique(lam_int)}
+
+
+def counts(lam_int):
+    values, mult = np.unique(lam_int, return_counts=True)
+    return {int(lam): int(k) for lam, k in zip(values, mult)}
+
+
+@pytest.mark.parametrize("D", [0, 1, 2, 3, 4])
+def test_blocks_match_dense_monomial_oracle(D):
+    w, C0 = dense_monomial_modes(D)
+    lam0 = np.rint(w).astype(int)
+    modes, report = eigen_decompose(D)
+    assert report.multiplicities == counts(lam0)
+    assert report.subspace_dim == len(w)
+    G = coframe_gram(D)
+    P0 = projectors(lam0, C0, G)
+    P = projectors(modes.lam_int, modes.C, G)
+    for lam, proj in P0.items():
+        assert np.max(np.abs(P[lam] - proj)) <= 1e-10
+
+
+def test_float_and_exact_blocks_agree_at_degree5():
+    fmodes, flt = eigen_decompose(5)
+    emodes, exact = eigen_decompose(5, ring="exact")
+    assert flt.multiplicities == exact.multiplicities
+    assert exact.complete and not exact.verify() and not flt.verify()
+    G = coframe_gram(5)
+    Pf = projectors(fmodes.lam_int, fmodes.C, G)
+    Pe = projectors(emodes.lam_int, emodes.C, G)
+    assert Pf.keys() == Pe.keys()
+    for lam in Pf:
+        assert np.max(np.abs(Pf[lam] - Pe[lam])) <= 1e-10
+
+
+@pytest.mark.parametrize("ring", ["float", "exact"])
+def test_mode_degree_is_its_harmonic_degree(ring):
+    # eigenvalue k + 2 lives on H_k, eigenvalue -k too
+    modes, _ = eigen_decompose(5, ring=ring)
+    for m in modes:
+        assert m.field.degree == (m.lam_int - 2 if m.lam_int > 0 else -m.lam_int)
+
+
+def test_structure_certificate_exact_at_degree3():
+    D = 3
+    Dv = operator_matrix("div", D).matrix
+    S = operator_matrix("star_d", D).matrix
+    lap = _frame_laplacian(D, Dv, S)
+    offs = _degree_offsets(D)
+    N = offs[-1]
+    E = [Dv[:, i * N:(i + 1) * N] for i in range(3)]
+    assert np.array_equal(lap, -sum(e @ e for e in E))
+    lap_int = _integer_matrix(lap)
+    S_int = _integer_matrix(S)
+    # the rational scalar Gram over pi^2
+    F = np.array([[monomial_integral_over_pi2(tuple(a + b for a, b in zip(ea, eb)))
+                   for eb in make_basis(D).monomials] for ea in make_basis(D).monomials],
+                 dtype=object)
+    sub = divergence_free_subspace(D, ring="exact")
+    bases = []
+    for b in sub.blocks:
+        k = b.k
+        m, n = b.basis_int.shape
+        Z = np.zeros((N, n), dtype=object)
+        Z[:m] = b.basis_int
+        # Lap Z = k(k + 2) Z and Z is scale times the identity on degree k
+        assert not (lap_int @ Z - k * (k + 2) * Z).any()
+        assert np.array_equal(Z[offs[k]:offs[k + 1]], b.scale * np.eye(n, dtype=int))
+        # *d maps span(I3 x Z) into itself with the integer diagonal block as matrix
+        Z3 = np.zeros((3 * N, 3 * n), dtype=object)
+        for c in range(3):
+            Z3[c * N:(c + 1) * N, c * n:(c + 1) * n] = Z
+        assert not (S_int @ Z3 - Z3 @ b.star_d).any()
+        bases.append(Z)
+    # distinct harmonic degrees are exactly L^2-orthogonal
+    for i, Zi in enumerate(bases):
+        for Zj in bases[i + 1:]:
+            assert all(v == Fraction(0) for v in (Zi.T @ F @ Zj).ravel())
+
+
+def test_fischer_gram_factor_matches_monomial_gram():
+    # U^T U from the homogeneous forms equals T^T G T from the monomial integrals
+    D = 6
+    Dv = operator_matrix("div", D).matrix
+    lap = _frame_laplacian(D, Dv, operator_matrix("star_d", D).matrix)
+    offs = _degree_offsets(D)
+    G = make_basis(D).gram()
+    for k in range(D + 1):
+        T = _harmonic_basis(lap, offs, k)
+        m = len(T)
+        U = _gram_factor(make_basis(D).monomials[:m], k, T)
+        assert np.allclose(U, np.triu(U))
+        gram = T.T @ G[:m, :m] @ T
+        assert np.max(np.abs(U.T @ U - gram)) <= 1e-12 * np.max(np.abs(gram))
+
+
+def test_incomplete_report_fails():
+    report = SpectrumReport(degree=2, ring="exact", subspace_dim=30, window=(-2, 4),
+                            multiplicities={-2: 3, 2: 3, 3: 8, 4: 15},
+                            max_integer_deviation=0.0, max_div_residual=0.0,
+                            complete=False)
+    assert [f["reason"] for f in report.verify()] == [
+        "eigenspaces do not span the divergence-free subspace"]
+
+
+@pytest.mark.parametrize("ring", ["float", "exact"])
+def test_broken_derivative_entry_is_rejected(monkeypatch, ring):
+    original = polys._derivative_matrices
+
+    def broken(D):
+        mats = [M.copy() for M in original(D)]
+        mats[0][0, 4] += 1.0  # E1 now sends a degree-1 monomial to the constant
+        return mats
+
+    monkeypatch.setattr(polys, "_derivative_matrices", broken)
+    with pytest.raises(ArithmeticError, match="does not commute with the frame Laplacian"):
+        eigen_decompose(2, ring=ring)
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(sdforms.__file__))
+    code = ("import sys, sdforms.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out.strip() == "[]"
