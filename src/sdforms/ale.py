@@ -473,6 +473,10 @@ def decay_classify(profile):
     r = np.abs(rho)
     if r.max() / r.min() < 10.0:
         raise ValueError("profile must span at least one decade of rho")
+    if not np.all(np.isfinite(val)):
+        bad = ~np.isfinite(val)
+        raise ValueError(f"profile values must be finite to fit a decay rate, "
+                         f"got {val[bad][0]} at rho = {rho[bad][0]}")
     if np.any(val <= 0):
         raise ValueError("profile values must be positive to fit a decay rate")
     x = np.log(r)

@@ -23,6 +23,7 @@ supplies per-subcommand defaults; explicit flags win over the file.
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -56,17 +57,6 @@ def _round_floats(obj, digits=12):
     return obj
 
 
-def _emit(report, output=None, name=None):
-    blob = json.dumps(_round_floats(report), indent=1, sort_keys=True, allow_nan=False)
-    print(blob)
-    if output and name:
-        import os
-
-        os.makedirs(output, exist_ok=True)
-        with open(os.path.join(output, name), "w") as fh:
-            fh.write(blob + "\n")
-
-
 def _failure(module, operation, inputs, observed, tolerance, reason):
     return {
         "module": module,
@@ -96,13 +86,7 @@ def _annulus_samples(n, seed, lo=0.4, hi=2.5):
 def cmd_spectrum(args):
     modes, report = spectrum.eigen_decompose(
         args.degree, ring="exact" if args.exact else "float")
-    failures = report.verify()
-    out = report.to_json()
-    out["seed"] = args.seed
-    out["status"] = "pass" if not failures else "fail"
-    out["failures"] = failures
-    _emit(out, args.output, f"spectrum_d{args.degree}.json")
-    return 0 if not failures else 1
+    return report.verify(), report.to_json()
 
 
 def _check_flags(args, positive=(), finite=(), counts=()):
@@ -146,8 +130,7 @@ def cmd_evolve(args):
             "maxwell", "decompose_initial", {"degree": modes.D},
             expansion.residual, 1e-8,
             "initial field not spanned by the modes; spectral cross-check skipped"))
-    report = {
-        "seed": args.seed,
+    return failures, {
         "t0": args.t0,
         "t1": args.t1,
         "steps": args.steps,
@@ -155,11 +138,7 @@ def cmd_evolve(args):
         "decomposition_residual": expansion.residual,
         "spectral_cross_check": cross,
         "final_field": evolution.dump_initial_field(result),
-        "status": "pass" if not failures else "fail",
-        "failures": failures,
     }
-    _emit(report, args.output, "evolve.json")
-    return 0 if not failures else 1
 
 
 def _verify_frames(args):
@@ -312,28 +291,26 @@ VERIFY_SUITES = {
 def cmd_verify(args):
     _check_flags(args, counts=("samples",))
     failures, details = VERIFY_SUITES[args.suite](args)
-    report = {
-        "suite": args.suite,
-        "seed": args.seed,
-        "details": details,
-        "status": "pass" if not failures else "fail",
-        "failures": failures,
-    }
-    _emit(report, args.output, f"verify_{args.suite}.json")
-    return 0 if not failures else 1
+    return failures, {"suite": args.suite, "details": details}
 
 
-def cmd_ale_report(args):
-    _check_flags(args, positive=("epsilon", "rho_max", "h"), finite=("alpha", "beta"),
-                 counts=("ricci_samples",))
+def _ric_sq(epsilon, rho):
+    """Closed form of |Ric|^2 on the 2-ended model at signed distance rho."""
+    return 192 * epsilon ** 4 / (rho ** 2 + 4 * epsilon ** 2) ** 4
+
+
+def _mean_norm_sq(params, rho):
+    """Sphere average of |omega|^2 at rho; the <eta_2, eta_-2> term averages out."""
+    return float(ale.ak_norm_sq_closed_form(params, float(params.model.t_of_rho(rho)), 0.0))
+
+
+def _ale_curvature(args, params):
+    # closed-form identities over the full window, the finite-difference
+    # oracle where its stencil resolves the metric, with the O(h^2) contract
+    # certified by step-doubling at the worst point
     failures = []
-    params = ale.AKFormParams(args.alpha, args.beta, args.epsilon)
     model = params.model
     rng = np.random.default_rng(args.seed)
-
-    # curvature block: closed-form identities over the full window, the
-    # finite-difference oracle where its stencil resolves the metric, with
-    # the O(h^2) contract certified by step-doubling at the worst point
     dirs = rng.standard_normal((args.ricci_samples, 4))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     rhos_id = rng.uniform(-5.0, 5.0, args.ricci_samples)
@@ -341,7 +318,7 @@ def cmd_ale_report(args):
     worst_scalar = 0.0
     for u, rho in zip(dirs, rhos_id):
         x = float(model.t_of_rho(rho)) * u
-        expected = 192 * params.epsilon ** 4 / (rho ** 2 + 4 * params.epsilon ** 2) ** 4
+        expected = _ric_sq(params.epsilon, rho)
         worst_norm = max(worst_norm,
                          abs(model.ricci_norm_sq(x) - expected) / expected)
         worst_scalar = max(worst_scalar, abs(model.scalar_curvature(x)))
@@ -374,100 +351,120 @@ def cmd_ale_report(args):
     if worst_scalar > 1e-10:
         failures.append(_failure("ale_models", "ricci_closed_form", {},
                                  worst_scalar, 1e-10, "scalar curvature nonzero"))
+    return failures, {"max_fd_relative_error": worst_fd,
+                      "fd_convergence_order": order,
+                      "fd_meets_1e-4": bool(worst_fd <= 1e-4),
+                      "max_norm_identity_error": worst_norm,
+                      "max_scalar_curvature": worst_scalar,
+                      "h": args.h, "samples": args.ricci_samples}
 
-    # asymptotics block
-    rho_max = args.rho_max
+
+def _ale_asymptotics(args, params):
+    failures = []
     asym = {}
-    for end, coeff in (("plus_end", args.alpha), ("minus_end", args.beta)):
-        sign = 1.0 if end == "plus_end" else -1.0
-        t_end = float(model.t_of_rho(sign * rho_max))
-        norm_sq = float(ale.ak_norm_sq_closed_form(params, t_end, 0.0))
+    bound = 10.0 / args.rho_max ** 2
+    for end, rho, coeff in (("plus_end", args.rho_max, args.alpha),
+                            ("minus_end", -args.rho_max, args.beta)):
+        norm_sq = _mean_norm_sq(params, rho)
         deviation = abs(norm_sq - coeff ** 2)
-        bound = 10.0 / rho_max ** 2
         asym[end] = {"norm_sq": norm_sq, "limit": coeff ** 2,
                      "deviation": deviation, "bound": bound}
         if deviation > bound:
             failures.append(_failure("ale_models", "ak_form_eval",
-                                     {"end": end, "rho": sign * rho_max},
-                                     deviation, bound,
+                                     {"end": end, "rho": rho}, deviation, bound,
                                      "end asymptotics out of envelope"))
+    return failures, asym
 
-    # energy block
+
+def _ale_energy(args, params):
+    if params.alpha == 0.0 and params.beta == 0.0:
+        return [], {"boundary": 0.0, "volume": 0.0, "relative_agreement": 0.0}
     A = max(20.0, 10.0 / params.epsilon)
-    energy = {}
-    if args.alpha == 0.0 and args.beta == 0.0:
-        energy = {"boundary": 0.0, "volume": 0.0, "relative_agreement": 0.0}
-    else:
-        boundary = ale.grad_energy_boundary(params, A)
-        volume = ale.grad_energy_volume(params, A)
-        rel = abs(volume - boundary) / max(abs(boundary), 1e-300)
-        refs = ale.energy_reference_values(params)
-        energy = {
-            "cutoff": A,
-            "boundary": boundary,
-            "volume": volume,
-            "relative_agreement": rel,
-            "computed_constant": refs["computed_expected"],
-            "reference_area_form": refs["reference_area_form"],
-            "reference_prose": refs["reference_prose"],
-            "matches_area_form": bool(np.isclose(boundary,
-                                                 refs["reference_area_form"],
-                                                 rtol=0.05)),
-            "matches_prose": bool(np.isclose(boundary, refs["reference_prose"],
+    boundary = ale.grad_energy_boundary(params, A)
+    if boundary == 0.0:
+        raise ValueError(f"boundary energy underflows to 0 for the non-zero form "
+                         f"alpha = {params.alpha}, beta = {params.beta}")
+    volume = ale.grad_energy_volume(params, A)
+    rel = abs(volume - boundary) / abs(boundary)
+    refs = ale.energy_reference_values(params)
+    failures = []
+    if rel > 0.01:
+        failures.append(_failure("ale_models", "grad_energy_boundary",
+                                 {"A": A}, rel, 0.01,
+                                 "boundary and volume energies disagree"))
+    return failures, {
+        "cutoff": A,
+        "boundary": boundary,
+        "volume": volume,
+        "relative_agreement": rel,
+        "computed_constant": refs["computed_expected"],
+        "reference_area_form": refs["reference_area_form"],
+        "reference_prose": refs["reference_prose"],
+        "matches_area_form": bool(np.isclose(boundary, refs["reference_area_form"],
                                              rtol=0.05)),
-        }
-        if rel > 0.01:
-            failures.append(_failure("ale_models", "grad_energy_boundary",
-                                     {"A": A}, rel, 0.01,
-                                     "boundary and volume energies disagree"))
-
-    # decay block
-    decay = {}
-    for end, coeff in (("plus", args.alpha), ("minus", args.beta)):
-        profile = ale.decay_profile(params, end, rho_min=10.0, rho_max=rho_max)
-        if any(v <= 0 for _, v in profile):
-            decay[end] = {"classification": "Zero", "exponent": None}
-            continue
-        rep = ale.decay_classify(profile)
-        decay[end] = rep.to_json()
-        expected = (ale.ASYMPTOTICALLY_KAHLER if coeff != 0.0 else ale.FAST_DECAY)
-        if rep.classification != expected:
-            failures.append(_failure("ale_models", "decay_classify",
-                                     {"end": end}, rep.classification, expected,
-                                     "decay classification off the dichotomy"))
-
-    report = {
-        "seed": args.seed,
-        "epsilon": args.epsilon,
-        "alpha": args.alpha,
-        "beta": args.beta,
-        "ricci_check": {"max_fd_relative_error": worst_fd,
-                        "fd_convergence_order": order,
-                        "fd_meets_1e-4": bool(worst_fd <= 1e-4),
-                        "max_norm_identity_error": worst_norm,
-                        "max_scalar_curvature": worst_scalar,
-                        "h": args.h, "samples": args.ricci_samples},
-        "asymptotics": asym,
-        "energy": energy,
-        "decay": decay,
-        "status": "pass" if not failures else "fail",
-        "failures": failures,
+        "matches_prose": bool(np.isclose(boundary, refs["reference_prose"], rtol=0.05)),
     }
-    _emit(report, args.output, "ale_report.json")
-    if args.output:
-        import os
 
-        rows = ["rho,norm_sq,ric_sq"]
-        for rho in np.linspace(-args.rho_max, args.rho_max, 201):
-            if abs(rho) < 1e-9:
-                rho = 0.0
-            t = float(model.t_of_rho(rho))
-            nsq = float(ale.ak_norm_sq_closed_form(params, t, 0.0))
-            rsq = 192 * params.epsilon ** 4 / (rho ** 2 + 4 * params.epsilon ** 2) ** 4
-            rows.append(f"{rho:.12e},{nsq:.12e},{rsq:.12e}")
-        with open(os.path.join(args.output, "ale_profile.csv"), "w") as fh:
-            fh.write("\n".join(rows) + "\n")
-    return 0 if not failures else 1
+
+def _decay_end(params, end, rho_max):
+    """Failures, classification and profile of one end of the 2-ended model.
+
+    Only the zero form is classified "Zero"; any other form must give a
+    positive profile, or ``decay_classify`` raises.
+    """
+    profile = ale.decay_profile(params, end, rho_min=10.0, rho_max=rho_max)
+    if params.alpha == 0.0 and params.beta == 0.0:
+        return [], {"classification": "Zero", "exponent": None}, profile
+    rep = ale.decay_classify(profile)
+    coeff = params.alpha if end == "plus" else params.beta
+    expected = ale.ASYMPTOTICALLY_KAHLER if coeff != 0.0 else ale.FAST_DECAY
+    failures = []
+    if rep.classification != expected:
+        failures.append(_failure("ale_models", "decay_classify", {"end": end},
+                                 rep.classification, expected,
+                                 "decay classification off the dichotomy"))
+    return failures, rep.to_json(), profile
+
+
+def _ale_decay(args, params):
+    failures = []
+    decay = {}
+    for end in ("plus", "minus"):
+        found, decay[end], _ = _decay_end(params, end, args.rho_max)
+        failures += found
+    return failures, decay
+
+
+#: the check blocks of ``ale-report`` in the order they run, by report key
+ALE_BLOCKS = {
+    "ricci_check": _ale_curvature,
+    "asymptotics": _ale_asymptotics,
+    "energy": _ale_energy,
+    "decay": _ale_decay,
+}
+
+
+def cmd_ale_report(args):
+    _check_flags(args, positive=("epsilon", "rho_max", "h"), finite=("alpha", "beta"),
+                 counts=("ricci_samples",))
+    params = ale.AKFormParams(args.alpha, args.beta, args.epsilon)
+    failures = []
+    report = {"epsilon": args.epsilon, "alpha": args.alpha, "beta": args.beta}
+    for key, block in ALE_BLOCKS.items():
+        found, report[key] = block(args, params)
+        failures += found
+    return failures, report
+
+
+def _ale_profile_csv(args, report):
+    params = ale.AKFormParams(args.alpha, args.beta, args.epsilon)
+    rows = ["rho,norm_sq,ric_sq"]
+    for rho in np.linspace(-args.rho_max, args.rho_max, 201):
+        if abs(rho) < 1e-9:
+            rho = 0.0
+        rows.append(f"{rho:.12e},{_mean_norm_sq(params, rho):.12e},"
+                    f"{_ric_sq(args.epsilon, rho):.12e}")
+    return "\n".join(rows) + "\n"
 
 
 def cmd_moser(args):
@@ -481,8 +478,7 @@ def cmd_moser(args):
                                  small.ratio, 1 + 1e-4,
                                  "small-c ratio not tending to one"))
     big = regularity.moser_product(1.0, N=60)
-    report = {
-        "seed": args.seed,
+    return failures, {
         "c_min": args.c_min,
         "c_max": args.c_max,
         "points": args.points,
@@ -490,47 +486,50 @@ def cmd_moser(args):
         "ratio_at_1": big.ratio,
         "printed_bound_holds_at_1": big.ratio <= 1.0,
         "sweep_csv": csv_text.splitlines(),
-        "status": "pass" if not failures else "fail",
-        "failures": failures,
     }
-    _emit(report, args.output, "moser.json")
-    if args.output:
-        import os
 
-        with open(os.path.join(args.output, "moser_sweep.csv"), "w") as fh:
-            fh.write(csv_text)
-    return 0 if not failures else 1
+
+def _moser_sweep_csv(args, report):
+    return "\n".join(report["sweep_csv"]) + "\n"
 
 
 def cmd_decay(args):
     _check_flags(args, positive=("epsilon", "rho_max"), finite=("alpha", "beta"))
-    failures = []
     params = ale.AKFormParams(args.alpha, args.beta, args.epsilon)
-    profile = ale.decay_profile(params, args.end, rho_min=10.0,
-                                rho_max=args.rho_max)
-    rep = ale.decay_classify(profile)
-    coeff = args.alpha if args.end == "plus" else args.beta
-    expected = ale.ASYMPTOTICALLY_KAHLER if coeff != 0.0 else ale.FAST_DECAY
-    if rep.classification != expected:
-        failures.append(_failure("ale_models", "decay_classify",
-                                 {"end": args.end}, rep.classification,
-                                 expected, "unexpected classification"))
-    report = {
-        "seed": args.seed,
+    failures, decay, profile = _decay_end(params, args.end, args.rho_max)
+    return failures, {
         "epsilon": args.epsilon,
         "alpha": args.alpha,
         "beta": args.beta,
         "end": args.end,
-        "decay": rep.to_json(),
+        "decay": decay,
         "profile_head": [[r, v] for r, v in profile[:5]],
-        "status": "pass" if not failures else "fail",
-        "failures": failures,
     }
-    _emit(report, args.output, "decay.json")
-    return 0 if not failures else 1
 
 
 # ------------------------------------------------------------- plumbing
+
+def _run(args):
+    """Run one subcommand and emit its report; the exit code is 0 or 1.
+
+    The subcommand returns ``(failures, fields)``.  The report is the fields
+    plus ``seed``, ``status`` and ``failures``; with ``--output`` it is also
+    written to the subcommand's report file, beside its other artifacts.
+    """
+    failures, report = args.func(args)
+    report.update(seed=args.seed, status="fail" if failures else "pass",
+                  failures=failures)
+    blob = json.dumps(_round_floats(report), indent=1, sort_keys=True, allow_nan=False)
+    print(blob)
+    if args.output:
+        files = {args.report.format_map(vars(args)): blob + "\n"}
+        files.update((name, write(args, report)) for name, write in args.artifacts.items())
+        os.makedirs(args.output, exist_ok=True)
+        for name, text in files.items():
+            with open(os.path.join(args.output, name), "w") as fh:
+                fh.write(text)
+    return 1 if failures else 0
+
 
 def _build_parser():
     # the common flags are accepted both before and after the subcommand;
@@ -546,50 +545,53 @@ def _build_parser():
         description="verification pipelines for the sphere spectral calculus")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
+    def add_parser(name, func, report, artifacts=None, **kwargs):
+        # report: file name of the JSON report under --output, formatted with
+        # the flags; artifacts: other file name -> text of (args, report)
+        p = sub.add_parser(name, parents=[common], **kwargs)
+        p.set_defaults(func=func, report=report, artifacts=artifacts or {})
+        return p
 
-    p = add_parser("spectrum", help="eigenvalue report of *d")
+    p = add_parser("spectrum", cmd_spectrum, "spectrum_d{degree}.json",
+                   help="eigenvalue report of *d")
     p.add_argument("--degree", type=int, default=3)
     p.add_argument("--exact", action="store_true",
                    help="exact integer kernel ranks instead of a float solver")
-    p.set_defaults(func=cmd_spectrum)
 
-    p = add_parser("evolve", help="evolve an initial field")
+    p = add_parser("evolve", cmd_evolve, "evolve.json", help="evolve an initial field")
     p.add_argument("--init", required=True, help="JSON initial-data file")
     p.add_argument("--t0", type=float, default=1.0)
     p.add_argument("--t1", type=float, default=2.0)
     p.add_argument("--steps", type=int, default=100)
-    p.set_defaults(func=cmd_evolve)
 
-    p = add_parser("verify", help="named check suites")
+    p = add_parser("verify", cmd_verify, "verify_{suite}.json", help="named check suites")
     p.add_argument("suite", choices=sorted(VERIFY_SUITES))
     p.add_argument("--degree", type=int, default=3)
     p.add_argument("--samples", type=int, default=500)
-    p.set_defaults(func=cmd_verify)
 
-    p = add_parser("ale-report", help="2-ended model report")
+    p = add_parser("ale-report", cmd_ale_report, "ale_report.json",
+                   artifacts={"ale_profile.csv": _ale_profile_csv},
+                   help="2-ended model report")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--rho-max", type=float, default=1000.0)
     p.add_argument("--h", type=float, default=1e-3)
     p.add_argument("--ricci-samples", type=int, default=100)
-    p.set_defaults(func=cmd_ale_report)
 
-    p = add_parser("moser", help="iteration product sweep")
+    p = add_parser("moser", cmd_moser, "moser.json",
+                   artifacts={"moser_sweep.csv": _moser_sweep_csv},
+                   help="iteration product sweep")
     p.add_argument("--c-min", type=float, default=1e-8)
     p.add_argument("--c-max", type=float, default=10.0)
     p.add_argument("--points", type=int, default=33)
-    p.set_defaults(func=cmd_moser)
 
-    p = add_parser("decay", help="decay classification of one end")
+    p = add_parser("decay", cmd_decay, "decay.json", help="decay classification of one end")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--end", choices=["plus", "minus"], required=True)
     p.add_argument("--rho-max", type=float, default=1000.0)
-    p.set_defaults(func=cmd_decay)
     return top
 
 
@@ -621,7 +623,7 @@ def dispatch(argv=None):
             setattr(args, attr, default)
     args = _apply_config(args, parser, argv)
     try:
-        return args.func(args)
+        return _run(args)
     except (ValueError, OverflowError, OSError) as exc:
         # an OverflowError means a flag put the model outside the float range
         print(json.dumps({"status": "error", "message": str(exc)}))

@@ -5,8 +5,9 @@ sin a sin b sin c) give the measure sin^2(a) sin(b) da db dc.  The a-integral
 carries the Chebyshev weight sqrt(1 - t^2) and uses the Gauss-Chebyshev rule
 of the second kind, the b-integral uses Gauss-Legendre, and the periodic
 c-integral a uniform grid.  With n nodes per angle the rule integrates
-polynomial integrands of total degree up to roughly 2n - 2 exactly, which is
-what the independent cross-checks of the exact monomial integrals need.
+polynomials of total degree up to n - 1 exactly.  The uniform grid sets that
+limit: it integrates cos^a(c) sin^b(c) exactly only for a + b <= n - 1, and
+at degree n the frequency-n terms alias to a constant.
 """
 
 import numpy as np
@@ -15,9 +16,11 @@ __all__ = ["s3_quadrature", "radial_gauss"]
 
 
 def s3_quadrature(n):
-    """Nodes (m, 4) and weights (m,) integrating smooth functions over S^3.
+    """Nodes (n^3, 4) and weights (n^3,) integrating smooth functions over S^3.
 
-    The weights sum to 2 pi^2, the sphere's total measure.
+    The weights sum to 2 pi^2, the sphere's total measure.  Polynomials of
+    total degree at most n - 1 are integrated exactly; at degree n the rule
+    is off, for instance by 0.82, 0.15 and 3.1e-2 on x_2^n at n = 4, 6, 8.
     """
     if n < 2:
         raise ValueError("need at least two nodes per angle")

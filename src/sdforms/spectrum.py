@@ -169,47 +169,31 @@ class SpectrumReport:
     def verify(self):
         """Failure records for the gap, integrality and multiplicity laws."""
         failures = []
+
+        def fail(observed, tolerance, reason, lam=None):
+            inputs = {"degree": self.degree}
+            if lam is not None:
+                inputs["lambda"] = lam
+            failures.append({"module": "spectrum", "operation": "eigen_decompose",
+                             "input": inputs, "observed": observed,
+                             "tolerance": tolerance, "reason": reason})
+
         lo, hi = self.window
         for lam, mult in sorted(self.multiplicities.items()):
             if abs(lam) < 2:
-                failures.append({
-                    "module": "spectrum", "operation": "eigen_decompose",
-                    "input": {"degree": self.degree, "lambda": lam},
-                    "observed": mult, "tolerance": 0,
-                    "reason": "eigenvalue inside the spectral gap",
-                })
+                fail(mult, 0, "eigenvalue inside the spectral gap", lam)
             elif lo <= lam <= hi and mult != self.expected_multiplicity(lam):
-                failures.append({
-                    "module": "spectrum", "operation": "eigen_decompose",
-                    "input": {"degree": self.degree, "lambda": lam},
-                    "observed": mult,
-                    "tolerance": self.expected_multiplicity(lam),
-                    "reason": "multiplicity differs from lambda^2 - 1",
-                })
+                fail(mult, self.expected_multiplicity(lam),
+                     "multiplicity differs from lambda^2 - 1", lam)
         if self.max_integer_deviation > self.cluster_tol:
-            failures.append({
-                "module": "spectrum", "operation": "eigen_decompose",
-                "input": {"degree": self.degree},
-                "observed": self.max_integer_deviation,
-                "tolerance": self.cluster_tol,
-                "reason": "eigenvalue deviates from the integers",
-            })
+            fail(self.max_integer_deviation, self.cluster_tol,
+                 "eigenvalue deviates from the integers")
         if not self.complete:
-            failures.append({
-                "module": "spectrum", "operation": "eigen_decompose",
-                "input": {"degree": self.degree},
-                "observed": sum(self.multiplicities.values()),
-                "tolerance": self.subspace_dim,
-                "reason": "eigenspaces do not span the divergence-free subspace",
-            })
+            fail(sum(self.multiplicities.values()), self.subspace_dim,
+                 "eigenspaces do not span the divergence-free subspace")
         for lam, mult in self.forbidden_multiplicities.items():
             if mult:
-                failures.append({
-                    "module": "spectrum", "operation": "eigen_decompose",
-                    "input": {"degree": self.degree, "lambda": lam},
-                    "observed": mult, "tolerance": 0,
-                    "reason": "exact kernel found inside the spectral gap",
-                })
+                fail(mult, 0, "exact kernel found inside the spectral gap", lam)
         return failures
 
     def to_json(self):

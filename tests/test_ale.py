@@ -359,6 +359,8 @@ def test_decay_classifier_validation():
     narrow = [(float(r), 1.0) for r in np.linspace(10, 20, 15)]
     with pytest.raises(ValueError, match="decade"):
         decay_classify(narrow)
+    with pytest.raises(ValueError, match="finite.*got nan at rho = 10"):
+        decay_classify([(float(r), float("nan")) for r in rhos])
 
 
 def test_decay_never_indeterminate_on_generated_forms():

@@ -17,6 +17,14 @@ def run(capsys, *argv):
     return code, json.loads(out)
 
 
+def assert_report_shape(rep, out_dir, keys, files):
+    """The report holds ``keys`` plus seed, status and failures, and --output
+    wrote exactly ``files``, the first of them a copy of the report."""
+    assert set(rep) == {"seed", "status", "failures"} | set(keys)
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(files)
+    assert json.loads((out_dir / files[0]).read_text()) == rep
+
+
 def test_spectrum_report(capsys):
     code, rep = run(capsys, "spectrum", "--degree", "2")
     assert code == 0
@@ -47,16 +55,18 @@ def test_spectrum_deterministic_output(capsys):
     assert text1 == text2
 
 
-def test_verify_suites_pass(capsys):
+def test_verify_suites_pass(capsys, tmp_path):
     for suite, extra in [("frames", ["--samples", "50"]),
                          ("hodge", ["--degree", "2"]),
                          ("kato", ["--samples", "60"]),
                          ("orthogonality", ["--degree", "2"]),
                          ("elliptic", ["--samples", "40"])]:
-        code, rep = run(capsys, "verify", suite, *extra)
+        out = tmp_path / suite
+        code, rep = run(capsys, "verify", suite, *extra, "--output", str(out))
         assert code == 0, f"{suite} failed: {rep['failures']}"
         assert rep["status"] == "pass"
         assert rep["failures"] == []
+        assert_report_shape(rep, out, {"suite", "details"}, [f"verify_{suite}.json"])
 
 
 def test_ale_report(capsys, tmp_path):
@@ -68,7 +78,9 @@ def test_ale_report(capsys, tmp_path):
     assert rep["decay"]["minus"]["classification"] == "FastDecay"
     assert rep["energy"]["relative_agreement"] <= 0.01
     assert rep["ricci_check"]["max_norm_identity_error"] <= 1e-10
-    assert (tmp_path / "ale_report.json").exists()
+    assert_report_shape(rep, tmp_path,
+                        {"epsilon", "alpha", "beta", "ricci_check", "asymptotics",
+                         "energy", "decay"}, ["ale_report.json", "ale_profile.csv"])
     profile = (tmp_path / "ale_profile.csv").read_text().splitlines()
     assert profile[0] == "rho,norm_sq,ric_sq"
     assert len(profile) == 202
@@ -93,28 +105,40 @@ def test_moser_sweep(capsys, tmp_path):
     assert 1.0 <= rep["ratio_at_1e-6"] <= 1.0 + 1e-4
     assert rep["ratio_at_1"] > 1.0
     assert not rep["printed_bound_holds_at_1"]
+    assert_report_shape(rep, tmp_path,
+                        {"c_min", "c_max", "points", "ratio_at_1e-6", "ratio_at_1",
+                         "printed_bound_holds_at_1", "sweep_csv"},
+                        ["moser.json", "moser_sweep.csv"])
     csv = (tmp_path / "moser_sweep.csv").read_text().splitlines()
     assert csv[0] == "c,product,exp_c,ratio"
     assert len(csv) == 10
 
 
-def test_decay_subcommand(capsys):
+def test_decay_subcommand(capsys, tmp_path):
     code, rep = run(capsys, "decay", "--epsilon", "0.1", "--alpha", "1",
-                    "--beta", "0", "--end", "minus")
+                    "--beta", "0", "--end", "minus", "--output", str(tmp_path))
     assert code == 0
     assert rep["decay"]["classification"] == "FastDecay"
     assert abs(rep["decay"]["exponent"] + 4) <= 0.1
+    assert_report_shape(rep, tmp_path,
+                        {"epsilon", "alpha", "beta", "end", "decay", "profile_head"},
+                        ["decay.json"])
 
 
 def test_evolve_subcommand(capsys, tmp_path):
     init = tmp_path / "init.json"
     eta = left_invariant_coframe(1) + 0.5 * right_invariant_coframe(2)
     dump_initial_field(eta, str(init))
+    out = tmp_path / "out"
     code, rep = run(capsys, "evolve", "--init", str(init),
-                    "--t0", "1.0", "--t1", "2.0", "--steps", "40")
+                    "--t0", "1.0", "--t1", "2.0", "--steps", "40", "--output", str(out))
     assert code == 0
     assert rep["divergence_residual"] <= 1e-8
     assert rep["spectral_cross_check"]["step_doubling_ratio"] >= 8.0
+    assert_report_shape(rep, out,
+                        {"t0", "t1", "steps", "divergence_residual",
+                         "decomposition_residual", "spectral_cross_check", "final_field"},
+                        ["evolve.json"])
 
 
 def test_evolve_rejects_non_divergence_free(capsys, tmp_path):
@@ -135,7 +159,9 @@ def test_common_flags_accepted_after_subcommand(capsys, tmp_path):
                     "--output", str(tmp_path), "--seed", "7")
     assert code == 0
     assert rep["seed"] == 7
-    assert (tmp_path / "spectrum_d1.json").exists()
+    assert_report_shape(rep, tmp_path,
+                        {"D", "ring", "subspace_dim", "trusted_window", "modes",
+                         "residuals", "complete"}, ["spectrum_d1.json"])
 
 
 def test_config_file_defaults(capsys, tmp_path):
@@ -187,6 +213,47 @@ def test_failure_records_shape(capsys, monkeypatch):
     rec = rep["failures"][0]
     assert {"module", "operation", "input", "observed", "tolerance",
             "reason"} <= set(rec)
+    # the same reason as the decay block of ale-report
+    assert rec["reason"] == "decay classification off the dichotomy"
+
+
+def test_zero_form_is_zero_in_both_commands(capsys):
+    # alpha = beta = 0 is the one form classified "Zero"; decay exited 2 on it
+    code, ale_rep = run(capsys, "ale-report", "--epsilon", "0.1", "--alpha", "0",
+                        "--beta", "0", "--ricci-samples", "5")
+    assert code == 0
+    for end in ("plus", "minus"):
+        code, rep = run(capsys, "decay", "--epsilon", "0.1", "--alpha", "0",
+                        "--beta", "0", "--end", end)
+        assert code == 0
+        assert rep["decay"] == ale_rep["decay"][end] == {"classification": "Zero",
+                                                          "exponent": None}
+
+
+def test_ale_report_underflowing_form_is_an_error(capsys):
+    # alpha^2 underflows, so the boundary energy of this non-zero form is 0;
+    # it passed as "Zero" with a relative agreement of 0 before
+    code, rep = run(capsys, "ale-report", "--epsilon", "0.1", "--alpha", "1e-200",
+                    "--beta", "0", "--ricci-samples", "5")
+    assert code == 2
+    assert rep["status"] == "error"
+    assert "boundary energy underflows to 0" in rep["message"]
+
+
+def test_decay_underflowing_form_is_an_error(capsys):
+    # a non-zero form with a zero profile is not the zero form
+    code, rep = run(capsys, "decay", "--epsilon", "0.1", "--alpha", "1e-200",
+                    "--beta", "0", "--end", "plus")
+    assert code == 2
+    assert rep["message"] == "profile values must be positive to fit a decay rate"
+
+
+def test_decay_non_finite_profile_is_named(capsys):
+    # epsilon^2 underflows and the profile is NaN; the error used to be the
+    # JSON encoder's refusal of a NaN exponent
+    code, rep = run(capsys, "decay", "--epsilon", "1e-300", "--end", "plus")
+    assert code == 2
+    assert rep["message"].startswith("profile values must be finite to fit a decay rate")
 
 
 def test_orthogonality_fails_when_nothing_checked(capsys):

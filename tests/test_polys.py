@@ -168,6 +168,24 @@ def test_sphere_integral_against_quadrature():
                         rtol=1e-10, atol=1e-10)
 
 
+@pytest.mark.parametrize("n,err_at_n", [(4, 0.822467), (6, 0.154213), (8, 0.0308425)])
+def test_s3_quadrature_exactness_degree(n, err_at_n):
+    # every monomial of total degree <= n - 1 is exact; x_2^n is not, since the
+    # uniform c grid aliases cos^n(c) onto a constant
+    from itertools import product
+
+    from sdforms.quadrature import s3_quadrature
+
+    pts, wts = s3_quadrature(n)
+    exps = [e for e in product(range(n), repeat=4) if sum(e) <= n - 1]
+    quad = wts @ np.prod(pts[:, None, :] ** np.array(exps), axis=2)
+    exact = [float(monomial_integral_over_pi2(e)) * pi ** 2 for e in exps]
+    assert_allclose(quad, exact, rtol=0, atol=1e-13)
+    e = (0, 0, n, 0)
+    err = wts @ pts[:, 2] ** n - float(monomial_integral_over_pi2(e)) * pi ** 2
+    assert err == pytest.approx(err_at_n, rel=1e-5)
+
+
 def test_symmetry_of_coordinates():
     # all four x_nu^2 integrate to the same value, totalling 2 pi^2
     vals = [sphere_integral(PolyScalar({tuple(2 if m == nu else 0 for m in range(4)): 1.0}))
