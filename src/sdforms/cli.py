@@ -31,6 +31,7 @@ import numpy as np
 from . import ale, evolution, regularity, selfdual, spectrum
 from .frames import hodge_star_s3, left_frame_at, right_frame_at, structure_residual
 from .polys import left_invariant_coframe, right_invariant_coframe
+from .spectrum import failure
 
 __all__ = ["main", "dispatch"]
 
@@ -42,39 +43,19 @@ SHELL_RADII = (0.5, 1.0, 2.0)
 
 
 def _round_floats(obj, digits=12):
-    if isinstance(obj, float):
-        if math.isfinite(obj):
-            return float(f"{obj:.{digits}e}")
-        return obj
+    if isinstance(obj, (float, np.floating)):
+        return float(f"{obj:.{digits}e}") if math.isfinite(obj) else float(obj)
     if isinstance(obj, dict):
         return {k: _round_floats(v, digits) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round_floats(v, digits) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return _round_floats(float(obj), digits)
     if isinstance(obj, (np.integer,)):
         return int(obj)
     return obj
 
 
-def _failure(module, operation, inputs, observed, tolerance, reason):
-    return {
-        "module": module,
-        "operation": operation,
-        "input": inputs,
-        "observed": observed,
-        "tolerance": tolerance,
-        "reason": reason,
-    }
-
-
-def _sphere_samples(n, seed):
-    rng = np.random.default_rng(seed)
-    p = rng.standard_normal((n, 4))
-    return p / np.linalg.norm(p, axis=1, keepdims=True)
-
-
 def _annulus_samples(n, seed, lo=0.4, hi=2.5):
+    """Uniform directions at radii uniform in [lo, hi]; lo = hi = 1 is S^3."""
     rng = np.random.default_rng(seed)
     p = rng.standard_normal((n, 4))
     p /= np.linalg.norm(p, axis=1, keepdims=True)
@@ -108,8 +89,8 @@ def cmd_evolve(args):
     result = evolution.evolve_ode(eta0, u0, u1, args.steps)
     div_after = evolution.div_residual(result)
     if div_after > 1e-8:
-        failures.append(_failure("maxwell", "evolve_ode", {"steps": args.steps},
-                                 div_after, 1e-8, "divergence not conserved"))
+        failures.append(failure("maxwell", "evolve_ode", {"steps": args.steps},
+                                div_after, 1e-8, "divergence not conserved"))
     modes, _ = spectrum.eigen_decompose(eta0.degree)
     expansion = evolution.decompose_initial(eta0, modes)
     cross = None
@@ -122,11 +103,11 @@ def cmd_evolve(args):
         cross = {"error": err, "error_double_steps": err_fine,
                  "step_doubling_ratio": ratio}
         if err_fine > 1e-14 and ratio < 8.0:
-            failures.append(_failure(
+            failures.append(failure(
                 "maxwell", "evolve_ode", {"steps": args.steps}, ratio, 8.0,
                 "step doubling does not show fourth-order convergence"))
     else:
-        failures.append(_failure(
+        failures.append(failure(
             "maxwell", "decompose_initial", {"degree": modes.D},
             expansion.residual, 1e-8,
             "initial field not spanned by the modes; spectral cross-check skipped"))
@@ -143,7 +124,7 @@ def cmd_evolve(args):
 
 def _verify_frames(args):
     failures = []
-    pts = _sphere_samples(args.samples, args.seed)
+    pts = _annulus_samples(args.samples, args.seed, lo=1.0, hi=1.0)
     worst_structure = 0.0
     worst_orth = 0.0
     for p in pts:
@@ -153,11 +134,11 @@ def _verify_frames(args):
             gram = frame @ frame.T
             worst_orth = max(worst_orth, float(np.max(np.abs(gram - np.eye(3)))))
     if worst_structure > 1e-12:
-        failures.append(_failure("frame_calculus", "structure_residual", {},
-                                 worst_structure, 1e-12, "structure equations"))
+        failures.append(failure("frame_calculus", "structure_residual", {},
+                                worst_structure, 1e-12, "structure equations"))
     if worst_orth > 1e-12:
-        failures.append(_failure("frame_calculus", "frames", {},
-                                 worst_orth, 1e-12, "orthonormality"))
+        failures.append(failure("frame_calculus", "frames", {},
+                                worst_orth, 1e-12, "orthonormality"))
     rng = np.random.default_rng(args.seed + 1)
     worst_star = 0.0
     for _ in range(50):
@@ -165,8 +146,8 @@ def _verify_frames(args):
         back = hodge_star_s3(hodge_star_s3(xi, 1), 2)
         worst_star = max(worst_star, float(np.max(np.abs(back - xi))))
     if worst_star > 1e-12:
-        failures.append(_failure("frame_calculus", "hodge_star_s3", {},
-                                 worst_star, 1e-12, "star involution"))
+        failures.append(failure("frame_calculus", "hodge_star_s3", {},
+                                worst_star, 1e-12, "star involution"))
     return failures, {
         "max_structure_residual": worst_structure,
         "max_orthonormality_defect": worst_orth,
@@ -179,19 +160,19 @@ def _verify_hodge(args):
     failures = []
     rep = spectrum.hodge_laplacian_check(args.degree)
     if rep["mu_min"] < 4 - 1e-8:
-        failures.append(_failure("spectral", "hodge_laplacian_check",
-                                 {"degree": args.degree}, rep["mu_min"],
-                                 4 - 1e-8, "Hodge Laplacian below 4"))
+        failures.append(failure("spectral", "hodge_laplacian_check",
+                                {"degree": args.degree}, rep["mu_min"],
+                                4 - 1e-8, "Hodge Laplacian below 4"))
     if rep["max_square_pairing_deviation"] > 1e-7:
-        failures.append(_failure("spectral", "hodge_laplacian_check",
-                                 {"degree": args.degree},
-                                 rep["max_square_pairing_deviation"], 1e-7,
-                                 "mu values are not the squared *d eigenvalues"))
+        failures.append(failure("spectral", "hodge_laplacian_check",
+                                {"degree": args.degree},
+                                rep["max_square_pairing_deviation"], 1e-7,
+                                "mu values are not the squared *d eigenvalues"))
     defect = rep["subspace_invariance_defect"]
     if defect > 1e-10:
-        failures.append(_failure("spectral", "divergence_free_subspace",
-                                 {"degree": args.degree}, defect, 1e-10,
-                                 "subspace not *d-invariant"))
+        failures.append(failure("spectral", "divergence_free_subspace",
+                                {"degree": args.degree}, defect, 1e-10,
+                                "subspace not *d-invariant"))
     return failures, rep
 
 
@@ -220,12 +201,12 @@ def _verify_kato(args):
         evaluated[name] = len(ratios)
         worst[name] = max(ratios) if ratios else None
         if not ratios:
-            failures.append(_failure("selfdual_r4", "kato_ratio", {"form": name},
-                                     0, 1, "no point with a defined Kato ratio"))
+            failures.append(failure("selfdual_r4", "kato_ratio", {"form": name},
+                                    0, 1, "no point with a defined Kato ratio"))
         elif max(ratios) > KATO_BOUND:
-            failures.append(_failure("selfdual_r4", "kato_ratio", {"form": name},
-                                     max(ratios), KATO_BOUND,
-                                     "sharpened Kato bound violated"))
+            failures.append(failure("selfdual_r4", "kato_ratio", {"form": name},
+                                    max(ratios), KATO_BOUND,
+                                    "sharpened Kato bound violated"))
     return failures, {"max_ratio_per_form": worst, "points_evaluated_per_form": evaluated,
                       "bound": KATO_BOUND, "samples": args.samples, "h": KATO_DEFAULT_H}
 
@@ -242,13 +223,13 @@ def _verify_orthogonality(args):
                                    initial=0.0))
                       for t in SHELL_RADII)
     if n_pairs == 0:
-        failures.append(_failure("selfdual_r4", "shell_pairings",
-                                 {"degree": args.degree}, n_pairs, 1,
-                                 "no distinct eigenvalue pairs to check"))
+        failures.append(failure("selfdual_r4", "shell_pairings",
+                                {"degree": args.degree}, n_pairs, 1,
+                                "no distinct eigenvalue pairs to check"))
     if worst_shell > 1e-10:
-        failures.append(_failure("selfdual_r4", "shell_pairings",
-                                 {"degree": args.degree}, worst_shell, 1e-10,
-                                 "distinct eigenvalue shells not orthogonal"))
+        failures.append(failure("selfdual_r4", "shell_pairings",
+                                {"degree": args.degree}, worst_shell, 1e-10,
+                                "distinct eigenvalue shells not orthogonal"))
     return failures, {"max_shell_pairing": worst_shell,
                       "distinct_pairs_checked": n_pairs, "degree": args.degree}
 
@@ -272,9 +253,9 @@ def _verify_elliptic(args):
         if worst is None or val + tol < worst:
             worst, worst_x = val + tol, list(map(float, x))
         if val < -tol:
-            failures.append(_failure("regularity", "sqrt_elliptic_check",
-                                     {"x": list(map(float, x))}, val, -tol,
-                                     "sqrt-norm subharmonicity violated"))
+            failures.append(failure("regularity", "sqrt_elliptic_check",
+                                    {"x": list(map(float, x))}, val, -tol,
+                                    "sqrt-norm subharmonicity violated"))
     return failures, {"points_checked": checked, "h": h,
                       "worst_margin": worst, "worst_margin_x": worst_x}
 
@@ -339,18 +320,18 @@ def _ale_curvature(args, params):
                        / np.max(np.abs(closed)))
         order = float(np.log2(coarse / worst_fd))
         if not 1.5 <= order <= 2.6:
-            failures.append(_failure("ale_models", "ricci_numeric",
-                                     {"h": args.h}, order, [1.5, 2.6],
-                                     "oracle not converging at second order"))
+            failures.append(failure("ale_models", "ricci_numeric",
+                                    {"h": args.h}, order, [1.5, 2.6],
+                                    "oracle not converging at second order"))
     if worst_fd > 1e-2:
-        failures.append(_failure("ale_models", "ricci_numeric", {"h": args.h},
-                                 worst_fd, 1e-2, "oracle disagrees"))
+        failures.append(failure("ale_models", "ricci_numeric", {"h": args.h},
+                                worst_fd, 1e-2, "oracle disagrees"))
     if worst_norm > 1e-10:
-        failures.append(_failure("ale_models", "ricci_closed_form", {},
-                                 worst_norm, 1e-10, "|Ric|^2 identity violated"))
+        failures.append(failure("ale_models", "ricci_closed_form", {},
+                                worst_norm, 1e-10, "|Ric|^2 identity violated"))
     if worst_scalar > 1e-10:
-        failures.append(_failure("ale_models", "ricci_closed_form", {},
-                                 worst_scalar, 1e-10, "scalar curvature nonzero"))
+        failures.append(failure("ale_models", "ricci_closed_form", {},
+                                worst_scalar, 1e-10, "scalar curvature nonzero"))
     return failures, {"max_fd_relative_error": worst_fd,
                       "fd_convergence_order": order,
                       "fd_meets_1e-4": bool(worst_fd <= 1e-4),
@@ -370,9 +351,9 @@ def _ale_asymptotics(args, params):
         asym[end] = {"norm_sq": norm_sq, "limit": coeff ** 2,
                      "deviation": deviation, "bound": bound}
         if deviation > bound:
-            failures.append(_failure("ale_models", "ak_form_eval",
-                                     {"end": end, "rho": rho}, deviation, bound,
-                                     "end asymptotics out of envelope"))
+            failures.append(failure("ale_models", "ak_form_eval",
+                                    {"end": end, "rho": rho}, deviation, bound,
+                                    "end asymptotics out of envelope"))
     return failures, asym
 
 
@@ -389,9 +370,9 @@ def _ale_energy(args, params):
     refs = ale.energy_reference_values(params)
     failures = []
     if rel > 0.01:
-        failures.append(_failure("ale_models", "grad_energy_boundary",
-                                 {"A": A}, rel, 0.01,
-                                 "boundary and volume energies disagree"))
+        failures.append(failure("ale_models", "grad_energy_boundary",
+                                {"A": A}, rel, 0.01,
+                                "boundary and volume energies disagree"))
     return failures, {
         "cutoff": A,
         "boundary": boundary,
@@ -409,20 +390,24 @@ def _ale_energy(args, params):
 def _decay_end(params, end, rho_max):
     """Failures, classification and profile of one end of the 2-ended model.
 
-    Only the zero form is classified "Zero"; any other form must give a
-    positive profile, or ``decay_classify`` raises.
+    Only the zero form is classified "Zero", and its profile must vanish;
+    any other form must give a positive profile, or ``decay_classify`` raises.
     """
     profile = ale.decay_profile(params, end, rho_min=10.0, rho_max=rho_max)
     if params.alpha == 0.0 and params.beta == 0.0:
+        for rho, value in profile:
+            if value != 0.0:
+                raise ValueError(f"the profile of the zero form must vanish, "
+                                 f"got {value} at rho = {rho}")
         return [], {"classification": "Zero", "exponent": None}, profile
     rep = ale.decay_classify(profile)
     coeff = params.alpha if end == "plus" else params.beta
     expected = ale.ASYMPTOTICALLY_KAHLER if coeff != 0.0 else ale.FAST_DECAY
     failures = []
     if rep.classification != expected:
-        failures.append(_failure("ale_models", "decay_classify", {"end": end},
-                                 rep.classification, expected,
-                                 "decay classification off the dichotomy"))
+        failures.append(failure("ale_models", "decay_classify", {"end": end},
+                                rep.classification, expected,
+                                "decay classification off the dichotomy"))
     return failures, rep.to_json(), profile
 
 
@@ -471,12 +456,12 @@ def cmd_moser(args):
     _check_flags(args, positive=("c_min", "c_max"), counts=("points",))
     failures = []
     cs = np.geomspace(args.c_min, args.c_max, args.points)
-    csv_text = regularity.moser_sweep_csv(cs, path=None)
+    csv_text = regularity.moser_sweep_csv(cs)
     small = regularity.moser_product(1e-6)
     if not (1.0 <= small.ratio <= 1.0 + 1e-4):
-        failures.append(_failure("regularity", "moser_product", {"c": 1e-6},
-                                 small.ratio, 1 + 1e-4,
-                                 "small-c ratio not tending to one"))
+        failures.append(failure("regularity", "moser_product", {"c": 1e-6},
+                                small.ratio, 1 + 1e-4,
+                                "small-c ratio not tending to one"))
     big = regularity.moser_product(1.0, N=60)
     return failures, {
         "c_min": args.c_min,
@@ -509,6 +494,22 @@ def cmd_decay(args):
 
 # ------------------------------------------------------------- plumbing
 
+#: the files ``--output`` writes beside the JSON report, by subcommand
+ARTIFACTS = {
+    "ale-report": {"ale_profile.csv": _ale_profile_csv},
+    "moser": {"moser_sweep.csv": _moser_sweep_csv},
+}
+
+
+def _report_name(args):
+    """File name of the JSON report under ``--output``."""
+    if args.command == "spectrum":
+        return f"spectrum_d{args.degree}.json"
+    if args.command == "verify":
+        return f"verify_{args.suite}.json"
+    return args.command.replace("-", "_") + ".json"
+
+
 def _run(args):
     """Run one subcommand and emit its report; the exit code is 0 or 1.
 
@@ -522,8 +523,9 @@ def _run(args):
     blob = json.dumps(_round_floats(report), indent=1, sort_keys=True, allow_nan=False)
     print(blob)
     if args.output:
-        files = {args.report.format_map(vars(args)): blob + "\n"}
-        files.update((name, write(args, report)) for name, write in args.artifacts.items())
+        files = {_report_name(args): blob + "\n"}
+        files.update((name, write(args, report))
+                     for name, write in ARTIFACTS.get(args.command, {}).items())
         os.makedirs(args.output, exist_ok=True)
         for name, text in files.items():
             with open(os.path.join(args.output, name), "w") as fh:
@@ -545,33 +547,28 @@ def _build_parser():
         description="verification pipelines for the sphere spectral calculus")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, func, report, artifacts=None, **kwargs):
-        # report: file name of the JSON report under --output, formatted with
-        # the flags; artifacts: other file name -> text of (args, report)
+    def add_parser(name, func, **kwargs):
         p = sub.add_parser(name, parents=[common], **kwargs)
-        p.set_defaults(func=func, report=report, artifacts=artifacts or {})
+        p.set_defaults(func=func)
         return p
 
-    p = add_parser("spectrum", cmd_spectrum, "spectrum_d{degree}.json",
-                   help="eigenvalue report of *d")
+    p = add_parser("spectrum", cmd_spectrum, help="eigenvalue report of *d")
     p.add_argument("--degree", type=int, default=3)
     p.add_argument("--exact", action="store_true",
                    help="exact integer kernel ranks instead of a float solver")
 
-    p = add_parser("evolve", cmd_evolve, "evolve.json", help="evolve an initial field")
+    p = add_parser("evolve", cmd_evolve, help="evolve an initial field")
     p.add_argument("--init", required=True, help="JSON initial-data file")
     p.add_argument("--t0", type=float, default=1.0)
     p.add_argument("--t1", type=float, default=2.0)
     p.add_argument("--steps", type=int, default=100)
 
-    p = add_parser("verify", cmd_verify, "verify_{suite}.json", help="named check suites")
+    p = add_parser("verify", cmd_verify, help="named check suites")
     p.add_argument("suite", choices=sorted(VERIFY_SUITES))
     p.add_argument("--degree", type=int, default=3)
     p.add_argument("--samples", type=int, default=500)
 
-    p = add_parser("ale-report", cmd_ale_report, "ale_report.json",
-                   artifacts={"ale_profile.csv": _ale_profile_csv},
-                   help="2-ended model report")
+    p = add_parser("ale-report", cmd_ale_report, help="2-ended model report")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=0.0)
@@ -579,14 +576,12 @@ def _build_parser():
     p.add_argument("--h", type=float, default=1e-3)
     p.add_argument("--ricci-samples", type=int, default=100)
 
-    p = add_parser("moser", cmd_moser, "moser.json",
-                   artifacts={"moser_sweep.csv": _moser_sweep_csv},
-                   help="iteration product sweep")
+    p = add_parser("moser", cmd_moser, help="iteration product sweep")
     p.add_argument("--c-min", type=float, default=1e-8)
     p.add_argument("--c-max", type=float, default=10.0)
     p.add_argument("--points", type=int, default=33)
 
-    p = add_parser("decay", cmd_decay, "decay.json", help="decay classification of one end")
+    p = add_parser("decay", cmd_decay, help="decay classification of one end")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=0.0)
@@ -596,19 +591,32 @@ def _build_parser():
 
 
 def _apply_config(args, parser, argv):
+    """Defaults from the config file's section for the subcommand.
+
+    Each key must name a flag of the subcommand, and its value goes through
+    the flag's type; explicit flags win over the file.
+    """
     if not args.config:
         return args
     with open(args.config) as fh:
         cfg = json.load(fh)
     if cfg.get("schema_version") != CONFIG_SCHEMA_VERSION:
         parser.error(f"unsupported config schema_version {cfg.get('schema_version')!r}")
-    section = cfg.get(args.command, {})
+    subparsers, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest: a for a in subparsers.choices[args.command]._actions
+             if a.option_strings and a.dest != "help"}
     explicit = {a.lstrip("-").replace("-", "_").split("=")[0]
                 for a in argv if a.startswith("--")}
-    for key, value in section.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and attr not in explicit:
-            setattr(args, attr, value)
+    for key, value in cfg.get(args.command, {}).items():
+        flag = flags.get(key.replace("-", "_"))
+        if flag is None:
+            parser.error(f"config key {key!r} is not a flag of {args.command}")
+        if flag.dest in explicit:
+            continue
+        try:
+            setattr(args, flag.dest, flag.type(value) if flag.type else value)
+        except (TypeError, ValueError):
+            parser.error(f"config key {key!r} must be {flag.type.__name__}, got {value!r}")
     return args
 
 
@@ -616,12 +624,8 @@ def dispatch(argv=None):
     if argv is None:
         argv = sys.argv[1:]
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    for attr, default in (("config", None), ("output", None),
-                          ("seed", DEFAULT_SEED)):
-        if not hasattr(args, attr):
-            setattr(args, attr, default)
-    args = _apply_config(args, parser, argv)
+    defaults = argparse.Namespace(config=None, output=None, seed=DEFAULT_SEED)
+    args = _apply_config(parser.parse_args(argv, defaults), parser, argv)
     try:
         return _run(args)
     except (ValueError, OverflowError, OSError) as exc:

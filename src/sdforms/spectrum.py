@@ -40,7 +40,7 @@ in particular none of -1, 0, +1, is an eigenvalue there.
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate
 
 import numpy as np
@@ -58,6 +58,7 @@ __all__ = [
     "SpectralMode",
     "ModeSet",
     "SpectrumReport",
+    "failure",
     "trusted_window",
     "divergence_free_subspace",
     "eigen_decompose",
@@ -70,6 +71,12 @@ __all__ = [
 WINDOW_POS_OFFSET = 2
 WINDOW_NEG_OFFSET = 0
 CLUSTER_TOL = 1e-8
+
+
+def failure(module, operation, inputs, observed, tolerance, reason):
+    """One machine-readable failure record, the form every report uses."""
+    return {"module": module, "operation": operation, "input": inputs,
+            "observed": observed, "tolerance": tolerance, "reason": reason}
 
 
 def trusted_window(D):
@@ -168,32 +175,26 @@ class SpectrumReport:
 
     def verify(self):
         """Failure records for the gap, integrality and multiplicity laws."""
+        fail = partial(failure, "spectrum", "eigen_decompose")
+        deg = {"degree": self.degree}
         failures = []
-
-        def fail(observed, tolerance, reason, lam=None):
-            inputs = {"degree": self.degree}
-            if lam is not None:
-                inputs["lambda"] = lam
-            failures.append({"module": "spectrum", "operation": "eigen_decompose",
-                             "input": inputs, "observed": observed,
-                             "tolerance": tolerance, "reason": reason})
-
         lo, hi = self.window
         for lam, mult in sorted(self.multiplicities.items()):
+            at = {**deg, "lambda": lam}
             if abs(lam) < 2:
-                fail(mult, 0, "eigenvalue inside the spectral gap", lam)
+                failures.append(fail(at, mult, 0, "eigenvalue inside the spectral gap"))
             elif lo <= lam <= hi and mult != self.expected_multiplicity(lam):
-                fail(mult, self.expected_multiplicity(lam),
-                     "multiplicity differs from lambda^2 - 1", lam)
+                failures.append(fail(at, mult, self.expected_multiplicity(lam),
+                                     "multiplicity differs from lambda^2 - 1"))
         if self.max_integer_deviation > self.cluster_tol:
-            fail(self.max_integer_deviation, self.cluster_tol,
-                 "eigenvalue deviates from the integers")
+            failures.append(fail(deg, self.max_integer_deviation, self.cluster_tol,
+                                 "eigenvalue deviates from the integers"))
         if not self.complete:
-            fail(sum(self.multiplicities.values()), self.subspace_dim,
-                 "eigenspaces do not span the divergence-free subspace")
-        for lam, mult in self.forbidden_multiplicities.items():
-            if mult:
-                fail(mult, 0, "exact kernel found inside the spectral gap", lam)
+            failures.append(fail(deg, sum(self.multiplicities.values()), self.subspace_dim,
+                                 "eigenspaces do not span the divergence-free subspace"))
+        failures += [fail({**deg, "lambda": lam}, mult, 0,
+                          "exact kernel found inside the spectral gap")
+                     for lam, mult in self.forbidden_multiplicities.items() if mult]
         return failures
 
     def to_json(self):

@@ -176,6 +176,34 @@ def test_config_file_defaults(capsys, tmp_path):
     assert rep["D"] == 2
 
 
+@pytest.mark.parametrize("section", [
+    {"report": "/tmp/elsewhere.json"},
+    {"artifacts": 1},
+    {"func": 1},
+    {"command": "moser"},
+    {"no_such_flag": 1},
+    {"degree": "three"},
+    {"seed": [1]},
+])
+def test_config_sets_only_the_subcommand_flags(tmp_path, capsys, section):
+    # anything but a flag of the subcommand, of the flag's type, is a usage error
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "spectrum": section}))
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["--config", str(cfg), "--output", str(tmp_path / "out"), "spectrum"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_values_take_the_flag_type(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema_version": 1,
+                               "spectrum": {"degree": "1", "seed": 5}}))
+    code, rep = run(capsys, "--config", str(cfg), "spectrum")
+    assert code == 0
+    assert (rep["D"], rep["seed"]) == (1, 5)
+
+
 def test_config_rejects_unknown_schema(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"schema_version": 99}))
@@ -254,6 +282,11 @@ def test_decay_non_finite_profile_is_named(capsys):
     code, rep = run(capsys, "decay", "--epsilon", "1e-300", "--end", "plus")
     assert code == 2
     assert rep["message"].startswith("profile values must be finite to fit a decay rate")
+    # the zero form fits nothing, but its NaN profile is still named
+    code, rep = run(capsys, "decay", "--epsilon", "1e-300", "--alpha", "0", "--beta", "0",
+                    "--end", "plus")
+    assert code == 2
+    assert rep["message"].startswith("the profile of the zero form must vanish, got nan")
 
 
 def test_orthogonality_fails_when_nothing_checked(capsys):
