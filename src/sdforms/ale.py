@@ -81,9 +81,10 @@ class ALEModel:
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
 
     def _require_curved(self, what):
-        if self.epsilon == 0.0:
-            raise ValueError(
-                f"{what} is degenerate at epsilon = 0 (inverted flat metric)")
+        # below about 1.5e-162 epsilon^2 underflows and the metric is flat too
+        if self.epsilon ** 2 == 0.0:
+            raise ValueError(f"{what} is degenerate at epsilon = {self.epsilon} "
+                             "(epsilon^2 = 0: inverted flat metric)")
 
     def conformal_factor(self, t):
         t = np.asarray(t, dtype=float)

@@ -70,11 +70,16 @@ def cmd_spectrum(args):
     return report.verify(), report.to_json()
 
 
-def _check_flags(args, positive=(), finite=(), counts=()):
-    """Reject out-of-range numeric flags, naming the flag, before any work."""
+def _check_flags(args, positive=(), finite=(), counts=(), squared=()):
+    """Reject out-of-range numeric flags, naming the flag, before any work.
+
+    ``squared`` flags enter as their square, which must not underflow to 0.
+    """
     rules = ([(f, "finite and > 0", lambda v: math.isfinite(v) and v > 0) for f in positive]
              + [(f, "finite", math.isfinite) for f in finite]
-             + [(f, ">= 1", lambda v: v >= 1) for f in counts])
+             + [(f, ">= 1", lambda v: v >= 1) for f in counts]
+             + [(f, "large enough that its square is > 0 (about 1.5e-162)",
+                 lambda v: v * v > 0) for f in squared])
     for flag, rule, holds in rules:
         value = getattr(args, flag)
         if not holds(value):
@@ -431,7 +436,7 @@ ALE_BLOCKS = {
 
 def cmd_ale_report(args):
     _check_flags(args, positive=("epsilon", "rho_max", "h"), finite=("alpha", "beta"),
-                 counts=("ricci_samples",))
+                 counts=("ricci_samples",), squared=("epsilon",))
     params = ale.AKFormParams(args.alpha, args.beta, args.epsilon)
     failures = []
     report = {"epsilon": args.epsilon, "alpha": args.alpha, "beta": args.beta}
@@ -479,7 +484,8 @@ def _moser_sweep_csv(args, report):
 
 
 def cmd_decay(args):
-    _check_flags(args, positive=("epsilon", "rho_max"), finite=("alpha", "beta"))
+    _check_flags(args, positive=("epsilon", "rho_max"), finite=("alpha", "beta"),
+                 squared=("epsilon",))
     params = ale.AKFormParams(args.alpha, args.beta, args.epsilon)
     failures, decay, profile = _decay_end(params, args.end, args.rho_max)
     return failures, {

@@ -41,6 +41,8 @@ __all__ = [
     "star_d",
     "coframe_inner",
     "operator_matrix",
+    "derivative_triples",
+    "coframe_curl",
     "coframe_gram",
     "div_norms",
     "left_invariant_coframe",
@@ -477,18 +479,67 @@ def _scalar_gram(D):
 
 
 @lru_cache(maxsize=8)
-def _derivative_matrices(D):
-    """The three N x N frame-derivative matrices on the reduced basis (floats)."""
-    basis = make_basis(D)
-    n = basis.dim
-    mats = []
-    for axis in (1, 2, 3):
-        M = np.zeros((n, n))
-        for col, e in enumerate(basis.monomials):
-            df = frame_derivative(PolyScalar({e: 1.0}), axis)
-            M[:, col] = basis.to_vector(df)
-        mats.append(M)
-    return mats
+def derivative_triples(D):
+    """The three frame-derivative matrices on the degree <= D reduced basis, sparse.
+
+    Each is ``(rows, cols, values, (N, N))``: integer entries, no zeros or
+    repeated positions, in row-major order.  They come from exponent
+    arithmetic on the monomial table: e_m(x^e) = sum e_nu L_m[nu, mu]
+    x^(e - u_nu + u_mu) over the nonzero entries of the generator L_m, with
+    x3^2 -> 1 - x0^2 - x1^2 - x2^2 applied where the x3-exponent reaches 2.
+    :func:`frame_derivative` is the same operator on dict polynomials.
+    """
+    E = np.array(make_basis(D).monomials, dtype=np.int64).reshape(-1, 4)
+    n = len(E)
+    place = (D + 1) ** np.arange(3, -1, -1)
+    keys = E @ place
+    by_key = np.argsort(keys)
+    out = []
+    for L in LEFT_MULT:
+        targets, cols, vals = [], [], []
+        for nu, mu in zip(*np.nonzero(L)):
+            col = np.flatnonzero(E[:, nu])
+            T = E[col]
+            T[:, nu] -= 1
+            T[:, mu] += 1
+            v = int(L[nu, mu]) * E[col, nu]
+            over = T[:, 3] == 2
+            B = T[over]
+            B[:, 3] = 0
+            targets += [T[~over], B]
+            cols += [col[~over], col[over]]
+            vals += [v[~over], v[over]]
+            for i in range(3):
+                B2 = B.copy()
+                B2[:, i] += 2
+                targets.append(B2)
+                cols.append(col[over])
+                vals.append(-v[over])
+        target_keys = np.concatenate(targets) @ place
+        rows = by_key[np.searchsorted(keys, target_keys, sorter=by_key)]
+        flat, inverse = np.unique(rows * n + np.concatenate(cols), return_inverse=True)
+        acc = np.zeros(len(flat), dtype=np.int64)
+        np.add.at(acc, inverse, np.concatenate(vals))
+        nz = acc != 0
+        entries = (flat[nz] // n, flat[nz] % n, acc[nz])
+        for a in entries:
+            a.flags.writeable = False
+        out.append((*entries, (n, n)))
+    return out
+
+
+def coframe_curl(E):
+    """curl (3n, 3n) from the three frame-derivative matrices E_i (n, n).
+
+    Block (k, j) is eps_kij E_i; div is [E_1 E_2 E_3] and star_d is
+    curl + 2 I.  The E_i may be the full matrices or their restriction to
+    one harmonic block, in any numeric dtype.
+    """
+    n = len(E[0])
+    curl = np.zeros((3 * n, 3 * n), dtype=E[0].dtype)
+    for k, i, j in zip(*np.nonzero(LEVI_CIVITA)):
+        curl[k * n:(k + 1) * n, j * n:(j + 1) * n] = int(LEVI_CIVITA[k, i, j]) * E[i]
+    return curl
 
 
 @dataclass
@@ -510,22 +561,15 @@ class OperatorMatrix:
         }
 
 
-def _div_matrix(D):
-    mats = _derivative_matrices(D)
-    return np.hstack(mats)
-
-
-def _curl_matrix(D):
-    mats = _derivative_matrices(D)
-    n = make_basis(D).dim
-    M = np.zeros((3 * n, 3 * n))
-    for k in range(3):
-        for i in range(3):
-            for j in range(3):
-                s = LEVI_CIVITA[k, i, j]
-                if s:
-                    M[k * n:(k + 1) * n, j * n:(j + 1) * n] += s * mats[i]
+def _dense(triples):
+    rows, cols, vals, shape = triples
+    M = np.zeros(shape)
+    M[rows, cols] = vals
     return M
+
+
+def _div_matrix(D):
+    return np.hstack([_dense(E) for E in derivative_triples(D)])
 
 
 def coframe_gram(D):
@@ -546,19 +590,19 @@ def div_norms(D, C):
 
 
 def operator_matrix(kind, D):
-    """Matrix of div, curl or star_d on the degree <= D coframe space.
+    """Dense matrix of div, curl or star_d on the degree <= D coframe space.
 
     Columns follow the coframe vectorization: component-major order over the
-    reduced monomial basis.
+    reduced monomial basis.  The matrices are assembled from the densified
+    :func:`derivative_triples`.
     """
     if D < 0:
         raise ValueError(f"degree bound must be >= 0, got {D}")
-    n = make_basis(D).dim
     if kind == "div":
         return OperatorMatrix(_div_matrix(D), "coframe", "scalar", D)
-    if kind == "curl":
-        return OperatorMatrix(_curl_matrix(D), "coframe", "coframe", D)
+    if kind not in ("curl", "star_d"):
+        raise ValueError(f"unknown operator kind {kind!r}")
+    M = coframe_curl([_dense(E) for E in derivative_triples(D)])
     if kind == "star_d":
-        return OperatorMatrix(_curl_matrix(D) + 2.0 * np.eye(3 * n),
-                              "coframe", "coframe", D)
-    raise ValueError(f"unknown operator kind {kind!r}")
+        M += 2.0 * np.eye(len(M))
+    return OperatorMatrix(M, "coframe", "coframe", D)

@@ -22,37 +22,47 @@ polynomials H_k.  On the degree-ordered reduced monomials Lap is block upper
 triangular with diagonal blocks j(j + 2) I, and back-substitution (harmonic
 projection) gives H_k a basis that is the identity on the degree-k monomials
 plus lower-degree terms.  In that basis *d and div are block diagonal, and
-the degree-k blocks are the degree-k diagonal blocks of their monomial
-matrices; each divergence-free block H_k^3 carries the eigenvalues k + 2 and
--k only.  Both rings first check this structure exactly and raise
+the degree-k blocks are assembled from the degree-k diagonal blocks of the
+E_i; each divergence-free block H_k^3 carries the eigenvalues k + 2 and -k
+only.  Both rings first check this structure exactly and raise
 ArithmeticError when it fails.
+
+Memory is per block and sparse.  The E_i are (row, column, value) triples
+from exponent arithmetic (:func:`sdforms.polys.derivative_triples`, a few
+nonzeros per column); Lap and the structure certificate are sparse
+products of those triples, and the harmonic bases back-substitute over the
+sparse rows of Lap.  The only dense arrays are per block: the harmonic
+basis (m, n) with m = dim of degree <= k and n = (k + 1)^2, three (n, n)
+frame blocks and the (3n, 3n) *d, its kernel and eigenvectors.  No operator
+on the whole degree <= D coframe space is formed.  The divergence residual
+and the projector defect are also taken per block, since div maps H_k^3
+into H_k and the certificate rules out leakage between blocks.  The
+eigenfields stay in block coordinates; their (3N, K) monomial coefficient
+matrix is assembled only when a caller reads :attr:`ModeSet.C` (pairings,
+evolution, field I/O).
 
 Two scalar rings are supported, both on numpy alone.  The float ring
 orthonormalizes each block's harmonic basis in L^2 (the Gram factor comes
 from the Fischer product of the homogeneous forms, see
 :func:`_gram_factor`), takes the divergence-free kernel by an SVD and
-solves one standard symmetric eigenproblem per block.  The exact ring certifies multiplicities
-by exact integer kernel ranks of the block shifts *d - (k + 2) and *d + k;
-when these kernels span a block (the completeness count) no other value,
-in particular none of -1, 0, +1, is an eigenvalue there.
+solves one standard symmetric eigenproblem per block.  The exact ring
+certifies multiplicities by exact integer kernel ranks of the block shifts
+*d - (k + 2) and *d + k; when these kernels span a block (the completeness
+count) no other value, in particular none of -1, 0, +1, is an eigenvalue
+there.
 """
 
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from itertools import accumulate
 
 import numpy as np
 from numpy.linalg import eigh
 
-from . import exactla
-from .polys import (
-    coframe_gram,
-    div_norms,
-    make_basis,
-    operator_matrix,
-)
+from . import exactla, polys
+from .polys import coframe_curl, coframe_gram, make_basis
 
 __all__ = [
     "SpectralMode",
@@ -107,33 +117,46 @@ class SpectralMode:
 
 
 class ModeSet(Sequence):
-    """Eigenfields of *d as one coefficient matrix, sorted by eigenvalue.
+    """Eigenfields of *d sorted by eigenvalue, kept in harmonic-block coordinates.
 
-    ``C`` is the (3N, K) matrix whose columns are Gram-orthonormal
-    coefficient vectors on the degree <= D coframe basis; ``lam`` holds the
-    float eigenvalues and ``lam_int`` the integers they cluster to.  As a
-    sequence it yields :class:`SpectralMode` views of the columns, built
-    when the set is (or passed in as ``modes``); slicing gives a ModeSet
-    sharing those views, so a field materialized once serves every slice.
+    Block b contributes the columns ``coords[b]`` (3n, K_b), coordinates in
+    its harmonic basis ``bases[b]`` (m, n) on each of the three frame
+    components (component-major); ``order`` lists, for the modes in
+    eigenvalue order, their columns among the concatenated block columns.
+    ``lam`` holds the float eigenvalues and ``lam_int`` the integers they
+    cluster to.  The (3N, K) matrix ``C`` of Gram-orthonormal coefficient
+    vectors on the degree <= D coframe basis, and the
+    :class:`SpectralMode` views of its columns that the set yields as a
+    sequence, are assembled on first use; slicing gives a ModeSet sharing
+    those views, so a field materialized once serves every slice.
     """
 
-    def __init__(self, D, C, lam, lam_int, modes=None):
+    def __init__(self, D, lam, lam_int, bases, coords, order, modes=None):
         self.D = D
-        self.C = C
         self.lam = lam
         self.lam_int = lam_int
-        if modes is None:
-            modes = [SpectralMode(float(lam[k]), int(lam_int[k]), C[:, k], D)
-                     for k in range(C.shape[1])]
-        self._modes = modes
+        self.bases = bases
+        self.coords = coords
+        self.order = order
+        if modes is not None:
+            self._modes = modes
+
+    @cached_property
+    def C(self):
+        return _assemble(self.D, self.bases, self.coords)[:, self.order]
+
+    @cached_property
+    def _modes(self):
+        return [SpectralMode(float(self.lam[k]), int(self.lam_int[k]), self.C[:, k], self.D)
+                for k in range(len(self))]
 
     def __len__(self):
-        return len(self._modes)
+        return len(self.lam)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return ModeSet(self.D, self.C[:, i], self.lam[i], self.lam_int[i],
-                           self._modes[i])
+            return ModeSet(self.D, self.lam[i], self.lam_int[i], self.bases, self.coords,
+                           self.order[i], self._modes[i])
         return self._modes[i]
 
     def embedded(self, D):
@@ -221,17 +244,19 @@ class HarmonicBlock:
     """The coframe fields of harmonic degree k, H_k^3, in block coordinates.
 
     ``basis`` (m, n) spans H_k on the first m (degree <= k) reduced
-    monomials, n = (k + 1)^2.  ``star_d`` (3n, 3n) is *d and ``kernel``
-    (3n, K) a basis of ker(div), both in the coordinates of ``basis`` on each
-    of the three frame components (component-major).  In the float ring
-    ``basis`` is L^2-orthonormal and ``kernel`` has orthonormal columns; in
-    the exact ring ``star_d`` and ``kernel`` hold Python ints, ``basis`` is
-    the identity on the degree-k monomials and equals ``basis_int / scale``.
+    monomials, n = (k + 1)^2.  ``frame`` holds the three (n, n) frame
+    derivatives E_i on H_k and ``kernel`` (3n, K) a basis of ker(div); the
+    fields are in the coordinates of ``basis`` on each of the three frame
+    components (component-major), and *d and div are assembled from
+    ``frame`` on access.  In the float ring ``basis`` is L^2-orthonormal and
+    ``kernel`` has orthonormal columns; in the exact ring ``frame`` and
+    ``kernel`` hold Python ints, ``basis`` is the identity on the degree-k
+    monomials and equals ``basis_int / scale``.
     """
 
     k: int
     basis: np.ndarray
-    star_d: np.ndarray
+    frame: list
     kernel: np.ndarray
     basis_int: np.ndarray = None
     scale: int = 1
@@ -239,6 +264,33 @@ class HarmonicBlock:
     @property
     def dim(self):
         return self.kernel.shape[1]
+
+    @property
+    def star_d(self):
+        """*d on H_k^3, (3n, 3n)."""
+        curl = coframe_curl(self.frame)
+        return curl + 2 * np.eye(len(curl), dtype=int)
+
+    @property
+    def div(self):
+        """div from H_k^3 into the coordinates of H_k in ``basis``, (n, 3n)."""
+        return np.hstack(self.frame)
+
+
+def _assemble(D, bases, coords, dtype=float):
+    """Monomial coefficient columns (3N, sum of widths) of block coordinates.
+
+    ``coords[b]`` holds columns in the coordinates of ``bases[b]`` on each
+    frame component.
+    """
+    N = make_basis(D).dim
+    out = np.zeros((3, N, sum(Y.shape[1] for Y in coords)), dtype=dtype)
+    col = 0
+    for basis, Y in zip(bases, coords):
+        m, n = basis.shape
+        out[:, :m, col:col + Y.shape[1]] = basis @ Y.reshape(3, n, -1)
+        col += Y.shape[1]
+    return out.reshape(3 * N, -1)
 
 
 @dataclass(eq=False)
@@ -263,15 +315,8 @@ class DivergenceFreeSubspace:
         ``coords[k]`` holds columns in the coordinates of block k.  With
         ``exact`` the integer bases ``basis_int`` map integer coordinates.
         """
-        N = make_basis(self.degree).dim
-        out = np.zeros((3, N, sum(Y.shape[1] for Y in coords)), dtype=object if exact else float)
-        col = 0
-        for b, Y in zip(self.blocks, coords):
-            basis = b.basis_int if exact else b.basis
-            m, n = basis.shape
-            out[:, :m, col:col + Y.shape[1]] = basis @ Y.reshape(3, n, -1)
-            col += Y.shape[1]
-        return out.reshape(3 * N, -1)
+        bases = [b.basis_int if exact else b.basis for b in self.blocks]
+        return _assemble(self.degree, bases, coords, object if exact else float)
 
     @cached_property
     def matrix(self):
@@ -295,12 +340,17 @@ class DivergenceFreeSubspace:
     def projector_defect(self):
         """Norm of (I - P) star_d P measuring *d-invariance of the subspace.
 
-        It is taken on the assembled monomial matrix, so a component of the
-        image outside its own harmonic block counts too.
+        It is taken block by block, P the orthogonal projector onto the
+        kernel in block coordinates; no component of the image leaves its
+        block, since the structure certificate proves that *d commutes with
+        the frame Laplacian.
         """
-        Q = np.linalg.qr(self.matrix)[0]
-        image = operator_matrix("star_d", self.degree).matrix @ Q
-        return float(np.linalg.norm(image - Q @ (Q.T @ image)))
+        total = 0.0
+        for b in self.blocks:
+            Q = np.linalg.qr(b.kernel.astype(float))[0]
+            image = b.star_d.astype(float) @ Q
+            total += float(np.linalg.norm(image - Q @ (Q.T @ image))) ** 2
+        return math.sqrt(total)
 
 
 def _degree_offsets(D):
@@ -308,73 +358,102 @@ def _degree_offsets(D):
     return [0, *accumulate((d + 1) ** 2 for d in range(D + 1))]
 
 
-def _entries(A):
-    """Nonzero entries of a matrix: rows, columns, values (row-major) and shape."""
-    i, j = np.nonzero(A)
-    return i, j, A[i, j], A.shape
+def _coo(flat, values, shape):
+    """Sparse triples of the entries at flat positions ``flat``.
+
+    Entries at one position add; zero sums are dropped and the result is
+    row-major, in the form of :func:`sdforms.polys.derivative_triples`.
+    """
+    unique, inverse = np.unique(flat, return_inverse=True)
+    acc = np.zeros(len(unique), dtype=values.dtype)
+    np.add.at(acc, inverse, values)
+    nz = acc != 0
+    return unique[nz] // shape[1], unique[nz] % shape[1], acc[nz], shape
 
 
-def _exact_product(A, B):
-    """Dense A @ B from the nonzero entries of A and B (see :func:`_entries`).
+def _sparse_product(A, B):
+    """A @ B of two sparse (rows, cols, values, shape) triples, as triples.
 
-    The frame operators have a few nonzeros per column, so this is much
-    cheaper than a dense product at large D; on integer entries every
-    partial sum is an integer, so the result is exact.
+    The frame operators have a few nonzeros per column, so each entry of A
+    meets only a few entries of B; on integer entries the result is exact.
     """
     ai, ak, av, (rows, _) = A
-    bk, bj, bv, (_, cols) = B
+    by_row = np.argsort(B[0], kind="stable")
+    bk, bj, bv = (x[by_row] for x in B[:3])
+    cols = B[3][1]
     lo = np.searchsorted(bk, ak, "left")
     count = np.searchsorted(bk, ak, "right") - lo
     a = np.repeat(np.arange(len(ai)), count)
     b = np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count)
-    out = np.bincount(ai[a] * cols + bj[b], weights=av[a] * bv[b], minlength=rows * cols)
-    return out.reshape(rows, cols)
+    return _coo(ai[a] * cols + bj[b], av[a] * bv[b], (rows, cols))
 
 
-def _frame_laplacian(D, Dv, S):
-    """Lap = -(E_1^2 + E_2^2 + E_3^2), after the block-structure certificate.
+def _frame_laplacian(D, frame):
+    """Lap = -(E_1^2 + E_2^2 + E_3^2) as sparse triples, after the block-structure certificate.
 
-    The E_i are the column blocks of the divergence matrix.  Raises
-    ArithmeticError unless Lap commutes with each E_i and with each
-    component block of S, and is block upper triangular on the degree-ordered
-    basis with diagonal blocks j(j + 2) I.  The entries are integers, so the
-    products are exact.
+    ``frame`` holds the sparse triples of E_1, E_2, E_3.  Raises
+    ArithmeticError unless Lap commutes with each E_i and is block upper
+    triangular on the degree-ordered basis with diagonal blocks j(j + 2) I.
+    *d and div are assembled from the E_i and the identity, so they commute
+    with Lap too.  The entries are integers, so the products are exact.
     """
-    n = Dv.shape[0]
-    named = [(f"E{i + 1}", _entries(Dv[:, i * n:(i + 1) * n])) for i in range(3)]
-    lap = -sum(_exact_product(e, e) for _, e in named)
-    named += [(f"star_d block ({a + 1}, {b + 1})",
-               _entries(S[a * n:(a + 1) * n, b * n:(b + 1) * n]))
-              for a in range(3) for b in range(3)]
-    lap_entries = _entries(lap)
-    for name, A in named:
-        if not np.array_equal(_exact_product(A, lap_entries), _exact_product(lap_entries, A)):
-            raise ArithmeticError(f"{name} does not commute with the frame Laplacian")
+    n = frame[0][3][0]
+    squares = [_sparse_product(E, E) for E in frame]
+    lap = _coo(np.concatenate([r * n + c for r, c, _, _ in squares]),
+               -np.concatenate([v for _, _, v, _ in squares]), (n, n))
+    for i, E in enumerate(frame):
+        left, right = _sparse_product(E, lap), _sparse_product(lap, E)
+        if not all(np.array_equal(x, y) for x, y in zip(left[:3], right[:3])):
+            raise ArithmeticError(f"E{i + 1} does not commute with the frame Laplacian")
     offs = _degree_offsets(D)
-    for j in range(D + 1):
-        lo, hi = offs[j], offs[j + 1]
-        if lap[hi:, lo:hi].any() or not np.array_equal(lap[lo:hi, lo:hi],
-                                                       j * (j + 2) * np.eye(hi - lo)):
-            raise ArithmeticError(f"frame Laplacian is not {j * (j + 2)} I with zeros "
-                                  f"below on the degree-{j} monomials")
+    degree = np.repeat(np.arange(D + 1), np.diff(offs))
+    r, c, v, _ = lap
+    dr, dc = degree[r], degree[c]
+    diagonal = (r == c) & (v == dr * (dr + 2))
+    bad = set(dc[(dr > dc) | ((dr == dc) & ~diagonal)].tolist())
+    count = np.bincount(dr[diagonal], minlength=D + 1)
+    bad |= {j for j in range(1, D + 1) if count[j] != offs[j + 1] - offs[j]}
+    if bad:
+        j = min(bad)
+        raise ArithmeticError(f"frame Laplacian is not {j * (j + 2)} I with zeros "
+                              f"below on the degree-{j} monomials")
     return lap
 
 
-def _harmonic_basis(lap, offs, k, scale=1):
-    """``scale`` times the basis of H_k that is the identity on degree k.
+def _harmonic_basis(lap, offs, k, scale=None):
+    """The basis of H_k that is the identity on degree k, from the sparse ``lap``.
 
-    Back-substitution of Lap T = k(k + 2) T on the degree <= k monomials.
-    For an object (Python int) ``lap`` the divisions are exact when
-    ``scale`` is a multiple of prod_{j<k} (k - j)(k + j + 2).
+    Back-substitution of Lap T = k(k + 2) T on the degree <= k monomials,
+    one degree at a time over the rows of ``lap`` of that degree (``lap``
+    is row-major).  With an integer ``scale`` the arithmetic is on Python
+    ints and the result is ``scale`` times the basis; the divisions are then
+    exact when ``scale`` is a multiple of prod_{j<k} (k - j)(k + j + 2).
     """
+    r, c, v, _ = lap
+    dtype = float if scale is None else object
     m, n = offs[k + 1], offs[k + 1] - offs[k]
-    T = np.zeros((m, n), dtype=lap.dtype)
-    T[offs[k]:] = np.eye(n, dtype=np.int64).astype(lap.dtype) * scale
+    T = np.zeros((m, n), dtype=dtype)
+    T[offs[k]:] = np.eye(n, dtype=np.int64).astype(dtype) * (scale or 1)
     for j in range(k - 1, -1, -1):
-        acc = lap[offs[j]:offs[j + 1], offs[j + 1]:m] @ T[offs[j + 1]:]
-        c = (k - j) * (k + j + 2)
-        T[offs[j]:offs[j + 1]] = acc // c if lap.dtype == object else acc / c
+        lo, hi = np.searchsorted(r, [offs[j], offs[j + 1]])
+        sel = lo + np.flatnonzero((c[lo:hi] >= offs[j + 1]) & (c[lo:hi] < m))
+        cols, inverse = np.unique(c[sel], return_inverse=True)
+        L = np.zeros((offs[j + 1] - offs[j], len(cols)), dtype=dtype)
+        L[r[sel] - offs[j], inverse] = v[sel]
+        acc = L @ T[cols]
+        d = (k - j) * (k + j + 2)
+        T[offs[j]:offs[j + 1]] = acc // d if scale else acc / d
     return T
+
+
+def _degree_block(triples, offs, k, dtype):
+    """Dense restriction (n, n) of a sparse scalar operator to the degree-k monomials."""
+    r, c, v, _ = triples
+    lo, hi = offs[k], offs[k + 1]
+    keep = (r >= lo) & (r < hi) & (c >= lo) & (c < hi)
+    B = np.zeros((hi - lo, hi - lo), dtype=dtype)
+    B[r[keep] - lo, c[keep] - lo] = v[keep]
+    return B
 
 
 def _null_space(A):
@@ -382,6 +461,21 @@ def _null_space(A):
     _, s, vh = np.linalg.svd(A)
     tol = max(A.shape) * np.finfo(float).eps * s.max(initial=0.0)
     return vh[int(np.sum(s > tol)):].T
+
+
+@lru_cache(maxsize=64)
+def _homogeneous(d):
+    """Exponents (K, 4) of the degree-d monomials in four variables, with a key lookup.
+
+    Returns the exponents and a function mapping exponent rows of degree d
+    to their row numbers.
+    """
+    H = np.array([(a, b, c, d - a - b - c) for a in range(d + 1) for b in range(d - a + 1)
+                  for c in range(d - a - b + 1)], dtype=np.int64).reshape(-1, 4)
+    place = (d + 1) ** np.arange(3, -1, -1)
+    keys = H @ place
+    by_key = np.argsort(keys)
+    return H, lambda X: by_key[np.searchsorted(keys, X @ place, sorter=by_key)]
 
 
 def _gram_factor(monomials, k, T):
@@ -392,88 +486,84 @@ def _gram_factor(monomials, k, T):
     p_j its degree k - 2j part, and for homogeneous harmonic h, g of degree
     k the L^2 product is the Fischer product 2 pi^2 sum_a a! h_a g_a
     / (2^k (k + 1)!) (Axler-Bourdon-Ramey, Harmonic Function Theory,
-    ch. 5).  U is the R factor of the weighted homogeneous coefficients;
-    unlike T^T G T on the monomial Gram this loses no digits to
-    cancellation.
+    ch. 5).  The homogeneous form is built by Horner's rule in |x|^2, one
+    shift per coordinate square; U is the R factor of its weighted
+    coefficients.  Unlike T^T G T on the monomial Gram this loses no digits
+    to cancellation.
     """
-    fact = [math.factorial(i) for i in range(k + 1)]
     E = np.array(monomials, dtype=np.int64).reshape(-1, 4)
-    exps, cols, vals = [], [], []
-    for j in range(k // 2 + 1):
-        # |x|^(2j) = sum_{|b| = j} j!/b! x^(2b)
-        B = np.array([(b0, b1, b2, j - b0 - b1 - b2) for b0 in range(j + 1)
-                      for b1 in range(j - b0 + 1) for b2 in range(j - b0 - b1 + 1)])
-        coef = [fact[j] // math.prod(fact[v] for v in b) for b in B.tolist()]
-        sel = np.flatnonzero(E.sum(axis=1) == k - 2 * j)
-        exps.append((E[sel, None, :] + 2 * B[None, :, :]).reshape(-1, 4))
-        cols.append(np.repeat(sel, len(B)))
-        vals.append(np.tile(coef, len(sel)))
-    exps = np.concatenate(exps)
-    keys = exps @ (k + 1) ** np.arange(3, -1, -1)
-    _, first, rows = np.unique(keys, return_index=True, return_inverse=True)
-    H = np.zeros((len(first), len(E)))
-    H[rows, np.concatenate(cols)] = np.concatenate(vals)
-    weight = np.array(fact, dtype=float)[exps[first]].prod(axis=1)
-    R = np.linalg.qr(np.sqrt(weight)[:, None] * (H @ T), mode="r")
+    degree = E.sum(axis=1)
+    h, H = None, None
+    for d in range(k % 2, k + 1, 2):
+        H_d, index = _homogeneous(d)
+        h_d = np.zeros((len(H_d), T.shape[1]))
+        sel = np.flatnonzero(degree == d)
+        h_d[index(E[sel])] = T[sel]
+        if h is not None:
+            for i in range(4):
+                shifted = H.copy()
+                shifted[:, i] += 2
+                h_d[index(shifted)] += h
+        h, H = h_d, H_d
+    weight = np.array([math.factorial(i) for i in range(k + 1)], dtype=float)[H].prod(axis=1)
+    R = np.linalg.qr(np.sqrt(weight)[:, None] * h, mode="r")
     return math.sqrt(2 * math.pi ** 2 / (2.0 ** k * math.factorial(k + 1))) * R
 
 
-def _float_block(k, lap, offs, monomials, S_k, Dv_k):
+def _float_block(k, lap, offs, monomials, E_k):
     """Block k in L^2-orthonormal coordinates: basis T U^-1, U the Gram factor of T."""
     T = _harmonic_basis(lap, offs, k)
     U = _gram_factor(monomials[:len(T)], k, T)
     Ui = np.linalg.inv(U)
-    Ui3 = np.kron(np.eye(3), Ui)
-    return HarmonicBlock(k, T @ Ui, np.kron(np.eye(3), U) @ S_k @ Ui3,
-                         _null_space(Dv_k @ Ui3))
+    frame = [U @ E @ Ui for E in E_k]
+    return HarmonicBlock(k, T @ Ui, frame, _null_space(np.hstack(frame)))
 
 
-def _exact_block(k, lap, offs, S_k, Dv_k):
+def _exact_block(k, lap, offs, E_k):
     """Block k on Python ints: the harmonic basis times the product of its
     denominators, and primitive integer kernel vectors of the div block."""
     scale = math.prod((k - j) * (k + j + 2) for j in range(k))
     Z = _harmonic_basis(lap, offs, k, scale)
-    null = exactla.nullspace(Dv_k.tolist())
-    kernel = np.array(null, dtype=object).T.reshape(Dv_k.shape[1], len(null))
-    return HarmonicBlock(k, (Z / scale).astype(float), S_k, kernel, Z, scale)
+    null = exactla.nullspace(np.hstack(E_k).tolist())
+    kernel = np.array(null, dtype=object).T.reshape(3 * len(E_k[0]), len(null))
+    return HarmonicBlock(k, (Z / scale).astype(float), E_k, kernel, Z, scale)
 
 
 def divergence_free_subspace(D, ring="float"):
     """Basis of ker(div) within the degree <= D coframe space, block by block.
 
-    The float ring keeps per block an L^2-orthonormal harmonic basis and an
-    orthonormal kernel; the exact ring an exact harmonic basis and primitive
-    integer kernel vectors from fraction-free elimination.  The dimension is
-    2 * sum_{d<=D}(d+1)^2 + 1.
+    Everything is built from the sparse frame-derivative triples and the
+    degree-k blocks of the E_i; no operator on the whole monomial space is
+    formed.  The float ring keeps per block an L^2-orthonormal harmonic
+    basis and an orthonormal kernel; the exact ring an exact harmonic basis
+    and primitive integer kernel vectors from fraction-free elimination.
+    The dimension is 2 * sum_{d<=D}(d+1)^2 + 1.
     """
-    Dv = operator_matrix("div", D).matrix
-    S = operator_matrix("star_d", D).matrix
+    if D < 0:
+        raise ValueError(f"degree bound must be >= 0, got {D}")
     exact = ring == "exact"
+    frame = polys.derivative_triples(D)
     if exact:
-        Dv_int, S_int = _integer_matrix(Dv), _integer_matrix(S)
-    lap = _frame_laplacian(D, Dv, S)
-    if exact:
-        Dv, S, lap = Dv_int, S_int, _integer_matrix(lap)
+        frame = [_integer_entries(E) for E in frame]
+    lap = _frame_laplacian(D, frame)
     monomials = make_basis(D).monomials
     offs = _degree_offsets(D)
     blocks = []
     for k in range(D + 1):
-        rows = slice(offs[k], offs[k + 1])
-        idx = np.concatenate([c * offs[-1] + np.arange(offs[k], offs[k + 1])
-                              for c in range(3)])
-        S_k, Dv_k = S[np.ix_(idx, idx)], Dv[rows, idx]
-        blocks.append(_exact_block(k, lap, offs, S_k, Dv_k) if exact
-                      else _float_block(k, lap, offs, monomials, S_k, Dv_k))
+        E_k = [_degree_block(E, offs, k, object if exact else float) for E in frame]
+        blocks.append(_exact_block(k, lap, offs, E_k) if exact
+                      else _float_block(k, lap, offs, monomials, E_k))
     return DivergenceFreeSubspace(D, ring, blocks)
 
 
-def _integer_matrix(M):
-    """M as an object array of Python ints; the exact ring needs integer operators."""
-    R = np.rint(M)
-    if not np.array_equal(R, M):
-        v = M[R != M][0]
-        raise ValueError(f"operator entry {v} is not an integer; exact ring unavailable")
-    return R.astype(np.int64).astype(object)
+def _integer_entries(triples):
+    """Sparse triples with int64 values; the exact ring needs integer operators."""
+    r, c, v, shape = triples
+    R = np.rint(v)
+    if not np.array_equal(R, v):
+        raise ValueError(f"operator entry {v[R != v][0]} is not an integer; "
+                         "exact ring unavailable")
+    return r, c, R.astype(np.int64), shape
 
 
 def eigen_decompose(D, ring="float"):
@@ -494,23 +584,36 @@ def eigen_decompose(D, ring="float"):
     return _eigen_decompose_float(sub)
 
 
+def _max_norm(blocks_columns):
+    """Largest column norm over a list of (rows, K_b) matrices, 0.0 if none."""
+    return max((float(np.max(np.linalg.norm(Y, axis=0), initial=0.0)) for Y in blocks_columns),
+               default=0.0)
+
+
 def _eigen_decompose_float(sub):
-    """Float eigen-decomposition: one standard eigh per harmonic block."""
+    """Float eigen-decomposition: one standard eigh per harmonic block.
+
+    The divergence residual of each mode is its image under the block's div,
+    which lands in H_k; its L^2 norm is the Euclidean norm there, the
+    block coordinates being orthonormal.
+    """
     D = sub.degree
-    solved = []
+    lams, coords = [], []
     for b in sub.blocks:
         A = b.kernel.T @ b.star_d @ b.kernel
         asym = float(np.max(np.abs(A - A.T)))
         if asym > 1e-8 * max(1.0, float(np.max(np.abs(A)))):
             raise ArithmeticError(f"star_d not self-adjoint on harmonic block {b.k} "
                                   f"(defect {asym:.3e})")
-        solved.append(eigh((A + A.T) / 2.0))
-    w = np.concatenate([lam for lam, _ in solved])
+        lam, X = eigh((A + A.T) / 2.0)
+        lams.append(lam)
+        coords.append(b.kernel @ X)
+    w = np.concatenate(lams)
     order = np.argsort(w, kind="stable")
-    C = sub.assemble([b.kernel @ X for b, (_, X) in zip(sub.blocks, solved)])[:, order]
-    modes = ModeSet(D, C, w[order], np.rint(w[order]).astype(int))
-    lams, counts = np.unique(modes.lam_int, return_counts=True)
-    mults = {int(lam): int(k) for lam, k in zip(lams, counts)}
+    modes = ModeSet(D, w[order], np.rint(w[order]).astype(int),
+                    [b.basis for b in sub.blocks], coords, order)
+    values, counts = np.unique(modes.lam_int, return_counts=True)
+    mults = {int(lam): int(k) for lam, k in zip(values, counts)}
     report = SpectrumReport(
         degree=D,
         ring="float",
@@ -518,7 +621,7 @@ def _eigen_decompose_float(sub):
         window=trusted_window(D),
         multiplicities=mults,
         max_integer_deviation=float(np.max(np.abs(w - np.rint(w)), initial=0.0)),
-        max_div_residual=max(div_norms(D, C), default=0.0),
+        max_div_residual=_max_norm(b.div @ Y for b, Y in zip(sub.blocks, coords)),
         complete=sum(mults.values()) == sub.dim,
     )
     return modes, report
@@ -528,15 +631,18 @@ def _eigen_decompose_exact(sub):
     """Exact multiplicities from integer kernels of S_k - (k + 2) and S_k + k.
 
     Each eigenspace is L^2-orthonormalized in floats by the R factor of its
-    coordinates under the block's Gram factor.
+    coordinates under the block's Gram factor U; the divergence residual of
+    a mode is the U-norm of its image under the integer div block.
     """
     D = sub.degree
     monomials = make_basis(D).monomials
     mults = {}
     lams = []
     coords = []
+    residuals = []
     for b in sub.blocks:
-        U3 = np.kron(np.eye(3), _gram_factor(monomials[:len(b.basis)], b.k, b.basis))
+        U = _gram_factor(monomials[:len(b.basis)], b.k, b.basis)
+        U3 = np.kron(np.eye(3), U)
         SN = b.star_d @ b.kernel
         Y = [np.zeros((len(b.kernel), 0))]
         for lam in (-b.k, b.k + 2):
@@ -550,10 +656,10 @@ def _eigen_decompose_exact(sub):
             Y.append(np.linalg.solve(R.T, V.T).T)
             lams += [lam] * len(kernel)
         coords.append(np.hstack(Y))
-    C = sub.assemble(coords)
+        residuals.append(U @ (b.div.astype(float) @ coords[-1]))
     order = np.argsort(lams, kind="stable")
     lam = np.array(lams, dtype=int)[order]
-    modes = ModeSet(D, C[:, order], lam.astype(float), lam)
+    modes = ModeSet(D, lam.astype(float), lam, [b.basis for b in sub.blocks], coords, order)
     report = SpectrumReport(
         degree=D,
         ring="exact",
@@ -561,7 +667,7 @@ def _eigen_decompose_exact(sub):
         window=trusted_window(D),
         multiplicities=mults,
         max_integer_deviation=0.0,
-        max_div_residual=max(div_norms(D, C), default=0.0),
+        max_div_residual=_max_norm(residuals),
         complete=sum(mults.values()) == sub.dim,
         forbidden_multiplicities={lam: mults.get(lam, 0) for lam in (-1, 0, 1)},
     )
@@ -592,7 +698,8 @@ def hodge_laplacian_check(D):
     sub = divergence_free_subspace(D)
     mu = []
     for b in sub.blocks:
-        A2 = b.kernel.T @ (b.star_d @ (b.star_d @ b.kernel))
+        S = b.star_d
+        A2 = b.kernel.T @ (S @ (S @ b.kernel))
         mu.append(eigh((A2 + A2.T) / 2.0)[0])
     _, report = _eigen_decompose_float(sub)
     lam_sq = sorted(lam * lam for lam, k in report.multiplicities.items()

@@ -84,6 +84,15 @@ def test_metric_eval_flat_degenerate_case():
         model.t_of_rho(1.0)
 
 
+def test_underflowing_epsilon_is_flat_and_rejected():
+    # below about 1.5e-162 epsilon^2 is 0 in floats: the same flat metric
+    model = ALEModel(1e-300)
+    for call in (lambda: model.t_of_rho(1.0), model.minimal_sphere_area,
+                 lambda: model.ricci_closed_form(np.array([2.0, 0, 0, 0]))):
+        with pytest.raises(ValueError, match="epsilon\\^2 = 0"):
+            call()
+
+
 def test_rho_rejects_nonpositive_t():
     with pytest.raises(ValueError):
         ALEModel(0.1).rho_of_t(0.0)

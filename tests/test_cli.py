@@ -276,14 +276,16 @@ def test_decay_underflowing_form_is_an_error(capsys):
     assert rep["message"] == "profile values must be positive to fit a decay rate"
 
 
-def test_decay_non_finite_profile_is_named(capsys):
-    # epsilon^2 underflows and the profile is NaN; the error used to be the
-    # JSON encoder's refusal of a NaN exponent
-    code, rep = run(capsys, "decay", "--epsilon", "1e-300", "--end", "plus")
+def test_decay_non_finite_profile_is_named(capsys, monkeypatch):
+    # a NaN profile (an underflowing epsilon^2 made one before --epsilon was
+    # checked); the error used to be the JSON encoder's refusal of a NaN exponent
+    monkeypatch.setattr("sdforms.cli.ale.decay_profile", lambda params, end, **kwargs:
+                        [(10.0 * 1.1 ** i, float("nan")) for i in range(40)])
+    code, rep = run(capsys, "decay", "--epsilon", "0.1", "--end", "plus")
     assert code == 2
     assert rep["message"].startswith("profile values must be finite to fit a decay rate")
     # the zero form fits nothing, but its NaN profile is still named
-    code, rep = run(capsys, "decay", "--epsilon", "1e-300", "--alpha", "0", "--beta", "0",
+    code, rep = run(capsys, "decay", "--epsilon", "0.1", "--alpha", "0", "--beta", "0",
                     "--end", "plus")
     assert code == 2
     assert rep["message"].startswith("the profile of the zero form must vanish, got nan")
@@ -387,6 +389,7 @@ def test_kato_fails_when_a_form_has_no_points(capsys, monkeypatch):
     (["--epsilon", "0.1", "--alpha", "nan"], "--alpha"),
     (["--epsilon", "0.1", "--beta=-inf"], "--beta"),
     (["--epsilon", "0.1", "--ricci-samples", "0"], "--ricci-samples"),
+    (["--epsilon", "1e-300"], "--epsilon"),  # epsilon^2 underflows: a flat model
 ])
 def test_ale_report_rejects_bad_flags(capsys, monkeypatch, flags, named):
     # the flags are checked before any computation
@@ -397,6 +400,28 @@ def test_ale_report_rejects_bad_flags(capsys, monkeypatch, flags, named):
 
     monkeypatch.setattr(ale.AKFormParams, "__post_init__", forbidden)
     code, rep = run(capsys, "ale-report", *flags)
+    assert code == 2
+    assert rep["status"] == "error"
+    assert named in rep["message"]
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--epsilon", "1e-170", "--end", "minus", "--alpha", "1", "--beta", "1"], "--epsilon"),
+    (["--epsilon", "1e-300", "--end", "plus"], "--epsilon"),
+    (["--epsilon", "0", "--end", "plus"], "--epsilon"),
+    (["--epsilon", "0.1", "--end", "plus", "--rho-max", "nan"], "--rho-max"),
+    (["--epsilon", "0.1", "--end", "minus", "--alpha", "inf"], "--alpha"),
+])
+def test_decay_rejects_bad_flags(capsys, monkeypatch, flags, named):
+    # the flags are checked before any computation; epsilon^2 underflowing
+    # to 0 made a flat model that reported pass
+    from sdforms import ale
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("computation ran")
+
+    monkeypatch.setattr(ale.AKFormParams, "__post_init__", forbidden)
+    code, rep = run(capsys, "decay", *flags)
     assert code == 2
     assert rep["status"] == "error"
     assert named in rep["message"]

@@ -14,18 +14,28 @@ import numpy as np
 import pytest
 
 import sdforms
-from sdforms import polys
+from sdforms import polys, spectrum
+from sdforms.cli import dispatch
 from sdforms.polys import coframe_gram, make_basis, monomial_integral_over_pi2, operator_matrix
 from sdforms.spectrum import (
+    ModeSet,
     SpectrumReport,
     _degree_offsets,
+    _eigen_decompose_float,
     _frame_laplacian,
     _gram_factor,
     _harmonic_basis,
-    _integer_matrix,
     divergence_free_subspace,
     eigen_decompose,
+    hodge_laplacian_check,
 )
+
+
+def dense(triples):
+    r, c, v, shape = triples
+    M = np.zeros(shape, dtype=np.int64)
+    M[r, c] = v
+    return M
 
 
 def dense_monomial_modes(D):
@@ -91,13 +101,13 @@ def test_structure_certificate_exact_at_degree3():
     D = 3
     Dv = operator_matrix("div", D).matrix
     S = operator_matrix("star_d", D).matrix
-    lap = _frame_laplacian(D, Dv, S)
+    lap = dense(_frame_laplacian(D, polys.derivative_triples(D)))
     offs = _degree_offsets(D)
     N = offs[-1]
     E = [Dv[:, i * N:(i + 1) * N] for i in range(3)]
     assert np.array_equal(lap, -sum(e @ e for e in E))
-    lap_int = _integer_matrix(lap)
-    S_int = _integer_matrix(S)
+    lap_int = lap.astype(object)
+    S_int = S.astype(np.int64).astype(object)
     # the rational scalar Gram over pi^2
     F = np.array([[monomial_integral_over_pi2(tuple(a + b for a, b in zip(ea, eb)))
                    for eb in make_basis(D).monomials] for ea in make_basis(D).monomials],
@@ -127,8 +137,7 @@ def test_structure_certificate_exact_at_degree3():
 def test_fischer_gram_factor_matches_monomial_gram():
     # U^T U from the homogeneous forms equals T^T G T from the monomial integrals
     D = 6
-    Dv = operator_matrix("div", D).matrix
-    lap = _frame_laplacian(D, Dv, operator_matrix("star_d", D).matrix)
+    lap = _frame_laplacian(D, polys.derivative_triples(D))
     offs = _degree_offsets(D)
     G = make_basis(D).gram()
     for k in range(D + 1):
@@ -151,16 +160,90 @@ def test_incomplete_report_fails():
 
 @pytest.mark.parametrize("ring", ["float", "exact"])
 def test_broken_derivative_entry_is_rejected(monkeypatch, ring):
-    original = polys._derivative_matrices
+    original = polys.derivative_triples
 
     def broken(D):
-        mats = [M.copy() for M in original(D)]
-        mats[0][0, 4] += 1.0  # E1 now sends a degree-1 monomial to the constant
-        return mats
+        (r, c, v, shape), *rest = original(D)
+        # E1 now sends a degree-1 monomial to the constant
+        return [(np.append(r, 0), np.append(c, 4), np.append(v, 1), shape), *rest]
 
-    monkeypatch.setattr(polys, "_derivative_matrices", broken)
+    monkeypatch.setattr(polys, "derivative_triples", broken)
     with pytest.raises(ArithmeticError, match="does not commute with the frame Laplacian"):
         eigen_decompose(2, ring=ring)
+
+
+def forbidden(*args, **kwargs):
+    raise AssertionError("dense monomial-space object built on the spectral route")
+
+
+@pytest.fixture
+def no_monomial_space_operators(monkeypatch):
+    for name in ("operator_matrix", "div_norms", "_div_matrix", "_scalar_gram",
+                 "coframe_gram"):
+        monkeypatch.setattr(polys, name, forbidden)
+    monkeypatch.setattr(spectrum, "coframe_gram", forbidden)
+
+
+@pytest.mark.parametrize("ring", ["float", "exact"])
+def test_spectrum_builds_no_monomial_space_operator(no_monomial_space_operators, ring):
+    _, report = eigen_decompose(5, ring=ring)
+    assert not report.verify()
+    assert report.max_div_residual <= 1e-12
+
+
+def test_hodge_check_builds_no_monomial_space_operator(no_monomial_space_operators):
+    rep = hodge_laplacian_check(5)
+    assert rep["mu_min"] >= 4 - 1e-8
+    assert rep["subspace_invariance_defect"] <= 1e-10
+
+
+def test_cli_spectrum_never_assembles_mode_matrix(monkeypatch, capsys):
+    monkeypatch.setattr(ModeSet, "C", property(forbidden))
+    assert dispatch(["spectrum", "--degree", "6"]) == 0
+    assert dispatch(["spectrum", "--degree", "3", "--exact"]) == 0
+
+
+@pytest.mark.parametrize("D", [3, 6])
+def test_block_residual_matches_dense_route(D):
+    # per-block div residual and projector defect against the assembled matrices
+    modes, report = eigen_decompose(D)
+    assert report.max_div_residual <= 1e-13
+    assert max(polys.div_norms(D, modes.C)) <= 1e-12
+    sub = divergence_free_subspace(D)
+    Q = np.linalg.qr(sub.matrix)[0]
+    image = operator_matrix("star_d", D).matrix @ Q
+    assert np.linalg.norm(image - Q @ (Q.T @ image)) <= 1e-10
+    assert sub.projector_defect() <= 1e-12
+
+
+def test_block_residuals_see_a_leaking_kernel():
+    # a kernel column pushed off ker(div) and off the *d-invariant subspace
+    sub = divergence_free_subspace(4)
+    b = sub.blocks[3]
+    rng = np.random.default_rng(3)
+    b.kernel[:, 0] += 1e-4 * rng.standard_normal(len(b.kernel))
+    assert sub.projector_defect() > 1e-6
+    _, report = _eigen_decompose_float(sub)
+    assert report.max_div_residual > 1e-6
+
+
+@pytest.mark.parametrize("scale", [0, 2])
+def test_wrong_laplacian_diagonal_is_rejected(monkeypatch, scale):
+    # scaled frames still commute with their Laplacian, whose diagonal is
+    # then 4 j(j + 2) I, or absent for the zero frame
+    original = polys.derivative_triples
+
+    def scaled(D):
+        out = []
+        for r, c, v, shape in original(D):
+            keep = v * scale != 0
+            out.append((r[keep], c[keep], v[keep] * scale, shape))
+        return out
+
+    monkeypatch.setattr(polys, "derivative_triples", scaled)
+    with pytest.raises(ArithmeticError, match="frame Laplacian is not 3 I with zeros below "
+                                              "on the degree-1 monomials"):
+        eigen_decompose(2)
 
 
 def test_cli_import_loads_no_scipy():

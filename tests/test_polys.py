@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from sdforms.frames import LEVI_CIVITA
 from sdforms.polys import (
     CoframeField,
     PolyScalar,
     curl,
+    derivative_triples,
     div,
     frame_derivative,
     gradient_coframe,
@@ -292,6 +294,50 @@ def test_operator_matrix_consistency_with_fields():
         else:
             expected = basis.coframe_to_vector(op(eta))
         assert_allclose(image, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("axis", [1, 2, 3])
+@pytest.mark.parametrize("D", range(9))
+def test_derivative_triples_match_dict_route(D, axis):
+    # the exponent-arithmetic triples against one frame_derivative per monomial
+    basis = make_basis(D)
+    rows, cols, vals, shape = derivative_triples(D)[axis - 1]
+    assert shape == (basis.dim, basis.dim)
+    assert vals.dtype.kind == "i" and np.all(vals != 0)
+    assert np.all(np.diff(rows * basis.dim + cols) > 0)  # row-major, no repeats
+    expected = {}
+    for col, e in enumerate(basis.monomials):
+        for ee, c in frame_derivative(PolyScalar({e: Fraction(1)}), axis).coeffs.items():
+            assert c.denominator == 1
+            expected[(basis.index[ee], col)] = int(c)
+    assert {(int(r), int(c)): int(v) for r, c, v in zip(rows, cols, vals)} == expected
+
+
+def dense_operators(D):
+    """The dense route the triples replaced: one frame_derivative per monomial
+    column, curl from Levi-Civita blocks and star_d = curl + 2 I."""
+    basis = make_basis(D)
+    n = basis.dim
+    mats = []
+    for axis in (1, 2, 3):
+        M = np.zeros((n, n))
+        for col, e in enumerate(basis.monomials):
+            M[:, col] = basis.to_vector(frame_derivative(PolyScalar({e: 1.0}), axis))
+        mats.append(M)
+    C = np.zeros((3 * n, 3 * n))
+    for k in range(3):
+        for i in range(3):
+            for j in range(3):
+                if LEVI_CIVITA[k, i, j]:
+                    C[k * n:(k + 1) * n, j * n:(j + 1) * n] += LEVI_CIVITA[k, i, j] * mats[i]
+    return {"div": np.hstack(mats), "curl": C, "star_d": C + 2.0 * np.eye(3 * n)}
+
+
+@pytest.mark.parametrize("D", range(7))
+def test_operator_matrix_matches_dense_route(D):
+    dense = dense_operators(D)
+    for kind in ("div", "curl", "star_d"):
+        assert np.array_equal(operator_matrix(kind, D).matrix, dense[kind]), kind
 
 
 def test_operator_matrix_rejects_bad_kind():

@@ -162,14 +162,14 @@ def test_exact_subspace_is_primitive_integer_kernel():
 
 
 def test_exact_ring_rejects_non_integer_operator(monkeypatch):
-    from sdforms import polys, spectrum
+    from sdforms import polys
 
-    def halved(kind, D):
-        op = polys.operator_matrix(kind, D)
-        op.matrix = op.matrix / 2
-        return op
+    original = polys.derivative_triples
 
-    monkeypatch.setattr(spectrum, "operator_matrix", halved)
+    def halved(D):
+        return [(r, c, v / 2, shape) for r, c, v, shape in original(D)]
+
+    monkeypatch.setattr(polys, "derivative_triples", halved)
     with pytest.raises(ValueError, match="not an integer; exact ring unavailable"):
         eigen_decompose(1, ring="exact")
 
