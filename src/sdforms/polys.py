@@ -42,6 +42,8 @@ __all__ = [
     "coframe_inner",
     "operator_matrix",
     "derivative_triples",
+    "sparse_triples",
+    "exponent_index",
     "coframe_curl",
     "coframe_gram",
     "div_norms",
@@ -478,6 +480,31 @@ def _scalar_gram(D):
     return G
 
 
+def sparse_triples(flat, values, shape):
+    """Sparse (rows, cols, values, shape) triples of the entries at flat positions ``flat``.
+
+    Entries at one position add; zero sums are dropped and the result is
+    row-major, the form of :func:`derivative_triples`.
+    """
+    unique, inverse = np.unique(flat, return_inverse=True)
+    acc = np.zeros(len(unique), dtype=values.dtype)
+    np.add.at(acc, inverse, values)
+    nz = acc != 0
+    return unique[nz] // shape[1], unique[nz] % shape[1], acc[nz], shape
+
+
+def exponent_index(E, base):
+    """Function mapping exponent rows (..., 4) to their row numbers in the table E.
+
+    Every exponent must be below ``base``; each row is read as one integer
+    key in that base.
+    """
+    place = base ** np.arange(3, -1, -1)
+    keys = E @ place
+    by_key = np.argsort(keys)
+    return lambda X: by_key[np.searchsorted(keys, X @ place, sorter=by_key)]
+
+
 @lru_cache(maxsize=8)
 def derivative_triples(D):
     """The three frame-derivative matrices on the degree <= D reduced basis, sparse.
@@ -491,9 +518,7 @@ def derivative_triples(D):
     """
     E = np.array(make_basis(D).monomials, dtype=np.int64).reshape(-1, 4)
     n = len(E)
-    place = (D + 1) ** np.arange(3, -1, -1)
-    keys = E @ place
-    by_key = np.argsort(keys)
+    index = exponent_index(E, D + 1)
     out = []
     for L in LEFT_MULT:
         targets, cols, vals = [], [], []
@@ -515,16 +540,11 @@ def derivative_triples(D):
                 targets.append(B2)
                 cols.append(col[over])
                 vals.append(-v[over])
-        target_keys = np.concatenate(targets) @ place
-        rows = by_key[np.searchsorted(keys, target_keys, sorter=by_key)]
-        flat, inverse = np.unique(rows * n + np.concatenate(cols), return_inverse=True)
-        acc = np.zeros(len(flat), dtype=np.int64)
-        np.add.at(acc, inverse, np.concatenate(vals))
-        nz = acc != 0
-        entries = (flat[nz] // n, flat[nz] % n, acc[nz])
-        for a in entries:
+        rows = index(np.concatenate(targets))
+        triples = sparse_triples(rows * n + np.concatenate(cols), np.concatenate(vals), (n, n))
+        for a in triples[:3]:
             a.flags.writeable = False
-        out.append((*entries, (n, n)))
+        out.append(triples)
     return out
 
 

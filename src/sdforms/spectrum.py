@@ -34,12 +34,15 @@ products of those triples, and the harmonic bases back-substitute over the
 sparse rows of Lap.  The only dense arrays are per block: the harmonic
 basis (m, n) with m = dim of degree <= k and n = (k + 1)^2, three (n, n)
 frame blocks and the (3n, 3n) *d, its kernel and eigenvectors.  No operator
-on the whole degree <= D coframe space is formed.  The divergence residual
-and the projector defect are also taken per block, since div maps H_k^3
-into H_k and the certificate rules out leakage between blocks.  The
-eigenfields stay in block coordinates; their (3N, K) monomial coefficient
-matrix is assembled only when a caller reads :attr:`ModeSet.C` (pairings,
-evolution, field I/O).
+on the whole degree <= D coframe space is formed.  The float divergence
+residual and the projector defect are taken per block, since div maps
+H_k^3 into H_k and the certificate rules out leakage between blocks; the
+projector defect adds the relative harmonic defect of each block basis,
+which is what the assembled modes inherit.  The exact ring, whose degrees
+are small, norms its divergence residual on the assembled monomial
+coefficients under the monomial Gram.  The eigenfields stay in block
+coordinates; their (3N, K) monomial coefficient matrix is assembled only
+when a caller reads :attr:`ModeSet.C` (pairings, evolution, field I/O).
 
 Two scalar rings are supported, both on numpy alone.  The float ring
 orthonormalizes each block's harmonic basis in L^2 (the Gram factor comes
@@ -298,12 +301,15 @@ class DivergenceFreeSubspace:
     """Kernel of the divergence matrix inside the degree <= D coframe space.
 
     It is the direct sum of the divergence-free parts of the harmonic blocks
-    k = 0..D.
+    k = 0..D.  ``frame`` holds the sparse triples of the monomial E_i and
+    ``lap`` those of the frame Laplacian, as certified.
     """
 
     degree: int
     ring: str
     blocks: list
+    frame: list
+    lap: tuple
 
     @property
     def dim(self):
@@ -341,34 +347,26 @@ class DivergenceFreeSubspace:
         """Norm of (I - P) star_d P measuring *d-invariance of the subspace.
 
         It is taken block by block, P the orthogonal projector onto the
-        kernel in block coordinates; no component of the image leaves its
-        block, since the structure certificate proves that *d commutes with
-        the frame Laplacian.
+        kernel in block coordinates; the structure certificate proves that
+        *d commutes with the frame Laplacian, so no component of the image
+        leaves a block whose basis is harmonic.  The relative harmonic
+        defect of each block basis (:func:`_harmonic_defect`), the part of
+        the image that would leave it once assembled on the monomials,
+        counts too.
         """
+        offs = _degree_offsets(self.degree)
         total = 0.0
         for b in self.blocks:
             Q = np.linalg.qr(b.kernel.astype(float))[0]
             image = b.star_d.astype(float) @ Q
             total += float(np.linalg.norm(image - Q @ (Q.T @ image))) ** 2
+            total += _harmonic_defect(self.lap, offs, b.k, b.basis) ** 2
         return math.sqrt(total)
 
 
 def _degree_offsets(D):
     """Start of each degree's reduced monomials in the degree <= D basis, then N."""
     return [0, *accumulate((d + 1) ** 2 for d in range(D + 1))]
-
-
-def _coo(flat, values, shape):
-    """Sparse triples of the entries at flat positions ``flat``.
-
-    Entries at one position add; zero sums are dropped and the result is
-    row-major, in the form of :func:`sdforms.polys.derivative_triples`.
-    """
-    unique, inverse = np.unique(flat, return_inverse=True)
-    acc = np.zeros(len(unique), dtype=values.dtype)
-    np.add.at(acc, inverse, values)
-    nz = acc != 0
-    return unique[nz] // shape[1], unique[nz] % shape[1], acc[nz], shape
 
 
 def _sparse_product(A, B):
@@ -385,7 +383,7 @@ def _sparse_product(A, B):
     count = np.searchsorted(bk, ak, "right") - lo
     a = np.repeat(np.arange(len(ai)), count)
     b = np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count)
-    return _coo(ai[a] * cols + bj[b], av[a] * bv[b], (rows, cols))
+    return polys.sparse_triples(ai[a] * cols + bj[b], av[a] * bv[b], (rows, cols))
 
 
 def _frame_laplacian(D, frame):
@@ -399,8 +397,8 @@ def _frame_laplacian(D, frame):
     """
     n = frame[0][3][0]
     squares = [_sparse_product(E, E) for E in frame]
-    lap = _coo(np.concatenate([r * n + c for r, c, _, _ in squares]),
-               -np.concatenate([v for _, _, v, _ in squares]), (n, n))
+    lap = polys.sparse_triples(np.concatenate([r * n + c for r, c, _, _ in squares]),
+                               -np.concatenate([v for _, _, v, _ in squares]), (n, n))
     for i, E in enumerate(frame):
         left, right = _sparse_product(E, lap), _sparse_product(lap, E)
         if not all(np.array_equal(x, y) for x, y in zip(left[:3], right[:3])):
@@ -420,6 +418,32 @@ def _frame_laplacian(D, frame):
     return lap
 
 
+def _row_slice(A, lo, hi, cols, dtype):
+    """Rows lo:hi of the row-major sparse triples A on the columns in range ``cols``.
+
+    Returns the dense slice, one column per column index of A that occurs,
+    and those column indices.
+    """
+    r, c, v, _ = A
+    a, b = np.searchsorted(r, [lo, hi])
+    sel = a + np.flatnonzero((c[a:b] >= cols.start) & (c[a:b] < cols.stop))
+    index, inverse = np.unique(c[sel], return_inverse=True)
+    L = np.zeros((hi - lo, len(index)), dtype=dtype)
+    L[r[sel] - lo, inverse] = v[sel]
+    return L, index
+
+
+def _sparse_apply(A, V, offs):
+    """A @ V in floats for V (m, K) on the first m monomials; A never raises the degree."""
+    m = len(V)
+    out = np.zeros(V.shape)
+    for lo, hi in zip(offs, offs[1:]):
+        if lo < m:
+            L, index = _row_slice(A, lo, hi, range(m), float)
+            out[lo:hi] = L @ V[index]
+    return out
+
+
 def _harmonic_basis(lap, offs, k, scale=None):
     """The basis of H_k that is the identity on degree k, from the sparse ``lap``.
 
@@ -429,21 +453,26 @@ def _harmonic_basis(lap, offs, k, scale=None):
     ints and the result is ``scale`` times the basis; the divisions are then
     exact when ``scale`` is a multiple of prod_{j<k} (k - j)(k + j + 2).
     """
-    r, c, v, _ = lap
     dtype = float if scale is None else object
     m, n = offs[k + 1], offs[k + 1] - offs[k]
     T = np.zeros((m, n), dtype=dtype)
     T[offs[k]:] = np.eye(n, dtype=np.int64).astype(dtype) * (scale or 1)
     for j in range(k - 1, -1, -1):
-        lo, hi = np.searchsorted(r, [offs[j], offs[j + 1]])
-        sel = lo + np.flatnonzero((c[lo:hi] >= offs[j + 1]) & (c[lo:hi] < m))
-        cols, inverse = np.unique(c[sel], return_inverse=True)
-        L = np.zeros((offs[j + 1] - offs[j], len(cols)), dtype=dtype)
-        L[r[sel] - offs[j], inverse] = v[sel]
-        acc = L @ T[cols]
+        L, index = _row_slice(lap, offs[j], offs[j + 1], range(offs[j + 1], m), dtype)
+        acc = L @ T[index]
         d = (k - j) * (k + j + 2)
         T[offs[j]:offs[j + 1]] = acc // d if scale else acc / d
     return T
+
+
+def _harmonic_defect(lap, offs, k, basis):
+    """Relative defect ||Lap B - k(k + 2) B|| / (max(1, k(k + 2)) ||B||) of a block basis B.
+
+    Frobenius norms, taken in floats on the monomial coefficients that the
+    mode matrix is assembled from.
+    """
+    residual = _sparse_apply(lap, basis, offs) - k * (k + 2) * basis
+    return float(np.linalg.norm(residual) / (max(1, k * (k + 2)) * np.linalg.norm(basis)))
 
 
 def _degree_block(triples, offs, k, dtype):
@@ -472,10 +501,7 @@ def _homogeneous(d):
     """
     H = np.array([(a, b, c, d - a - b - c) for a in range(d + 1) for b in range(d - a + 1)
                   for c in range(d - a - b + 1)], dtype=np.int64).reshape(-1, 4)
-    place = (d + 1) ** np.arange(3, -1, -1)
-    keys = H @ place
-    by_key = np.argsort(keys)
-    return H, lambda X: by_key[np.searchsorted(keys, X @ place, sorter=by_key)]
+    return H, polys.exponent_index(H, d + 1)
 
 
 def _gram_factor(monomials, k, T):
@@ -553,7 +579,7 @@ def divergence_free_subspace(D, ring="float"):
         E_k = [_degree_block(E, offs, k, object if exact else float) for E in frame]
         blocks.append(_exact_block(k, lap, offs, E_k) if exact
                       else _float_block(k, lap, offs, monomials, E_k))
-    return DivergenceFreeSubspace(D, ring, blocks)
+    return DivergenceFreeSubspace(D, ring, blocks, frame, lap)
 
 
 def _integer_entries(triples):
@@ -631,18 +657,22 @@ def _eigen_decompose_exact(sub):
     """Exact multiplicities from integer kernels of S_k - (k + 2) and S_k + k.
 
     Each eigenspace is L^2-orthonormalized in floats by the R factor of its
-    coordinates under the block's Gram factor U; the divergence residual of
-    a mode is the U-norm of its image under the integer div block.
+    coordinates under the block's Gram factor.  The divergence residual of
+    a mode is taken on its assembled monomial coefficients, the column of
+    :attr:`ModeSet.C`: the sparse monomial div, normed under the monomial
+    Gram on the degree <= k monomials, a second route to the L^2 product
+    that also sees the rounding of the float block basis.
     """
     D = sub.degree
     monomials = make_basis(D).monomials
+    G = make_basis(D).gram()
+    offs = _degree_offsets(D)
     mults = {}
     lams = []
     coords = []
     residuals = []
     for b in sub.blocks:
-        U = _gram_factor(monomials[:len(b.basis)], b.k, b.basis)
-        U3 = np.kron(np.eye(3), U)
+        U3 = np.kron(np.eye(3), _gram_factor(monomials[:len(b.basis)], b.k, b.basis))
         SN = b.star_d @ b.kernel
         Y = [np.zeros((len(b.kernel), 0))]
         for lam in (-b.k, b.k + 2):
@@ -656,7 +686,10 @@ def _eigen_decompose_exact(sub):
             Y.append(np.linalg.solve(R.T, V.T).T)
             lams += [lam] * len(kernel)
         coords.append(np.hstack(Y))
-        residuals.append(U @ (b.div.astype(float) @ coords[-1]))
+        m, n = b.basis.shape
+        fields = b.basis @ coords[-1].reshape(3, n, -1)
+        div = sum(_sparse_apply(E, F, offs) for E, F in zip(sub.frame, fields))
+        residuals.append(np.sqrt(np.maximum(np.einsum("ik,ik->k", div, G[:m, :m] @ div), 0.0)))
     order = np.argsort(lams, kind="stable")
     lam = np.array(lams, dtype=int)[order]
     modes = ModeSet(D, lam.astype(float), lam, [b.basis for b in sub.blocks], coords, order)
@@ -667,7 +700,7 @@ def _eigen_decompose_exact(sub):
         window=trusted_window(D),
         multiplicities=mults,
         max_integer_deviation=0.0,
-        max_div_residual=_max_norm(residuals),
+        max_div_residual=float(np.concatenate(residuals).max(initial=0.0)),
         complete=sum(mults.values()) == sub.dim,
         forbidden_multiplicities={lam: mults.get(lam, 0) for lam in (-1, 0, 1)},
     )

@@ -21,6 +21,7 @@ from sdforms.spectrum import (
     ModeSet,
     SpectrumReport,
     _degree_offsets,
+    _eigen_decompose_exact,
     _eigen_decompose_float,
     _frame_laplacian,
     _gram_factor,
@@ -178,8 +179,15 @@ def forbidden(*args, **kwargs):
 
 @pytest.fixture
 def no_monomial_space_operators(monkeypatch):
-    for name in ("operator_matrix", "div_norms", "_div_matrix", "_scalar_gram",
-                 "coframe_gram"):
+    for name in ("operator_matrix", "div_norms", "_div_matrix"):
+        monkeypatch.setattr(polys, name, forbidden)
+
+
+@pytest.fixture
+def no_monomial_gram(monkeypatch):
+    # the exact ring norms its div residual under the monomial Gram; the
+    # float ring and the Hodge check, which reach larger D, never form it
+    for name in ("_scalar_gram", "coframe_gram"):
         monkeypatch.setattr(polys, name, forbidden)
     monkeypatch.setattr(spectrum, "coframe_gram", forbidden)
 
@@ -191,7 +199,13 @@ def test_spectrum_builds_no_monomial_space_operator(no_monomial_space_operators,
     assert report.max_div_residual <= 1e-12
 
 
-def test_hodge_check_builds_no_monomial_space_operator(no_monomial_space_operators):
+def test_float_spectrum_builds_no_monomial_gram(no_monomial_space_operators, no_monomial_gram):
+    _, report = eigen_decompose(5)
+    assert not report.verify()
+
+
+def test_hodge_check_builds_no_monomial_space_operator(no_monomial_space_operators,
+                                                       no_monomial_gram):
     rep = hodge_laplacian_check(5)
     assert rep["mu_min"] >= 4 - 1e-8
     assert rep["subspace_invariance_defect"] <= 1e-10
@@ -203,13 +217,14 @@ def test_cli_spectrum_never_assembles_mode_matrix(monkeypatch, capsys):
     assert dispatch(["spectrum", "--degree", "3", "--exact"]) == 0
 
 
+@pytest.mark.parametrize("ring", ["float", "exact"])
 @pytest.mark.parametrize("D", [3, 6])
-def test_block_residual_matches_dense_route(D):
+def test_block_residual_matches_dense_route(D, ring):
     # per-block div residual and projector defect against the assembled matrices
-    modes, report = eigen_decompose(D)
+    modes, report = eigen_decompose(D, ring=ring)
     assert report.max_div_residual <= 1e-13
     assert max(polys.div_norms(D, modes.C)) <= 1e-12
-    sub = divergence_free_subspace(D)
+    sub = divergence_free_subspace(D, ring)
     Q = np.linalg.qr(sub.matrix)[0]
     image = operator_matrix("star_d", D).matrix @ Q
     assert np.linalg.norm(image - Q @ (Q.T @ image)) <= 1e-10
@@ -225,6 +240,17 @@ def test_block_residuals_see_a_leaking_kernel():
     assert sub.projector_defect() > 1e-6
     _, report = _eigen_decompose_float(sub)
     assert report.max_div_residual > 1e-6
+
+
+@pytest.mark.parametrize("ring", ["float", "exact"])
+def test_residuals_see_a_non_harmonic_block_basis(ring):
+    # a block basis pushed off H_k reaches the assembled modes
+    sub = divergence_free_subspace(4, ring)
+    b = sub.blocks[3]
+    b.basis[1] += 1e-4
+    assert sub.projector_defect() > 1e-6
+    if ring == "exact":
+        assert _eigen_decompose_exact(sub)[1].max_div_residual > 1e-6
 
 
 @pytest.mark.parametrize("scale", [0, 2])
