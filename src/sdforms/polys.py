@@ -51,6 +51,7 @@ __all__ = [
     "right_invariant_coframe",
     "gradient_coframe",
     "monomial_table",
+    "monomial_values",
     "evaluate_monomials",
 ]
 
@@ -173,12 +174,12 @@ def monomial_table(polys):
     return np.array(exps, dtype=np.intp).reshape(-1, 4), C
 
 
-def evaluate_monomials(E, C, x):
-    """Values of the polynomials of a monomial table at points x of shape (4, ...).
+def monomial_values(E, x):
+    """Values (K, ...) of the monomials of an exponent table at points x (4, ...).
 
     Coordinates come first so that each power is built along the points, by
-    repeated multiplication up to the largest exponent in the table; the
-    result has shape (P, ...).
+    repeated multiplication up to the largest exponent in the table; every
+    step is elementwise, so a point's values do not depend on its batch.
     """
     x = np.asarray(x, dtype=float)
     V = np.ones((len(E),) + x.shape[1:])
@@ -187,6 +188,13 @@ def evaluate_monomials(E, C, x):
         for _ in range(int(E[:, nu].max(initial=0))):
             powers.append(powers[-1] * x[nu])
         V *= np.array(powers)[E[:, nu]]
+    return V
+
+
+def evaluate_monomials(E, C, x):
+    """Values (P, ...) of the polynomials of a monomial table at points x (4, ...)."""
+    x = np.asarray(x, dtype=float)
+    V = monomial_values(E, x)
     return (C.T @ V.reshape(len(E), x[0].size)).reshape(C.shape[1:] + x.shape[1:])
 
 

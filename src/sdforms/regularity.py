@@ -18,7 +18,7 @@ from math import exp, log1p
 
 import numpy as np
 
-from .selfdual import stencil_laplacian, stencil_points
+from .selfdual import stencil_batch, stencil_laplacian
 
 __all__ = [
     "MoserEvaluation",
@@ -104,14 +104,25 @@ def moser_sweep_csv(c_values, path=None, N=200):
 
 
 def sqrt_elliptic_check(sdf, x, h, zero_tol=1e-8):
-    """Finite-difference Laplacian of |omega|^(1/2) at x.
+    """Finite-difference Laplacian of |omega|^(1/2) at points x.
 
-    For closed self-dual forms on flat space this is nonnegative; the
-    returned value should only dip below zero by the stencil error C h^2.
-    Rejects points where |omega| is too small for the square root to be
-    differentiable, and stencils that reach the origin.
+    For closed self-dual forms on flat space this is nonnegative; the value
+    should only dip below zero by the stencil error C h^2.  A point is
+    rejected where |omega| <= zero_tol, too small for the square root to be
+    differentiable, and where its stencil reaches the origin.
+
+    For points of shape (..., 4) with more than one axis, returns the values
+    (NaN where rejected) and the mask of points not rejected, both of shape
+    x.shape[:-1].  For one point of shape (4,), returns the value as a float
+    and raises ValueError where the point is rejected.
     """
-    norms = sdf.norm(stencil_points(x, h))
-    if norms[0] <= zero_tol:
+    def rule(sdf, S, h):
+        norms = sdf.norm(S)
+        return stencil_laplacian(np.sqrt(norms), h), ~(norms[0] <= zero_tol)
+
+    values, accepted = stencil_batch(rule, sdf, x, h)
+    if np.ndim(x) > 1:
+        return values, accepted
+    if not accepted:
         raise ValueError("|omega| vanishes at x; |omega|^(1/2) is not smooth there")
-    return float(stencil_laplacian(np.sqrt(norms), h))
+    return float(values)

@@ -21,10 +21,12 @@ from sdforms.ale import (
     frame_pairing_poly,
     grad_energy_boundary,
     grad_energy_volume,
+    grad_norm_sq_batch,
     sup_grad,
 )
 from sdforms.frames import RIGHT_MULT
-from sdforms.selfdual import d_residual, star_two_form, wedge_norm_sq
+from sdforms.quadrature import s3_quadrature
+from sdforms.selfdual import EVAL_BLOCK, SelfDualForm, d_residual, star_two_form
 
 
 def random_points(n, seed=0, lo=0.5, hi=4.0):
@@ -308,6 +310,101 @@ def test_energy_computed_constant_vs_paper_values():
     assert_allclose(computed, refs["computed_expected"], rtol=1e-8)
     assert not np.isclose(computed, refs["reference_area_form"], rtol=0.3)
     assert not np.isclose(computed, refs["reference_prose"], rtol=0.3)
+
+
+def grad_norm_sq_christoffel(params, X, h=1e-4):
+    """Oracle of grad_norm_sq_batch: the dense 4^4 Christoffel tensor, by einsum.
+
+    Returns |grad omega|^2 and the same sum with every term taken in absolute
+    value, the scale of the cancellation between derivative and connection.
+    """
+    flat = np.asarray(X, dtype=float).reshape(-1, 4)
+    t = np.linalg.norm(flat, axis=-1)
+    f = params.epsilon ** 2 + t ** -2
+    step = (h * t)[None, :, None] * np.eye(4)[:, None, :]
+    M = ak_matrix_batch(params, np.concatenate([flat[None], flat + step, flat - step]))
+    omega = M[0]
+    grad = ((M[1:5] - M[5:]) / (2.0 * h * t)[None, :, None, None]).swapaxes(0, 1)
+    # Gamma^p_sm = delta^p_s phi_m + delta^p_m phi_s - delta_sm phi^p, phi = grad log f
+    phi = (-2.0 / t ** 4 / f)[:, None] * flat
+    eye = np.eye(4)
+    gamma = (np.einsum("ps,km->kpsm", eye, phi)
+             + np.einsum("pm,ks->kpsm", eye, phi)
+             - np.einsum("sm,kp->kpsm", eye, phi))
+    conn = (np.einsum("kpsm,kpn->ksmn", gamma, omega)
+            + np.einsum("kpsn,kmp->ksmn", gamma, omega))
+    nabla = grad - conn
+    scale = np.abs(grad) + np.abs(conn)
+    return (0.5 * np.einsum("ksmn,ksmn->k", nabla, nabla) / f ** 6,
+            0.5 * np.einsum("ksmn,ksmn->k", scale, scale) / f ** 6)
+
+
+@pytest.mark.parametrize("alpha,beta", [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.6, -1.3)])
+def test_closed_form_connection_matches_christoffel_oracle(alpha, beta):
+    params = AKFormParams(alpha, beta, 0.1)
+    A = 100.0
+    rng = np.random.default_rng(34)
+    for lo, hi in ((0.0, A), (-A, 0.0)):
+        t = params.model.t_of_rho(rng.uniform(lo, hi, 300))
+        X = rng.standard_normal((300, 4))
+        X *= (t / np.linalg.norm(X, axis=1))[:, None]
+        q = grad_norm_sq_batch(params, X)
+        oracle, scale = grad_norm_sq_christoffel(params, X)
+        if lo == 0.0:
+            # from the neck out to rho = A nothing cancels
+            assert np.max(np.abs(q - oracle) / oracle) <= 1e-13
+        # toward the minus end the beta t^-4 form has flat components of
+        # size t^-4 whose derivative and connection terms cancel to a small
+        # curved norm: the routes agree relative to the cancelling terms
+        assert np.max(np.abs(q - oracle) / scale) <= 1e-13
+
+
+def test_grad_norm_sq_batch_keeps_point_shape():
+    params = AKFormParams(1.0, 1.0, 0.2)
+    X = random_points(3 * EVAL_BLOCK // 9 + 5, seed=35).reshape(-1, 1, 4)
+    q = grad_norm_sq_batch(params, X)
+    assert q.shape == X.shape[:-1]
+    assert_allclose(q.ravel(), grad_norm_sq_christoffel(params, X)[0], rtol=1e-13)
+
+
+def test_energy_volume_compiles_once_and_sums_every_shell(monkeypatch):
+    # a few shells per block: the blocked sum equals the shell-by-shell sum,
+    # from one compiled form and at most EVAL_BLOCK points per evaluation
+    from sdforms import ale
+
+    params = AKFormParams(1.0, 1.0, 0.2)
+    pts, ws = s3_quadrature(4)
+    assert EVAL_BLOCK // 9 // len(pts) >= 2
+    rhos, wr = ale._radial_panels(params.epsilon, 20.0, 3)
+    expected = 0.0
+    for rho, w in zip(rhos, wr):
+        t = float(params.model.t_of_rho(rho))
+        f = params.epsilon ** 2 + t ** -2
+        expected += w * float(ws @ grad_norm_sq_batch(params, t * pts)) * t ** 3 * f ** 3
+    built, batches = [], []
+    call = SelfDualForm.__call__
+    monkeypatch.setattr(ale, "ak_form", lambda p: built.append(p) or ak_form(p))
+    monkeypatch.setattr(SelfDualForm, "__call__",
+                        lambda self, x: batches.append(np.size(x) // 4) or call(self, x))
+    volume = grad_energy_volume(params, 20.0, n_radial=3, n_sphere=4)
+    assert_allclose(volume, expected, rtol=1e-13)
+    assert len(built) == 1
+    assert max(batches) <= EVAL_BLOCK
+    assert sum(batches) == 9 * len(rhos) * len(pts)
+
+
+def test_sphere_rule_resolves_the_energy_density():
+    # the shell integrals of the density change by less than 1e-9 when the
+    # sphere rule of grad_energy_volume (n_sphere = 8) is doubled; at
+    # rho = +-A the density is ~5e-14, at the rounding floor of its h = 1e-4
+    # stencil, and the noise there moves the shell integral by up to ~3e-7
+    params = AKFormParams(1.0, 1.0, 0.1)
+    A = 100.0
+    rules = [s3_quadrature(8), s3_quadrature(16)]
+    for rho, rtol in ((0.0, 1e-9), (0.1, 1e-9), (-0.1, 1e-9), (A, 1e-6), (-A, 1e-6)):
+        t = float(params.model.t_of_rho(rho))
+        coarse, fine = (float(ws @ grad_norm_sq_batch(params, t * pts)) for pts, ws in rules)
+        assert abs(coarse - fine) <= rtol * abs(fine), rho
 
 
 def test_energy_extrapolation_instability_flagged():

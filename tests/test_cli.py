@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -351,6 +352,49 @@ def test_elliptic_reports_true_worst_margin(capsys):
     assert len(d["worst_margin_x"]) == 4
 
 
+def test_elliptic_fails_when_no_point_is_checked(capsys, monkeypatch):
+    # a check that rejects every point has evaluated nothing, which must fail
+    def rejects_all(sdf, x, h):
+        return np.full(len(x), np.nan), np.zeros(len(x), dtype=bool)
+
+    monkeypatch.setattr("sdforms.cli.regularity.sqrt_elliptic_check", rejects_all)
+    code, rep = run(capsys, "verify", "elliptic", "--samples", "5")
+    assert code == 1
+    assert rep["details"]["points_checked"] == 0
+    assert rep["details"]["worst_margin"] is None
+    assert [f["reason"] for f in rep["failures"]] == [
+        "no point where |omega|^(1/2) could be checked"]
+
+
+def test_elliptic_reports_each_violating_point(capsys, monkeypatch):
+    def negative(sdf, x, h):
+        return np.full(len(x), -1.0), np.ones(len(x), dtype=bool)
+
+    monkeypatch.setattr("sdforms.cli.regularity.sqrt_elliptic_check", negative)
+    code, rep = run(capsys, "verify", "elliptic", "--samples", "5")
+    assert code == 1
+    assert rep["details"]["points_checked"] == 5
+    assert rep["details"]["worst_margin"] < 0
+    assert len(rep["failures"]) == 5
+    assert {f["reason"] for f in rep["failures"]} == {"sqrt-norm subharmonicity violated"}
+
+
+def test_kato_batches_stay_within_the_block(capsys, monkeypatch):
+    # the points go through in blocks, so no evaluation sees more than
+    # EVAL_BLOCK points however many samples are asked for
+    from sdforms.selfdual import EVAL_BLOCK, SelfDualForm
+
+    batches = []
+    call = SelfDualForm.__call__
+    monkeypatch.setattr(SelfDualForm, "__call__",
+                        lambda self, x: batches.append(np.size(x) // 4) or call(self, x))
+    code, rep = run(capsys, "verify", "kato", "--samples", "5000")
+    assert code == 0
+    assert set(rep["details"]["points_evaluated_per_form"].values()) == {5000}
+    assert max(batches) <= EVAL_BLOCK
+    assert sum(batches) == 3 * 9 * 5000
+
+
 @pytest.mark.parametrize("suite", ["frames", "kato", "elliptic", "hodge"])
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_verify_rejects_nonpositive_samples(capsys, suite, samples):
@@ -369,7 +413,10 @@ def test_kato_reports_points_evaluated(capsys):
 
 def test_kato_fails_when_a_form_has_no_points(capsys, monkeypatch):
     # a ratio that is undefined everywhere checks nothing, which must fail
-    monkeypatch.setattr("sdforms.cli.selfdual.kato_ratio", lambda sdf, x, h: None)
+    def undefined(sdf, x, h):
+        return np.full(len(x), np.nan), np.ones(len(x), dtype=bool)
+
+    monkeypatch.setattr("sdforms.cli.selfdual.kato_ratio", undefined)
     code, rep = run(capsys, "verify", "kato", "--samples", "5")
     assert code == 1
     assert set(rep["details"]["points_evaluated_per_form"].values()) == {0}

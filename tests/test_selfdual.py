@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from sdforms import selfdual
 from sdforms.evolution import decompose_initial
 from sdforms.polys import CoframeField, left_invariant_coframe, right_invariant_coframe
+from sdforms.regularity import sqrt_elliptic_check
 from sdforms.selfdual import (
     SelfDualForm,
     ball_orthogonality,
@@ -75,6 +77,25 @@ def test_two_form_maps_on_stacks():
             assert_allclose(wedge[i, k], wedge_norm_sq(M[i, k]), rtol=0, atol=1e-14)
             assert_allclose(inv[i, k], f_t_inverse(xi[i, k], x[i, k]), rtol=0, atol=1e-14)
             assert_allclose(fwd[i, k], f_t_map(M[i, k], x[i, k]), rtol=0, atol=1e-14)
+
+
+def dense_f_inverse():
+    """F^{-1} as a 16x16 matrix on flattened n (x) xi: (A + *A) / sqrt(2), A = n ^ xi."""
+    transpose = np.eye(16).reshape(4, 4, 16).swapaxes(0, 1).reshape(16, 16)
+    return (np.eye(16) + selfdual._STAR) @ (np.eye(16) - transpose) / np.sqrt(2.0)
+
+
+def test_self_dual_matches_dense_f_inverse_oracle():
+    rng = np.random.default_rng(33)
+    n = rng.standard_normal((4, 200))
+    n /= np.linalg.norm(n, axis=0)
+    xi = rng.standard_normal((4, 200))
+    M = selfdual._self_dual(n, xi)
+    dense = (dense_f_inverse() @ (n[:, None] * xi[None]).reshape(16, -1)).reshape(4, 4, -1)
+    assert_allclose(M, dense, rtol=0, atol=1e-15 * np.max(np.abs(dense)))
+    M = np.moveaxis(M, -1, 0)
+    assert np.array_equal(star_two_form(M), M)
+    assert np.array_equal(M, -M.swapaxes(-1, -2))
 
 
 def test_star_two_form_matches_index_definition():
@@ -332,6 +353,50 @@ def test_kato_ratio_rejects_vanishing_norm():
                          (-1.0, 2, left_invariant_coframe(2))])
     with pytest.raises(ValueError):
         kato_ratio(zero, np.array([1.0, 0, 0, 0]), 1e-3)
+
+
+# ----------------------------------------------------------------- batched stencil checks
+
+def batch_test_forms():
+    from sdforms.ale import AKFormParams, ak_form
+
+    return {
+        "ak_mixed": ak_form(AKFormParams(1.0, 1.0, 0.2)),
+        "kahler_plus_decaying": SelfDualForm([(0.5, 2, left_invariant_coframe(1)),
+                                              (1.5, -2, right_invariant_coframe(2))]),
+        "constant": SelfDualForm.kahler(3),       # ratio undefined everywhere
+        "zero": SelfDualForm([(1.0, 2, left_invariant_coframe(2)),
+                              (-1.0, 2, left_invariant_coframe(2))]),   # rejected everywhere
+    }
+
+
+@pytest.mark.parametrize("check", [kato_ratio, sqrt_elliptic_check])
+def test_batched_check_equals_point_loop_bit_for_bit(check):
+    # a batch is the one-point case applied to each point: same value bit for
+    # bit, NaN where one point gives None, rejected where one point raises
+    h = 1e-4
+    near_origin = np.array([[1.5e-4, 0.0, 0.0, 0.0], [0.0, -1e-4, 1e-4, 0.0]])
+    pts = np.concatenate([random_points(40, seed=32), near_origin]).reshape(2, 21, 4)
+    outcomes = set()
+    for name, sdf in batch_test_forms().items():
+        values, accepted = check(sdf, pts, h)
+        assert values.shape == accepted.shape == (2, 21), name
+        for x, value, ok in zip(pts.reshape(-1, 4), values.ravel(), accepted.ravel()):
+            try:
+                single = check(sdf, x, h)
+            except ValueError:
+                assert not ok and np.isnan(value), name
+                outcomes.add("rejected")
+                continue
+            assert ok, name
+            if single is None:
+                assert np.isnan(value), name
+                outcomes.add("undefined")
+            else:
+                assert np.float64(single).tobytes() == np.float64(value).tobytes(), name
+                outcomes.add("value")
+    expected = {"rejected", "value"} | ({"undefined"} if check is kato_ratio else set())
+    assert outcomes == expected
 
 
 # ----------------------------------------------------------------- orthogonality
