@@ -35,7 +35,7 @@ import numpy as np
 
 from .polys import left_invariant_coframe, right_invariant_coframe, sphere_integral
 from .quadrature import radial_gauss, s3_quadrature
-from .selfdual import EVAL_BLOCK, SelfDualForm, stencil_batch, wedge_norm_sq
+from .selfdual import SelfDualForm, stencil_batch, wedge_norm_sq
 
 __all__ = [
     "ALEModel",
@@ -319,7 +319,7 @@ def ak_matrix_batch(params, X):
 
 #: the index pairs m < n of a 2-form's independent components, and which of
 #: them have m = s or n = s, for each axis s
-_PAIR_M, _PAIR_N = np.triu_indices(4, 1)
+_PAIR_M, _PAIR_N = np.array([0, 0, 0, 1, 1, 2]), np.array([1, 2, 3, 2, 3, 3])
 _AT_M = (_PAIR_M == np.arange(4)[:, None])[..., None]
 _AT_N = (_PAIR_N == np.arange(4)[:, None])[..., None]
 
@@ -392,21 +392,19 @@ def grad_energy_volume(params, A, n_radial=12, n_sphere=8, h=1e-4):
     sphere rule and radial Gauss panels (log-spaced toward rho = 0, where
     the energy density concentrates on the eps scale).  The measure reduces
     to f^3 t^3 d rho d sigma against the curved gradient density.  The form
-    is compiled once, and the shells go through a few at a time, as many as
-    fill one evaluation block.
+    is compiled once for all shells.
     """
     model = params.model
     rhos, wr = _radial_panels(params.epsilon, A, n_radial)
     pts, ws = s3_quadrature(n_sphere)
     sdf = ak_form(params)
     rule = _grad_norm_sq_rule(params.epsilon)
-    shells_per_block = max(1, EVAL_BLOCK // 9 // len(pts))
     total = 0.0
-    for start in range(0, len(rhos), shells_per_block):
-        t = model.t_of_rho(rhos[start:start + shells_per_block])
+    for rho, w in zip(rhos, wr):
+        t = float(model.t_of_rho(rho))
         f = params.epsilon ** 2 + t ** -2
-        q, _ = stencil_batch(rule, sdf, t[:, None, None] * pts, h, scaled=True)
-        total += float(np.sum(wr[start:start + shells_per_block] * (q @ ws) * t ** 3 * f ** 3))
+        q, _ = stencil_batch(rule, sdf, t * pts, h, scaled=True)
+        total += w * float(ws @ q) * t ** 3 * f ** 3
     return total
 
 

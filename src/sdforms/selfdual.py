@@ -54,7 +54,7 @@ _SQRT2 = np.sqrt(2.0)
 #: stencil checks (kato_ratio, sqrt_elliptic_check) and the ALE energy
 #: density: they take their points in blocks of EVAL_BLOCK // 9 stencils, so
 #: their temporaries stay the same size however many points they are given
-EVAL_BLOCK = 1152
+EVAL_BLOCK = 2304
 
 # The private evaluators keep components on the leading axes, (4, ...) for
 # points and covectors and (4, 4, ...) for 2-forms, so that each elementwise
@@ -210,13 +210,15 @@ class SelfDualForm:
     def __call__(self, x):
         # F^{-1} and the contraction are linear, so the weighted frame
         # components of all terms are summed before either is applied; the
-        # sums run in a fixed order along the points, never in a matrix product
+        # sums run over the table's nonzeros in a fixed order along the
+        # points, never in a matrix product
         x = np.asarray(x, dtype=float)
         n, t = _radial_split(x.reshape(-1, 4))
         E, C, c, lam = self._compiled
+        V = monomial_values(E, n)
         A = np.zeros((C.shape[1], t.size))
-        for coefficients, values in zip(C, monomial_values(E, n)):
-            A += coefficients[:, None] * values
+        for k, p in zip(*np.nonzero(C)):
+            A[p] += C[k, p] * V[k]
         a = np.zeros((3, t.size))
         for j in range(len(c)):
             a += (c[j] * t ** (lam[j] - 2.0)) * A[3 * j:3 * j + 3]
@@ -242,13 +244,17 @@ def _stencils(x, step):
     return np.concatenate([x[None], x + d, x - d])
 
 
+def _leaves_annulus(step, t):
+    """The error for a stencil of the given step that reaches the origin from |x| = t."""
+    return ValueError(f"stencil of radius {2 * step} leaves the annulus at |x| = {t}")
+
+
 def stencil_points(x, h):
     """The 9-point stencil [x, x + h e_m, x - h e_m] of x, shape (9, 4); needs |x| > 2h."""
     x = np.asarray(x, dtype=float)
-    t = float(np.linalg.norm(x))
+    t = _radius(x)
     if t - 2.0 * h <= 0.0:
-        raise ValueError(
-            f"stencil of radius 2h = {2 * h} leaves the annulus at |x| = {t}")
+        raise _leaves_annulus(h, t)
     return _stencils(x[None], h)[:, 0]
 
 
@@ -270,7 +276,7 @@ def stencil_batch(rule, sdf, x, h, scaled=False):
     step = h * t if scaled else np.full_like(t, h)
     inside = np.flatnonzero(t - 2.0 * step > 0.0)
     if x.ndim == 1 and not inside.size:
-        raise ValueError(f"stencil of radius {2 * step[0]} leaves the annulus at |x| = {t[0]}")
+        raise _leaves_annulus(step[0], t[0])
     values = np.full(len(flat), np.nan)
     accepted = np.zeros(len(flat), dtype=bool)
     size = EVAL_BLOCK // 9

@@ -245,6 +245,42 @@ def test_series_batch_matches_one_point_values():
                             err_msg=name)
 
 
+def dense_table_series(sdf, x):
+    """The series evaluator with the dense monomial contraction (oracle).
+
+    Every row of the monomial table is added, zeros included, in the order
+    of the rows; the evaluator adds only the nonzero entries.
+    """
+    from sdforms.polys import monomial_values
+
+    n, t = selfdual._radial_split(x.reshape(-1, 4))
+    E, C, c, lam = sdf._compiled
+    A = np.zeros((C.shape[1], t.size))
+    for coefficients, values in zip(C, monomial_values(E, n)):
+        A += coefficients[:, None] * values
+    a = np.zeros((3, t.size))
+    for j in range(len(c)):
+        a += (c[j] * t ** (lam[j] - 2.0)) * A[3 * j:3 * j + 3]
+    M = selfdual._self_dual(n, selfdual._covector(a, n))
+    return M.transpose(2, 0, 1).reshape(x.shape[:-1] + (4, 4))
+
+
+def test_series_sums_table_nonzeros_like_dense_contraction():
+    from sdforms.ale import AKFormParams, ak_form
+
+    modes_d3 = eigen_decompose(3)[0]
+    rng = np.random.default_rng(32)
+    eta0 = CoframeField.zero()
+    for mode in modes_d3[::3]:
+        eta0 = eta0 + mode.field * float(rng.uniform(0.5, 1.5))
+    pts = random_points(300, seed=33).reshape(3, 100, 4)
+    for sdf in (ak_form(AKFormParams(1.0, 1.0, 0.2)),
+                SelfDualForm.from_expansion(decompose_initial(eta0, modes_d3))):
+        E, C, c, lam = sdf._compiled
+        assert 0 < np.count_nonzero(C) < C.size
+        np.testing.assert_array_equal(sdf(pts), dense_table_series(sdf, pts))
+
+
 # ----------------------------------------------------------------- closedness
 
 def test_d_residual_constant_form():
