@@ -8,7 +8,21 @@ synthesizes the corresponding closed self-dual 2-forms on flat R^4 and on an
 explicit 2-ended scalar-flat ALE family, together with verification
 pipelines for the curvature identities, the sharpened Kato bound, shell
 orthogonality, gradient-energy laws and the flat-or-fast decay dichotomy.
+
+Importing the package before numpy pins OpenBLAS to one thread unless the
+caller set a BLAS thread count: the matrices here have at most a few hundred
+rows at the usual degrees, where a second thread costs CPU and buys no wall
+time, and a threaded product's rounding depends on the core count.  A numpy
+already imported by a host program is left alone.
 """
+
+import os as _os
+import sys as _sys
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                     "GOTO_NUM_THREADS", "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+if "numpy" not in _sys.modules and not any(v in _os.environ for v in _BLAS_THREAD_VARS):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .ale import (
     AKFormParams,

@@ -102,13 +102,14 @@ class ALEModel:
 
         Cancellation-free on both ends: the direct root for rho >= 0, the
         conjugate rewrite 2 / (sqrt(rho^2 + 4 eps^2) - rho) for rho < 0.
+        Both are written through half = (|rho| + hypot(rho, 2 eps)) / 2,
+        which overflows for no float rho; a t past the float range is inf.
         """
         self._require_curved("t_of_rho")
         rho = np.asarray(rho, dtype=float)
-        disc = np.sqrt(rho ** 2 + 4.0 * self.epsilon ** 2)
-        plus = (rho + disc) / (2.0 * self.epsilon ** 2)
-        minus = 2.0 / (disc - rho)
-        return np.where(rho >= 0, plus, minus)
+        half = 0.5 * np.abs(rho) + 0.5 * np.hypot(rho, 2.0 * self.epsilon)
+        with np.errstate(over="ignore"):
+            return np.where(rho >= 0, half / self.epsilon ** 2, 1.0 / half)
 
     def warp_identity_residual(self, t):
         """|(eps^2 t + 1/t)^2 - (rho^2 + 4 eps^2)|, identically zero."""
@@ -123,23 +124,25 @@ class ALEModel:
         return float((4.0 * self.epsilon ** 2) ** 1.5 * 2.0 * pi ** 2)
 
     def metric_eval(self, x):
-        """Metric matrix at x: conformal factor squared times the identity."""
+        """Metric matrices at points x of shape (..., 4): conformal factor
+        squared times the identity, shape (..., 4, 4)."""
         x = np.asarray(x, dtype=float)
-        t = np.linalg.norm(x)
-        if t == 0.0:
+        t = np.linalg.norm(x, axis=-1)
+        if np.any(t == 0.0):
             raise ValueError("the metric lives on R^4 minus the origin")
-        return self.conformal_factor(t) ** 2 * np.eye(4)
+        return (self.conformal_factor(t) ** 2)[..., None, None] * np.eye(4)
 
     def _christoffel_fd(self, x, step):
-        dg = np.empty((4, 4, 4))
-        for m in range(4):
-            dx = np.zeros(4)
-            dx[m] = step
-            dg[m] = (self.metric_eval(x + dx) - self.metric_eval(x - dx)) / (2 * step)
+        """Gamma^s_mn at points x (..., 4), shape (..., 4, 4, 4), from central
+        differences of metric_eval, steps broadcast against x.shape[:-1]."""
+        shift = step[..., None, None] * np.eye(4)
+        centre = x[..., None, :]
+        dg = ((self.metric_eval(centre + shift) - self.metric_eval(centre - shift))
+              / (2 * step)[..., None, None, None])
         ginv = np.linalg.inv(self.metric_eval(x))
-        gam = 0.5 * (np.einsum("sr,mrn->smn", ginv, dg)
-                     + np.einsum("sr,nrm->smn", ginv, dg)
-                     - np.einsum("sr,rmn->smn", ginv, dg))
+        gam = 0.5 * (np.einsum("...sr,...mrn->...smn", ginv, dg)
+                     + np.einsum("...sr,...nrm->...smn", ginv, dg)
+                     - np.einsum("...sr,...rmn->...smn", ginv, dg))
         return gam
 
     def ricci_closed_form(self, x):
@@ -161,26 +164,28 @@ class ALEModel:
         standard coordinate Ricci formula with the Gamma derivatives also by
         central differences.  The stencil is h times the local radius, since
         the conformal factor varies on the scale of t; the relative deviation
-        from the closed form is then O(h^2) uniformly over the model.
+        from the closed form is then O(h^2) uniformly over the model.  Takes
+        points of shape (..., 4) and returns (..., 4, 4); the Christoffel
+        symbols of every point and its eight neighbours are one batch.
         """
         self._require_curved("Ricci curvature")
         x = np.asarray(x, dtype=float)
-        t = float(np.linalg.norm(x))
+        t = np.linalg.norm(x, axis=-1)
         step = h * t
-        if t <= 2 * step or step == 0.0:
+        if np.any((t <= 2 * step) | (step == 0.0)):
             raise ValueError("stencil of radius 2 h |x| reaches the origin")
-        dgam = np.empty((4, 4, 4, 4))
-        for m in range(4):
-            dx = np.zeros(4)
-            dx[m] = step
-            dgam[m] = (self._christoffel_fd(x + dx, step)
-                       - self._christoffel_fd(x - dx, step)) / (2 * step)
-        gam = self._christoffel_fd(x, step)
-        ric = (np.einsum("ssmn->mn", dgam)
-               - np.einsum("nsms->mn", dgam)
-               + np.einsum("ssr,rmn->mn", gam, gam)
-               - np.einsum("snr,rms->mn", gam, gam))
-        return 0.5 * (ric + ric.T)
+        shift = step[..., None, None] * np.eye(4)
+        centre = x[..., None, :]
+        stencil = np.concatenate([centre, centre + shift, centre - shift], axis=-2)
+        gam = self._christoffel_fd(stencil, step[..., None])
+        dgam = ((gam[..., 1:5, :, :, :] - gam[..., 5:, :, :, :])
+                / (2 * step)[..., None, None, None, None])
+        gam = gam[..., 0, :, :, :]
+        ric = (np.einsum("...ssmn->...mn", dgam)
+               - np.einsum("...nsms->...mn", dgam)
+               + np.einsum("...ssr,...rmn->...mn", gam, gam)
+               - np.einsum("...snr,...rms->...mn", gam, gam))
+        return 0.5 * (ric + np.swapaxes(ric, -1, -2))
 
     def ricci_norm_sq(self, x):
         """|Ric|^2 in the curved metric; equals 192 eps^4/(rho^2+4 eps^2)^4."""
@@ -244,10 +249,14 @@ def ak_norm_sq_closed_form(params, t, pairing):
     """
     a, b, eps = params.alpha, params.beta, params.epsilon
     t = np.asarray(t, dtype=float)
-    f = eps ** 2 + t ** -2
-    return (a ** 2 * eps ** 8
-            + 2 * a * b * eps ** 4 * t ** -4 * np.asarray(pairing)
-            + b ** 2 * t ** -8) / f ** 4
+    # numerator and f^4 share the factor t^-8; in w = (eps t)^2 the norm is
+    # a^2 q^4 + 2 a b pairing q^2 r^2 + b^2 r^4 with r = 1 / (1 + w), q = w r,
+    # which overflows for no t once w is capped at 1e300 (q is 1, r^2 is 0 there)
+    with np.errstate(over="ignore"):
+        w = np.minimum((eps * t) ** 2, 1e300)
+    r = 1.0 / (1.0 + w)
+    q = w * r
+    return a ** 2 * q ** 4 + 2 * a * b * np.asarray(pairing) * q ** 2 * r ** 2 + b ** 2 * r ** 4
 
 
 def ak_form_eval(params, x):
@@ -491,7 +500,8 @@ def decay_classify(profile):
     if np.any(rho == 0) or np.any(rho > 0) and np.any(rho < 0):
         raise ValueError("profile must stay on a single end (one sign of rho)")
     r = np.abs(rho)
-    if r.max() / r.min() < 10.0:
+    # max / 10 < min, not max / min < 10: the ratio overflows for tiny min
+    if r.max() / 10.0 < r.min():
         raise ValueError("profile must span at least one decade of rho")
     if not np.all(np.isfinite(val)):
         bad = ~np.isfinite(val)

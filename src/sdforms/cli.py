@@ -305,15 +305,12 @@ def _ale_curvature(args, params):
                          abs(model.ricci_norm_sq(x) - expected) / expected)
         worst_scalar = max(worst_scalar, abs(model.scalar_curvature(x)))
     rhos_fd = rng.uniform(-1.0, 5.0, args.ricci_samples)
-    worst_fd = 0.0
-    worst_x = None
-    for u, rho in zip(dirs, rhos_fd):
-        x = float(model.t_of_rho(rho)) * u
-        closed = model.ricci_closed_form(x)
-        fd = model.ricci_numeric(x, args.h)
-        rel = float(np.max(np.abs(closed - fd)) / np.max(np.abs(closed)))
-        if rel > worst_fd:
-            worst_fd, worst_x = rel, x
+    X = model.t_of_rho(rhos_fd)[:, None] * dirs
+    closed = np.array([model.ricci_closed_form(x) for x in X])
+    rel = (np.max(np.abs(closed - model.ricci_numeric(X, args.h)), axis=(1, 2))
+           / np.max(np.abs(closed), axis=(1, 2)))
+    worst = int(np.argmax(rel))
+    worst_fd, worst_x = float(rel[worst]), X[worst]
     order = None
     if worst_fd > 1e-9:
         closed = model.ricci_closed_form(worst_x)

@@ -13,8 +13,9 @@ closed self-dual forms by finite differences; it is nonnegative up to
 stencil error (the scalar-flat case of the improved elliptic inequality).
 """
 
+import sys
 from dataclasses import dataclass
-from math import exp, log1p
+from math import exp, log, log1p
 
 import numpy as np
 
@@ -26,6 +27,9 @@ __all__ = [
     "moser_sweep_csv",
     "sqrt_elliptic_check",
 ]
+
+#: largest c with e^c finite
+LOG_FLOAT_MAX = log(sys.float_info.max)
 
 
 @dataclass
@@ -57,13 +61,16 @@ def moser_product(c, N=200, convergence_tol=1e-12):
     partial products converge; convergence is flagged once the relative
     change of the log falls below the tolerance.  The claimed bound is e^c;
     the ratio product/bound exceeds 1 for c of order one and tends to 1 as
-    c -> 0.  Raises ValueError when e^c or the product overflows a float
-    (c above about 709).
+    c -> 0.  Raises ValueError when e^c overflows a float (c above
+    log(float max), about 709.78); the product is at most
+    (2 (1 + c))^2 and cannot overflow first.
     """
     if c < 0:
         raise ValueError(f"the product needs c >= 0, got {c}")
     if N < 0:
         raise ValueError(f"need N >= 0, got {N}")
+    if c > LOG_FLOAT_MAX:
+        raise ValueError(f"c = {c} is too large: e^c or the product overflows a float")
     log_total = 0.0
     converged = False
     for i in range(N + 1):
@@ -72,11 +79,8 @@ def moser_product(c, N=200, convergence_tol=1e-12):
         if log_total > 0 and term <= convergence_tol * log_total:
             converged = True
             break
-    try:
-        product = exp(log_total)
-        bound = exp(c)
-    except OverflowError:
-        raise ValueError(f"c = {c} is too large: e^c or the product overflows a float") from None
+    product = exp(log_total)
+    bound = exp(c)
     # ratio from the log difference keeps precision when both sides are ~1
     ratio = exp(log_total - c)
     return MoserEvaluation(

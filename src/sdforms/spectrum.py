@@ -47,12 +47,12 @@ when a caller reads :attr:`ModeSet.C` (pairings, evolution, field I/O).
 Two scalar rings are supported, both on numpy alone.  The float ring
 orthonormalizes each block's harmonic basis in L^2 (the Gram factor comes
 from the Fischer product of the homogeneous forms, see
-:func:`_gram_factor`), takes the divergence-free kernel by an SVD and
-solves one standard symmetric eigenproblem per block.  The exact ring
-certifies multiplicities by exact integer kernel ranks of the block shifts
-*d - (k + 2) and *d + k; when these kernels span a block (the completeness
-count) no other value, in particular none of -1, 0, +1, is an eigenvalue
-there.
+:func:`_gram_factor`), takes the divergence-free kernel by a complete QR
+(:func:`_null_space`) and solves one standard symmetric eigenproblem per
+block.  The exact ring certifies multiplicities by exact integer kernel
+ranks of the block shifts *d - (k + 2) and *d + k; when these kernels span
+a block (the completeness count) no other value, in particular none of
+-1, 0, +1, is an eigenvalue there.
 """
 
 import math
@@ -486,10 +486,22 @@ def _degree_block(triples, offs, k, dtype):
 
 
 def _null_space(A):
-    """Orthonormal basis of the right nullspace of A, by an SVD."""
-    _, s, vh = np.linalg.svd(A)
+    """Orthonormal basis of the right nullspace of A, of shape (m, n) with m <= n.
+
+    A complete QR of A^T = Q R gives A = R1^T Q1^T with R1 the m x m top of R,
+    so the nullspace is Q2 (the last n - m columns of Q) plus Q1 times the
+    left singular vectors of R1 below the rank tolerance.  R1 has the
+    singular values of A, so the tolerance is the one an SVD of A would use,
+    without forming A's n x n right factor.
+    """
+    m = A.shape[0]
+    Q, R = np.linalg.qr(A.T, mode="complete")
+    s = np.linalg.svd(R[:m], compute_uv=False)
     tol = max(A.shape) * np.finfo(float).eps * s.max(initial=0.0)
-    return vh[int(np.sum(s > tol)):].T
+    if np.all(s > tol):
+        return Q[:, m:].copy()  # a view would keep all of Q alive in the block
+    u, s, _ = np.linalg.svd(R[:m])
+    return np.hstack([Q[:, :m] @ u[:, int(np.sum(s > tol)):], Q[:, m:]])
 
 
 @lru_cache(maxsize=64)

@@ -1,3 +1,4 @@
+import warnings
 from math import pi
 
 import numpy as np
@@ -467,6 +468,25 @@ def test_decay_classifier_validation():
         decay_classify(narrow)
     with pytest.raises(ValueError, match="finite.*got nan at rho = 10"):
         decay_classify([(float(r), float("nan")) for r in rhos])
+
+
+def test_profile_is_finite_and_silent_at_extreme_rho():
+    # rho^2 and t^-8 overflowed here, leaving NaN values and RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eps, end in [(0.5, "plus"), (0.5, "minus"), (1e-150, "minus")]:
+            profile = decay_profile(AKFormParams(1.0, 1.0, eps), end=end, rho_max=1.7e308)
+            values = np.array([v for _, v in profile])
+            assert np.all(np.isfinite(values)), (eps, end)
+            assert values[-1] == pytest.approx(1.0)
+
+
+def test_decay_classifier_decade_test_does_not_overflow():
+    # max / min of these radii overflows a float
+    wide = [(float(r), 1.0) for r in np.geomspace(1e-300, 1e10, 20)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert decay_classify(wide).classification == ASYMPTOTICALLY_KAHLER
 
 
 def test_decay_never_indeterminate_on_generated_forms():

@@ -272,6 +272,19 @@ def test_wrong_laplacian_diagonal_is_rejected(monkeypatch, scale):
         eigen_decompose(2)
 
 
+@pytest.mark.parametrize("m, rank", [(1, 0), (4, 4), (6, 3)])
+def test_null_space_matches_the_svd_kernel(m, rank):
+    # the kernel once came from the full SVD of A; the QR route must span it
+    rng = np.random.default_rng(m)
+    A = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, 3 * m))
+    _, s, vh = np.linalg.svd(A)
+    ref = vh[int(np.sum(s > 3 * m * np.finfo(float).eps * s.max())):].T
+    N = spectrum._null_space(A)
+    assert N.shape == ref.shape
+    assert np.max(np.abs(N.T @ N - np.eye(N.shape[1]))) <= 1e-13
+    assert np.max(np.abs(N @ N.T - ref @ ref.T)) <= 1e-13
+
+
 def test_cli_import_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(sdforms.__file__))
     code = ("import sys, sdforms.cli; "

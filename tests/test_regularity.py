@@ -1,4 +1,6 @@
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from numpy.testing import assert_allclose
 
 from sdforms.ale import AKFormParams, ak_form
 from sdforms.polys import left_invariant_coframe, right_invariant_coframe
-from sdforms.regularity import moser_product, moser_sweep_csv, sqrt_elliptic_check
+from sdforms.regularity import LOG_FLOAT_MAX, moser_product, moser_sweep_csv, sqrt_elliptic_check
 from sdforms.selfdual import SelfDualForm
 
 
@@ -140,8 +142,18 @@ def test_sqrt_elliptic_rejects_zero_norm():
         sqrt_elliptic_check(zero, np.array([1.0, 0, 0, 0]), 1e-3)
 
 
-@pytest.mark.parametrize("c", [710.0, 1e300])
+def test_moser_product_at_the_overflow_edge():
+    assert moser_product(LOG_FLOAT_MAX).claimed_bound == math.exp(LOG_FLOAT_MAX)
+
+
+@pytest.mark.parametrize("c", [710.0, 1e300,
+                               pytest.param(np.float64(1e300), id="numpy-1e+300"),
+                               pytest.param(np.nextafter(LOG_FLOAT_MAX, np.inf),
+                                            id="just-above-log-max")])
 def test_moser_product_overflow_raises_value_error(c):
-    # e^c overflows a float for c above about 709.78
-    with pytest.raises(ValueError, match=re.escape(f"c = {c} is too large")):
+    # e^c overflows a float for c above about 709.78; the check comes before
+    # the loop, where c * 2^i would overflow a numpy c with a warning
+    with warnings.catch_warnings(), \
+            pytest.raises(ValueError, match=re.escape(f"c = {c} is too large")):
+        warnings.simplefilter("error")
         moser_product(c)

@@ -1,4 +1,4 @@
-"""Wall time and peak memory of ``sdforms spectrum`` at growing degree.
+"""Wall time, CPU time and peak memory of ``sdforms spectrum`` at growing degree.
 
     python3 tools/spectrum_ladder.py
     python3 tools/spectrum_ladder.py --float 16 --exact --max-rss-mb 250
@@ -6,10 +6,11 @@
 
 Each rung is one fresh ``python3 -m sdforms.cli spectrum --degree D`` process
 (``--exact`` for the exact rungs) importing the program from ``ROOT/src``.
-The child is reaped with ``os.wait4``, so its own peak RSS is read; its
-address space is capped at 4 GiB so that a rung which would exhaust a
-shared machine fails instead, and it is killed after 600 s.  One line per rung is printed and, with
-``--out``, the records are written as JSON.  The exit code is 1 when a rung
+The child is reaped with ``os.wait4``, so its own CPU time (user plus
+system) and peak RSS are read; its address space is capped at 4 GiB so
+that a rung which would exhaust a shared machine fails instead, and it is
+killed after 600 s.  One line per rung is printed and, with ``--out``, the
+records are written as JSON.  The exit code is 1 when a rung
 exits non-zero or goes over ``--max-rss-mb``.
 """
 
@@ -30,7 +31,7 @@ TIMEOUT_S = 600.0
 
 
 def run_rung(root, degree, exact):
-    """Exit code, report status, wall time and peak RSS of one spectrum run."""
+    """Exit code, report status, wall and CPU time and peak RSS of one spectrum run."""
     argv = [sys.executable, "-m", "sdforms.cli", "spectrum", "--degree", str(degree)]
     argv += ["--exact"] * exact
     def cap():
@@ -59,6 +60,7 @@ def run_rung(root, degree, exact):
         "exit": proc.returncode,
         "status": report.get("status"),
         "wall_s": round(wall, 3),
+        "cpu_s": round(usage.ru_utime + usage.ru_stime, 3),
         "peak_rss_mb": round(usage.ru_maxrss / 1024.0, 1),
         "max_integer_deviation": report.get("residuals", {}).get("max_integer_deviation"),
     }
@@ -86,7 +88,8 @@ def main(argv=None):
         bad += rec["exit"] != 0 or over
         records.append(rec)
         print(f"spectrum --degree {degree:3d} {'--exact' if exact else '       '}  "
-              f"exit {rec['exit']}  {rec['wall_s']:8.2f} s  {rec['peak_rss_mb']:8.1f} MB"
+              f"exit {rec['exit']}  {rec['wall_s']:8.2f} s  {rec['cpu_s']:8.2f} s cpu  "
+              f"{rec['peak_rss_mb']:8.1f} MB"
               + ("  over --max-rss-mb" if over else ""), flush=True)
     if args.out:
         Path(args.out).write_text(json.dumps(records, indent=1) + "\n")
