@@ -35,7 +35,7 @@ import numpy as np
 
 from .polys import left_invariant_coframe, right_invariant_coframe, sphere_integral
 from .quadrature import radial_gauss, s3_quadrature
-from .selfdual import SelfDualForm, stencil_batch, wedge_norm_sq
+from .selfdual import EVAL_BLOCK, SelfDualForm, _stencils, stencil_batch, wedge_norm_sq
 
 __all__ = [
     "ALEModel",
@@ -245,18 +245,22 @@ def ak_norm_sq_closed_form(params, t, pairing):
     """|omega|^2 in the curved metric from the conformal weight f^-4.
 
     pairing is the pointwise value of <eta_2, eta_{-2}> at the direction of
-    interest (it averages to zero over the sphere).
+    interest (it averages to zero over the sphere).  A norm past the float
+    range, which needs |alpha| or |beta| near 1e154, is inf.
     """
     a, b, eps = params.alpha, params.beta, params.epsilon
     t = np.asarray(t, dtype=float)
     # numerator and f^4 share the factor t^-8; in w = (eps t)^2 the norm is
     # a^2 q^4 + 2 a b pairing q^2 r^2 + b^2 r^4 with r = 1 / (1 + w), q = w r,
-    # which overflows for no t once w is capped at 1e300 (q is 1, r^2 is 0 there)
+    # which overflows for no t once w is capped at 1e300 (q is 1, r^2 is 0
+    # there); the cross term doubles last, so that an a b near the float
+    # limit meets r^2 = 0 before it can overflow
     with np.errstate(over="ignore"):
         w = np.minimum((eps * t) ** 2, 1e300)
-    r = 1.0 / (1.0 + w)
-    q = w * r
-    return a ** 2 * q ** 4 + 2 * a * b * np.asarray(pairing) * q ** 2 * r ** 2 + b ** 2 * r ** 4
+        r = 1.0 / (1.0 + w)
+        q = w * r
+        cross = 2 * (a * b * np.asarray(pairing) * q ** 2 * r ** 2)
+        return a ** 2 * q ** 4 + cross + b ** 2 * r ** 4
 
 
 def ak_form_eval(params, x):
@@ -333,6 +337,21 @@ _AT_M = (_PAIR_M == np.arange(4)[:, None])[..., None]
 _AT_N = (_PAIR_N == np.arange(4)[:, None])[..., None]
 
 
+def _add_connection(nabla, phi, omega):
+    """Add the connection terms of nabla_s w_mn to nabla (4 axes s, 6 pairs m < n, N).
+
+    phi (4, N) is grad log f and omega (4, 4, N) the form's components; the
+    terms are -phi_m w_sn - phi_n w_ms - 2 phi_s w_mn + delta_sm (phi . w)_n
+    + delta_sn (w . phi)_m.
+    """
+    phi_omega = phi[0] * omega[0] + phi[1] * omega[1] + phi[2] * omega[2] + phi[3] * omega[3]
+    nabla -= phi[_PAIR_M] * omega[:, _PAIR_N] + phi[_PAIR_N] * omega[_PAIR_M].swapaxes(0, 1)
+    nabla -= 2.0 * phi[:, None] * omega[_PAIR_M, _PAIR_N]
+    nabla += (np.where(_AT_M, phi_omega[_PAIR_N], 0.0)
+              - np.where(_AT_N, phi_omega[_PAIR_M], 0.0))
+    return nabla
+
+
 def _grad_norm_sq_rule(epsilon):
     """Stencil rule of |grad omega|^2 in the metric of the model at epsilon."""
     def rule(sdf, S, h):
@@ -340,16 +359,10 @@ def _grad_norm_sq_rule(epsilon):
         t = np.linalg.norm(x, axis=0)
         f = epsilon ** 2 + t ** -2
         M = sdf(S).transpose(2, 3, 0, 1)               # (m, n, stencil, point)
-        omega = M[:, :, 0]
         W = M[_PAIR_M, _PAIR_N]                         # (pair, stencil, point)
-        phi = (-2.0 / t ** 4 / f) * x                   # gradient of log f
-        phi_omega = phi[0] * omega[0] + phi[1] * omega[1] + phi[2] * omega[2] + phi[3] * omega[3]
         # nabla_s w_mn for s on the first axis and the pairs m < n on the second
         nabla = np.swapaxes(W[:, 1:5] - W[:, 5:], 0, 1) / (2.0 * h * t)
-        nabla -= phi[_PAIR_M] * omega[:, _PAIR_N] + phi[_PAIR_N] * omega[_PAIR_M].swapaxes(0, 1)
-        nabla -= 2.0 * phi[:, None] * W[:, 0]
-        nabla += (np.where(_AT_M, phi_omega[_PAIR_N], 0.0)
-                  - np.where(_AT_N, phi_omega[_PAIR_M], 0.0))
+        _add_connection(nabla, (-2.0 / t ** 4 / f) * x, M[:, :, 0])
         # (1/2) sum over all m, n is the sum over m < n, nabla_s w antisymmetric
         nabla *= nabla
         return nabla.reshape(24, -1).sum(axis=0) / f ** 6, np.ones(t.shape, dtype=bool)
@@ -393,6 +406,62 @@ def _radial_panels(eps, A, n_per_panel):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
+def _unit_sphere_tables(sdf, pts, h):
+    """Per term c t^(lam - 2) Omega(x / t) of sdf: (c, lam, G, B) at the nodes pts (N, 4).
+
+    The term is evaluated with unit coefficient on the 9-point stencils of
+    step h of the unit-sphere nodes, one stencil slot (at most EVAL_BLOCK
+    points) per call.  G (4 axes, 6 pairs m < n, N) is its central-difference
+    quotient and B its connection terms with phi = n.
+    """
+    S = _stencils(pts, h)
+    tables = []
+    for c, lam, field in sdf.terms:
+        unit = SelfDualForm([(1.0, lam, field)])
+
+        def slot(k):
+            return np.concatenate([unit(S[k, lo:lo + EVAL_BLOCK])
+                                   for lo in range(0, len(pts), EVAL_BLOCK)]).transpose(1, 2, 0)
+
+        G = np.empty((4, 6, len(pts)))
+        for s in range(4):
+            G[s] = slot(1 + s)[_PAIR_M, _PAIR_N] - slot(5 + s)[_PAIR_M, _PAIR_N]
+        G /= 2.0 * h
+        B = _add_connection(np.zeros_like(G), pts.T, slot(0))
+        tables.append((float(c), float(lam), G, B))
+    return tables
+
+
+def _shell_energies(params, rhos, n_sphere=8, h=1e-4):
+    """t^3 f^3 times the sphere integral of |grad omega|^2 on the shells rhos.
+
+    The stencil of t n (step h t) is t times the stencil of n, so a term
+    takes on the shell t the values c t^(lam - 2) U of its unit-coefficient
+    values U on the unit sphere's stencils, and phi = s n with
+    s = -2 / (t^3 f).  The series is therefore evaluated once, on the unit
+    sphere (_unit_sphere_tables), and on each shell
+
+        t nabla omega = sum_j c_j t^(lam_j - 2) (G_j + t s B_j)
+
+    is summed over the terms before it is squared, so that derivative and
+    connection terms cancel before the square as they do point by point.
+    """
+    eps = params.epsilon
+    pts, ws = s3_quadrature(n_sphere)
+    tables = _unit_sphere_tables(ak_form(params), pts, h)
+    out = np.empty(len(rhos))
+    for i, t in enumerate(params.model.t_of_rho(rhos)):
+        t = float(t)
+        f = eps ** 2 + t ** -2
+        u = -2.0 / (t * t * f)
+        # t^3 f^3 |grad omega|^2 = |t nabla omega|^2 t / f^3, the factor
+        # taken into each coefficient so that no power of t overflows alone
+        nabla = sum(c * t ** (lam - 1.5) / f ** 1.5 * (G + u * B) for c, lam, G, B in tables)
+        nabla *= nabla
+        out[i] = float(ws @ nabla.reshape(24, -1).sum(axis=0))
+    return out
+
+
 def grad_energy_volume(params, A, n_radial=12, n_sphere=8, h=1e-4):
     """Direct volume quadrature of |grad omega|^2 over -A < rho < A.
 
@@ -400,21 +469,12 @@ def grad_energy_volume(params, A, n_radial=12, n_sphere=8, h=1e-4):
     differences, exact conformal connection, product quadrature over a
     sphere rule and radial Gauss panels (log-spaced toward rho = 0, where
     the energy density concentrates on the eps scale).  The measure reduces
-    to f^3 t^3 d rho d sigma against the curved gradient density.  The form
-    is compiled once for all shells.
+    to f^3 t^3 d rho d sigma against the curved gradient density.  The
+    series is evaluated on the sphere rule's stencils once for all shells
+    (_shell_energies).
     """
-    model = params.model
     rhos, wr = _radial_panels(params.epsilon, A, n_radial)
-    pts, ws = s3_quadrature(n_sphere)
-    sdf = ak_form(params)
-    rule = _grad_norm_sq_rule(params.epsilon)
-    total = 0.0
-    for rho, w in zip(rhos, wr):
-        t = float(model.t_of_rho(rho))
-        f = params.epsilon ** 2 + t ** -2
-        q, _ = stencil_batch(rule, sdf, t * pts, h, scaled=True)
-        total += w * float(ws @ q) * t ** 3 * f ** 3
-    return total
+    return float(wr @ _shell_energies(params, rhos, n_sphere, h))
 
 
 def sup_grad(params_or_eps, eps_list=None, rho_max=5.0, n_rho=61, n_dirs=8, h=1e-4):

@@ -70,16 +70,28 @@ def cmd_spectrum(args):
     return report.verify(), report.to_json()
 
 
-def _check_flags(args, positive=(), finite=(), counts=(), squared=()):
+def _power_is_finite(value, p):
+    try:
+        return math.isfinite(abs(value) ** p)
+    except OverflowError:
+        return False
+
+
+def _check_flags(args, positive=(), finite=(), counts=(), squared=(), powers=()):
     """Reject out-of-range numeric flags, naming the flag, before any work.
 
     ``squared`` flags enter as their square, which must not underflow to 0.
+    ``powers`` holds (flag, p) pairs: the computation takes the flag's p-th
+    power, which must be finite.
     """
     rules = ([(f, "finite and > 0", lambda v: math.isfinite(v) and v > 0) for f in positive]
              + [(f, "finite", math.isfinite) for f in finite]
              + [(f, ">= 1", lambda v: v >= 1) for f in counts]
              + [(f, "large enough that its square is > 0 (about 1.5e-162)",
-                 lambda v: v * v > 0) for f in squared])
+                 lambda v: v * v > 0) for f in squared]
+             + [(f, f"small enough that {f}^{p} is finite "
+                    f"(about {sys.float_info.max ** (1.0 / p):.3g})",
+                 lambda v, p=p: _power_is_finite(v, p)) for f, p in powers])
     for flag, rule, holds in rules:
         value = getattr(args, flag)
         if not holds(value):
@@ -292,6 +304,10 @@ def _ale_curvature(args, params):
     # certified by step-doubling at the worst point
     failures = []
     model = params.model
+    # the closed form takes |x|^4, which the window reaches at rho = 5
+    if not _power_is_finite(float(model.t_of_rho(5.0)), 4):
+        raise ValueError(f"--epsilon = {args.epsilon} puts |x|^4 past the float range "
+                         "in the curvature window -5 <= rho <= 5")
     rng = np.random.default_rng(args.seed)
     dirs = rng.standard_normal((args.ricci_samples, 4))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -363,6 +379,10 @@ def _ale_energy(args, params):
     if boundary == 0.0:
         raise ValueError(f"boundary energy underflows to 0 for the non-zero form "
                          f"alpha = {params.alpha}, beta = {params.beta}")
+    if not math.isfinite(boundary):
+        raise ValueError(f"boundary energy is {boundary}, past the float range, for "
+                         f"alpha = {params.alpha}, beta = {params.beta}, "
+                         f"epsilon = {params.epsilon}")
     volume = ale.grad_energy_volume(params, A)
     rel = abs(volume - boundary) / abs(boundary)
     refs = ale.energy_reference_values(params)
@@ -428,8 +448,10 @@ ALE_BLOCKS = {
 
 
 def cmd_ale_report(args):
+    # the energy takes alpha^2, beta^2 and epsilon^8, the asymptotics rho_max^-2
     _check_flags(args, positive=("epsilon", "rho_max", "h"), finite=("alpha", "beta"),
-                 counts=("ricci_samples",), squared=("epsilon",))
+                 counts=("ricci_samples",), squared=("epsilon", "rho_max"),
+                 powers=(("alpha", 2), ("beta", 2), ("epsilon", 8), ("rho_max", 2)))
     params = ale.AKFormParams(args.alpha, args.beta, args.epsilon)
     failures = []
     report = {"epsilon": args.epsilon, "alpha": args.alpha, "beta": args.beta}
@@ -478,7 +500,7 @@ def _moser_sweep_csv(args, report):
 
 def cmd_decay(args):
     _check_flags(args, positive=("epsilon", "rho_max"), finite=("alpha", "beta"),
-                 squared=("epsilon",))
+                 squared=("epsilon",), powers=(("alpha", 2), ("beta", 2), ("epsilon", 2)))
     params = ale.AKFormParams(args.alpha, args.beta, args.epsilon)
     failures, decay, profile = _decay_end(params, args.end, args.rho_max)
     return failures, {

@@ -368,30 +368,56 @@ def test_grad_norm_sq_batch_keeps_point_shape():
     assert_allclose(q.ravel(), grad_norm_sq_christoffel(params, X)[0], rtol=1e-13)
 
 
+#: rounding floor of a central difference of step h: eps_machine |omega| / h
+#: noise, with the margin kato_ratio's constant-form floor uses
+STENCIL_FLOOR = 64.0 * np.finfo(float).eps / 1e-4
+
+
 def test_energy_volume_compiles_once_and_sums_every_shell(monkeypatch):
-    # the sum over shells from one compiled form equals the sum of
-    # grad_norm_sq_batch shell by shell, with at most EVAL_BLOCK points per
-    # evaluation
+    # each term is evaluated once, with unit coefficient, on the 9-point
+    # stencils of the sphere rule: 9 len(pts) len(terms) evaluations however
+    # many shells, one stencil slot per call; the sum over shells equals the
+    # sum of grad_norm_sq_batch shell by shell to the stencil's rounding
+    # floor, since the two routes round their stencil points differently
     from sdforms import ale
 
     params = AKFormParams(1.0, 1.0, 0.2)
     pts, ws = s3_quadrature(4)
-    rhos, wr = ale._radial_panels(params.epsilon, 20.0, 3)
-    expected = 0.0
-    for rho, w in zip(rhos, wr):
-        t = float(params.model.t_of_rho(rho))
-        f = params.epsilon ** 2 + t ** -2
-        expected += w * float(ws @ grad_norm_sq_batch(params, t * pts)) * t ** 3 * f ** 3
-    built, batches = [], []
     call = SelfDualForm.__call__
-    monkeypatch.setattr(ale, "ak_form", lambda p: built.append(p) or ak_form(p))
-    monkeypatch.setattr(SelfDualForm, "__call__",
-                        lambda self, x: batches.append(np.size(x) // 4) or call(self, x))
-    volume = grad_energy_volume(params, 20.0, n_radial=3, n_sphere=4)
-    assert_allclose(volume, expected, rtol=1e-13)
-    assert len(built) == 1
-    assert max(batches) <= EVAL_BLOCK
-    assert sum(batches) == 9 * len(rhos) * len(pts)
+    for n_radial in (3, 6):
+        rhos, wr = ale._radial_panels(params.epsilon, 20.0, n_radial)
+        expected = 0.0
+        for rho, w in zip(rhos, wr):
+            t = float(params.model.t_of_rho(rho))
+            f = params.epsilon ** 2 + t ** -2
+            expected += w * float(ws @ grad_norm_sq_batch(params, t * pts)) * t ** 3 * f ** 3
+        built, batches = [], []
+        with monkeypatch.context() as m:
+            m.setattr(ale, "ak_form", lambda p: built.append(p) or ak_form(p))
+            m.setattr(SelfDualForm, "__call__",
+                      lambda self, x: batches.append(np.size(x) // 4) or call(self, x))
+            volume = grad_energy_volume(params, 20.0, n_radial=n_radial, n_sphere=4)
+        assert_allclose(volume, expected, rtol=STENCIL_FLOOR)
+        assert len(built) == 1
+        assert max(batches) <= len(pts)
+        assert sum(batches) == 9 * len(pts) * len(ak_form(params).terms)
+
+
+@pytest.mark.parametrize("alpha,beta", [(1.0, 1.0), (0.6, -1.3)])
+def test_energy_shells_match_the_per_point_route(alpha, beta):
+    # every 4th shell of the eps = 0.1, A = 100 volume integral, both ends
+    # and the neck, against grad_norm_sq_batch at the shell's points
+    from sdforms import ale
+
+    params = AKFormParams(alpha, beta, 0.1)
+    rhos, _ = ale._radial_panels(params.epsilon, 100.0, 12)
+    rhos = rhos[::4]
+    pts, ws = s3_quadrature(8)
+    ts = params.model.t_of_rho(rhos)
+    f = params.epsilon ** 2 + ts ** -2
+    per_point = (grad_norm_sq_batch(params, ts[:, None, None] * pts) @ ws) * ts ** 3 * f ** 3
+    shells = ale._shell_energies(params, rhos)
+    assert np.max(np.abs(shells - per_point)) <= STENCIL_FLOOR * np.max(np.abs(per_point))
 
 
 def test_sphere_rule_resolves_the_energy_density():

@@ -437,6 +437,14 @@ def test_kato_fails_when_a_form_has_no_points(capsys, monkeypatch):
     (["--epsilon", "0.1", "--beta=-inf"], "--beta"),
     (["--epsilon", "0.1", "--ricci-samples", "0"], "--ricci-samples"),
     (["--epsilon", "1e-300"], "--epsilon"),  # epsilon^2 underflows: a flat model
+    # rho_max^2 underflows: the asymptotics envelope 10 / rho_max^2 divided by 0
+    (["--epsilon", "0.1", "--rho-max", "1e-300"], "--rho-max"),
+    (["--epsilon", "0.1", "--rho-max", "1e200"], "--rho-max"),
+    # the powers the energy takes overflow: alpha^2, beta^2, epsilon^8
+    (["--epsilon", "0.1", "--alpha", "1e300"], "--alpha"),
+    (["--epsilon", "0.1", "--beta", "1e200"], "--beta"),
+    (["--epsilon", "1e300"], "--epsilon"),
+    (["--epsilon", "1e39"], "--epsilon"),
 ])
 def test_ale_report_rejects_bad_flags(capsys, monkeypatch, flags, named):
     # the flags are checked before any computation
@@ -458,6 +466,10 @@ def test_ale_report_rejects_bad_flags(capsys, monkeypatch, flags, named):
     (["--epsilon", "0", "--end", "plus"], "--epsilon"),
     (["--epsilon", "0.1", "--end", "plus", "--rho-max", "nan"], "--rho-max"),
     (["--epsilon", "0.1", "--end", "minus", "--alpha", "inf"], "--alpha"),
+    # alpha^2, beta^2 or epsilon^2 overflow; these printed the bare errno text
+    (["--epsilon", "0.1", "--end", "plus", "--alpha", "1e300"], "--alpha"),
+    (["--epsilon", "0.1", "--end", "minus", "--beta", "1e200"], "--beta"),
+    (["--epsilon", "1e300", "--end", "plus"], "--epsilon"),
 ])
 def test_decay_rejects_bad_flags(capsys, monkeypatch, flags, named):
     # the flags are checked before any computation; epsilon^2 underflowing
@@ -527,6 +539,22 @@ def test_moser_overflow_is_an_error(capsys):
     assert "c = 1000.0" in rep["message"]
 
 
+def test_ale_report_curvature_window_past_the_float_range(capsys):
+    # at epsilon = 1e-100 the window out to rho = 5 reaches |x| ~ 5e200,
+    # whose fourth power the closed-form Ricci tensor takes
+    code, rep = run(capsys, "ale-report", "--epsilon", "1e-100")
+    assert code == 2
+    assert "--epsilon" in rep["message"]
+
+
+def test_ale_report_overflowing_energy_is_an_error(capsys):
+    # alpha and beta pass their own bound, but the energy leaves the float range
+    code, rep = run(capsys, "ale-report", "--epsilon", "10", "--alpha", "1e153",
+                    "--ricci-samples", "5")
+    assert code == 2
+    assert "past the float range" in rep["message"]
+
+
 def test_decay_overflow_is_an_error(capsys):
     # epsilon^2 leaves the float range; this printed a traceback before
     code, rep = run(capsys, "decay", "--epsilon=1e300", "--end=plus")
@@ -588,3 +616,10 @@ def test_moser_flag_values(c_min, c_max, points):
 def test_decay_flag_values(epsilon, alpha, beta, rho_max, end):
     assert_exit_and_strict_json(["decay", f"--epsilon={epsilon!r}", f"--alpha={alpha!r}",
                                  f"--beta={beta!r}", f"--rho-max={rho_max!r}", f"--end={end}"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(EDGE_FLOATS, EDGE_FLOATS, EDGE_FLOATS, EDGE_FLOATS)
+def test_ale_report_flag_values(epsilon, alpha, beta, rho_max):
+    assert_exit_and_strict_json(["ale-report", f"--epsilon={epsilon!r}", f"--alpha={alpha!r}",
+                                 f"--beta={beta!r}", f"--rho-max={rho_max!r}"])
