@@ -62,8 +62,6 @@ from .selfdual import (
     SelfDualForm,
     d_residual,
     eval_kahler_basis,
-    f_t_inverse,
-    f_t_map,
     kato_ratio,
     l2_shell_orthogonality,
     shell_pairings,
@@ -75,6 +73,7 @@ from .spectrum import (
     constant_norm_check,
     divergence_free_subspace,
     eigen_decompose,
+    eigenmodes,
     hodge_laplacian_check,
     trusted_window,
 )

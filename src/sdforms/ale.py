@@ -33,7 +33,7 @@ from math import pi
 
 import numpy as np
 
-from .polys import left_invariant_coframe, right_invariant_coframe, sphere_integral
+from .polys import left_invariant_coframe, right_invariant_coframe
 from .quadrature import radial_gauss, s3_quadrature
 from .selfdual import EVAL_BLOCK, SelfDualForm, _stencils, stencil_batch, wedge_norm_sq
 
@@ -571,7 +571,10 @@ def decay_classify(profile):
         raise ValueError("profile values must be positive to fit a decay rate")
     x = np.log(r)
     y = np.log(val)
-    slope, intercept = np.polyfit(x, y, 1)
+    # the least-squares line through the centred sums: no LAPACK call
+    dx, dy = x - x.mean(), y - y.mean()
+    slope = float(dx @ dy / (dx @ dx))
+    intercept = y.mean() - slope * x.mean()
     fit_residual = float(np.sqrt(np.mean((y - slope * x - intercept) ** 2)))
     if abs(slope) < KAHLER_SLOPE_BAND:
         cls = ASYMPTOTICALLY_KAHLER
@@ -596,8 +599,3 @@ def energy_reference_values(params):
         "reference_area_form": 16.0 * pi ** 2 * params.alpha ** 2 * eps2,
         "reference_prose": 18.0 * pi ** 2 * eps2,
     }
-
-
-def frame_pairing_mean():
-    """Sphere average of <eta_2, eta_{-2}>; vanishes identically."""
-    return sphere_integral(frame_pairing_poly()) / (2.0 * pi ** 2)

@@ -35,7 +35,6 @@ __all__ = [
     "frame_derivative",
     "monomial_integral_over_pi2",
     "sphere_integral",
-    "l2_inner",
     "div",
     "curl",
     "star_d",
@@ -268,11 +267,6 @@ def sphere_integral(f, over_pi2=False):
     return (float(total) + acc) * pi * pi
 
 
-def l2_inner(f, g, over_pi2=False):
-    """L^2 inner product of two scalars over the sphere."""
-    return sphere_integral(f * g, over_pi2=over_pi2)
-
-
 @dataclass(frozen=True)
 class CoframeField:
     """A 1-form a_1 eta^1 + a_2 eta^2 + a_3 eta^3 with polynomial coefficients."""
@@ -494,11 +488,13 @@ def sparse_triples(flat, values, shape):
     Entries at one position add; zero sums are dropped and the result is
     row-major, the form of :func:`derivative_triples`.
     """
-    unique, inverse = np.unique(flat, return_inverse=True)
-    acc = np.zeros(len(unique), dtype=values.dtype)
-    np.add.at(acc, inverse, values)
+    order = np.argsort(flat, kind="stable")
+    flat = flat[order]
+    start = np.flatnonzero(np.diff(flat, prepend=-1))
+    acc = np.add.reduceat(values[order], start)
     nz = acc != 0
-    return unique[nz] // shape[1], unique[nz] % shape[1], acc[nz], shape
+    unique = flat[start[nz]]
+    return unique // shape[1], unique % shape[1], acc[nz], shape
 
 
 def exponent_index(E, base):
@@ -513,8 +509,7 @@ def exponent_index(E, base):
     return lambda X: by_key[np.searchsorted(keys, X @ place, sorter=by_key)]
 
 
-@lru_cache(maxsize=8)
-def derivative_triples(D):
+def derivative_triples(D, table=LEFT_MULT):
     """The three frame-derivative matrices on the degree <= D reduced basis, sparse.
 
     Each is ``(rows, cols, values, (N, N))``: integer entries, no zeros or
@@ -522,13 +517,20 @@ def derivative_triples(D):
     arithmetic on the monomial table: e_m(x^e) = sum e_nu L_m[nu, mu]
     x^(e - u_nu + u_mu) over the nonzero entries of the generator L_m, with
     x3^2 -> 1 - x0^2 - x1^2 - x2^2 applied where the x3-exponent reaches 2.
-    :func:`frame_derivative` is the same operator on dict polynomials.
+    ``table`` holds the three generators: LEFT_MULT gives the frame E_i of
+    :func:`frame_derivative` (the same operator on dict polynomials),
+    RIGHT_MULT the opposite frame R_i.
     """
+    return _derivative_triples(D, np.asarray(table, dtype=np.int64).tobytes())
+
+
+@lru_cache(maxsize=8)
+def _derivative_triples(D, table):
     E = np.array(make_basis(D).monomials, dtype=np.int64).reshape(-1, 4)
     n = len(E)
     index = exponent_index(E, D + 1)
     out = []
-    for L in LEFT_MULT:
+    for L in np.frombuffer(table, dtype=np.int64).reshape(3, 4, 4):
         targets, cols, vals = [], [], []
         for nu, mu in zip(*np.nonzero(L)):
             col = np.flatnonzero(E[:, nu])

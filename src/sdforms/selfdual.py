@@ -27,14 +27,11 @@ import numpy as np
 
 from .frames import LEFT_MULT
 from .polys import coframe_inner, left_invariant_coframe, monomial_table, monomial_values
-from .quadrature import radial_gauss
 
 __all__ = [
     "star_two_form",
     "wedge_norm_sq",
     "eval_kahler_basis",
-    "f_t_map",
-    "f_t_inverse",
     "SelfDualForm",
     "stencil_points",
     "stencil_laplacian",
@@ -44,8 +41,6 @@ __all__ = [
     "kato_ratio",
     "l2_shell_orthogonality",
     "shell_pairings",
-    "ball_orthogonality",
-    "dump_point_samples",
 ]
 
 _SQRT2 = np.sqrt(2.0)
@@ -137,31 +132,6 @@ def wedge_norm_sq(M):
 
 def _norm(M):
     return np.sqrt(np.maximum(wedge_norm_sq(M), 0.0))
-
-
-def tangent_covector(field, x):
-    """Value of t * eta at x as a Cartesian covector, eta with components field.
-
-    The coframe eta^m extends off the unit sphere by (L_m x)^flat / t^2, so
-    t * eta^m has components (L_m x) / t and the result is orthogonal to x;
-    x has shape (..., 4).
-    """
-    n, _ = _radial_split(x)
-    a = np.moveaxis(field.evaluate(np.moveaxis(n, 0, -1)), -1, 0)
-    return np.moveaxis(_covector(a, n), 0, -1)
-
-
-def f_t_map(M, x):
-    """Contraction sqrt(2) i_n omega of 2-form values M (..., 4, 4) at x, n = x/|x|."""
-    n, _ = _radial_split(x)
-    return _SQRT2 * np.einsum("i...,...ij->...j", n, M)
-
-
-def f_t_inverse(xi, x):
-    """The unique self-dual 2-form at x contracting to the tangent covector xi."""
-    n, _ = _radial_split(x)
-    M = _self_dual(n, np.moveaxis(np.asarray(xi, dtype=float), -1, 0))
-    return np.moveaxis(M, (0, 1), (-2, -1))
 
 
 def eval_kahler_basis(axis, x):
@@ -382,30 +352,3 @@ def shell_pairings(modes, t):
         raise ValueError(f"shell radius must be positive, got {t}")
     lam = modes.lam_int
     return float(t) ** (lam[:, None] + lam[None, :] - 1) * modes.pairings()
-
-
-def ball_orthogonality(mode1, mode2, radius, n_nodes=64):
-    """Ball integral of omega_1 ^ omega_2 by radial quadrature of shell values."""
-    if radius <= 0:
-        raise ValueError(f"ball radius must be positive, got {radius}")
-    ts, ws = radial_gauss(radius * 1e-6, radius, n_nodes)
-    return float(sum(w * l2_shell_orthogonality(mode1, mode2, t)
-                     for t, w in zip(ts, ws)))
-
-
-def dump_point_samples(sdf, points, path):
-    """CSV dump of component samples: x0..x3, the six omega_{mu nu}, |omega|."""
-    header = ("x0,x1,x2,x3,omega_01,omega_02,omega_03,"
-              "omega_12,omega_13,omega_23,abs_omega")
-    rows = [header]
-    points = np.asarray(points, dtype=float).reshape(-1, 4)
-    values = sdf(points)
-    for x, M, norm in zip(points, values, _norm(values)):
-        vals = [x[0], x[1], x[2], x[3],
-                M[0, 1], M[0, 2], M[0, 3], M[1, 2], M[1, 3], M[2, 3], norm]
-        rows.append(",".join(f"{v:.12e}" for v in vals))
-    text = "\n".join(rows) + "\n"
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text

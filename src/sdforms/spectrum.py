@@ -27,32 +27,33 @@ E_i; each divergence-free block H_k^3 carries the eigenvalues k + 2 and -k
 only.  Both rings first check this structure exactly and raise
 ArithmeticError when it fails.
 
-Memory is per block and sparse.  The E_i are (row, column, value) triples
-from exponent arithmetic (:func:`sdforms.polys.derivative_triples`, a few
-nonzeros per column); Lap and the structure certificate are sparse
-products of those triples, and the harmonic bases back-substitute over the
-sparse rows of Lap.  The only dense arrays are per block: the harmonic
-basis (m, n) with m = dim of degree <= k and n = (k + 1)^2, three (n, n)
-frame blocks and the (3n, 3n) *d, its kernel and eigenvectors.  No operator
-on the whole degree <= D coframe space is formed.  The float divergence
-residual and the projector defect are taken per block, since div maps
-H_k^3 into H_k and the certificate rules out leakage between blocks; the
-projector defect adds the relative harmonic defect of each block basis,
-which is what the assembled modes inherit.  The exact ring, whose degrees
-are small, norms its divergence residual on the assembled monomial
-coefficients under the monomial Gram.  The eigenfields stay in block
-coordinates; their (3N, K) monomial coefficient matrix is assembled only
-when a caller reads :attr:`ModeSet.C` (pairings, evolution, field I/O).
+The float report runs on a slice of each block.  The opposite frame R_j
+commutes with the E_i, hence with *d and div, and -(R_1^2 + R_2^2 + R_3^2)
+= Lap (both checked exactly on the integer triples), so R acts on H_k as
+k + 1 copies of spin k/2 and every eigenspace on H_k^3 ∩ ker(div) is
+(k + 1)/2 times its slice on W_k^3, W_k = ker(R_1^2 + k^2) of dimension
+2(k + 1) (W_0 = H_0, scale 1).  Per block that is a div kernel on 6(k + 1)
+columns and one eigh on 4(k + 1), with no harmonic basis
+(:func:`_reduced_blocks`).
 
-Two scalar rings are supported, both on numpy alone.  The float ring
-orthonormalizes each block's harmonic basis in L^2 (the Gram factor comes
-from the Fischer product of the homogeneous forms, see
-:func:`_gram_factor`), takes the divergence-free kernel by a complete QR
-(:func:`_null_space`) and solves one standard symmetric eigenproblem per
-block.  The exact ring certifies multiplicities by exact integer kernel
-ranks of the block shifts *d - (k + 2) and *d + k; when these kernels span
-a block (the completeness count) no other value, in particular none of
--1, 0, +1, is an eigenvalue there.
+Memory is per block and sparse: the E_i and R_j are (row, column, value)
+triples from exponent arithmetic (:func:`sdforms.polys.derivative_triples`),
+Lap and the certificates are sparse products of them, and no operator on
+the whole degree <= D coframe space is formed.  The full blocks -- harmonic
+basis (m, n), n = (k + 1)^2, frame blocks (n, n), the (3n, 3n) *d, its
+kernel by a complete QR (:func:`_null_space`) and one eigh -- serve the
+exact ring and the eigenfields of a :class:`ModeSet`, and the float ones are
+built only when a caller reads the modes.  The projector defect is taken
+per block plus the harmonic defect of each block basis.  The eigenfields'
+(3N, K) monomial coefficient matrix is assembled only when a caller reads
+:attr:`ModeSet.C`.
+
+The float ring (reduced blocks) and the exact ring (full blocks) are the
+two independent routes, both on numpy alone.  Full float blocks are
+orthonormalized in L^2 by the Fischer product (:func:`_gram_factor`).  The
+exact ring certifies multiplicities by exact integer kernel ranks of the
+block shifts *d - (k + 2) and *d + k; when these kernels span a block no
+other value, in particular none of -1, 0, +1, is an eigenvalue there.
 """
 
 import math
@@ -65,6 +66,7 @@ import numpy as np
 from numpy.linalg import eigh
 
 from . import exactla, polys
+from .frames import LEFT_MULT, RIGHT_MULT
 from .polys import coframe_curl, coframe_gram, make_basis
 
 __all__ = [
@@ -75,6 +77,7 @@ __all__ = [
     "trusted_window",
     "divergence_free_subspace",
     "eigen_decompose",
+    "eigenmodes",
     "constant_norm_check",
     "hodge_laplacian_check",
 ]
@@ -122,31 +125,42 @@ class SpectralMode:
 class ModeSet(Sequence):
     """Eigenfields of *d sorted by eigenvalue, kept in harmonic-block coordinates.
 
-    Block b contributes the columns ``coords[b]`` (3n, K_b), coordinates in
-    its harmonic basis ``bases[b]`` (m, n) on each of the three frame
-    components (component-major); ``order`` lists, for the modes in
-    eigenvalue order, their columns among the concatenated block columns.
-    ``lam`` holds the float eigenvalues and ``lam_int`` the integers they
-    cluster to.  The (3N, K) matrix ``C`` of Gram-orthonormal coefficient
-    vectors on the degree <= D coframe basis, and the
-    :class:`SpectralMode` views of its columns that the set yields as a
-    sequence, are assembled on first use; slicing gives a ModeSet sharing
-    those views, so a field materialized once serves every slice.
+    ``solve()`` returns ``(lam, lam_int, bases, coords, order)`` and runs on
+    first use, so a set nobody reads builds nothing.  Block b contributes
+    the columns ``coords[b]`` (3n, K_b), coordinates in its harmonic basis
+    ``bases[b]`` (m, n) on each of the three frame components
+    (component-major); ``order`` lists, for the modes in eigenvalue order,
+    their columns among the concatenated block columns.  ``lam`` holds the
+    float eigenvalues and ``lam_int`` the integers they cluster to.  The
+    (3N, K) matrix ``C`` of Gram-orthonormal coefficient vectors on the
+    degree <= D coframe basis, and the :class:`SpectralMode` views of its
+    columns that the set yields as a sequence, are assembled on first use;
+    slicing gives a ModeSet sharing those views, so a field materialized
+    once serves every slice.
     """
 
-    def __init__(self, D, lam, lam_int, bases, coords, order, modes=None):
+    def __init__(self, D, solve, modes=None):
         self.D = D
-        self.lam = lam
-        self.lam_int = lam_int
-        self.bases = bases
-        self.coords = coords
-        self.order = order
+        self._solve = solve
         if modes is not None:
             self._modes = modes
 
     @cached_property
+    def _solved(self):
+        return self._solve()
+
+    @property
+    def lam(self):
+        return self._solved[0]
+
+    @property
+    def lam_int(self):
+        return self._solved[1]
+
+    @cached_property
     def C(self):
-        return _assemble(self.D, self.bases, self.coords)[:, self.order]
+        _, _, bases, coords, order = self._solved
+        return _assemble(self.D, bases, coords)[:, order]
 
     @cached_property
     def _modes(self):
@@ -158,8 +172,9 @@ class ModeSet(Sequence):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return ModeSet(self.D, self.lam[i], self.lam_int[i], self.bases, self.coords,
-                           self.order[i], self._modes[i])
+            lam, lam_int, bases, coords, order = self._solved
+            parts = (lam[i], lam_int[i], bases, coords, order[i])
+            return ModeSet(self.D, lambda: parts, self._modes[i])
         return self._modes[i]
 
     def embedded(self, D):
@@ -254,7 +269,9 @@ class HarmonicBlock:
     ``frame`` on access.  In the float ring ``basis`` is L^2-orthonormal and
     ``kernel`` has orthonormal columns; in the exact ring ``frame`` and
     ``kernel`` hold Python ints, ``basis`` is the identity on the degree-k
-    monomials and equals ``basis_int / scale``.
+    monomials and equals ``basis_int / scale``.  A reduced block
+    (:func:`_reduced_blocks`) is W_k^3 in L^2-orthonormal coordinates of
+    W_k and has no ``basis``.
     """
 
     k: int
@@ -369,21 +386,58 @@ def _degree_offsets(D):
     return [0, *accumulate((d + 1) ** 2 for d in range(D + 1))]
 
 
-def _sparse_product(A, B):
-    """A @ B of two sparse (rows, cols, values, shape) triples, as triples.
+def _product_entries(A, B):
+    """Flat positions and values of the terms of A @ B for sparse triples A, B.
 
     The frame operators have a few nonzeros per column, so each entry of A
-    meets only a few entries of B; on integer entries the result is exact.
+    meets only a few entries of B; terms at one position still have to be
+    added (:func:`sdforms.polys.sparse_triples`).  On integer entries the
+    result is exact.
     """
-    ai, ak, av, (rows, _) = A
+    ai, ak, av, _ = A
     by_row = np.argsort(B[0], kind="stable")
     bk, bj, bv = (x[by_row] for x in B[:3])
     cols = B[3][1]
-    lo = np.searchsorted(bk, ak, "left")
-    count = np.searchsorted(bk, ak, "right") - lo
+    starts = np.searchsorted(bk, np.arange(cols + 1))
+    lo = starts[ak]
+    count = starts[ak + 1] - lo
     a = np.repeat(np.arange(len(ai)), count)
     b = np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count)
-    return polys.sparse_triples(ai[a] * cols + bj[b], av[a] * bv[b], (rows, cols))
+    return ai[a] * cols + bj[b], av[a] * bv[b]
+
+
+def _sparse_product(A, B):
+    """A @ B of two sparse (rows, cols, values, shape) triples, as triples."""
+    return polys.sparse_triples(*_product_entries(A, B), (A[3][0], B[3][1]))
+
+
+def _entries(A, sign=1):
+    """Flat positions and values of sparse triples, times ``sign``."""
+    r, c, v, (_, cols) = A
+    return r * cols + c, sign * v
+
+
+def _same(A, B):
+    """Whether two normalized sparse triples are the same matrix."""
+    return all(np.array_equal(x, y) for x, y in zip(A[:3], B[:3]))
+
+
+def _commutator_entries(A, B):
+    """Terms of AB - BA."""
+    (f, v), (g, w) = _product_entries(A, B), _product_entries(B, A)
+    return np.concatenate([f, g]), np.concatenate([v, -w])
+
+
+def _is_zero(shape, *terms):
+    """Whether the terms (flat positions, values) sum to the zero matrix of ``shape``."""
+    flat, values = (np.concatenate(x) for x in zip(*terms))
+    return not len(polys.sparse_triples(flat, values, shape)[0])
+
+
+def _casimir(frame):
+    """-(X_1^2 + X_2^2 + X_3^2) of three sparse triples, as triples."""
+    squares = [_entries(_sparse_product(X, X), -1) for X in frame]
+    return polys.sparse_triples(*(np.concatenate(x) for x in zip(*squares)), frame[0][3])
 
 
 def _frame_laplacian(D, frame):
@@ -395,13 +449,9 @@ def _frame_laplacian(D, frame):
     *d and div are assembled from the E_i and the identity, so they commute
     with Lap too.  The entries are integers, so the products are exact.
     """
-    n = frame[0][3][0]
-    squares = [_sparse_product(E, E) for E in frame]
-    lap = polys.sparse_triples(np.concatenate([r * n + c for r, c, _, _ in squares]),
-                               -np.concatenate([v for _, _, v, _ in squares]), (n, n))
+    lap = _casimir(frame)
     for i, E in enumerate(frame):
-        left, right = _sparse_product(E, lap), _sparse_product(lap, E)
-        if not all(np.array_equal(x, y) for x, y in zip(left[:3], right[:3])):
+        if not _same(_sparse_product(E, lap), _sparse_product(lap, E)):
             raise ArithmeticError(f"E{i + 1} does not commute with the frame Laplacian")
     offs = _degree_offsets(D)
     degree = np.repeat(np.arange(D + 1), np.diff(offs))
@@ -416,6 +466,30 @@ def _frame_laplacian(D, frame):
         raise ArithmeticError(f"frame Laplacian is not {j * (j + 2)} I with zeros "
                               f"below on the degree-{j} monomials")
     return lap
+
+
+def _right_frame_certificate(frame, right, lap):
+    """Raise ArithmeticError unless every R_j commutes with every E_i and
+    -(R_1^2 + R_2^2 + R_3^2) = Lap, on the integer triples.
+
+    Four commutators [E_i, R_j], i, j in {1, 2}, are multiplied out.  With
+    the brackets [E_1, E_2] = -2 E_3 and [R_1, R_2] = 2 R_3, also checked
+    exactly, the Jacobi identity gives the other five: [E_i, R_3] =
+    ([[E_i, R_1], R_2] + [R_1, [E_i, R_2]]) / 2 = 0, then [E_3, R_j] = 0
+    alike.  *d and div are built from the E_i, so the R_j commute with
+    them, and on H_k the R_j act with Casimir k(k + 2): every irreducible
+    piece of H_k^3, and of each eigenspace of *d in it, has dimension k + 1.
+    """
+    shape = lap[3]
+    for name, (X1, X2, X3), c in (("E", frame, -2), ("R", right, 2)):
+        if not _is_zero(shape, _commutator_entries(X1, X2), _entries(X3, -c)):
+            raise ArithmeticError(f"[{name}1, {name}2] is not {c} {name}3")
+    for j, R in enumerate(right[:2]):
+        for i, E in enumerate(frame[:2]):
+            if not _is_zero(shape, _commutator_entries(E, R)):
+                raise ArithmeticError(f"R{j + 1} does not commute with E{i + 1}")
+    if not _same(_casimir(right), lap):
+        raise ArithmeticError("the right frame's Casimir is not the frame Laplacian")
 
 
 def _row_slice(A, lo, hi, cols, dtype):
@@ -475,13 +549,19 @@ def _harmonic_defect(lap, offs, k, basis):
     return float(np.linalg.norm(residual) / (max(1, k * (k + 2)) * np.linalg.norm(basis)))
 
 
+def _block_triples(A, lo, hi):
+    """(rows, cols, values) of row-major triples A on rows and columns lo:hi, from 0."""
+    r, c, v, _ = A
+    a, b = np.searchsorted(r, [lo, hi])
+    keep = a + np.flatnonzero((c[a:b] >= lo) & (c[a:b] < hi))
+    return r[keep] - lo, c[keep] - lo, v[keep]
+
+
 def _degree_block(triples, offs, k, dtype):
     """Dense restriction (n, n) of a sparse scalar operator to the degree-k monomials."""
-    r, c, v, _ = triples
-    lo, hi = offs[k], offs[k + 1]
-    keep = (r >= lo) & (r < hi) & (c >= lo) & (c < hi)
-    B = np.zeros((hi - lo, hi - lo), dtype=dtype)
-    B[r[keep] - lo, c[keep] - lo] = v[keep]
+    r, c, v = _block_triples(triples, offs[k], offs[k + 1])
+    B = np.zeros((offs[k + 1] - offs[k],) * 2, dtype=dtype)
+    B[r, c] = v
     return B
 
 
@@ -604,22 +684,154 @@ def _integer_entries(triples):
     return r, c, R.astype(np.int64), shape
 
 
+#: the complex coordinates z = x0 + i x1 and u = x2 - i x3, as rows on (x0, x1, x2, x3)
+_ZU = np.array([[1, 1j, 0, 0], [0, 0, 1, -1j]])
+
+
+def _weight_action(L, k):
+    """Integer matrix A of the linear field X = L x on the weight columns of degree k.
+
+    The weight columns are Re f_a, then Im f_a, for f_a = z^a u^b, b = k - a,
+    a = 0..k (at k = 0 only Re f_0 = 1).  The frame fields map z and u into
+    their span, X z = N00 z + N10 u and X u = N01 z + N11 u (the covectors
+    of z, u and their conjugates are orthogonal, of squared length 2), so by
+    the Leibniz rule X f_a = (a N00 + b N11) f_a + a N10 f_(a-1)
+    + b N01 f_(a+1).  :func:`_reduced_blocks` checks exactly that the top
+    blocks of the E_i act so.
+    """
+    N = _ZU.conj() @ L.T @ _ZU.T / 2
+    a = np.arange(k + 1)
+    M = (np.diag(a * N[0, 0] + (k - a) * N[1, 1]) + np.diag(a[1:] * N[1, 0], 1)
+         + np.diag((k - a[:-1]) * N[0, 1], -1))
+    A = np.block([[M.real, M.imag], [-M.imag, M.real]]) if k else M.real
+    return np.rint(A).astype(np.int64)
+
+
+def _coordinate_products(E, index):
+    """Multiplication by x0, x1, x2 and x3 on the top degree, as (rows, cols, values).
+
+    From the reduced monomials ``E`` of degree k - 1 to those of degree k,
+    whose exponents ``index`` maps to rows; x3^2 -> -(x0^2 + x1^2 + x2^2) is
+    the degree-k part of the reduction on the sphere.
+    """
+    n = len(E)
+    cols = np.arange(n)
+    unit = np.eye(4, dtype=np.int64)
+    out = [(index(E + unit[i]), cols, np.ones(n, dtype=np.int64)) for i in range(3)]
+    top = E[:, 3] == 1
+    rows = [index(E[~top] + unit[3])] + [index(E[top] - unit[3] + 2 * unit[i]) for i in range(3)]
+    out.append((np.concatenate(rows), np.concatenate([cols[~top]] + [cols[top]] * 3),
+                np.repeat([1, -1], [n - top.sum(), 3 * top.sum()])))
+    return out
+
+
+def _apply(triples, X, n):
+    """T @ X for sparse (rows, cols, values) T with n rows, in the dtype of X."""
+    r, c, v = triples
+    out = np.zeros((n, X.shape[1]), dtype=X.dtype)
+    np.add.at(out, r, v[:, None] * X[c])
+    return out
+
+
+def _exact(X, factor):
+    """X on int64 while factor * max|X| stays below 2^62, else on Python ints."""
+    if X.dtype == object or factor * int(np.abs(X).max(initial=0)) < 2 ** 62:
+        return X
+    return X.astype(object)
+
+
+def _weight_columns(D):
+    """C_k for k = 0..D: top coefficients of Re f_a, then Im f_a, f_a = z^a u^(k - a).
+
+    Degree by degree, f_a = u f_a for a < k and f_k = z f_(k-1) on the
+    columns of degree k - 1; exact, on Python ints once the entries near
+    the int64 range (each step at most quadruples them).
+    """
+    monomials = np.array(make_basis(D).monomials, dtype=np.int64).reshape(-1, 4)
+    offs = _degree_offsets(D)
+    C = np.array([[1, 0]], dtype=np.int64)  # Re and Im of f_0 = 1
+    yield C[:, :1]
+    for k in range(1, D + 1):
+        top = monomials[offs[k]:offs[k + 1]]
+        x0, x1, x2, x3 = (partial(_apply, T, n=len(top)) for T in _coordinate_products(
+            monomials[offs[k - 1]:offs[k]], polys.exponent_index(top, k + 1)))
+        P, Q = np.hsplit(_exact(C, 4), 2)
+        p, q = P[:, -1:], Q[:, -1:]
+        C = np.hstack([x2(P) + x3(Q), x0(p) - x1(q), x2(Q) - x3(P), x1(p) + x0(q)])
+        yield C
+
+
+def _reduced_blocks(D):
+    """The float blocks W_k^3, k = 0..D, W_k = ker(R_1^2 + k^2) on H_k.
+
+    The frame Laplacian and the right-frame certificates come first.  Then
+    per degree, on the degree-k diagonal blocks of the triples alone and on
+    integers (int64 where a bound shows no overflow, else Python ints):
+    E_i C = C A_i and R_1 C = C A_R for the weight columns C
+    (:func:`_weight_columns`) and the A from :func:`_weight_action`, with
+    A_R^2 = -k^2, so R_1^2 C = -k^2 C.  E_i and R_1 commute with Lap and
+    never raise the degree, so these top-block identities hold on the
+    harmonic extensions: the columns span W_k and the A_i are the frame on
+    it.  The L^2 Gram of the columns is diagonal with norms proportional to
+    sqrt(a! b!) (Fischer norms; Re f and Im f are orthogonal of equal norm
+    for k >= 1), so in orthonormal coordinates the frame is
+    diag(d) A_i diag(d)^-1.
+    """
+    frame = polys.derivative_triples(D)
+    lap = _frame_laplacian(D, frame)
+    right = polys.derivative_triples(D, RIGHT_MULT)
+    _right_frame_certificate(frame, right, lap)
+    offs = _degree_offsets(D)
+    tables = [*LEFT_MULT, RIGHT_MULT[0]]
+    blocks = []
+    for k, C in zip(range(D + 1), _weight_columns(D)):
+        n, w = C.shape
+        ops = [_block_triples(X, offs[k], offs[k + 1]) for X in (*frame, right[0])]
+        A = [_weight_action(L, k) for L in tables]
+        width = max(max(np.bincount(r, np.abs(v), n).max(initial=0) for r, _, v in ops),
+                    max(np.abs(X).sum(axis=0).max() for X in A))
+        C = _exact(C, width)
+        for name, op, A_i in zip(("E1", "E2", "E3", "R1"), ops, A):
+            r, c = np.nonzero(A_i.T)
+            if not np.array_equal(_apply(op, C, n), _apply((r, c, A_i.T[r, c]), C.T, w).T):
+                raise ArithmeticError(f"{name} does not act on the weight columns of "
+                                      f"degree {k} by its weight action")
+        # R1 C = C A_R with A_R^2 = -k^2 gives R1^2 C = -k^2 C
+        if not np.array_equal(A[3] @ A[3], -k * k * np.eye(w, dtype=np.int64)):
+            raise ArithmeticError(f"R1^2 is not -{k * k} on the weight columns of degree {k}")
+        d = np.tile([1 / math.sqrt(math.comb(k, a)) for a in range(k + 1)], 2 if k else 1)
+        F = [A_i * (d[:, None] / d) for A_i in A[:3]]
+        blocks.append(HarmonicBlock(k, None, F, _null_space(np.hstack(F))))
+    return blocks
+
+
 def eigen_decompose(D, ring="float"):
     """Spectral decomposition of *d on the divergence-free subspace.
 
     Returns (modes, report).  ``modes`` is a :class:`ModeSet` of
     L^2-normalized eigenfields sorted by eigenvalue; each eigenfield lies in
-    one harmonic block, so its coefficient degree is k.  In the exact ring
-    the eigenfields come from integer kernels of the integer block shifts
-    and the report additionally certifies completeness (multiplicities sum
-    to the subspace dimension) and the absence of spectrum at -1, 0, +1.
+    one harmonic block, so its coefficient degree is k.  The float report
+    comes from the reduced blocks (:func:`_reduced_blocks`) and the float
+    modes from the full harmonic blocks, built only when the set is read.
+    In the exact ring the eigenfields come from integer kernels of the
+    integer block shifts and the report additionally certifies completeness
+    (multiplicities sum to the subspace dimension) and the absence of
+    spectrum at -1, 0, +1.
+    """
+    if ring == "exact":
+        return _eigen_decompose_exact(divergence_free_subspace(D, ring))
+    return eigenmodes(D), _float_report(D, _reduced_blocks(D))
+
+
+def eigenmodes(D):
+    """The float eigenfields of *d, a :class:`ModeSet` without a report.
+
+    They come from the full harmonic blocks, which are built when the set
+    is first read.
     """
     if D < 0:
         raise ValueError(f"degree bound must be >= 0, got {D}")
-    sub = divergence_free_subspace(D, ring)
-    if ring == "exact":
-        return _eigen_decompose_exact(sub)
-    return _eigen_decompose_float(sub)
+    return ModeSet(D, lambda: _float_modes(divergence_free_subspace(D)))
 
 
 def _max_norm(blocks_columns):
@@ -628,41 +840,66 @@ def _max_norm(blocks_columns):
                default=0.0)
 
 
-def _eigen_decompose_float(sub):
-    """Float eigen-decomposition: one standard eigh per harmonic block.
+def _block_eigh(b):
+    """Eigenvalues of *d on the kernel of block b, and the eigenvectors in block coordinates."""
+    A = b.kernel.T @ b.star_d @ b.kernel
+    asym = float(np.max(np.abs(A - A.T)))
+    if asym > 1e-8 * max(1.0, float(np.max(np.abs(A)))):
+        raise ArithmeticError(f"star_d not self-adjoint on harmonic block {b.k} "
+                              f"(defect {asym:.3e})")
+    lam, X = eigh((A + A.T) / 2.0)
+    return lam, b.kernel @ X
 
-    The divergence residual of each mode is its image under the block's div,
-    which lands in H_k; its L^2 norm is the Euclidean norm there, the
-    block coordinates being orthonormal.
-    """
-    D = sub.degree
-    lams, coords = [], []
-    for b in sub.blocks:
-        A = b.kernel.T @ b.star_d @ b.kernel
-        asym = float(np.max(np.abs(A - A.T)))
-        if asym > 1e-8 * max(1.0, float(np.max(np.abs(A)))):
-            raise ArithmeticError(f"star_d not self-adjoint on harmonic block {b.k} "
-                                  f"(defect {asym:.3e})")
-        lam, X = eigh((A + A.T) / 2.0)
-        lams.append(lam)
-        coords.append(b.kernel @ X)
+
+def _float_modes(sub):
+    """The parts of the float :class:`ModeSet`: one eigh per full harmonic block."""
+    lams, coords = zip(*(_block_eigh(b) for b in sub.blocks))
     w = np.concatenate(lams)
     order = np.argsort(w, kind="stable")
-    modes = ModeSet(D, w[order], np.rint(w[order]).astype(int),
-                    [b.basis for b in sub.blocks], coords, order)
-    values, counts = np.unique(modes.lam_int, return_counts=True)
-    mults = {int(lam): int(k) for lam, k in zip(values, counts)}
-    report = SpectrumReport(
+    return (w[order], np.rint(w[order]).astype(int), [b.basis for b in sub.blocks],
+            list(coords), order)
+
+
+def _full_dimension(k, count):
+    """Dimension on H_k^3 of a *d-invariant piece of dimension ``count`` on W_k^3."""
+    if not k:
+        return count
+    if count % 2:
+        raise ArithmeticError(f"odd dimension {count} on the reduced block {k}")
+    return count // 2 * (k + 1)
+
+
+def _float_report(D, blocks):
+    """The float report from the reduced blocks: one eigh of 4(k + 1) columns per block.
+
+    The right frame commutes with *d and div and acts on H_k as copies of
+    the spin-k/2 representation, in which R_1^2 = -k^2 on a 2-dimensional
+    slice.  So every eigenspace on H_k^3 ∩ ker(div) is (k + 1)/2 times its
+    slice on W_k^3 (W_0 = H_0, scale 1); R_1 / k is a complex structure
+    commuting with *d, so for k >= 1 a slice of odd dimension is an error.
+    The divergence residual of each mode is its image under the block's
+    div, in orthonormal coordinates of W_k.
+    """
+    mults, dim, lams, residuals = {}, 0, [], []
+    for b in blocks:
+        lam, Y = _block_eigh(b)
+        values, counts = np.unique(np.rint(lam).astype(int), return_counts=True)
+        for value, count in zip(values.tolist(), counts.tolist()):
+            mults[value] = mults.get(value, 0) + _full_dimension(b.k, count)
+        dim += _full_dimension(b.k, b.dim)
+        lams.append(lam)
+        residuals.append(b.div @ Y)
+    w = np.concatenate(lams)
+    return SpectrumReport(
         degree=D,
         ring="float",
-        subspace_dim=sub.dim,
+        subspace_dim=dim,
         window=trusted_window(D),
         multiplicities=mults,
         max_integer_deviation=float(np.max(np.abs(w - np.rint(w)), initial=0.0)),
-        max_div_residual=_max_norm(b.div @ Y for b, Y in zip(sub.blocks, coords)),
-        complete=sum(mults.values()) == sub.dim,
+        max_div_residual=_max_norm(residuals),
+        complete=sum(mults.values()) == dim,
     )
-    return modes, report
 
 
 def _eigen_decompose_exact(sub):
@@ -704,7 +941,8 @@ def _eigen_decompose_exact(sub):
         residuals.append(np.sqrt(np.maximum(np.einsum("ik,ik->k", div, G[:m, :m] @ div), 0.0)))
     order = np.argsort(lams, kind="stable")
     lam = np.array(lams, dtype=int)[order]
-    modes = ModeSet(D, lam.astype(float), lam, [b.basis for b in sub.blocks], coords, order)
+    parts = (lam.astype(float), lam, [b.basis for b in sub.blocks], coords, order)
+    modes = ModeSet(D, lambda: parts)
     report = SpectrumReport(
         degree=D,
         ring="exact",
@@ -746,11 +984,9 @@ def hodge_laplacian_check(D):
         S = b.star_d
         A2 = b.kernel.T @ (S @ (S @ b.kernel))
         mu.append(eigh((A2 + A2.T) / 2.0)[0])
-    _, report = _eigen_decompose_float(sub)
-    lam_sq = sorted(lam * lam for lam, k in report.multiplicities.items()
-                    for _ in range(k))
+    lam_sq = np.sort(_float_modes(sub)[1] ** 2)
     mu_sorted = np.sort(np.concatenate(mu))
-    pairing = float(np.max(np.abs(mu_sorted - np.array(lam_sq)))) if lam_sq else 0.0
+    pairing = float(np.max(np.abs(mu_sorted - lam_sq), initial=0.0))
     clustered = {}
     for v in mu_sorted:
         key = int(round(v))

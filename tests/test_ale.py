@@ -18,7 +18,6 @@ from sdforms.ale import (
     decay_classify,
     decay_profile,
     energy_reference_values,
-    frame_pairing_mean,
     frame_pairing_poly,
     grad_energy_boundary,
     grad_energy_volume,
@@ -26,8 +25,14 @@ from sdforms.ale import (
     sup_grad,
 )
 from sdforms.frames import RIGHT_MULT
+from sdforms.polys import sphere_integral
 from sdforms.quadrature import s3_quadrature
 from sdforms.selfdual import EVAL_BLOCK, SelfDualForm, d_residual, star_two_form
+
+
+def frame_pairing_mean():
+    """Sphere average of <eta_2, eta_{-2}>; vanishes identically."""
+    return sphere_integral(frame_pairing_poly()) / (2.0 * pi ** 2)
 
 
 def random_points(n, seed=0, lo=0.5, hi=4.0):
@@ -479,6 +484,22 @@ def test_decay_synthetic_control_indeterminate():
     report = decay_classify(profile)
     assert report.classification == INDETERMINATE
     assert_allclose(report.exponent, -2.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("end", ["plus", "minus"])
+@pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (1.0, 0.0), (0.0, 1.0)])
+def test_decay_fit_matches_polyfit(alpha, beta, end):
+    # the closed-form fit on centred sums is the least-squares line of
+    # np.polyfit; its residual is a difference of numbers near log|omega|
+    # and agrees to rounding of those, not of itself
+    profile = decay_profile(AKFormParams(alpha, beta, 0.1), end)
+    x = np.log(np.abs([r for r, _ in profile]))
+    y = np.log([v for _, v in profile])
+    slope, intercept = np.polyfit(x, y, 1)
+    report = decay_classify(profile)
+    assert report.exponent == pytest.approx(slope, rel=1e-12)
+    residual = np.sqrt(np.mean((y - slope * x - intercept) ** 2))
+    assert abs(report.residual - residual) <= 1e-12 * np.max(np.abs(y))
 
 
 def test_decay_classifier_validation():

@@ -323,9 +323,8 @@ def test_evolve_fails_when_cross_check_skipped(capsys, tmp_path, monkeypatch):
     # residual is large, the cross-check is skipped and that is a failure
     from sdforms import spectrum
 
-    full = spectrum.eigen_decompose
-    monkeypatch.setattr("sdforms.cli.spectrum.eigen_decompose",
-                        lambda D, ring="float": full(D - 1, ring))
+    full = spectrum.eigenmodes
+    monkeypatch.setattr("sdforms.cli.spectrum.eigenmodes", lambda D: full(D - 1))
     init = tmp_path / "init.json"
     dump_initial_field(right_invariant_coframe(1), str(init))
     code, rep = run(capsys, "evolve", "--init", str(init), "--steps", "10")
@@ -445,6 +444,10 @@ def test_kato_fails_when_a_form_has_no_points(capsys, monkeypatch):
     (["--epsilon", "0.1", "--beta", "1e200"], "--beta"),
     (["--epsilon", "1e300"], "--epsilon"),
     (["--epsilon", "1e39"], "--epsilon"),
+    # the boundary energy's radial derivative takes f^-5 with f ~ epsilon^2 and
+    # t^-9 with t ~ 1 / epsilon; these printed the bare errno text
+    (["--epsilon", "1e-36"], "--epsilon"),
+    (["--epsilon", "1e37"], "--epsilon"),
 ])
 def test_ale_report_rejects_bad_flags(capsys, monkeypatch, flags, named):
     # the flags are checked before any computation
@@ -545,6 +548,25 @@ def test_ale_report_curvature_window_past_the_float_range(capsys):
     code, rep = run(capsys, "ale-report", "--epsilon", "1e-100")
     assert code == 2
     assert "--epsilon" in rep["message"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ale_profile_past_the_float_range_is_silent(capsys, tmp_path):
+    # (rho^2 + 4 epsilon^2)^4 overflows for |rho| above about 3.4e38: |Ric|^2
+    # is written as 0 there, with no RuntimeWarning, and exactly as before
+    # where the power is finite
+    from sdforms.cli import _ric_sq
+
+    assert _ric_sq(0.1, np.float64(1e50)) == 0.0
+    assert _ric_sq(0.1, np.float64(3.0)) == pytest.approx(192e-4 / 9.04 ** 4, rel=1e-15)
+    code = dispatch(["ale-report", "--epsilon", "0.1", "--alpha", "1", "--beta", "1",
+                     "--rho-max", "1e50", "--ricci-samples", "5", "--output", str(tmp_path)])
+    strict_json(capsys.readouterr().out)
+    assert code in (0, 1)
+    rows = (tmp_path / "ale_profile.csv").read_text().splitlines()[1:]
+    ric = {float(r.split(",")[0]): float(r.split(",")[2]) for r in rows}
+    assert ric[1e50] == ric[-1e50] == 0.0
+    assert ric[0.0] == pytest.approx(7500.0, rel=1e-12)
 
 
 def test_ale_report_overflowing_energy_is_an_error(capsys):

@@ -14,7 +14,6 @@ from sdforms.polys import (
     div,
     frame_derivative,
     gradient_coframe,
-    l2_inner,
     left_invariant_coframe,
     make_basis,
     monomial_integral_over_pi2,
@@ -23,6 +22,11 @@ from sdforms.polys import (
     sphere_integral,
     star_d,
 )
+
+
+def l2_inner(f, g, over_pi2=False):
+    """L^2 inner product of two scalars over the sphere."""
+    return sphere_integral(f * g, over_pi2=over_pi2)
 
 
 def random_poly(rng, degree=3, ring="float"):

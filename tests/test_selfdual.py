@@ -5,15 +5,16 @@ from numpy.testing import assert_allclose
 from sdforms import selfdual
 from sdforms.evolution import decompose_initial
 from sdforms.polys import CoframeField, left_invariant_coframe, right_invariant_coframe
+from sdforms.quadrature import radial_gauss
 from sdforms.regularity import sqrt_elliptic_check
 from sdforms.selfdual import (
     SelfDualForm,
-    ball_orthogonality,
+    _covector,
+    _norm,
+    _radial_split,
+    _self_dual,
     d_residual,
-    dump_point_samples,
     eval_kahler_basis,
-    f_t_inverse,
-    f_t_map,
     harmonic_residual,
     kato_ratio,
     l2_shell_orthogonality,
@@ -21,6 +22,57 @@ from sdforms.selfdual import (
     wedge_norm_sq,
 )
 from sdforms.spectrum import eigen_decompose
+
+
+def tangent_covector(field, x):
+    """Value of t * eta at x as a Cartesian covector, eta with components field.
+
+    The coframe eta^m extends off the unit sphere by (L_m x)^flat / t^2, so
+    t * eta^m has components (L_m x) / t and the result is orthogonal to x;
+    x has shape (..., 4).
+    """
+    n, _ = _radial_split(x)
+    a = np.moveaxis(field.evaluate(np.moveaxis(n, 0, -1)), -1, 0)
+    return np.moveaxis(_covector(a, n), 0, -1)
+
+
+def f_t_map(M, x):
+    """Contraction sqrt(2) i_n omega of 2-form values M (..., 4, 4) at x, n = x/|x|."""
+    n, _ = _radial_split(x)
+    return np.sqrt(2.0) * np.einsum("i...,...ij->...j", n, M)
+
+
+def f_t_inverse(xi, x):
+    """The unique self-dual 2-form at x contracting to the tangent covector xi."""
+    n, _ = _radial_split(x)
+    M = _self_dual(n, np.moveaxis(np.asarray(xi, dtype=float), -1, 0))
+    return np.moveaxis(M, (0, 1), (-2, -1))
+
+
+def ball_orthogonality(mode1, mode2, radius, n_nodes=64):
+    """Ball integral of omega_1 ^ omega_2 by radial quadrature of shell values."""
+    if radius <= 0:
+        raise ValueError(f"ball radius must be positive, got {radius}")
+    ts, ws = radial_gauss(radius * 1e-6, radius, n_nodes)
+    return float(sum(w * l2_shell_orthogonality(mode1, mode2, t)
+                     for t, w in zip(ts, ws)))
+
+
+def dump_point_samples(sdf, points, path):
+    """CSV dump of component samples: x0..x3, the six omega_{mu nu}, |omega|."""
+    header = ("x0,x1,x2,x3,omega_01,omega_02,omega_03,"
+              "omega_12,omega_13,omega_23,abs_omega")
+    rows = [header]
+    points = np.asarray(points, dtype=float).reshape(-1, 4)
+    values = sdf(points)
+    for x, M, norm in zip(points, values, _norm(values)):
+        vals = [x[0], x[1], x[2], x[3],
+                M[0, 1], M[0, 2], M[0, 3], M[1, 2], M[1, 3], M[2, 3], norm]
+        rows.append(",".join(f"{v:.12e}" for v in vals))
+    text = "\n".join(rows) + "\n"
+    with open(path, "w") as fh:
+        fh.write(text)
+    return text
 
 
 @pytest.fixture(scope="module")
@@ -168,8 +220,6 @@ def test_f_t_norm_preserving():
 
 
 def test_f_t_of_kahler_is_invariant_coframe():
-    from sdforms.selfdual import tangent_covector
-
     for x in random_points(10, seed=10):
         M = eval_kahler_basis(1, x)
         expected = tangent_covector(left_invariant_coframe(1), x)
@@ -209,8 +259,6 @@ def test_series_from_mode_expansion(modes_d2):
     sdf = SelfDualForm.from_expansion(exp)
     # at |x| = 1 the form contracts back to the initial field
     for x in random_points(10, seed=13, lo=1.0, hi=1.0):
-        from sdforms.selfdual import tangent_covector
-
         xi = f_t_map(sdf(x), x)
         assert_allclose(xi, tangent_covector(eta0, x), atol=1e-10)
 

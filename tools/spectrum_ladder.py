@@ -1,7 +1,7 @@
 """Wall time, CPU time and peak memory of ``sdforms spectrum`` at growing degree.
 
     python3 tools/spectrum_ladder.py
-    python3 tools/spectrum_ladder.py --float 16 --exact --max-rss-mb 250
+    python3 tools/spectrum_ladder.py --float 16 24 48 --exact --max-rss-mb 250
     python3 tools/spectrum_ladder.py --root ../other-checkout --out ladder.json
 
 Each rung is one fresh ``python3 -m sdforms.cli spectrum --degree D`` process
@@ -24,7 +24,7 @@ import threading
 import time
 from pathlib import Path
 
-FLOAT_DEGREES = (10, 12, 16, 20, 24)
+FLOAT_DEGREES = (10, 12, 16, 20, 24, 32, 48)
 EXACT_DEGREES = (6, 8, 10)
 LIMIT_BYTES = 4 * 2 ** 30
 TIMEOUT_S = 600.0
