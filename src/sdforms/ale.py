@@ -47,6 +47,7 @@ __all__ = [
     "ak_form",
     "ak_form_eval",
     "ak_norm_sq_closed_form",
+    "ak_norm_sq_end_deviation",
     "grad_energy_boundary",
     "grad_energy_volume",
     "sup_grad",
@@ -261,6 +262,20 @@ def ak_norm_sq_closed_form(params, t, pairing):
         q = w * r
         cross = 2 * (a * b * np.asarray(pairing) * q ** 2 * r ** 2)
         return a ** 2 * q ** 4 + cross + b ** 2 * r ** 4
+
+
+def ak_norm_sq_end_deviation(params, t, plus_end):
+    """Sphere average of |omega|^2 minus its limit alpha^2 (plus end) or beta^2.
+
+    Without cancellation, in the r, q of :func:`ak_norm_sq_closed_form`:
+    a^2 s (-4 + 6s - 4s^2 + s^3) + b^2 s^4, s = r; a, b swapped and s = q.
+    """
+    a, b, eps = params.alpha, params.beta, params.epsilon
+    with np.errstate(over="ignore"):
+        w = np.minimum((eps * np.asarray(t, dtype=float)) ** 2, 1e300)
+    r = 1.0 / (1.0 + w)
+    lead, other, s = (a, b, r) if plus_end else (b, a, w * r)
+    return lead ** 2 * s * (-4.0 + s * (6.0 + s * (-4.0 + s))) + other ** 2 * s ** 4
 
 
 def ak_form_eval(params, x):

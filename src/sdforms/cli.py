@@ -361,7 +361,9 @@ def _ale_asymptotics(args, params):
     for end, rho, coeff in (("plus_end", args.rho_max, args.alpha),
                             ("minus_end", -args.rho_max, args.beta)):
         norm_sq = _mean_norm_sq(params, rho)
-        deviation = abs(norm_sq - coeff ** 2)
+        # in closed form: norm_sq - coeff^2 would measure the rounding of norm_sq
+        deviation = abs(float(ale.ak_norm_sq_end_deviation(
+            params, params.model.t_of_rho(rho), end == "plus_end")))
         asym[end] = {"norm_sq": norm_sq, "limit": coeff ** 2,
                      "deviation": deviation, "bound": bound}
         if deviation > bound:

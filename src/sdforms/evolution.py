@@ -8,7 +8,11 @@ cross-checked against each other:
 * :func:`propagate` applies the exact per-mode power law to a spectral
   expansion of the initial field;
 * :func:`evolve_ode` integrates the coefficient ODE with a classical
-  fourth-order Runge-Kutta scheme, never using the spectral decomposition.
+  fourth-order Runge-Kutta scheme, never using the spectral decomposition;
+  each stage applies the sparse curl triples once.
+
+L^2 norms and pairings take the scalar Gram matrix per frame component; no
+dense 3N x 3N operator or Gram matrix is formed.
 
 Initial fields can be read from a JSON file holding a list of records
 ``{"monomial": [e0, e1, e2, e3], "axis": i, "coefficient": c}`` with 1-based
@@ -23,10 +27,11 @@ import numpy as np
 from .polys import (
     CoframeField,
     PolyScalar,
-    coframe_gram,
+    coframe_pairings,
+    coframe_triples,
     div_norms,
     make_basis,
-    operator_matrix,
+    sparse_apply,
 )
 from .spectrum import ModeSet
 
@@ -52,7 +57,7 @@ def div_residual(eta):
 
 def gram_norm(D, v):
     """L^2 norm of the coframe field with coefficient vector v on the degree <= D basis."""
-    return float(np.sqrt(max(v @ coframe_gram(D) @ v, 0.0)))
+    return float(np.sqrt(max(coframe_pairings(D, v, v), 0.0)))
 
 
 @dataclass
@@ -98,7 +103,7 @@ def decompose_initial(eta0, modes, drop_tol=1e-13):
     D = max(eta0.degree, modes.D)
     c0 = make_basis(D).coframe_to_vector(eta0)
     C = modes.embedded(D)
-    a = C.T @ (coframe_gram(D) @ c0)
+    a = coframe_pairings(D, C, c0)
     a[np.abs(a) <= drop_tol] = 0.0
     return ModeExpansion(modes=modes, a=a, t0=1.0, residual=gram_norm(D, c0 - C @ a))
 
@@ -123,14 +128,15 @@ def evolve_ode(eta0, u0, u1, steps):
         raise ValueError(f"initial field is not divergence-free (residual {r:.3e})")
     D = eta0.degree
     basis = make_basis(D)
-    C = operator_matrix("curl", D).matrix
+    curl = coframe_triples(D)["curl"]
+    n = 3 * basis.dim
     y = basis.coframe_to_vector(eta0)
     h = (u1 - u0) / steps
     for _ in range(steps):
-        k1 = C @ y
-        k2 = C @ (y + 0.5 * h * k1)
-        k3 = C @ (y + 0.5 * h * k2)
-        k4 = C @ (y + h * k3)
+        k1 = sparse_apply(curl, y, n)
+        k2 = sparse_apply(curl, y + 0.5 * h * k1, n)
+        k3 = sparse_apply(curl, y + 0.5 * h * k2, n)
+        k4 = sparse_apply(curl, y + h * k3, n)
         y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return basis.coframe_from_vector(y)
 
@@ -139,7 +145,8 @@ def load_initial_field(source):
     """Read a coframe field from the JSON initial-data format.
 
     ``source`` is a path, file object, or already-parsed list of records
-    {"monomial": [e0, e1, e2, e3], "axis": i, "coefficient": c}.
+    {"monomial": [e0, e1, e2, e3], "axis": i, "coefficient": c}, summed in
+    order into one coefficient dict per axis (linear time).
     """
     if isinstance(source, (str, bytes)):
         with open(source) as fh:
@@ -148,7 +155,7 @@ def load_initial_field(source):
         records = json.load(source)
     else:
         records = source
-    comps = [PolyScalar.zero(), PolyScalar.zero(), PolyScalar.zero()]
+    comps = [{}, {}, {}]
     for rec in records:
         e = tuple(int(v) for v in rec["monomial"])
         if len(e) != 4 or any(v < 0 for v in e):
@@ -156,9 +163,10 @@ def load_initial_field(source):
         axis = int(rec["axis"])
         if axis not in (1, 2, 3):
             raise ValueError(f"frame axis must be 1, 2 or 3, got {axis}")
-        c = float(rec["coefficient"])
-        comps[axis - 1] = comps[axis - 1] + PolyScalar({e: c})
-    return CoframeField(tuple(comps))
+        acc = comps[axis - 1]
+        for m, c in PolyScalar({e: float(rec["coefficient"])}).coeffs.items():
+            acc[m] = acc.get(m, 0.0) + c
+    return CoframeField(tuple(PolyScalar(acc) for acc in comps))
 
 
 def dump_initial_field(eta, path=None):

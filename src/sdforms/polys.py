@@ -8,9 +8,12 @@ dimension sum_{d<=D} (d+1)^2.
 
 Frame derivatives, divergence, curl and the first-order operator *d all act
 degree-non-increasingly on this model, so every operator is realized as an
-exact finite matrix.  Coefficients live either in 64-bit floats or in exact
-rationals (``fractions.Fraction``); the integral of a monomial over the
-sphere is a rational multiple of pi^2 in both cases.
+exact finite matrix, applied as sparse integer triples (:func:`sparse_apply`);
+L^2 pairings take the scalar Gram matrix per frame component.  The dense
+:func:`operator_matrix` and :func:`coframe_gram` are oracles only.
+Coefficients live either in 64-bit floats or in exact rationals
+(``fractions.Fraction``); the integral of a monomial over the sphere is a
+rational multiple of pi^2 in both cases.
 
 Coframe fields eta = a_i eta^i are triples of such polynomials in the frame
 of :mod:`sdforms.frames`; axis labels are 1-based to match eta^1, eta^2,
@@ -30,7 +33,6 @@ __all__ = [
     "PolyScalar",
     "CoframeField",
     "PolyBasis",
-    "OperatorMatrix",
     "make_basis",
     "frame_derivative",
     "monomial_integral_over_pi2",
@@ -41,10 +43,13 @@ __all__ = [
     "coframe_inner",
     "operator_matrix",
     "derivative_triples",
+    "coframe_triples",
+    "sparse_apply",
     "sparse_triples",
     "exponent_index",
     "coframe_curl",
     "coframe_gram",
+    "coframe_pairings",
     "div_norms",
     "left_invariant_coframe",
     "right_invariant_coframe",
@@ -572,39 +577,52 @@ def coframe_curl(E):
     return curl
 
 
-@dataclass
-class OperatorMatrix:
-    """Dense matrix of an operator between coframe/scalar polynomial spaces."""
+def sparse_apply(triples, X, n):
+    """T @ X for sparse triples T = (rows, cols, values[, shape]) with n rows.
 
-    matrix: np.ndarray
-    domain: str
-    codomain: str
-    degree: int
-
-    def to_json(self):
-        return {
-            "domain": self.domain,
-            "codomain": self.codomain,
-            "degree": self.degree,
-            "shape": list(self.matrix.shape),
-            "matrix": [[float(v) for v in row] for row in self.matrix],
-        }
+    X is (m,) or (m, K) of int64, Python ints or floats, kept in the result.
+    """
+    r, c, v = triples[:3]
+    out = np.zeros((n,) + X.shape[1:], dtype=X.dtype)
+    np.add.at(out, r, v.reshape((-1,) + (1,) * (X.ndim - 1)) * X[c])
+    return out
 
 
-def _dense(triples):
-    rows, cols, vals, shape = triples
-    M = np.zeros(shape)
-    M[rows, cols] = vals
-    return M
+@lru_cache(maxsize=8)
+def coframe_triples(D):
+    """Sparse div (N, 3N) and curl (3N, 3N) on the degree <= D coframe space.
 
-
-def _div_matrix(D):
-    return np.hstack([_dense(E) for E in derivative_triples(D)])
+    Triples in the form of :func:`derivative_triples`: column block j of div
+    is E_(j+1), block (k, j) of curl is eps_kij E_i; star_d is curl + 2 I.
+    """
+    E = derivative_triples(D)
+    n = E[0][3][0]
+    div = [(r, c + j * n, v) for j, (r, c, v, _) in enumerate(E)]
+    curl = [(E[i][0] + k * n, E[i][1] + j * n, int(LEVI_CIVITA[k, i, j]) * E[i][2])
+            for k, i, j in zip(*np.nonzero(LEVI_CIVITA))]
+    out = {}
+    for kind, parts, shape in (("div", div, (n, 3 * n)), ("curl", curl, (3 * n, 3 * n))):
+        r, c, v = (np.concatenate(a) for a in zip(*parts))
+        out[kind] = sparse_triples(r * shape[1] + c, v, shape)
+        for a in out[kind][:3]:
+            a.flags.writeable = False
+    return out
 
 
 def coframe_gram(D):
-    """Gram matrix of the coframe basis (block-diagonal scalar Gram)."""
+    """Dense Gram matrix kron(I_3, G) of the coframe basis; an oracle only."""
     return np.kron(np.eye(3), make_basis(D).gram())
+
+
+def coframe_pairings(D, A, B):
+    """L^2 pairings A^T (I_3 kron G) B of coframe coefficient vectors or columns.
+
+    ``A`` and ``B`` are (3N,) or (3N, K) on the degree <= D basis; the scalar
+    Gram G of :meth:`PolyBasis.gram` acts on each frame component.
+    """
+    G = make_basis(D).gram()
+    n = len(G)
+    return sum(A[m * n:(m + 1) * n].T @ (G @ B[m * n:(m + 1) * n]) for m in range(3))
 
 
 def div_norms(D, C):
@@ -613,26 +631,22 @@ def div_norms(D, C):
     ``C`` is one coframe coefficient vector on the degree <= D basis, or a
     (3N, K) matrix of them; the result lists one norm per vector.
     """
-    basis = make_basis(D)
-    R = _div_matrix(D) @ np.asarray(C).reshape(3 * basis.dim, -1)
-    sq = np.einsum("ik,ik->k", R, basis.gram() @ R)
+    G = make_basis(D).gram()
+    n = len(G)
+    R = sparse_apply(coframe_triples(D)["div"], np.asarray(C, dtype=float).reshape(3 * n, -1), n)
+    sq = np.einsum("ik,ik->k", R, G @ R)
     return np.sqrt(np.maximum(sq, 0.0)).tolist()
 
 
 def operator_matrix(kind, D):
-    """Dense matrix of div, curl or star_d on the degree <= D coframe space.
+    """Dense view of div, curl or star_d = curl + 2 I, from :func:`coframe_triples`.
 
-    Columns follow the coframe vectorization: component-major order over the
-    reduced monomial basis.  The matrices are assembled from the densified
-    :func:`derivative_triples`.
+    An ndarray for tests and tracing; no library path applies it.  Columns
+    follow the coframe vectorization, component-major over the monomials.
     """
-    if D < 0:
-        raise ValueError(f"degree bound must be >= 0, got {D}")
-    if kind == "div":
-        return OperatorMatrix(_div_matrix(D), "coframe", "scalar", D)
-    if kind not in ("curl", "star_d"):
+    if kind not in ("div", "curl", "star_d"):
         raise ValueError(f"unknown operator kind {kind!r}")
-    M = coframe_curl([_dense(E) for E in derivative_triples(D)])
-    if kind == "star_d":
-        M += 2.0 * np.eye(len(M))
-    return OperatorMatrix(M, "coframe", "coframe", D)
+    rows, cols, vals, shape = coframe_triples(D)["div" if kind == "div" else "curl"]
+    M = np.zeros(shape)
+    M[rows, cols] = vals
+    return M + 2.0 * np.eye(len(M)) if kind == "star_d" else M

@@ -67,7 +67,7 @@ from numpy.linalg import eigh
 
 from . import exactla, polys
 from .frames import LEFT_MULT, RIGHT_MULT
-from .polys import coframe_curl, coframe_gram, make_basis
+from .polys import coframe_curl, make_basis
 
 __all__ = [
     "SpectralMode",
@@ -118,7 +118,7 @@ class SpectralMode:
         return make_basis(self.degree).coframe_from_vector(self.coeffs)
 
     def norm_spread(self, points):
-        vals = self.field.norm_sq_poly()(points)
+        vals = np.sum(self.field.evaluate(points) ** 2, axis=-1)
         return float(vals.max() - vals.min())
 
 
@@ -192,8 +192,8 @@ class ModeSet(Sequence):
         return out
 
     def pairings(self):
-        """The L^2 pairing table C^T G C of all modes."""
-        return self.C.T @ coframe_gram(self.D) @ self.C
+        """The L^2 pairing table C^T G C of all modes, G on each frame component."""
+        return polys.coframe_pairings(self.D, self.C, self.C)
 
 
 @dataclass
@@ -356,10 +356,6 @@ class DivergenceFreeSubspace:
         V = self.assemble([b.kernel for b in self.blocks], exact=True)
         return V // np.gcd.reduce(V, axis=0)
 
-    def fields(self):
-        basis = make_basis(self.degree)
-        return [basis.coframe_from_vector(self.matrix[:, k]) for k in range(self.dim)]
-
     def projector_defect(self):
         """Norm of (I - P) star_d P measuring *d-invariance of the subspace.
 
@@ -371,13 +367,12 @@ class DivergenceFreeSubspace:
         the image that would leave it once assembled on the monomials,
         counts too.
         """
-        offs = _degree_offsets(self.degree)
         total = 0.0
         for b in self.blocks:
             Q = np.linalg.qr(b.kernel.astype(float))[0]
             image = b.star_d.astype(float) @ Q
             total += float(np.linalg.norm(image - Q @ (Q.T @ image))) ** 2
-            total += _harmonic_defect(self.lap, offs, b.k, b.basis) ** 2
+            total += _harmonic_defect(self.lap, b.k, b.basis) ** 2
         return math.sqrt(total)
 
 
@@ -492,32 +487,6 @@ def _right_frame_certificate(frame, right, lap):
         raise ArithmeticError("the right frame's Casimir is not the frame Laplacian")
 
 
-def _row_slice(A, lo, hi, cols, dtype):
-    """Rows lo:hi of the row-major sparse triples A on the columns in range ``cols``.
-
-    Returns the dense slice, one column per column index of A that occurs,
-    and those column indices.
-    """
-    r, c, v, _ = A
-    a, b = np.searchsorted(r, [lo, hi])
-    sel = a + np.flatnonzero((c[a:b] >= cols.start) & (c[a:b] < cols.stop))
-    index, inverse = np.unique(c[sel], return_inverse=True)
-    L = np.zeros((hi - lo, len(index)), dtype=dtype)
-    L[r[sel] - lo, inverse] = v[sel]
-    return L, index
-
-
-def _sparse_apply(A, V, offs):
-    """A @ V in floats for V (m, K) on the first m monomials; A never raises the degree."""
-    m = len(V)
-    out = np.zeros(V.shape)
-    for lo, hi in zip(offs, offs[1:]):
-        if lo < m:
-            L, index = _row_slice(A, lo, hi, range(m), float)
-            out[lo:hi] = L @ V[index]
-    return out
-
-
 def _harmonic_basis(lap, offs, k, scale=None):
     """The basis of H_k that is the identity on degree k, from the sparse ``lap``.
 
@@ -532,29 +501,32 @@ def _harmonic_basis(lap, offs, k, scale=None):
     T = np.zeros((m, n), dtype=dtype)
     T[offs[k]:] = np.eye(n, dtype=np.int64).astype(dtype) * (scale or 1)
     for j in range(k - 1, -1, -1):
-        L, index = _row_slice(lap, offs[j], offs[j + 1], range(offs[j + 1], m), dtype)
-        acc = L @ T[index]
+        lo, hi = offs[j], offs[j + 1]
+        acc = polys.sparse_apply(_block_triples(lap, lo, hi, range(hi, m)), T[hi:], hi - lo)
         d = (k - j) * (k + j + 2)
-        T[offs[j]:offs[j + 1]] = acc // d if scale else acc / d
+        T[lo:hi] = acc // d if scale else acc / d
     return T
 
 
-def _harmonic_defect(lap, offs, k, basis):
+def _harmonic_defect(lap, k, basis):
     """Relative defect ||Lap B - k(k + 2) B|| / (max(1, k(k + 2)) ||B||) of a block basis B.
 
     Frobenius norms, taken in floats on the monomial coefficients that the
     mode matrix is assembled from.
     """
-    residual = _sparse_apply(lap, basis, offs) - k * (k + 2) * basis
+    m = len(basis)
+    residual = polys.sparse_apply(_block_triples(lap, 0, m), basis, m) - k * (k + 2) * basis
     return float(np.linalg.norm(residual) / (max(1, k * (k + 2)) * np.linalg.norm(basis)))
 
 
-def _block_triples(A, lo, hi):
-    """(rows, cols, values) of row-major triples A on rows and columns lo:hi, from 0."""
+def _block_triples(A, lo, hi, cols=None):
+    """(rows, cols, values) of row-major triples A on rows lo:hi and columns
+    ``cols`` (a range, by default lo:hi), each counted from its start."""
     r, c, v, _ = A
+    cols = range(lo, hi) if cols is None else cols
     a, b = np.searchsorted(r, [lo, hi])
-    keep = a + np.flatnonzero((c[a:b] >= lo) & (c[a:b] < hi))
-    return r[keep] - lo, c[keep] - lo, v[keep]
+    keep = a + np.flatnonzero((c[a:b] >= cols.start) & (c[a:b] < cols.stop))
+    return r[keep] - lo, c[keep] - cols.start, v[keep]
 
 
 def _degree_block(triples, offs, k, dtype):
@@ -725,14 +697,6 @@ def _coordinate_products(E, index):
     return out
 
 
-def _apply(triples, X, n):
-    """T @ X for sparse (rows, cols, values) T with n rows, in the dtype of X."""
-    r, c, v = triples
-    out = np.zeros((n, X.shape[1]), dtype=X.dtype)
-    np.add.at(out, r, v[:, None] * X[c])
-    return out
-
-
 def _exact(X, factor):
     """X on int64 while factor * max|X| stays below 2^62, else on Python ints."""
     if X.dtype == object or factor * int(np.abs(X).max(initial=0)) < 2 ** 62:
@@ -753,7 +717,7 @@ def _weight_columns(D):
     yield C[:, :1]
     for k in range(1, D + 1):
         top = monomials[offs[k]:offs[k + 1]]
-        x0, x1, x2, x3 = (partial(_apply, T, n=len(top)) for T in _coordinate_products(
+        x0, x1, x2, x3 = (partial(polys.sparse_apply, T, n=len(top)) for T in _coordinate_products(
             monomials[offs[k - 1]:offs[k]], polys.exponent_index(top, k + 1)))
         P, Q = np.hsplit(_exact(C, 4), 2)
         p, q = P[:, -1:], Q[:, -1:]
@@ -793,7 +757,8 @@ def _reduced_blocks(D):
         C = _exact(C, width)
         for name, op, A_i in zip(("E1", "E2", "E3", "R1"), ops, A):
             r, c = np.nonzero(A_i.T)
-            if not np.array_equal(_apply(op, C, n), _apply((r, c, A_i.T[r, c]), C.T, w).T):
+            if not np.array_equal(polys.sparse_apply(op, C, n),
+                                  polys.sparse_apply((r, c, A_i.T[r, c]), C.T, w).T):
                 raise ArithmeticError(f"{name} does not act on the weight columns of "
                                       f"degree {k} by its weight action")
         # R1 C = C A_R with A_R^2 = -k^2 gives R1^2 C = -k^2 C
@@ -832,12 +797,6 @@ def eigenmodes(D):
     if D < 0:
         raise ValueError(f"degree bound must be >= 0, got {D}")
     return ModeSet(D, lambda: _float_modes(divergence_free_subspace(D)))
-
-
-def _max_norm(blocks_columns):
-    """Largest column norm over a list of (rows, K_b) matrices, 0.0 if none."""
-    return max((float(np.max(np.linalg.norm(Y, axis=0), initial=0.0)) for Y in blocks_columns),
-               default=0.0)
 
 
 def _block_eigh(b):
@@ -888,7 +847,7 @@ def _float_report(D, blocks):
             mults[value] = mults.get(value, 0) + _full_dimension(b.k, count)
         dim += _full_dimension(b.k, b.dim)
         lams.append(lam)
-        residuals.append(b.div @ Y)
+        residuals.append(np.linalg.norm(b.div @ Y, axis=0))
     w = np.concatenate(lams)
     return SpectrumReport(
         degree=D,
@@ -897,7 +856,7 @@ def _float_report(D, blocks):
         window=trusted_window(D),
         multiplicities=mults,
         max_integer_deviation=float(np.max(np.abs(w - np.rint(w)), initial=0.0)),
-        max_div_residual=_max_norm(residuals),
+        max_div_residual=float(np.concatenate(residuals).max(initial=0.0)),
         complete=sum(mults.values()) == dim,
     )
 
@@ -915,7 +874,6 @@ def _eigen_decompose_exact(sub):
     D = sub.degree
     monomials = make_basis(D).monomials
     G = make_basis(D).gram()
-    offs = _degree_offsets(D)
     mults = {}
     lams = []
     coords = []
@@ -937,7 +895,8 @@ def _eigen_decompose_exact(sub):
         coords.append(np.hstack(Y))
         m, n = b.basis.shape
         fields = b.basis @ coords[-1].reshape(3, n, -1)
-        div = sum(_sparse_apply(E, F, offs) for E, F in zip(sub.frame, fields))
+        div = sum(polys.sparse_apply(_block_triples(E, 0, m), F, m)
+                  for E, F in zip(sub.frame, fields))
         residuals.append(np.sqrt(np.maximum(np.einsum("ik,ik->k", div, G[:m, :m] @ div), 0.0)))
     order = np.argsort(lams, kind="stable")
     lam = np.array(lams, dtype=int)[order]

@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 from math import pi
 
 import numpy as np
@@ -15,6 +16,7 @@ from sdforms.ale import (
     ak_form_eval,
     ak_matrix_batch,
     ak_norm_sq_closed_form,
+    ak_norm_sq_end_deviation,
     decay_classify,
     decay_profile,
     energy_reference_values,
@@ -248,6 +250,24 @@ def test_minus_end_norm_approaches_beta_squared():
     t = float(params.model.t_of_rho(-1000.0))
     norm_sq = float(ak_norm_sq_closed_form(params, t, 0.0))
     assert abs(norm_sq - 1.0) <= 10.0 / 1000.0 ** 2
+
+
+@pytest.mark.parametrize("t", [1e-30, 1e-3, 0.7, 10.0, 1e3, 1e30])
+@pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (0.5, -2.0), (0.0, 3.0)])
+def test_end_deviation_matches_rational_arithmetic(alpha, beta, t):
+    # norm_sq - limit in exact rationals: to a few ulps on its own end's side
+    # of w = (eps t)^2 = 1, and no worse than the rounding of norm_sq beyond
+    params = AKFormParams(alpha, beta, 0.1)
+    w = (Fraction(0.1) * Fraction(t)) ** 2
+    r = 1 / (1 + w)
+    norm_sq = Fraction(alpha) ** 2 * (w * r) ** 4 + Fraction(beta) ** 2 * r ** 4
+    for plus_end, limit in ((True, alpha), (False, beta)):
+        exact = float(norm_sq - Fraction(limit) ** 2)
+        got = float(ak_norm_sq_end_deviation(params, t, plus_end))
+        if (w >= 1) == plus_end:
+            assert got == pytest.approx(exact, rel=1e-14, abs=1e-300)
+        else:
+            assert abs(got - exact) <= 1e-15 * (alpha ** 2 + beta ** 2)
 
 
 def test_three_asymptotic_envelopes():

@@ -335,6 +335,35 @@ def test_evolve_fails_when_cross_check_skipped(capsys, tmp_path, monkeypatch):
     assert rep["failures"][0]["operation"] == "decompose_initial"
 
 
+def test_library_paths_form_no_dense_operator_or_gram(capsys, tmp_path, monkeypatch):
+    # the dense operators and the coframe Gram are test and tracing oracles:
+    # evolve and the orthogonality check pass with every binding of them raising
+    import sys
+
+    from sdforms import polys
+    from sdforms.polys import make_basis, star_d
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense 3N x 3N operator or coframe Gram formed")
+
+    for name in ("operator_matrix", "coframe_gram"):
+        original = getattr(polys, name)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "sdforms" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, forbidden)
+    rng = np.random.default_rng(5)
+    for D in (3, 4):
+        basis = make_basis(D)
+        init = tmp_path / f"init_d{D}.json"
+        dump_initial_field(star_d(basis.coframe_from_vector(rng.standard_normal(3 * basis.dim))),
+                           str(init))
+        code, rep = run(capsys, "evolve", "--init", str(init), "--steps", "100")
+        assert (code, rep["status"]) == (0, "pass")
+        assert rep["spectral_cross_check"]["step_doubling_ratio"] >= 8.0
+    code, rep = run(capsys, "verify", "orthogonality", "--degree", "3")
+    assert (code, rep["status"]) == (0, "pass")
+
+
 def strict_json(text):
     def reject(name):
         raise ValueError(f"non-finite {name}")
@@ -561,12 +590,36 @@ def test_ale_profile_past_the_float_range_is_silent(capsys, tmp_path):
     assert _ric_sq(0.1, np.float64(3.0)) == pytest.approx(192e-4 / 9.04 ** 4, rel=1e-15)
     code = dispatch(["ale-report", "--epsilon", "0.1", "--alpha", "1", "--beta", "1",
                      "--rho-max", "1e50", "--ricci-samples", "5", "--output", str(tmp_path)])
-    strict_json(capsys.readouterr().out)
-    assert code in (0, 1)
+    assert strict_json(capsys.readouterr().out)["status"] == "pass"
+    assert code == 0
     rows = (tmp_path / "ale_profile.csv").read_text().splitlines()[1:]
     ric = {float(r.split(",")[0]): float(r.split(",")[2]) for r in rows}
     assert ric[1e50] == ric[-1e50] == 0.0
     assert ric[0.0] == pytest.approx(7500.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("rho_max, bound", [("1e8", 1e-15), ("1e20", 1e-39), ("1e50", 1e-99)])
+def test_ale_asymptotics_far_out_pass(capsys, rho_max, bound):
+    # the deviation from alpha^2 (beta^2) is taken in closed form, so it can
+    # meet an envelope 10 / rho_max^2 far below the rounding of norm_sq
+    code, rep = run(capsys, "ale-report", "--epsilon", "0.1", "--alpha", "1", "--beta", "1",
+                    "--rho-max", rho_max, "--ricci-samples", "5")
+    assert code == 0
+    for end in ("plus_end", "minus_end"):
+        asym = rep["asymptotics"][end]
+        assert asym["bound"] == pytest.approx(bound, rel=1e-12)
+        assert 0 < asym["deviation"] <= asym["bound"]
+
+
+def test_ale_asymptotics_fail_far_from_the_end_regime(capsys):
+    # at epsilon = 1e25 the default rho_max = 1000 is nowhere near either end
+    code, rep = run(capsys, "ale-report", "--epsilon", "1e25", "--ricci-samples", "5")
+    assert code == 1
+    asym = rep["asymptotics"]
+    assert asym["plus_end"]["deviation"] == pytest.approx(0.9375, rel=1e-12)
+    assert asym["minus_end"]["deviation"] == pytest.approx(0.0625, rel=1e-12)
+    assert [f["input"]["end"] for f in rep["failures"]
+            if f["reason"] == "end asymptotics out of envelope"] == ["plus_end", "minus_end"]
 
 
 def test_ale_report_overflowing_energy_is_an_error(capsys):

@@ -19,8 +19,11 @@ from sdforms.polys import (
     PolyScalar,
     gradient_coframe,
     left_invariant_coframe,
+    make_basis,
+    operator_matrix,
     right_invariant_coframe,
     sphere_integral,
+    star_d,
 )
 from sdforms.spectrum import eigen_decompose
 
@@ -147,6 +150,32 @@ def test_evolve_agrees_with_propagate(modes_d2):
     assert errors[0] / errors[1] > 12   # 4th-order convergence
 
 
+def dense_rk4(eta0, u0, u1, steps):
+    """The dense route RK4 replaced: every stage a product with the 3N x 3N curl."""
+    basis = make_basis(eta0.degree)
+    C = operator_matrix("curl", eta0.degree)
+    y = basis.coframe_to_vector(eta0)
+    h = (u1 - u0) / steps
+    for _ in range(steps):
+        k1 = C @ y
+        k2 = C @ (y + 0.5 * h * k1)
+        k3 = C @ (y + 0.5 * h * k2)
+        k4 = C @ (y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return y
+
+
+@pytest.mark.parametrize("D", range(2, 7))
+def test_sparse_rk4_matches_dense_curl(D):
+    basis = make_basis(D)
+    rng = np.random.default_rng(D)
+    eta0 = star_d(basis.coframe_from_vector(rng.standard_normal(3 * basis.dim)))
+    assert eta0.degree == D
+    expected = dense_rk4(eta0, 0.0, log(2.0), 30)
+    got = basis.coframe_to_vector(evolve_ode(eta0, 0.0, log(2.0), 30))
+    assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
 def test_divergence_preserved_along_flow():
     phi = right_invariant_coframe(3)
     out = evolve_ode(phi, 0.0, 1.0, steps=100)
@@ -178,3 +207,28 @@ def test_initial_field_schema_validation():
         load_initial_field([{"monomial": [0, 0, 0], "axis": 1, "coefficient": 1.0}])
     with pytest.raises(ValueError):
         load_initial_field([{"monomial": [0, 0, 0, 0], "axis": 4, "coefficient": 1.0}])
+
+
+def test_load_sums_records_like_polyscalars():
+    # repeated monomials, x3^2 and x3^3 records that reduce onto other
+    # records' monomials, a record cancelling another and a zero coefficient
+    records = [
+        {"monomial": [2, 0, 0, 0], "axis": 1, "coefficient": 0.1},
+        {"monomial": [0, 0, 0, 2], "axis": 1, "coefficient": 0.7},
+        {"monomial": [2, 0, 0, 0], "axis": 1, "coefficient": 0.2},
+        {"monomial": [0, 0, 0, 0], "axis": 1, "coefficient": -0.3},
+        {"monomial": [1, 0, 0, 3], "axis": 2, "coefficient": 1.3},
+        {"monomial": [3, 0, 0, 1], "axis": 2, "coefficient": 1.3},
+        {"monomial": [1, 2, 0, 1], "axis": 2, "coefficient": 0.9},
+        {"monomial": [0, 1, 1, 0], "axis": 3, "coefficient": 2.5},
+        {"monomial": [0, 1, 1, 0], "axis": 3, "coefficient": -2.5},
+        {"monomial": [0, 0, 1, 0], "axis": 3, "coefficient": 0.0},
+        {"monomial": [0, 0, 0, 4], "axis": 3, "coefficient": 0.6},
+    ]
+    comps = [PolyScalar.zero() for _ in range(3)]
+    for rec in records:
+        comps[rec["axis"] - 1] = comps[rec["axis"] - 1] + PolyScalar(
+            {tuple(rec["monomial"]): rec["coefficient"]})
+    loaded = load_initial_field(records)
+    assert [a.coeffs for a in loaded.alpha] == [a.coeffs for a in comps]
+    assert (0, 1, 1, 0) not in loaded.alpha[2].coeffs

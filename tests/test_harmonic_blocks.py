@@ -42,8 +42,8 @@ def dense(triples):
 
 def dense_monomial_modes(D):
     """Oracle eigenvalues and Gram-orthonormal eigenvector columns on the monomials."""
-    Dv = operator_matrix("div", D).matrix
-    S = operator_matrix("star_d", D).matrix
+    Dv = operator_matrix("div", D)
+    S = operator_matrix("star_d", D)
     G = coframe_gram(D)
     _, s, vh = np.linalg.svd(Dv)
     B = vh[int(np.sum(s > max(Dv.shape) * np.finfo(float).eps * s.max())):].T
@@ -101,8 +101,8 @@ def test_mode_degree_is_its_harmonic_degree(ring):
 
 def test_structure_certificate_exact_at_degree3():
     D = 3
-    Dv = operator_matrix("div", D).matrix
-    S = operator_matrix("star_d", D).matrix
+    Dv = operator_matrix("div", D)
+    S = operator_matrix("star_d", D)
     lap = dense(_frame_laplacian(D, polys.derivative_triples(D)))
     offs = _degree_offsets(D)
     N = offs[-1]
@@ -180,7 +180,8 @@ def forbidden(*args, **kwargs):
 
 @pytest.fixture
 def no_monomial_space_operators(monkeypatch):
-    for name in ("operator_matrix", "div_norms", "_div_matrix"):
+    # neither the dense operators nor the sparse coframe div and curl
+    for name in ("operator_matrix", "div_norms", "coframe_triples"):
         monkeypatch.setattr(polys, name, forbidden)
 
 
@@ -188,9 +189,8 @@ def no_monomial_space_operators(monkeypatch):
 def no_monomial_gram(monkeypatch):
     # the exact ring norms its div residual under the monomial Gram; the
     # float ring and the Hodge check, which reach larger D, never form it
-    for name in ("_scalar_gram", "coframe_gram"):
+    for name in ("_scalar_gram", "coframe_gram", "coframe_pairings"):
         monkeypatch.setattr(polys, name, forbidden)
-    monkeypatch.setattr(spectrum, "coframe_gram", forbidden)
 
 
 @pytest.mark.parametrize("ring", ["float", "exact"])
@@ -227,7 +227,7 @@ def test_block_residual_matches_dense_route(D, ring):
     assert max(polys.div_norms(D, modes.C)) <= 1e-12
     sub = divergence_free_subspace(D, ring)
     Q = np.linalg.qr(sub.matrix)[0]
-    image = operator_matrix("star_d", D).matrix @ Q
+    image = operator_matrix("star_d", D) @ Q
     assert np.linalg.norm(image - Q @ (Q.T @ image)) <= 1e-10
     assert sub.projector_defect() <= 1e-12
 

@@ -13,6 +13,7 @@ from sdforms.evolution import decompose_initial, propagate
 from sdforms.polys import (
     CoframeField,
     PolyBasis,
+    coframe_gram,
     coframe_inner,
     left_invariant_coframe,
     make_basis,
@@ -127,6 +128,13 @@ def test_pairing_table_matches_coframe_inner_d3_sample(modes_d3):
     for a, b in sample:
         dict_value = coframe_inner(modes_d3[a].field, modes_d3[b].field)
         assert abs(P[a, b] - dict_value) <= TOL
+
+
+@pytest.mark.parametrize("D", [1, 3, 5])
+def test_pairing_table_matches_coframe_gram(D):
+    modes = eigen_decompose(D)[0]
+    C = modes.C
+    assert_allclose(modes.pairings(), C.T @ coframe_gram(D) @ C, rtol=0, atol=TOL)
 
 
 @pytest.mark.parametrize("t", [0.5, 2.0])

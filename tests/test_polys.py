@@ -9,9 +9,12 @@ from sdforms.frames import LEVI_CIVITA
 from sdforms.polys import (
     CoframeField,
     PolyScalar,
+    coframe_gram,
+    coframe_triples,
     curl,
     derivative_triples,
     div,
+    div_norms,
     frame_derivative,
     gradient_coframe,
     left_invariant_coframe,
@@ -19,6 +22,7 @@ from sdforms.polys import (
     monomial_integral_over_pi2,
     operator_matrix,
     right_invariant_coframe,
+    sparse_apply,
     sphere_integral,
     star_d,
 )
@@ -274,12 +278,12 @@ def test_right_invariant_pointwise_norm():
 # ---------------------------------------------------------------- matrices
 
 def test_operator_matrix_div_degree0_is_zero():
-    M = operator_matrix("div", 0).matrix
+    M = operator_matrix("div", 0)
     assert_allclose(M, 0.0)
 
 
 def test_operator_matrix_star_d_degree0():
-    S = operator_matrix("star_d", 0).matrix
+    S = operator_matrix("star_d", 0)
     assert_allclose(S, 2 * np.eye(3))
 
 
@@ -289,7 +293,7 @@ def test_operator_matrix_consistency_with_fields():
     D = 3
     basis = make_basis(D)
     for kind, op in [("div", div), ("curl", curl), ("star_d", star_d)]:
-        M = operator_matrix(kind, D).matrix
+        M = operator_matrix(kind, D)
         eta = CoframeField(tuple(random_poly(rng, D) for _ in range(3)))
         v = basis.coframe_to_vector(eta)
         image = M @ v
@@ -341,23 +345,39 @@ def dense_operators(D):
 def test_operator_matrix_matches_dense_route(D):
     dense = dense_operators(D)
     for kind in ("div", "curl", "star_d"):
-        assert np.array_equal(operator_matrix(kind, D).matrix, dense[kind]), kind
+        assert np.array_equal(operator_matrix(kind, D), dense[kind]), kind
+
+
+@pytest.mark.parametrize("D", [0, 1, 4])
+def test_coframe_triples_apply_as_dense_operators(D):
+    rng = np.random.default_rng(D)
+    X = rng.standard_normal((3 * make_basis(D).dim, 4))
+    for kind, triples in coframe_triples(D).items():
+        rows, cols, vals, shape = triples
+        assert vals.dtype.kind == "i" and np.all(vals != 0)
+        assert np.all(np.diff(rows * shape[1] + cols) > 0)  # row-major, no repeats
+        M = operator_matrix(kind, D)
+        assert M.shape == shape
+        assert_allclose(sparse_apply(triples, X, shape[0]), M @ X, rtol=1e-14, atol=1e-13)
+        assert_allclose(sparse_apply(triples, X[:, 0], shape[0]), M @ X[:, 0],
+                        rtol=1e-14, atol=1e-13)
+
+
+@pytest.mark.parametrize("D", [1, 3, 5])
+def test_div_norms_match_dense_oracle(D):
+    n = make_basis(D).dim
+    rng = np.random.default_rng(D)
+    C = rng.standard_normal((3 * n, 5))
+    R = operator_matrix("div", D) @ C
+    G = coframe_gram(D)[:n, :n]
+    expected = np.sqrt(np.einsum("ik,ik->k", R, G @ R))
+    assert_allclose(div_norms(D, C), expected, rtol=1e-12)
+    assert_allclose(div_norms(D, C[:, 2]), expected[2:3], rtol=1e-12)
 
 
 def test_operator_matrix_rejects_bad_kind():
     with pytest.raises(ValueError):
         operator_matrix("grad", 1)
-
-
-def test_operator_matrix_json_dump():
-    import json
-
-    op = operator_matrix("star_d", 0)
-    blob = json.loads(json.dumps(op.to_json()))
-    assert blob["domain"] == "coframe"
-    assert blob["codomain"] == "coframe"
-    assert blob["shape"] == [3, 3]
-    assert blob["matrix"][0][0] == 2.0
 
 
 def test_l2_inner_orthogonality_of_frames():

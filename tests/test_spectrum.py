@@ -45,9 +45,9 @@ def test_divfree_dimension(D):
 def test_divfree_members_are_divergence_free():
     from sdforms.polys import div
 
-    sub = divergence_free_subspace(1)
-    for f in sub.fields():
-        residual = div(f)
+    basis = make_basis(1)
+    for v in divergence_free_subspace(1).matrix.T:
+        residual = div(basis.coframe_from_vector(v))
         assert all(abs(c) < 1e-10 for c in residual.coeffs.values())
 
 
@@ -156,7 +156,7 @@ def test_exact_subspace_is_primitive_integer_kernel():
     sub = divergence_free_subspace(2, ring="exact")
     N = sub.exact_basis
     assert all(type(v) is int for v in N.ravel())
-    Dv = operator_matrix("div", 2).matrix.astype(np.int64).astype(object)
+    Dv = operator_matrix("div", 2).astype(np.int64).astype(object)
     assert not (Dv @ N).any()
     assert all(np.gcd.reduce(N[:, k]) == 1 for k in range(sub.dim))
 
@@ -181,6 +181,17 @@ def test_constant_norm_for_plus_minus_two(decomposition_d3):
     for m in modes:
         if abs(m.lam_int) == 2:
             assert constant_norm_check(m) <= 1e-10
+
+
+def test_norm_spread_takes_no_dict_product(decomposition_d3, monkeypatch):
+    from sdforms.polys import CoframeField
+
+    def forbidden(self):
+        raise AssertionError("norm_spread formed |eta|^2 as a polynomial")
+
+    monkeypatch.setattr(CoframeField, "norm_sq_poly", forbidden)
+    modes, _ = decomposition_d3
+    assert constant_norm_check(next(m for m in modes if m.lam_int == -2)) <= 1e-10
 
 
 def test_nonconstant_norm_for_lambda3(decomposition_d3):
