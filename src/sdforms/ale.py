@@ -298,23 +298,28 @@ def ak_form_eval(params, x):
 def _radial_norm_derivative(params, t):
     """d/d rho of the sphere-averaged |omega|^2 (cross term integrates out).
 
-    With f = eps^2 + 1/t^2 the two surviving terms of d/dt are
-    8 a^2 eps^8 / (t^3 f^5) and -8 b^2 eps^2 / (t^9 f^5); d rho = f dt.
+    The average is a^2 q^4 + b^2 r^4 in the w = (eps t)^2, r = 1 / (1 + w),
+    q = w r of :func:`ak_norm_sq_closed_form`; dq/dw = r^2 = -dr/dw,
+    dw/dt = 2 w / t and d rho = dt / (r t^2) give
+    8 t q r^2 (a^2 q^3 - b^2 r^3), with no power of eps or t alone that
+    could leave the float range.
     """
     a, b, eps = params.alpha, params.beta, params.epsilon
-    f = eps ** 2 + t ** -2
-    dP_dt = (8.0 * a ** 2 * eps ** 8 * t ** -3
-             - 8.0 * b ** 2 * eps ** 2 * t ** -9) * f ** -5
-    return dP_dt / f
+    w = (eps * t) ** 2
+    r = 1.0 / (1.0 + w)
+    q = w * r
+    return 8.0 * t * q * r * r * (a * a * q ** 3 - b * b * r ** 3)
 
 
 def _boundary_energy_at(params, A):
+    """Half the flux of the radial derivative through rho = +-A; inf past the float range."""
     model = params.model
     area = (A ** 2 + 4.0 * params.epsilon ** 2) ** 1.5 * 2.0 * pi ** 2
-    t_plus = float(model.t_of_rho(A))
-    t_minus = float(model.t_of_rho(-A))
-    return 0.5 * area * (_radial_norm_derivative(params, t_plus)
-                         - _radial_norm_derivative(params, t_minus))
+    t_plus = model.t_of_rho(A)
+    t_minus = model.t_of_rho(-A)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(0.5 * area * (_radial_norm_derivative(params, t_plus)
+                                   - _radial_norm_derivative(params, t_minus)))
 
 
 def grad_energy_boundary(params, A, extrapolate=True):

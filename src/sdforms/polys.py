@@ -473,15 +473,19 @@ def make_basis(D):
 def _scalar_gram(D):
     """Float scalar Gram matrix, one exact integral per distinct exponent sum.
 
-    Entry (a, b) is the integral of x^(e_a + e_b); each sum is encoded as
-    one integer key in base 2D + 1, and the rational integral of each
-    distinct key is converted to a float once.
+    Entry (a, b) is the integral of x^(e_a + e_b).  Each monomial is one
+    integer key in base 2D + 1, whose digits (at most 2D in a sum) add
+    without carries, so the key of a sum is the sum of the keys; the
+    rational integral of each distinct key is converted to a float once,
+    its exponents read back from the digits.
     """
     E = np.array(make_basis(D).monomials, dtype=np.int64)
-    sums = (E[:, None, :] + E[None, :, :]).reshape(-1, 4)
-    keys = sums @ (2 * D + 1) ** np.arange(3, -1, -1, dtype=np.int64)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    values = np.array([float(monomial_integral_over_pi2(e)) for e in sums[first].tolist()])
+    base = 2 * D + 1
+    place = base ** np.arange(3, -1, -1, dtype=np.int64)
+    key = E @ place
+    keys, inverse = np.unique((key[:, None] + key[None, :]).ravel(), return_inverse=True)
+    exponents = keys[:, None] // place % base
+    values = np.array([float(monomial_integral_over_pi2(e)) for e in exponents.tolist()])
     G = values[inverse].reshape(len(E), len(E)) * pi * pi
     G.flags.writeable = False
     return G

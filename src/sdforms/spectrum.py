@@ -34,7 +34,8 @@ k + 1 copies of spin k/2 and every eigenspace on H_k^3 ∩ ker(div) is
 (k + 1)/2 times its slice on W_k^3, W_k = ker(R_1^2 + k^2) of dimension
 2(k + 1) (W_0 = H_0, scale 1).  Per block that is a div kernel on 6(k + 1)
 columns and one eigh on 4(k + 1), with no harmonic basis
-(:func:`_reduced_blocks`).
+(:func:`_reduced_blocks`); the Hodge check (:func:`hodge_laplacian_check`)
+runs on the same blocks.
 
 Memory is per block and sparse: the E_i and R_j are (row, column, value)
 triples from exponent arithmetic (:func:`sdforms.polys.derivative_triples`),
@@ -42,11 +43,10 @@ Lap and the certificates are sparse products of them, and no operator on
 the whole degree <= D coframe space is formed.  The full blocks -- harmonic
 basis (m, n), n = (k + 1)^2, frame blocks (n, n), the (3n, 3n) *d, its
 kernel by a complete QR (:func:`_null_space`) and one eigh -- serve the
-exact ring and the eigenfields of a :class:`ModeSet`, and the float ones are
-built only when a caller reads the modes.  The projector defect is taken
-per block plus the harmonic defect of each block basis.  The eigenfields'
-(3N, K) monomial coefficient matrix is assembled only when a caller reads
-:attr:`ModeSet.C`.
+exact ring and the eigenfields of a :class:`ModeSet`; the float ones are
+built only when a caller reads the modes, and each raises ArithmeticError
+when its basis leaves H_k (:func:`_harmonic_defect`).  The eigenfields'
+(3N, K) monomial coefficient matrix is written once, in eigenvalue order.
 
 The float ring (reduced blocks) and the exact ring (full blocks) are the
 two independent routes, both on numpy alone.  Full float blocks are
@@ -123,27 +123,20 @@ class SpectralMode:
 
 
 class ModeSet(Sequence):
-    """Eigenfields of *d sorted by eigenvalue, kept in harmonic-block coordinates.
+    """Eigenfields of *d sorted by eigenvalue.
 
-    ``solve()`` returns ``(lam, lam_int, bases, coords, order)`` and runs on
-    first use, so a set nobody reads builds nothing.  Block b contributes
-    the columns ``coords[b]`` (3n, K_b), coordinates in its harmonic basis
-    ``bases[b]`` (m, n) on each of the three frame components
-    (component-major); ``order`` lists, for the modes in eigenvalue order,
-    their columns among the concatenated block columns.  ``lam`` holds the
-    float eigenvalues and ``lam_int`` the integers they cluster to.  The
-    (3N, K) matrix ``C`` of Gram-orthonormal coefficient vectors on the
-    degree <= D coframe basis, and the :class:`SpectralMode` views of its
-    columns that the set yields as a sequence, are assembled on first use;
-    slicing gives a ModeSet sharing those views, so a field materialized
-    once serves every slice.
+    ``solve()`` returns ``(lam, lam_int, C)`` and runs on first use, so a set
+    nobody reads builds nothing.  ``lam`` holds the float eigenvalues,
+    ``lam_int`` the integers they cluster to and ``C`` (3N, K) the
+    Gram-orthonormal coefficient vectors on the degree <= D coframe basis,
+    in eigenvalue order (:func:`_sorted_modes`).  The set is a sequence of
+    :class:`SpectralMode` views of the columns of ``C``, built once, so a
+    field materialized once serves every later access.
     """
 
-    def __init__(self, D, solve, modes=None):
+    def __init__(self, D, solve):
         self.D = D
         self._solve = solve
-        if modes is not None:
-            self._modes = modes
 
     @cached_property
     def _solved(self):
@@ -157,10 +150,9 @@ class ModeSet(Sequence):
     def lam_int(self):
         return self._solved[1]
 
-    @cached_property
+    @property
     def C(self):
-        _, _, bases, coords, order = self._solved
-        return _assemble(self.D, bases, coords)[:, order]
+        return self._solved[2]
 
     @cached_property
     def _modes(self):
@@ -171,10 +163,6 @@ class ModeSet(Sequence):
         return len(self.lam)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            lam, lam_int, bases, coords, order = self._solved
-            parts = (lam[i], lam_int[i], bases, coords, order[i])
-            return ModeSet(self.D, lambda: parts, self._modes[i])
         return self._modes[i]
 
     def embedded(self, D):
@@ -268,18 +256,15 @@ class HarmonicBlock:
     components (component-major), and *d and div are assembled from
     ``frame`` on access.  In the float ring ``basis`` is L^2-orthonormal and
     ``kernel`` has orthonormal columns; in the exact ring ``frame`` and
-    ``kernel`` hold Python ints, ``basis`` is the identity on the degree-k
-    monomials and equals ``basis_int / scale``.  A reduced block
-    (:func:`_reduced_blocks`) is W_k^3 in L^2-orthonormal coordinates of
-    W_k and has no ``basis``.
+    ``kernel`` hold Python ints and ``basis`` is the identity on the
+    degree-k monomials.  A reduced block (:func:`_reduced_blocks`) is W_k^3
+    in L^2-orthonormal coordinates of W_k and has no ``basis``.
     """
 
     k: int
     basis: np.ndarray
     frame: list
     kernel: np.ndarray
-    basis_int: np.ndarray = None
-    scale: int = 1
 
     @property
     def dim(self):
@@ -297,20 +282,27 @@ class HarmonicBlock:
         return np.hstack(self.frame)
 
 
-def _assemble(D, bases, coords, dtype=float):
-    """Monomial coefficient columns (3N, sum of widths) of block coordinates.
+def _sorted_modes(D, w, bases, coords):
+    """``(lam, lam_int, C)`` of a ModeSet from block eigenvectors.
 
-    ``coords[b]`` holds columns in the coordinates of ``bases[b]`` on each
-    frame component.
+    ``coords[b]`` (3n, K_b) holds eigenvectors in the coordinates of
+    ``bases[b]`` (m, n) on each frame component (component-major), and
+    ``w`` the eigenvalues of all block columns in turn.  Each block's
+    monomial coefficient columns are written straight into their
+    eigenvalue-sorted positions of ``C``.
     """
+    order = np.argsort(w, kind="stable")
+    position = np.empty_like(order)
+    position[order] = np.arange(len(w))
     N = make_basis(D).dim
-    out = np.zeros((3, N, sum(Y.shape[1] for Y in coords)), dtype=dtype)
+    out = np.zeros((3, N, len(w)))
     col = 0
     for basis, Y in zip(bases, coords):
         m, n = basis.shape
-        out[:, :m, col:col + Y.shape[1]] = basis @ Y.reshape(3, n, -1)
+        out[:, :m, position[col:col + Y.shape[1]]] = basis @ Y.reshape(3, n, -1)
         col += Y.shape[1]
-    return out.reshape(3 * N, -1)
+    lam = w[order].astype(float)
+    return lam, np.rint(lam).astype(int), out.reshape(3 * N, -1)
 
 
 @dataclass(eq=False)
@@ -318,62 +310,17 @@ class DivergenceFreeSubspace:
     """Kernel of the divergence matrix inside the degree <= D coframe space.
 
     It is the direct sum of the divergence-free parts of the harmonic blocks
-    k = 0..D.  ``frame`` holds the sparse triples of the monomial E_i and
-    ``lap`` those of the frame Laplacian, as certified.
+    k = 0..D.  ``frame`` holds the sparse triples of the monomial E_i, as
+    certified.
     """
 
     degree: int
-    ring: str
     blocks: list
     frame: list
-    lap: tuple
 
     @property
     def dim(self):
         return sum(b.dim for b in self.blocks)
-
-    def assemble(self, coords, exact=False):
-        """Monomial coefficient columns (3N, sum of widths) of block coordinates.
-
-        ``coords[k]`` holds columns in the coordinates of block k.  With
-        ``exact`` the integer bases ``basis_int`` map integer coordinates.
-        """
-        bases = [b.basis_int if exact else b.basis for b in self.blocks]
-        return _assemble(self.degree, bases, coords, object if exact else float)
-
-    @cached_property
-    def matrix(self):
-        """(3N, K) kernel basis on the monomials; L^2-orthonormal in the float ring."""
-        if self.ring == "exact":
-            return self.exact_basis.astype(float)
-        return self.assemble([b.kernel for b in self.blocks])
-
-    @cached_property
-    def exact_basis(self):
-        """(3N, K) primitive integer kernel vectors (exact ring only, else None)."""
-        if self.ring != "exact":
-            return None
-        V = self.assemble([b.kernel for b in self.blocks], exact=True)
-        return V // np.gcd.reduce(V, axis=0)
-
-    def projector_defect(self):
-        """Norm of (I - P) star_d P measuring *d-invariance of the subspace.
-
-        It is taken block by block, P the orthogonal projector onto the
-        kernel in block coordinates; the structure certificate proves that
-        *d commutes with the frame Laplacian, so no component of the image
-        leaves a block whose basis is harmonic.  The relative harmonic
-        defect of each block basis (:func:`_harmonic_defect`), the part of
-        the image that would leave it once assembled on the monomials,
-        counts too.
-        """
-        total = 0.0
-        for b in self.blocks:
-            Q = np.linalg.qr(b.kernel.astype(float))[0]
-            image = b.star_d.astype(float) @ Q
-            total += float(np.linalg.norm(image - Q @ (Q.T @ image))) ** 2
-            total += _harmonic_defect(self.lap, b.k, b.basis) ** 2
-        return math.sqrt(total)
 
 
 def _degree_offsets(D):
@@ -601,12 +548,22 @@ def _gram_factor(monomials, k, T):
 
 
 def _float_block(k, lap, offs, monomials, E_k):
-    """Block k in L^2-orthonormal coordinates: basis T U^-1, U the Gram factor of T."""
+    """Block k in L^2-orthonormal coordinates: basis T U^-1, U the Gram factor of T.
+
+    Raises ArithmeticError when the basis's relative harmonic defect
+    (:func:`_harmonic_defect`) passes 1e-10: the modes assembled from it
+    would leave H_k.
+    """
     T = _harmonic_basis(lap, offs, k)
     U = _gram_factor(monomials[:len(T)], k, T)
     Ui = np.linalg.inv(U)
+    basis = T @ Ui
+    defect = _harmonic_defect(lap, k, basis)
+    if defect > 1e-10:
+        raise ArithmeticError(f"basis of harmonic block {k} is not harmonic "
+                              f"(relative defect {defect:.3e})")
     frame = [U @ E @ Ui for E in E_k]
-    return HarmonicBlock(k, T @ Ui, frame, _null_space(np.hstack(frame)))
+    return HarmonicBlock(k, basis, frame, _null_space(np.hstack(frame)))
 
 
 def _exact_block(k, lap, offs, E_k):
@@ -616,7 +573,7 @@ def _exact_block(k, lap, offs, E_k):
     Z = _harmonic_basis(lap, offs, k, scale)
     null = exactla.nullspace(np.hstack(E_k).tolist())
     kernel = np.array(null, dtype=object).T.reshape(3 * len(E_k[0]), len(null))
-    return HarmonicBlock(k, (Z / scale).astype(float), E_k, kernel, Z, scale)
+    return HarmonicBlock(k, (Z / scale).astype(float), E_k, kernel)
 
 
 def divergence_free_subspace(D, ring="float"):
@@ -643,7 +600,7 @@ def divergence_free_subspace(D, ring="float"):
         E_k = [_degree_block(E, offs, k, object if exact else float) for E in frame]
         blocks.append(_exact_block(k, lap, offs, E_k) if exact
                       else _float_block(k, lap, offs, monomials, E_k))
-    return DivergenceFreeSubspace(D, ring, blocks, frame, lap)
+    return DivergenceFreeSubspace(D, blocks, frame)
 
 
 def _integer_entries(triples):
@@ -777,7 +734,7 @@ def eigen_decompose(D, ring="float"):
     L^2-normalized eigenfields sorted by eigenvalue; each eigenfield lies in
     one harmonic block, so its coefficient degree is k.  The float report
     comes from the reduced blocks (:func:`_reduced_blocks`) and the float
-    modes from the full harmonic blocks, built only when the set is read.
+    modes from the full harmonic blocks (:func:`eigenmodes`).
     In the exact ring the eigenfields come from integer kernels of the
     integer block shifts and the report additionally certifies completeness
     (multiplicities sum to the subspace dimension) and the absence of
@@ -791,8 +748,8 @@ def eigen_decompose(D, ring="float"):
 def eigenmodes(D):
     """The float eigenfields of *d, a :class:`ModeSet` without a report.
 
-    They come from the full harmonic blocks, which are built when the set
-    is first read.
+    They come from the full harmonic blocks, the only float use of those
+    blocks, which are built when the set is first read.
     """
     if D < 0:
         raise ValueError(f"degree bound must be >= 0, got {D}")
@@ -811,12 +768,10 @@ def _block_eigh(b):
 
 
 def _float_modes(sub):
-    """The parts of the float :class:`ModeSet`: one eigh per full harmonic block."""
+    """The float :class:`ModeSet`'s ``(lam, lam_int, C)``: one eigh per full harmonic block."""
     lams, coords = zip(*(_block_eigh(b) for b in sub.blocks))
-    w = np.concatenate(lams)
-    order = np.argsort(w, kind="stable")
-    return (w[order], np.rint(w[order]).astype(int), [b.basis for b in sub.blocks],
-            list(coords), order)
+    return _sorted_modes(sub.degree, np.concatenate(lams), [b.basis for b in sub.blocks],
+                         coords)
 
 
 def _full_dimension(k, count):
@@ -826,6 +781,13 @@ def _full_dimension(k, count):
     if count % 2:
         raise ArithmeticError(f"odd dimension {count} on the reduced block {k}")
     return count // 2 * (k + 1)
+
+
+def _add_multiplicities(mults, k, values):
+    """Count the integers nearest ``values``, eigenvalues on W_k^3, into ``mults`` on H_k^3."""
+    nearest, counts = np.unique(np.rint(values).astype(int), return_counts=True)
+    for value, count in zip(nearest.tolist(), counts.tolist()):
+        mults[value] = mults.get(value, 0) + _full_dimension(k, count)
 
 
 def _float_report(D, blocks):
@@ -842,9 +804,7 @@ def _float_report(D, blocks):
     mults, dim, lams, residuals = {}, 0, [], []
     for b in blocks:
         lam, Y = _block_eigh(b)
-        values, counts = np.unique(np.rint(lam).astype(int), return_counts=True)
-        for value, count in zip(values.tolist(), counts.tolist()):
-            mults[value] = mults.get(value, 0) + _full_dimension(b.k, count)
+        _add_multiplicities(mults, b.k, lam)
         dim += _full_dimension(b.k, b.dim)
         lams.append(lam)
         residuals.append(np.linalg.norm(b.div @ Y, axis=0))
@@ -898,10 +858,8 @@ def _eigen_decompose_exact(sub):
         div = sum(polys.sparse_apply(_block_triples(E, 0, m), F, m)
                   for E, F in zip(sub.frame, fields))
         residuals.append(np.sqrt(np.maximum(np.einsum("ik,ik->k", div, G[:m, :m] @ div), 0.0)))
-    order = np.argsort(lams, kind="stable")
-    lam = np.array(lams, dtype=int)[order]
-    parts = (lam.astype(float), lam, [b.basis for b in sub.blocks], coords, order)
-    modes = ModeSet(D, lambda: parts)
+    bases = [b.basis for b in sub.blocks]
+    modes = ModeSet(D, lambda: _sorted_modes(D, np.array(lams), bases, coords))
     report = SpectrumReport(
         degree=D,
         ring="exact",
@@ -931,30 +889,31 @@ def constant_norm_check(mode, n_samples=1000, seed=7):
 def hodge_laplacian_check(D):
     """Spectrum of the Hodge Laplacian (*d)^2 on the divergence-free subspace.
 
+    It runs on the reduced blocks W_k^3 that the float report certifies
+    (:func:`_reduced_blocks`), with multiplicities scaled to H_k^3 as there.
     Returns a dict with the clustered eigenvalues mu, their minimum, the
-    maximum deviation of each mu from the square of the matching *d
-    eigenvalue and the *d-invariance defect of the subspace; one subspace
-    serves all three.  Each block's (*d)^2 is its own product, not the
-    square of the *d eigenvalues.  Every trusted mu is at least 4.
+    maximum deviation of the sorted mu of a block from its sorted squared
+    integer *d eigenvalues, and the *d-invariance defect of the kernels K,
+    the root sum of squares of ||(I - K K^T) *d K|| (K is orthonormal).
+    Each block's (*d)^2 is its own product, not the square of the *d
+    eigenvalues.  Every trusted mu is at least 4.
     """
-    sub = divergence_free_subspace(D)
-    mu = []
-    for b in sub.blocks:
-        S = b.star_d
-        A2 = b.kernel.T @ (S @ (S @ b.kernel))
-        mu.append(eigh((A2 + A2.T) / 2.0)[0])
-    lam_sq = np.sort(_float_modes(sub)[1] ** 2)
-    mu_sorted = np.sort(np.concatenate(mu))
-    pairing = float(np.max(np.abs(mu_sorted - lam_sq), initial=0.0))
-    clustered = {}
-    for v in mu_sorted:
-        key = int(round(v))
-        clustered[key] = clustered.get(key, 0) + 1
+    mults, mu_min, pairing, defect = {}, math.inf, 0.0, 0.0
+    for b in _reduced_blocks(D):
+        K = b.kernel
+        SK = b.star_d @ K
+        A2 = K.T @ (b.star_d @ SK)
+        mu = eigh((A2 + A2.T) / 2.0)[0]  # ascending
+        lam_sq = np.sort(np.rint(_block_eigh(b)[0]) ** 2)
+        pairing = max(pairing, float(np.max(np.abs(mu - lam_sq), initial=0.0)))
+        defect += float(np.linalg.norm(SK - K @ (K.T @ SK))) ** 2
+        _add_multiplicities(mults, b.k, mu)
+        mu_min = min(mu_min, float(mu[0]))
     return {
         "degree": D,
-        "mu_min": float(mu_sorted[0]) if mu_sorted.size else None,
-        "mu_multiplicities": clustered,
+        "mu_min": mu_min,
+        "mu_multiplicities": dict(sorted(mults.items())),
         "max_square_pairing_deviation": pairing,
-        "subspace_invariance_defect": sub.projector_defect(),
+        "subspace_invariance_defect": math.sqrt(defect),
         "window": trusted_window(D),
     }

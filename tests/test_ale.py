@@ -322,6 +322,17 @@ def test_energy_epsilon_square_law():
     assert_allclose(energies[0] / energies[1], 4.0, rtol=1e-10)
 
 
+@pytest.mark.parametrize("alpha, beta", [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.5, -0.7)])
+def test_boundary_energy_at_small_epsilon(alpha, beta):
+    # at the ale-report cut-off, from the smallest --epsilon the flags allow
+    # up to 0.1; separate float powers of eps and t gave half the limit or 0
+    for eps in np.geomspace(1.49e-31, 0.1, 61):
+        params = AKFormParams(alpha, beta, float(eps))
+        computed = grad_energy_boundary(params, max(20.0, 10.0 / eps))
+        expected = energy_reference_values(params)["computed_expected"]
+        assert abs(computed - expected) <= 1e-14 * expected, eps
+
+
 def test_energy_zero_form():
     params = AKFormParams(0.0, 0.0, 0.1)
     assert grad_energy_boundary(params, 50.0) == 0.0

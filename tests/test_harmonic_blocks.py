@@ -5,6 +5,7 @@ eigenproblem B^T G S B v = lam B^T G B v on an SVD basis B of ker(div) over
 all monomials at once, reduced to a standard problem by a Cholesky factor.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -22,13 +23,17 @@ from sdforms.spectrum import (
     SpectrumReport,
     _degree_offsets,
     _eigen_decompose_exact,
+    _float_modes,
     _float_report,
     _frame_laplacian,
     _gram_factor,
     _harmonic_basis,
+    _integer_entries,
     _reduced_blocks,
+    _sorted_modes,
     divergence_free_subspace,
     eigen_decompose,
+    eigenmodes,
     hodge_laplacian_check,
 )
 
@@ -57,6 +62,12 @@ def projectors(lam_int, C, G):
     """Eigenspace projector C_lam C_lam^T G for each integer eigenvalue."""
     return {int(lam): C[:, lam_int == lam] @ C[:, lam_int == lam].T @ G
             for lam in np.unique(lam_int)}
+
+
+def kernel_columns(sub):
+    """(3N, K) monomial coefficients of the block kernels of a subspace, in block order."""
+    return _sorted_modes(sub.degree, np.zeros(sub.dim), [b.basis for b in sub.blocks],
+                         [b.kernel.astype(float) for b in sub.blocks])[2]
 
 
 def counts(lam_int):
@@ -115,15 +126,19 @@ def test_structure_certificate_exact_at_degree3():
                    for eb in make_basis(D).monomials] for ea in make_basis(D).monomials],
                  dtype=object)
     sub = divergence_free_subspace(D, ring="exact")
+    lap_triples = _frame_laplacian(D, [_integer_entries(E) for E in polys.derivative_triples(D)])
     bases = []
     for b in sub.blocks:
         k = b.k
-        m, n = b.basis_int.shape
+        scale = math.prod((k - j) * (k + j + 2) for j in range(k))
+        basis_int = _harmonic_basis(lap_triples, offs, k, scale)
+        assert np.array_equal(basis_int / scale, b.basis)
+        m, n = basis_int.shape
         Z = np.zeros((N, n), dtype=object)
-        Z[:m] = b.basis_int
+        Z[:m] = basis_int
         # Lap Z = k(k + 2) Z and Z is scale times the identity on degree k
         assert not (lap_int @ Z - k * (k + 2) * Z).any()
-        assert np.array_equal(Z[offs[k]:offs[k + 1]], b.scale * np.eye(n, dtype=int))
+        assert np.array_equal(Z[offs[k]:offs[k + 1]], scale * np.eye(n, dtype=int))
         # *d maps span(I3 x Z) into itself with the integer diagonal block as matrix
         Z3 = np.zeros((3 * N, 3 * n), dtype=object)
         for c in range(3):
@@ -221,40 +236,55 @@ def test_cli_spectrum_never_assembles_mode_matrix(monkeypatch, capsys):
 @pytest.mark.parametrize("ring", ["float", "exact"])
 @pytest.mark.parametrize("D", [3, 6])
 def test_block_residual_matches_dense_route(D, ring):
-    # per-block div residual and projector defect against the assembled matrices
+    # per-block div residual and *d-invariance against the assembled matrices
+    # and the dense monomial *d
     modes, report = eigen_decompose(D, ring=ring)
     assert report.max_div_residual <= 1e-13
     assert max(polys.div_norms(D, modes.C)) <= 1e-12
-    sub = divergence_free_subspace(D, ring)
-    Q = np.linalg.qr(sub.matrix)[0]
+    Q = np.linalg.qr(kernel_columns(divergence_free_subspace(D, ring)))[0]
     image = operator_matrix("star_d", D) @ Q
     assert np.linalg.norm(image - Q @ (Q.T @ image)) <= 1e-10
-    assert sub.projector_defect() <= 1e-12
+    assert hodge_laplacian_check(D)["subspace_invariance_defect"] <= 1e-12
 
 
-def test_block_residuals_see_a_leaking_kernel():
+def test_block_residuals_see_a_leaking_kernel(monkeypatch):
     # a kernel column pushed off ker(div) and off the *d-invariant subspace,
-    # in a full block (the modes' route) and in a reduced block (the report's)
+    # in a full block (the modes' route) and in a reduced block (the report's
+    # and the Hodge check's)
     rng = np.random.default_rng(3)
     sub = divergence_free_subspace(4)
     b = sub.blocks[3]
     b.kernel[:, 0] += 1e-4 * rng.standard_normal(len(b.kernel))
-    assert sub.projector_defect() > 1e-6
+    assert max(polys.div_norms(4, _float_modes(sub)[2])) > 1e-6
     blocks = _reduced_blocks(4)
     b = blocks[3]
     b.kernel[:, 0] += 1e-4 * rng.standard_normal(len(b.kernel))
     assert _float_report(4, blocks).max_div_residual > 1e-6
+    monkeypatch.setattr(spectrum, "_reduced_blocks", lambda D: blocks)
+    assert hodge_laplacian_check(4)["subspace_invariance_defect"] > 1e-6
 
 
 @pytest.mark.parametrize("ring", ["float", "exact"])
-def test_residuals_see_a_non_harmonic_block_basis(ring):
-    # a block basis pushed off H_k reaches the assembled modes
-    sub = divergence_free_subspace(4, ring)
-    b = sub.blocks[3]
-    b.basis[1] += 1e-4
-    assert sub.projector_defect() > 1e-6
+def test_residuals_see_a_non_harmonic_block_basis(monkeypatch, ring):
+    # a block basis pushed off H_k must not reach the assembled modes: the
+    # float block refuses it, the exact ring's residual sees it
     if ring == "exact":
+        sub = divergence_free_subspace(4, ring)
+        sub.blocks[3].basis[1] += 1e-4
         assert _eigen_decompose_exact(sub)[1].max_div_residual > 1e-6
+        return
+    original = spectrum._harmonic_basis
+
+    def perturbed(lap, offs, k, scale=None):
+        T = original(lap, offs, k, scale)
+        if k == 3:
+            T[1] += 1e-4
+        return T
+
+    monkeypatch.setattr(spectrum, "_harmonic_basis", perturbed)
+    modes = eigenmodes(4)
+    with pytest.raises(ArithmeticError, match="basis of harmonic block 3 is not harmonic"):
+        modes.C
 
 
 @pytest.mark.parametrize("scale", [0, 2])

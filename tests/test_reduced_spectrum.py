@@ -1,8 +1,8 @@
-"""The float report from the reduced blocks W_k^3 against the full harmonic blocks.
+"""The float report and the Hodge check from the reduced blocks W_k^3 against
+the full harmonic blocks.
 
 The full blocks (``divergence_free_subspace`` and one eigh per block) are
-the oracle for the float report, and the exact ring on full blocks is the
-second route.
+the oracle for both, and the exact ring on full blocks is the second route.
 """
 
 import math
@@ -14,6 +14,7 @@ from sdforms import polys, spectrum
 from sdforms.cli import dispatch
 from sdforms.frames import LEFT_MULT, RIGHT_MULT
 from sdforms.spectrum import (
+    _block_eigh,
     _degree_offsets,
     _frame_laplacian,
     _gram_factor,
@@ -22,6 +23,7 @@ from sdforms.spectrum import (
     _weight_columns,
     divergence_free_subspace,
     eigen_decompose,
+    hodge_laplacian_check,
 )
 
 
@@ -42,6 +44,36 @@ def test_reduced_report_matches_full_blocks():
         assert report.complete and not report.verify()
         assert report.max_integer_deviation <= 1e-12
         assert report.max_div_residual <= 1e-13
+
+
+def test_hodge_check_matches_full_blocks():
+    # the route the check replaced: (*d)^2 on each full block's kernel and
+    # the squared integer *d eigenvalues of its eigh; one subspace at D = 8
+    # gives the oracle for every D up to 8
+    mu, lam_sq = [], []
+    for b in divergence_free_subspace(8).blocks:
+        A2 = b.kernel.T @ (b.star_d @ (b.star_d @ b.kernel))
+        mu.append(np.linalg.eigvalsh((A2 + A2.T) / 2.0))
+        lam_sq.append(np.rint(_block_eigh(b)[0]) ** 2)
+    for D in range(9):
+        full = np.sort(np.concatenate(mu[:D + 1]))
+        assert np.max(np.abs(full - np.sort(np.concatenate(lam_sq[:D + 1])))) <= 1e-7
+        values, mult = np.unique(np.rint(full).astype(int), return_counts=True)
+        rep = hodge_laplacian_check(D)
+        assert rep["mu_multiplicities"] == dict(zip(values.tolist(), mult.tolist())), D
+        assert abs(rep["mu_min"] - full[0]) <= 1e-12
+        assert rep["max_square_pairing_deviation"] <= 1e-7
+        assert rep["subspace_invariance_defect"] <= 1e-10
+
+
+def test_cli_hodge_builds_no_full_block(monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("full harmonic block built on the Hodge route")
+
+    for name in ("divergence_free_subspace", "_float_block", "_harmonic_basis"):
+        monkeypatch.setattr(spectrum, name, forbidden)
+    for D in range(13):
+        assert dispatch(["verify", "hodge", "--degree", str(D)]) == 0, D
 
 
 @pytest.mark.parametrize("D", [0, 1, 4, 6])

@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from sdforms import polys
 from sdforms.polys import (
     coframe_gram,
     left_invariant_coframe,
@@ -12,9 +14,14 @@ from sdforms.polys import (
     right_invariant_coframe,
 )
 from sdforms.spectrum import (
+    _degree_offsets,
+    _frame_laplacian,
+    _harmonic_basis,
+    _integer_entries,
     constant_norm_check,
     divergence_free_subspace,
     eigen_decompose,
+    eigenmodes,
     hodge_laplacian_check,
     trusted_window,
 )
@@ -45,14 +52,20 @@ def test_divfree_dimension(D):
 def test_divfree_members_are_divergence_free():
     from sdforms.polys import div
 
+    # the eigenfields span the subspace
     basis = make_basis(1)
-    for v in divergence_free_subspace(1).matrix.T:
+    modes = eigenmodes(1)
+    assert len(modes) == divergence_free_subspace(1).dim
+    for v in modes.C.T:
         residual = div(basis.coframe_from_vector(v))
         assert all(abs(c) < 1e-10 for c in residual.coeffs.values())
 
 
 def test_divfree_invariant_under_star_d():
-    assert divergence_free_subspace(2).projector_defect() <= 1e-10
+    # (I - Q Q^T) *d Q on an orthonormal basis Q of the span of the eigenfields
+    Q = np.linalg.qr(eigenmodes(2).C)[0]
+    image = operator_matrix("star_d", 2) @ Q
+    assert np.linalg.norm(image - Q @ (Q.T @ image)) <= 1e-10
 
 
 def test_exact_and_float_subspace_dimensions_agree():
@@ -153,12 +166,22 @@ def test_exact_degree3_matches_float(decomposition_d3):
 
 
 def test_exact_subspace_is_primitive_integer_kernel():
-    sub = divergence_free_subspace(2, ring="exact")
-    N = sub.exact_basis
-    assert all(type(v) is int for v in N.ravel())
-    Dv = operator_matrix("div", 2).astype(np.int64).astype(object)
-    assert not (Dv @ N).any()
-    assert all(np.gcd.reduce(N[:, k]) == 1 for k in range(sub.dim))
+    # each block kernel holds primitive integer vectors, which the integer
+    # harmonic basis carries to exact kernel vectors of the monomial div
+    D = 2
+    sub = divergence_free_subspace(D, ring="exact")
+    lap = _frame_laplacian(D, [_integer_entries(E) for E in polys.derivative_triples(D)])
+    offs = _degree_offsets(D)
+    Dv = operator_matrix("div", D).astype(np.int64).astype(object)
+    for b in sub.blocks:
+        assert all(type(v) is int for v in b.kernel.ravel())
+        assert all(np.gcd.reduce(b.kernel[:, j]) == 1 for j in range(b.dim))
+        Z = _harmonic_basis(lap, offs, b.k, math.prod((b.k - j) * (b.k + j + 2)
+                                                       for j in range(b.k)))
+        m, n = Z.shape
+        V = np.zeros((3, offs[-1], b.dim), dtype=object)
+        V[:, :m] = [Z @ b.kernel[c * n:(c + 1) * n] for c in range(3)]
+        assert not (Dv @ V.reshape(3 * offs[-1], -1)).any()
 
 
 def test_exact_ring_rejects_non_integer_operator(monkeypatch):
