@@ -35,6 +35,7 @@ import numpy as np
 
 from .polys import left_invariant_coframe, right_invariant_coframe
 from .quadrature import radial_gauss, s3_quadrature
+from .sampling import Sampler
 from .selfdual import EVAL_BLOCK, SelfDualForm, _stencils, stencil_batch, wedge_norm_sq
 
 __all__ = [
@@ -147,16 +148,19 @@ class ALEModel:
         return gam
 
     def ricci_closed_form(self, x):
-        """Ricci tensor -4 eps^2 / (t^4 f^2) * (4 grad t x grad t - g)."""
+        """Ricci tensor -4 eps^2 / (t^4 f^2) * (4 grad t x grad t - g).
+
+        Takes points of shape (..., 4) and returns (..., 4, 4).
+        """
         self._require_curved("Ricci curvature")
         x = np.asarray(x, dtype=float)
-        t2 = x @ x
-        if t2 == 0.0:
+        t2 = np.einsum("...i,...i->...", x, x)
+        if np.any(t2 == 0.0):
             raise ValueError("curvature is undefined at the origin")
         f = self.conformal_factor(np.sqrt(t2))
-        n = x / np.sqrt(t2)
-        return (-4.0 * self.epsilon ** 2 / (t2 ** 2 * f ** 2)) * (
-            4.0 * np.outer(n, n) - np.eye(4))
+        n = x / np.sqrt(t2)[..., None]
+        return (-4.0 * self.epsilon ** 2 / (t2 ** 2 * f ** 2))[..., None, None] * (
+            4.0 * n[..., :, None] * n[..., None, :] - np.eye(4))
 
     def ricci_numeric(self, x, h):
         """Independent curvature oracle: nested central differences.
@@ -189,16 +193,22 @@ class ALEModel:
         return 0.5 * (ric + np.swapaxes(ric, -1, -2))
 
     def ricci_norm_sq(self, x):
-        """|Ric|^2 in the curved metric; equals 192 eps^4/(rho^2+4 eps^2)^4."""
+        """|Ric|^2 in the curved metric; equals 192 eps^4/(rho^2+4 eps^2)^4.
+
+        Takes points of shape (..., 4) and returns shape (...).
+        """
         ric = self.ricci_closed_form(x)
         ginv = np.linalg.inv(self.metric_eval(x))
-        return float(np.einsum("mn,st,ms,nt->", ric, ric, ginv, ginv))
+        return np.einsum("...mn,...st,...ms,...nt->...", ric, ric, ginv, ginv)
 
     def scalar_curvature(self, x):
-        """Trace of the closed-form Ricci tensor; the family is scalar-flat."""
+        """Trace of the closed-form Ricci tensor; the family is scalar-flat.
+
+        Takes points of shape (..., 4) and returns shape (...).
+        """
         ric = self.ricci_closed_form(x)
         ginv = np.linalg.inv(self.metric_eval(x))
-        return float(np.einsum("mn,mn->", ric, ginv))
+        return np.einsum("...mn,...mn->...", ric, ginv)
 
 
 @dataclass
@@ -514,9 +524,7 @@ def sup_grad(params_or_eps, eps_list=None, rho_max=5.0, n_rho=61, n_dirs=8, h=1e
         alpha, beta = params_or_eps.alpha, params_or_eps.beta
     else:
         alpha, beta = params_or_eps
-    rng = np.random.default_rng(23)
-    dirs = rng.standard_normal((n_dirs, 4))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs = Sampler(23).directions(n_dirs)
     out = []
     for eps in eps_list:
         p = AKFormParams(alpha, beta, eps)

@@ -14,9 +14,10 @@ decay        decay classification of one end of the 2-ended model
 
 All reports are JSON on stdout (floats fixed to 12 significant digits, keys
 sorted, so identical configurations give byte-identical output).  Sampling
-is seeded and the seed is recorded in the report.  Exit codes: 0 all checks
-passed, 1 at least one failure (machine-readable failure records in the
-report), 2 usage errors.  A JSON config file with a schema_version field
+is seeded (``sampling.Sampler``: the standard library's Mersenne Twister,
+53-bit uniforms and Box-Muller normals) and the seed is recorded in the
+report.  Exit codes: 0 all checks passed, 1 at least one failure
+(machine-readable failure records in the report), 2 usage errors.  A JSON config file with a schema_version field
 supplies per-subcommand defaults; explicit flags win over the file.
 """
 
@@ -31,6 +32,7 @@ import numpy as np
 from . import ale, evolution, regularity, selfdual, spectrum
 from .frames import hodge_star_s3, left_frame_at, right_frame_at, structure_residual
 from .polys import left_invariant_coframe, right_invariant_coframe
+from .sampling import Sampler
 from .spectrum import failure
 
 __all__ = ["main", "dispatch"]
@@ -56,10 +58,8 @@ def _round_floats(obj, digits=12):
 
 def _annulus_samples(n, seed, lo=0.4, hi=2.5):
     """Uniform directions at radii uniform in [lo, hi]; lo = hi = 1 is S^3."""
-    rng = np.random.default_rng(seed)
-    p = rng.standard_normal((n, 4))
-    p /= np.linalg.norm(p, axis=1, keepdims=True)
-    return p * rng.uniform(lo, hi, size=(n, 1))
+    sampler = Sampler(seed)
+    return sampler.directions(n) * sampler.uniform(lo, hi, (n, 1))
 
 
 # ------------------------------------------------------------- subcommands
@@ -156,10 +156,8 @@ def _verify_frames(args):
     if worst_orth > 1e-12:
         failures.append(failure("frame_calculus", "frames", {},
                                 worst_orth, 1e-12, "orthonormality"))
-    rng = np.random.default_rng(args.seed + 1)
     worst_star = 0.0
-    for _ in range(50):
-        xi = rng.standard_normal(3)
+    for xi in Sampler(args.seed + 1).normal((50, 3)):
         back = hodge_star_s3(hodge_star_s3(xi, 1), 2)
         worst_star = max(worst_star, float(np.max(np.abs(back - xi))))
     if worst_star > 1e-12:
@@ -308,21 +306,16 @@ def _ale_curvature(args, params):
     # certified by step-doubling at the worst point
     failures = []
     model = params.model
-    rng = np.random.default_rng(args.seed)
-    dirs = rng.standard_normal((args.ricci_samples, 4))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    rhos_id = rng.uniform(-5.0, 5.0, args.ricci_samples)
-    worst_norm = 0.0
-    worst_scalar = 0.0
-    for u, rho in zip(dirs, rhos_id):
-        x = float(model.t_of_rho(rho)) * u
-        expected = _ric_sq(params.epsilon, rho)
-        worst_norm = max(worst_norm,
-                         abs(model.ricci_norm_sq(x) - expected) / expected)
-        worst_scalar = max(worst_scalar, abs(model.scalar_curvature(x)))
-    rhos_fd = rng.uniform(-1.0, 5.0, args.ricci_samples)
+    sampler = Sampler(args.seed)
+    dirs = sampler.directions(args.ricci_samples)
+    rhos_id = sampler.uniform(-5.0, 5.0, args.ricci_samples)
+    X = model.t_of_rho(rhos_id)[:, None] * dirs
+    expected = _ric_sq(params.epsilon, rhos_id)
+    worst_norm = float(np.max(np.abs(model.ricci_norm_sq(X) - expected) / expected))
+    worst_scalar = float(np.max(np.abs(model.scalar_curvature(X))))
+    rhos_fd = sampler.uniform(-1.0, 5.0, args.ricci_samples)
     X = model.t_of_rho(rhos_fd)[:, None] * dirs
-    closed = np.array([model.ricci_closed_form(x) for x in X])
+    closed = model.ricci_closed_form(X)
     rel = (np.max(np.abs(closed - model.ricci_numeric(X, args.h)), axis=(1, 2))
            / np.max(np.abs(closed), axis=(1, 2)))
     worst = int(np.argmax(rel))
@@ -376,7 +369,9 @@ def _ale_asymptotics(args, params):
 def _ale_energy(args, params):
     if params.alpha == 0.0 and params.beta == 0.0:
         return [], {"boundary": 0.0, "volume": 0.0, "relative_agreement": 0.0}
-    A = max(20.0, 10.0 / params.epsilon)
+    # the cut-off lies well outside the neck, whose width is about epsilon
+    # for large epsilon and whose energy spreads out to rho ~ 1/epsilon for small
+    A = max(20.0, 20.0 * params.epsilon, 10.0 / params.epsilon)
     boundary = ale.grad_energy_boundary(params, A)
     if boundary == 0.0:
         raise ValueError(f"boundary energy underflows to 0 for the non-zero form "

@@ -68,6 +68,7 @@ from numpy.linalg import eigh
 from . import exactla, polys
 from .frames import LEFT_MULT, RIGHT_MULT
 from .polys import coframe_curl, make_basis
+from .sampling import Sampler
 
 __all__ = [
     "SpectralMode",
@@ -880,10 +881,7 @@ def constant_norm_check(mode, n_samples=1000, seed=7):
     For eigenvalues +-2 the norm is constant and the spread vanishes; for
     other eigenvalues the returned spread is informational.
     """
-    rng = np.random.default_rng(seed)
-    pts = rng.standard_normal((n_samples, 4))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    return mode.norm_spread(pts)
+    return mode.norm_spread(Sampler(seed).directions(n_samples))
 
 
 def hodge_laplacian_check(D):

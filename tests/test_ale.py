@@ -125,6 +125,22 @@ def test_ricci_norm_identity():
         assert_allclose(model.ricci_norm_sq(x), expected, rtol=1e-10)
 
 
+def test_curvature_batches_match_point_by_point():
+    # one call on points (..., 4) gives what a loop over the points gives
+    model = ALEModel(0.3)
+    X = random_points(24, seed=4).reshape(2, 3, 4, 4)
+    ric, norm_sq, scalar = (model.ricci_closed_form(X), model.ricci_norm_sq(X),
+                            model.scalar_curvature(X))
+    assert ric.shape == (2, 3, 4, 4, 4) and norm_sq.shape == scalar.shape == (2, 3, 4)
+    for idx in np.ndindex(X.shape[:-1]):
+        x = X[idx]
+        assert_allclose(ric[idx], model.ricci_closed_form(x), rtol=1e-15, atol=0)
+        assert norm_sq[idx] == pytest.approx(model.ricci_norm_sq(x), rel=1e-15)
+        assert abs(scalar[idx] - model.scalar_curvature(x)) <= 1e-15 * np.max(np.abs(ric[idx]))
+    with pytest.raises(ValueError):
+        model.ricci_closed_form(np.vstack([X[0, 0], np.zeros(4)]))
+
+
 def test_ricci_numeric_matches_closed_form():
     model = ALEModel(0.5)
     x = np.array([2.0, 0.3, -0.4, 0.1])
