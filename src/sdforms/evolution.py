@@ -20,6 +20,7 @@ frame axis; the monomial exponents refer to the canonical reduced basis.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,7 +99,7 @@ def decompose_initial(eta0, modes, drop_tol=1e-13):
     are not divergence-free are rejected.
     """
     r = div_residual(eta0)
-    if r > DIV_TOL:
+    if not r <= DIV_TOL:
         raise ValueError(f"initial field is not divergence-free (residual {r:.3e})")
     D = max(eta0.degree, modes.D)
     c0 = make_basis(D).coframe_to_vector(eta0)
@@ -124,7 +125,7 @@ def evolve_ode(eta0, u0, u1, steps):
     if steps < 1:
         raise ValueError(f"need at least one step, got {steps}")
     r = div_residual(eta0)
-    if r > DIV_TOL:
+    if not r <= DIV_TOL:
         raise ValueError(f"initial field is not divergence-free (residual {r:.3e})")
     D = eta0.degree
     basis = make_basis(D)
@@ -146,8 +147,14 @@ def load_initial_field(source):
 
     ``source`` is a path, file object, or already-parsed list of records
     {"monomial": [e0, e1, e2, e3], "axis": i, "coefficient": c}, summed in
-    order into one coefficient dict per axis (linear time).
+    order into one coefficient dict per axis (linear time).  Rejected, naming
+    the source: a record whose coefficient is not finite or takes the
+    field's squared L^2 norm past the float range (the reduced monomials are
+    at most 1 on the sphere, of area 2 pi^2, so that norm is at most 2 pi^2
+    times the squared sum of the absolute reduced coefficients), and records
+    that sum to the zero field.
     """
+    name = source if isinstance(source, str) else "initial data"
     if isinstance(source, (str, bytes)):
         with open(source) as fh:
             records = json.load(fh)
@@ -156,7 +163,8 @@ def load_initial_field(source):
     else:
         records = source
     comps = [{}, {}, {}]
-    for rec in records:
+    total = 0.0
+    for i, rec in enumerate(records):
         e = tuple(int(v) for v in rec["monomial"])
         if len(e) != 4 or any(v < 0 for v in e):
             raise ValueError(f"bad monomial multi-index {rec['monomial']!r}")
@@ -166,7 +174,16 @@ def load_initial_field(source):
         acc = comps[axis - 1]
         for m, c in PolyScalar({e: float(rec["coefficient"])}).coeffs.items():
             acc[m] = acc.get(m, 0.0) + c
-    return CoframeField(tuple(PolyScalar(acc) for acc in comps))
+            total += abs(c)
+        if not math.isfinite(2 * math.pi ** 2 * total * total):
+            raise ValueError(f"{name}: record {i} (monomial {list(e)}, axis {axis}) has "
+                             f"coefficient {rec['coefficient']!r}, not finite or too large "
+                             "for a finite squared L^2 norm")
+    field = CoframeField(tuple(PolyScalar(acc) for acc in comps))
+    if not any(comp.coeffs for comp in field.alpha):
+        raise ValueError(f"{name}: the records sum to the zero field, which has nothing "
+                         "to evolve")
+    return field
 
 
 def dump_initial_field(eta, path=None):

@@ -32,21 +32,27 @@ commutes with the E_i, hence with *d and div, and -(R_1^2 + R_2^2 + R_3^2)
 = Lap (both checked exactly on the integer triples), so R acts on H_k as
 k + 1 copies of spin k/2 and every eigenspace on H_k^3 ∩ ker(div) is
 (k + 1)/2 times its slice on W_k^3, W_k = ker(R_1^2 + k^2) of dimension
-2(k + 1) (W_0 = H_0, scale 1).  Per block that is a div kernel on 6(k + 1)
-columns and one eigh on 4(k + 1), with no harmonic basis
-(:func:`_reduced_blocks`); the Hodge check (:func:`hodge_laplacian_check`)
-runs on the same blocks.
+2(k + 1) (W_0 = H_0, scale 1).  Per block that is one eigh on 6(k + 1)
+columns, with no harmonic basis (:func:`_reduced_blocks`); the Hodge check
+(:func:`hodge_laplacian_check`) runs on the same blocks.
+
+No float block needs a basis of ker(div).  In L^2-orthonormal coordinates
+*d is symmetric, kills the gradients (d d = 0) and maps ker(div), their
+complement, to itself with eigenvalues k + 2 and -k only; div grad = -Lap,
+so for k >= 1 there are as many gradients as scalar block columns.  One
+eigh of a block's *d has that many eigenvalues in (-1/2, 1/2); the others
+are the divergence-free spectrum (:func:`_block_eigh`).
 
 Memory is per block and sparse: the E_i and R_j are (row, column, value)
 triples from exponent arithmetic (:func:`sdforms.polys.derivative_triples`),
 Lap and the certificates are sparse products of them, and no operator on
 the whole degree <= D coframe space is formed.  The full blocks -- harmonic
-basis (m, n), n = (k + 1)^2, frame blocks (n, n), the (3n, 3n) *d, its
-kernel by a complete QR (:func:`_null_space`) and one eigh -- serve the
-exact ring and the eigenfields of a :class:`ModeSet`; the float ones are
-built only when a caller reads the modes, and each raises ArithmeticError
-when its basis leaves H_k (:func:`_harmonic_defect`).  The eigenfields'
-(3N, K) monomial coefficient matrix is written once, in eigenvalue order.
+basis (m, n), n = (k + 1)^2, frame blocks (n, n) and the (3n, 3n) *d --
+serve the exact ring and the eigenfields of a :class:`ModeSet`; the float
+ones are built only when a caller reads the modes, and each raises
+ArithmeticError when its basis leaves H_k (:func:`_harmonic_defect`).  The
+eigenfields' (3N, K) monomial coefficient matrix is written once, in
+eigenvalue order.
 
 The float ring (reduced blocks) and the exact ring (full blocks) are the
 two independent routes, both on numpy alone.  Full float blocks are
@@ -252,24 +258,27 @@ class HarmonicBlock:
 
     ``basis`` (m, n) spans H_k on the first m (degree <= k) reduced
     monomials, n = (k + 1)^2.  ``frame`` holds the three (n, n) frame
-    derivatives E_i on H_k and ``kernel`` (3n, K) a basis of ker(div); the
-    fields are in the coordinates of ``basis`` on each of the three frame
-    components (component-major), and *d and div are assembled from
-    ``frame`` on access.  In the float ring ``basis`` is L^2-orthonormal and
-    ``kernel`` has orthonormal columns; in the exact ring ``frame`` and
-    ``kernel`` hold Python ints and ``basis`` is the identity on the
-    degree-k monomials.  A reduced block (:func:`_reduced_blocks`) is W_k^3
-    in L^2-orthonormal coordinates of W_k and has no ``basis``.
+    derivatives E_i on H_k; the fields are in the coordinates of ``basis``
+    on each of the three frame components (component-major), and *d and div
+    are assembled from ``frame`` on access.  Of the 3n fields ``gradients``
+    (n for k >= 1, none for k = 0) are gradients, and ``dim`` are
+    divergence-free.  In the float ring ``basis`` is L^2-orthonormal; in
+    the exact ring ``frame`` holds Python ints and ``basis`` is the identity
+    on the degree-k monomials.  A reduced block (:func:`_reduced_blocks`) is
+    W_k^3 in L^2-orthonormal coordinates of W_k and has no ``basis``.
     """
 
     k: int
     basis: np.ndarray
     frame: list
-    kernel: np.ndarray
+
+    @property
+    def gradients(self):
+        return len(self.frame[0]) if self.k else 0
 
     @property
     def dim(self):
-        return self.kernel.shape[1]
+        return 3 * len(self.frame[0]) - self.gradients
 
     @property
     def star_d(self):
@@ -308,11 +317,9 @@ def _sorted_modes(D, w, bases, coords):
 
 @dataclass(eq=False)
 class DivergenceFreeSubspace:
-    """Kernel of the divergence matrix inside the degree <= D coframe space.
+    """The harmonic blocks k = 0..D, whose divergence-free parts sum to ker(div).
 
-    It is the direct sum of the divergence-free parts of the harmonic blocks
-    k = 0..D.  ``frame`` holds the sparse triples of the monomial E_i, as
-    certified.
+    ``frame`` holds the sparse triples of the monomial E_i, as certified.
     """
 
     degree: int
@@ -485,25 +492,6 @@ def _degree_block(triples, offs, k, dtype):
     return B
 
 
-def _null_space(A):
-    """Orthonormal basis of the right nullspace of A, of shape (m, n) with m <= n.
-
-    A complete QR of A^T = Q R gives A = R1^T Q1^T with R1 the m x m top of R,
-    so the nullspace is Q2 (the last n - m columns of Q) plus Q1 times the
-    left singular vectors of R1 below the rank tolerance.  R1 has the
-    singular values of A, so the tolerance is the one an SVD of A would use,
-    without forming A's n x n right factor.
-    """
-    m = A.shape[0]
-    Q, R = np.linalg.qr(A.T, mode="complete")
-    s = np.linalg.svd(R[:m], compute_uv=False)
-    tol = max(A.shape) * np.finfo(float).eps * s.max(initial=0.0)
-    if np.all(s > tol):
-        return Q[:, m:].copy()  # a view would keep all of Q alive in the block
-    u, s, _ = np.linalg.svd(R[:m])
-    return np.hstack([Q[:, :m] @ u[:, int(np.sum(s > tol)):], Q[:, m:]])
-
-
 @lru_cache(maxsize=64)
 def _homogeneous(d):
     """Exponents (K, 4) of the degree-d monomials in four variables, with a key lookup.
@@ -564,17 +552,13 @@ def _float_block(k, lap, offs, monomials, E_k):
         raise ArithmeticError(f"basis of harmonic block {k} is not harmonic "
                               f"(relative defect {defect:.3e})")
     frame = [U @ E @ Ui for E in E_k]
-    return HarmonicBlock(k, basis, frame, _null_space(np.hstack(frame)))
+    return HarmonicBlock(k, basis, frame)
 
 
 def _exact_block(k, lap, offs, E_k):
-    """Block k on Python ints: the harmonic basis times the product of its
-    denominators, and primitive integer kernel vectors of the div block."""
+    """Block k on Python ints, its exact harmonic basis rounded to floats."""
     scale = math.prod((k - j) * (k + j + 2) for j in range(k))
-    Z = _harmonic_basis(lap, offs, k, scale)
-    null = exactla.nullspace(np.hstack(E_k).tolist())
-    kernel = np.array(null, dtype=object).T.reshape(3 * len(E_k[0]), len(null))
-    return HarmonicBlock(k, (Z / scale).astype(float), E_k, kernel)
+    return HarmonicBlock(k, (_harmonic_basis(lap, offs, k, scale) / scale).astype(float), E_k)
 
 
 def divergence_free_subspace(D, ring="float"):
@@ -583,9 +567,8 @@ def divergence_free_subspace(D, ring="float"):
     Everything is built from the sparse frame-derivative triples and the
     degree-k blocks of the E_i; no operator on the whole monomial space is
     formed.  The float ring keeps per block an L^2-orthonormal harmonic
-    basis and an orthonormal kernel; the exact ring an exact harmonic basis
-    and primitive integer kernel vectors from fraction-free elimination.
-    The dimension is 2 * sum_{d<=D}(d+1)^2 + 1.
+    basis and its frame, the exact ring an exact harmonic basis and the
+    integer frame.  The dimension is 2 * sum_{d<=D}(d+1)^2 + 1.
     """
     if D < 0:
         raise ValueError(f"degree bound must be >= 0, got {D}")
@@ -724,7 +707,7 @@ def _reduced_blocks(D):
             raise ArithmeticError(f"R1^2 is not -{k * k} on the weight columns of degree {k}")
         d = np.tile([1 / math.sqrt(math.comb(k, a)) for a in range(k + 1)], 2 if k else 1)
         F = [A_i * (d[:, None] / d) for A_i in A[:3]]
-        blocks.append(HarmonicBlock(k, None, F, _null_space(np.hstack(F))))
+        blocks.append(HarmonicBlock(k, None, F))
     return blocks
 
 
@@ -735,11 +718,10 @@ def eigen_decompose(D, ring="float"):
     L^2-normalized eigenfields sorted by eigenvalue; each eigenfield lies in
     one harmonic block, so its coefficient degree is k.  The float report
     comes from the reduced blocks (:func:`_reduced_blocks`) and the float
-    modes from the full harmonic blocks (:func:`eigenmodes`).
-    In the exact ring the eigenfields come from integer kernels of the
-    integer block shifts and the report additionally certifies completeness
-    (multiplicities sum to the subspace dimension) and the absence of
-    spectrum at -1, 0, +1.
+    modes from the full harmonic blocks (:func:`eigenmodes`).  In the exact
+    ring the eigenfields come from integer kernels of the integer block
+    shifts and the report additionally certifies completeness (multiplicities
+    sum to the subspace dimension) and the absence of spectrum at -1, 0, +1.
     """
     if ring == "exact":
         return _eigen_decompose_exact(divergence_free_subspace(D, ring))
@@ -758,14 +740,23 @@ def eigenmodes(D):
 
 
 def _block_eigh(b):
-    """Eigenvalues of *d on the kernel of block b, and the eigenvectors in block coordinates."""
-    A = b.kernel.T @ b.star_d @ b.kernel
+    """Eigenvalues of *d on ker(div) of float block b, and the eigenvectors in block coordinates.
+
+    One eigh of the block's *d, less its eigenvalues in (-1/2, 1/2), the
+    gradients (module docstring).  Raises ArithmeticError unless *d is
+    symmetric and exactly ``b.gradients`` eigenvalues lie in that gap.
+    """
+    A = b.star_d
     asym = float(np.max(np.abs(A - A.T)))
     if asym > 1e-8 * max(1.0, float(np.max(np.abs(A)))):
         raise ArithmeticError(f"star_d not self-adjoint on harmonic block {b.k} "
                               f"(defect {asym:.3e})")
     lam, X = eigh((A + A.T) / 2.0)
-    return lam, b.kernel @ X
+    keep = np.abs(lam) >= 0.5
+    if len(lam) - keep.sum() != b.gradients:
+        raise ArithmeticError(f"{len(lam) - keep.sum()} eigenvalues of star_d in (-1/2, 1/2) "
+                              f"on harmonic block {b.k}, not its {b.gradients} gradients")
+    return lam[keep], X[:, keep]
 
 
 def _float_modes(sub):
@@ -792,15 +783,15 @@ def _add_multiplicities(mults, k, values):
 
 
 def _float_report(D, blocks):
-    """The float report from the reduced blocks: one eigh of 4(k + 1) columns per block.
+    """The float report from the reduced blocks: one eigh of 6(k + 1) columns per block.
 
     The right frame commutes with *d and div and acts on H_k as copies of
     the spin-k/2 representation, in which R_1^2 = -k^2 on a 2-dimensional
     slice.  So every eigenspace on H_k^3 ∩ ker(div) is (k + 1)/2 times its
     slice on W_k^3 (W_0 = H_0, scale 1); R_1 / k is a complex structure
     commuting with *d, so for k >= 1 a slice of odd dimension is an error.
-    The divergence residual of each mode is its image under the block's
-    div, in orthonormal coordinates of W_k.
+    The divergence residual of each kept mode is its image under the
+    block's div, in orthonormal coordinates of W_k.
     """
     mults, dim, lams, residuals = {}, 0, [], []
     for b in blocks:
@@ -825,30 +816,35 @@ def _float_report(D, blocks):
 def _eigen_decompose_exact(sub):
     """Exact multiplicities from integer kernels of S_k - (k + 2) and S_k + k.
 
-    Each eigenspace is L^2-orthonormalized in floats by the R factor of its
-    coordinates under the block's Gram factor.  The divergence residual of
-    a mode is taken on its assembled monomial coefficients, the column of
-    :attr:`ModeSet.C`: the sparse monomial div, normed under the monomial
-    Gram on the degree <= k monomials, a second route to the L^2 product
-    that also sees the rounding of the float block basis.
+    The shifts act on N, primitive integer vectors spanning the kernel of
+    the block's div by fraction-free elimination; ArithmeticError unless
+    there are ``b.dim`` of them.  Each eigenspace is L^2-orthonormalized in
+    floats by the R factor of its coordinates under the block's Gram factor.
+    The divergence residual of a mode is taken on its assembled monomial
+    coefficients, the column of :attr:`ModeSet.C`: the sparse monomial div,
+    normed under the monomial Gram on the degree <= k monomials, a second
+    route to the L^2 product that also sees the rounding of the float block
+    basis.
     """
     D = sub.degree
     monomials = make_basis(D).monomials
     G = make_basis(D).gram()
-    mults = {}
-    lams = []
-    coords = []
-    residuals = []
+    mults, lams, coords, residuals = {}, [], [], []
     for b in sub.blocks:
         U3 = np.kron(np.eye(3), _gram_factor(monomials[:len(b.basis)], b.k, b.basis))
-        SN = b.star_d @ b.kernel
-        Y = [np.zeros((len(b.kernel), 0))]
+        null = exactla.nullspace(b.div.tolist())
+        if len(null) != b.dim:
+            raise ArithmeticError(f"div kernel of harmonic block {b.k} has dimension "
+                                  f"{len(null)}, not {b.dim}")
+        N = np.array(null, dtype=object).T
+        SN = b.star_d @ N
+        Y = [np.zeros((len(N), 0))]
         for lam in (-b.k, b.k + 2):
-            kernel = exactla.nullspace((SN - lam * b.kernel).tolist(), n_cols=b.dim)
+            kernel = exactla.nullspace((SN - lam * N).tolist(), n_cols=b.dim)
             if not kernel:
                 continue
             mults[lam] = len(kernel)
-            V = (b.kernel @ np.array(kernel, dtype=object).T).astype(float)
+            V = (N @ np.array(kernel, dtype=object).T).astype(float)
             # Gram-Schmidt in the L^2 product: U3 V = Q R, so V R^-1 is orthonormal
             R = np.linalg.qr(U3 @ V, mode="r")
             Y.append(np.linalg.solve(R.T, V.T).T)
@@ -891,17 +887,20 @@ def hodge_laplacian_check(D):
     (:func:`_reduced_blocks`), with multiplicities scaled to H_k^3 as there.
     Returns a dict with the clustered eigenvalues mu, their minimum, the
     maximum deviation of the sorted mu of a block from its sorted squared
-    integer *d eigenvalues, and the *d-invariance defect of the kernels K,
-    the root sum of squares of ||(I - K K^T) *d K|| (K is orthonormal).
+    integer *d eigenvalues, and the *d-invariance defect of the kept
+    eigenvectors K, the root sum of squares of ||(I - K K^T) *d K||.
     Each block's (*d)^2 is its own product, not the square of the *d
-    eigenvalues.  Every trusted mu is at least 4.
+    eigenvalues; its eigh runs on all of W_k^3, and its ``gradients`` lowest
+    values, the zeros on the gradients, are dropped.  Every trusted mu is at
+    least 4.
     """
     mults, mu_min, pairing, defect = {}, math.inf, 0.0, 0.0
     for b in _reduced_blocks(D):
-        K = b.kernel
-        SK = b.star_d @ K
-        A2 = K.T @ (b.star_d @ SK)
-        mu = eigh((A2 + A2.T) / 2.0)[0]  # ascending
+        S = b.star_d
+        A2 = S @ S
+        mu, K = eigh((A2 + A2.T) / 2.0)  # ascending
+        mu, K = mu[b.gradients:], K[:, b.gradients:]
+        SK = S @ K
         lam_sq = np.sort(np.rint(_block_eigh(b)[0]) ** 2)
         pairing = max(pairing, float(np.max(np.abs(mu - lam_sq), initial=0.0)))
         defect += float(np.linalg.norm(SK - K @ (K.T @ SK))) ** 2

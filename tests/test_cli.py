@@ -364,6 +364,7 @@ def test_orthogonality_fails_when_nothing_checked(capsys):
     (["--t0=-inf"], "--t0"),
     (["--steps", "0"], "--steps"),
     (["--steps", "-3"], "--steps"),
+    (["--t0", "1.5", "--t1", "1.5"], "--t1 must differ from --t0"),
 ])
 def test_evolve_rejects_bad_flags(capsys, tmp_path, flags, named):
     # the flags are checked before the initial-data file is even read
@@ -388,6 +389,80 @@ def test_evolve_fails_when_cross_check_skipped(capsys, tmp_path, monkeypatch):
     assert rep["spectral_cross_check"] is None
     assert rep["decomposition_residual"] > 1e-8
     assert rep["failures"][0]["operation"] == "decompose_initial"
+
+
+def write_random_field(D, path, seed=5):
+    """star_d of a seeded random degree-D field, divergence-free, as evolve input."""
+    from sdforms.polys import make_basis, star_d
+
+    basis = make_basis(D)
+    rng = np.random.default_rng(seed)
+    dump_initial_field(star_d(basis.coframe_from_vector(rng.standard_normal(3 * basis.dim))),
+                       str(path))
+
+
+@pytest.mark.parametrize("D, flags", [(4, ["--t1", "1.01"]), (3, ["--steps", "3000"])])
+def test_evolve_step_doubling_at_the_rounding_floor_passes(capsys, tmp_path, D, flags):
+    # both RK4 errors down at the comparison's own rounding: the ratio
+    # measures nothing there and is not judged
+    init = tmp_path / "init.json"
+    write_random_field(D, init)
+    code, rep = run(capsys, "evolve", "--init", str(init), *flags)
+    cross = rep["spectral_cross_check"]
+    assert (code, rep["status"]) == (0, "pass")
+    assert cross["error_double_steps"] <= cross["rounding_floor"] <= 1e-9
+    assert cross["step_doubling_ratio"] is None
+
+
+def euler(eta0, u0, u1, steps):
+    """A first-order stepper in place of RK4."""
+    from sdforms.polys import coframe_triples, make_basis, sparse_apply
+
+    basis = make_basis(eta0.degree)
+    curl = coframe_triples(eta0.degree)["curl"]
+    y = basis.coframe_to_vector(eta0)
+    h = (u1 - u0) / steps
+    for _ in range(steps):
+        y = y + h * sparse_apply(curl, y, len(y))
+    return basis.coframe_from_vector(y)
+
+
+@pytest.mark.parametrize("flags", [[], ["--steps", "3000"]])
+def test_evolve_first_order_stepper_fails(capsys, tmp_path, monkeypatch, flags):
+    # the rounding floor must leave a first-order error visible: the ratio
+    # is about 2, far above the floor, at the default steps and at 3000
+    monkeypatch.setattr("sdforms.cli.evolution.evolve_ode", euler)
+    init = tmp_path / "init.json"
+    write_random_field(3, init)
+    code, rep = run(capsys, "evolve", "--init", str(init), *flags)
+    cross = rep["spectral_cross_check"]
+    assert (code, rep["status"]) == (1, "fail")
+    assert cross["error_double_steps"] > 1e3 * cross["rounding_floor"]
+    assert 1.5 < cross["step_doubling_ratio"] < 2.5
+    assert [f["reason"] for f in rep["failures"]] == [
+        "step doubling does not show fourth-order convergence"]
+
+
+RECORD = '{"monomial": [1, 0, 0, 0], "axis": 1, "coefficient": %s}'
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("text, named", [
+    ("[%s]" % RECORD % "NaN", "record 0"),
+    ("[%s]" % RECORD % "Infinity", "record 0"),
+    ("[%s]" % RECORD % "-Infinity", "record 0"),
+    ("[%s]" % RECORD % "1e300", "record 0"),
+    ("[%s, %s]" % (RECORD % "2e153", RECORD % "2e153"), "record 1"),
+    ("[]", "zero field"),
+    ("[%s, %s]" % (RECORD % "1.0", RECORD % "-1.0"), "zero field"),
+], ids=["nan", "inf", "-inf", "1e300", "norm-overflow", "empty", "cancelling"])
+def test_evolve_rejects_unusable_initial_data(capsys, tmp_path, text, named):
+    # no NaN, infinity, overflowing norm or zero field gets past the loader
+    init = tmp_path / "init.json"
+    init.write_text(text)
+    code, rep = run(capsys, "evolve", "--init", str(init))
+    assert (code, rep["status"]) == (2, "error")
+    assert str(init) in rep["message"] and named in rep["message"]
 
 
 def test_library_paths_form_no_dense_operator_or_gram(capsys, tmp_path, monkeypatch):

@@ -232,3 +232,38 @@ def test_load_sums_records_like_polyscalars():
     loaded = load_initial_field(records)
     assert [a.coeffs for a in loaded.alpha] == [a.coeffs for a in comps]
     assert (0, 1, 1, 0) not in loaded.alpha[2].coeffs
+
+
+@pytest.mark.parametrize("coefficient", [float("nan"), float("inf"), -float("inf"), 1e300])
+def test_load_rejects_unusable_coefficients(coefficient):
+    # the first record is fine, the second is named
+    records = [{"monomial": [0, 1, 0, 0], "axis": 2, "coefficient": 1.0},
+               {"monomial": [1, 0, 0, 0], "axis": 1, "coefficient": coefficient}]
+    with pytest.raises(ValueError, match=r"initial data: record 1 \(monomial \[1, 0, 0, 0\], "
+                                         r"axis 1\) has coefficient"):
+        load_initial_field(records)
+
+
+@pytest.mark.parametrize("records", [
+    [],
+    [{"monomial": [1, 0, 0, 0], "axis": 1, "coefficient": 2.0},
+     {"monomial": [1, 0, 0, 0], "axis": 1, "coefficient": -2.0}],
+    # x3^2 reduces to 1 - x0^2 - x1^2 - x2^2 and cancels the rest
+    [{"monomial": [0, 0, 0, 2], "axis": 3, "coefficient": 1.0},
+     {"monomial": [0, 0, 0, 0], "axis": 3, "coefficient": -1.0},
+     *({"monomial": e, "axis": 3, "coefficient": 1.0}
+       for e in ([2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0]))],
+])
+def test_load_rejects_the_zero_field(records):
+    with pytest.raises(ValueError, match="sum to the zero field"):
+        load_initial_field(records)
+
+
+def test_nan_field_fails_the_divergence_guards(modes_d2):
+    # NaN compares false with everything: the guards must not read it as small
+    nan = CoframeField((PolyScalar({(1, 0, 0, 0): float("nan")}), PolyScalar.zero(),
+                        PolyScalar.zero()))
+    with pytest.raises(ValueError, match="not divergence-free"):
+        evolve_ode(nan, 0.0, 1.0, 4)
+    with pytest.raises(ValueError, match="not divergence-free"):
+        decompose_initial(nan, modes_d2)

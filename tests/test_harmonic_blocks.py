@@ -30,7 +30,6 @@ from sdforms.spectrum import (
     _harmonic_basis,
     _integer_entries,
     _reduced_blocks,
-    _sorted_modes,
     divergence_free_subspace,
     eigen_decompose,
     eigenmodes,
@@ -62,12 +61,6 @@ def projectors(lam_int, C, G):
     """Eigenspace projector C_lam C_lam^T G for each integer eigenvalue."""
     return {int(lam): C[:, lam_int == lam] @ C[:, lam_int == lam].T @ G
             for lam in np.unique(lam_int)}
-
-
-def kernel_columns(sub):
-    """(3N, K) monomial coefficients of the block kernels of a subspace, in block order."""
-    return _sorted_modes(sub.degree, np.zeros(sub.dim), [b.basis for b in sub.blocks],
-                         [b.kernel.astype(float) for b in sub.blocks])[2]
 
 
 def counts(lam_int):
@@ -236,32 +229,74 @@ def test_cli_spectrum_never_assembles_mode_matrix(monkeypatch, capsys):
 @pytest.mark.parametrize("ring", ["float", "exact"])
 @pytest.mark.parametrize("D", [3, 6])
 def test_block_residual_matches_dense_route(D, ring):
-    # per-block div residual and *d-invariance against the assembled matrices
-    # and the dense monomial *d
+    # per-block div residual, dimension and *d-invariance of the kept modes
+    # against the dense monomial div and *d
     modes, report = eigen_decompose(D, ring=ring)
     assert report.max_div_residual <= 1e-13
     assert max(polys.div_norms(D, modes.C)) <= 1e-12
-    Q = np.linalg.qr(kernel_columns(divergence_free_subspace(D, ring)))[0]
+    Dv = operator_matrix("div", D)
+    assert len(modes) == report.subspace_dim == Dv.shape[1] - np.linalg.matrix_rank(Dv)
+    Q = np.linalg.qr(modes.C)[0]
     image = operator_matrix("star_d", D) @ Q
     assert np.linalg.norm(image - Q @ (Q.T @ image)) <= 1e-10
     assert hodge_laplacian_check(D)["subspace_invariance_defect"] <= 1e-12
 
 
+def perturb_frame(b, size, seed, skew=True):
+    """Add ``size`` times a seeded random matrix, made skew unless ``skew`` is
+    false, to the first frame matrix of block b."""
+    n = len(b.frame[0])
+    P = np.random.default_rng(seed).standard_normal((n, n))
+    b.frame[0] = b.frame[0] + size * (P - P.T if skew else P)
+
+
 def test_block_residuals_see_a_leaking_kernel(monkeypatch):
-    # a kernel column pushed off ker(div) and off the *d-invariant subspace,
-    # in a full block (the modes' route) and in a reduced block (the report's
-    # and the Hodge check's)
-    rng = np.random.default_rng(3)
+    # a frame block perturbed off the sphere's frame: the kept modes leak out
+    # of ker(div), in a full block (the modes' route) and in a reduced block
+    # (the report's); a perturbation that is not skew is refused as not
+    # self-adjoint, or, below that tolerance, seen by the Hodge check
     sub = divergence_free_subspace(4)
-    b = sub.blocks[3]
-    b.kernel[:, 0] += 1e-4 * rng.standard_normal(len(b.kernel))
+    perturb_frame(sub.blocks[3], 1e-4, 3)
     assert max(polys.div_norms(4, _float_modes(sub)[2])) > 1e-6
     blocks = _reduced_blocks(4)
-    b = blocks[3]
-    b.kernel[:, 0] += 1e-4 * rng.standard_normal(len(b.kernel))
+    perturb_frame(blocks[3], 1e-4, 3)
     assert _float_report(4, blocks).max_div_residual > 1e-6
     monkeypatch.setattr(spectrum, "_reduced_blocks", lambda D: blocks)
-    assert hodge_laplacian_check(4)["subspace_invariance_defect"] > 1e-6
+    assert hodge_laplacian_check(4)["max_square_pairing_deviation"] > 1e-7
+    blocks = _reduced_blocks(4)
+    perturb_frame(blocks[3], 1e-4, 3, skew=False)
+    with pytest.raises(ArithmeticError, match="star_d not self-adjoint on harmonic block 3"):
+        _float_report(4, blocks)
+    blocks = _reduced_blocks(4)
+    perturb_frame(blocks[3], 1e-9, 3, skew=False)
+    assert _float_report(4, blocks).max_div_residual > 1e-13
+    assert hodge_laplacian_check(4)["subspace_invariance_defect"] > 1e-10
+
+
+def test_reversed_frame_fails_the_gradient_count():
+    # -E_i is a frame of the opposite orientation, [E1, E2] = +2 E3: *d becomes
+    # 2 - curl, which sends the eigenvalue k + 2 = 4 of block 2 to 2 - k = 0,
+    # ten eigenvalues into (-1/2, 1/2) against six gradients on W_2 (fifteen
+    # against nine on H_2)
+    blocks = _reduced_blocks(2)
+    blocks[2].frame = [-F for F in blocks[2].frame]
+    with pytest.raises(ArithmeticError, match=r"10 eigenvalues of star_d in \(-1/2, 1/2\) "
+                                              "on harmonic block 2, not its 6 gradients"):
+        _float_report(2, blocks)
+    sub = divergence_free_subspace(2)
+    sub.blocks[2].frame = [-F for F in sub.blocks[2].frame]
+    with pytest.raises(ArithmeticError, match="15 eigenvalues .* not its 9 gradients"):
+        _float_modes(sub)
+
+
+def test_exact_ring_rejects_a_wrong_kernel_length():
+    # with the frame of block 1 zeroed, div vanishes there: its integer
+    # kernel has all 12 columns, not the 8 divergence-free ones
+    sub = divergence_free_subspace(2, ring="exact")
+    sub.blocks[1].frame = [0 * E for E in sub.blocks[1].frame]
+    with pytest.raises(ArithmeticError, match="div kernel of harmonic block 1 has dimension "
+                                              "12, not 8"):
+        _eigen_decompose_exact(sub)
 
 
 @pytest.mark.parametrize("ring", ["float", "exact"])
@@ -304,19 +339,6 @@ def test_wrong_laplacian_diagonal_is_rejected(monkeypatch, scale):
     with pytest.raises(ArithmeticError, match="frame Laplacian is not 3 I with zeros below "
                                               "on the degree-1 monomials"):
         eigen_decompose(2)
-
-
-@pytest.mark.parametrize("m, rank", [(1, 0), (4, 4), (6, 3)])
-def test_null_space_matches_the_svd_kernel(m, rank):
-    # the kernel once came from the full SVD of A; the QR route must span it
-    rng = np.random.default_rng(m)
-    A = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, 3 * m))
-    _, s, vh = np.linalg.svd(A)
-    ref = vh[int(np.sum(s > 3 * m * np.finfo(float).eps * s.max())):].T
-    N = spectrum._null_space(A)
-    assert N.shape == ref.shape
-    assert np.max(np.abs(N.T @ N - np.eye(N.shape[1]))) <= 1e-13
-    assert np.max(np.abs(N @ N.T - ref @ ref.T)) <= 1e-13
 
 
 def test_cli_import_loads_no_scipy():

@@ -31,13 +31,14 @@ def test_reduced_report_matches_full_blocks():
     # block k of the full route is the same for every D >= k, so one
     # subspace at D = 12 gives the oracle for every D up to 12
     sub = divergence_free_subspace(12)
-    counts = [dict(zip(*np.unique(np.rint(np.linalg.eigvalsh(
-        b.kernel.T @ b.star_d @ b.kernel)).astype(int), return_counts=True)))
-        for b in sub.blocks]
+    counts = [dict(zip(*np.unique(np.rint(_block_eigh(b)[0]).astype(int), return_counts=True)))
+              for b in sub.blocks]
     mults, dim = {}, 0
     for D, b in enumerate(sub.blocks):
         for lam, k in counts[D].items():
             mults[int(lam)] = mults.get(int(lam), 0) + int(k)
+        # the gradient count is the rank of the block's div
+        assert b.dim == 3 * len(b.frame[0]) - np.linalg.matrix_rank(b.div)
         dim += b.dim
         _, report = eigen_decompose(D)
         assert (report.multiplicities, report.subspace_dim) == (mults, dim), D
@@ -47,14 +48,15 @@ def test_reduced_report_matches_full_blocks():
 
 
 def test_hodge_check_matches_full_blocks():
-    # the route the check replaced: (*d)^2 on each full block's kernel and
-    # the squared integer *d eigenvalues of its eigh; one subspace at D = 8
-    # gives the oracle for every D up to 8
+    # the route the check replaced: (*d)^2 on each full block's
+    # divergence-free eigenvectors and the squared integer *d eigenvalues of
+    # its eigh; one subspace at D = 8 gives the oracle for every D up to 8
     mu, lam_sq = [], []
     for b in divergence_free_subspace(8).blocks:
-        A2 = b.kernel.T @ (b.star_d @ (b.star_d @ b.kernel))
+        lam, Y = _block_eigh(b)
+        A2 = Y.T @ (b.star_d @ (b.star_d @ Y))
         mu.append(np.linalg.eigvalsh((A2 + A2.T) / 2.0))
-        lam_sq.append(np.rint(_block_eigh(b)[0]) ** 2)
+        lam_sq.append(np.rint(lam) ** 2)
     for D in range(9):
         full = np.sort(np.concatenate(mu[:D + 1]))
         assert np.max(np.abs(full - np.sort(np.concatenate(lam_sq[:D + 1])))) <= 1e-7
@@ -67,11 +69,14 @@ def test_hodge_check_matches_full_blocks():
 
 
 def test_cli_hodge_builds_no_full_block(monkeypatch, capsys):
+    # and, the gradients being set aside by count, no QR or SVD for ker(div)
     def forbidden(*args, **kwargs):
-        raise AssertionError("full harmonic block built on the Hodge route")
+        raise AssertionError("full harmonic block, QR or SVD on the Hodge route")
 
     for name in ("divergence_free_subspace", "_float_block", "_harmonic_basis"):
         monkeypatch.setattr(spectrum, name, forbidden)
+    for name in ("qr", "svd"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
     for D in range(13):
         assert dispatch(["verify", "hodge", "--degree", str(D)]) == 0, D
 
@@ -86,14 +91,17 @@ def test_reduced_report_matches_exact_ring(D):
 
 
 def test_lowest_reduced_blocks():
-    # W_0 = H_0 is the constants with scale 1: *d = 2 on all three fields;
-    # W_1 has 4 columns, its div kernel 8 and all of it has eigenvalue 3
+    # W_0 = H_0 is the constants with scale 1: *d = 2 on all three fields,
+    # no gradients; W_1 has 4 columns and 4 gradients, where *d is 0, and
+    # the other 8 fields all have eigenvalue 3
     b0, b1 = _reduced_blocks(1)
-    assert b0.frame[0].shape == (1, 1) and b0.dim == 3
+    assert b0.frame[0].shape == (1, 1) and (b0.gradients, b0.dim) == (0, 3)
     assert np.allclose(b0.star_d, 2 * np.eye(3))
-    assert b1.frame[0].shape == (4, 4) and b1.dim == 8
-    lam = np.linalg.eigvalsh(b1.kernel.T @ b1.star_d @ b1.kernel)
+    assert b1.frame[0].shape == (4, 4) and (b1.gradients, b1.dim) == (4, 8)
+    assert np.allclose(np.linalg.eigvalsh(b1.star_d), [0.0] * 4 + [3.0] * 8, atol=1e-13)
+    lam, Y = _block_eigh(b1)
     assert np.allclose(lam, 3.0, atol=1e-13)
+    assert np.max(np.abs(b1.div @ Y)) <= 1e-13
     _, report = eigen_decompose(1)
     assert report.multiplicities == {2: 3, 3: 8}
     assert report.subspace_dim == 11
@@ -176,20 +184,22 @@ def test_weight_checks_switch_to_python_ints():
 
 
 def test_cli_spectrum_builds_only_reduced_blocks(monkeypatch, capsys):
-    # no harmonic basis, no full-block subspace and every div kernel on the
-    # 2(k + 1) x 6(k + 1) reduced block (1 x 3 at k = 0)
-    shapes = []
-    original = spectrum._null_space
+    # no harmonic basis, no full-block subspace and one eigh per block, on
+    # the whole reduced block: order 3 at k = 0, then 6(k + 1); the gradients
+    # are set aside by count, so no QR or SVD finds ker(div)
+    orders = []
 
     def recording(A):
-        shapes.append(A.shape)
-        return original(A)
+        orders.append(A.shape)
+        return np.linalg.eigh(A)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("full harmonic block built on the spectrum route")
+        raise AssertionError("full harmonic block, QR or SVD on the spectrum route")
 
-    monkeypatch.setattr(spectrum, "_null_space", recording)
+    monkeypatch.setattr(spectrum, "eigh", recording)
     monkeypatch.setattr(spectrum, "_harmonic_basis", forbidden)
     monkeypatch.setattr(spectrum, "divergence_free_subspace", forbidden)
+    for name in ("qr", "svd"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
     assert dispatch(["spectrum", "--degree", "6"]) == 0
-    assert shapes == [(1, 3)] + [(2 * (k + 1), 6 * (k + 1)) for k in range(1, 7)]
+    assert orders == [(3, 3)] + [(6 * (k + 1),) * 2 for k in range(1, 7)]

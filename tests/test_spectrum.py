@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sdforms import polys
+from sdforms import exactla, polys
 from sdforms.polys import (
     coframe_gram,
     left_invariant_coframe,
@@ -15,6 +15,7 @@ from sdforms.polys import (
 )
 from sdforms.spectrum import (
     _degree_offsets,
+    _eigen_decompose_exact,
     _frame_laplacian,
     _harmonic_basis,
     _integer_entries,
@@ -165,22 +166,36 @@ def test_exact_degree3_matches_float(decomposition_d3):
     assert np.max(np.abs(pairings - np.eye(len(modes)))) <= 1e-10
 
 
-def test_exact_subspace_is_primitive_integer_kernel():
-    # each block kernel holds primitive integer vectors, which the integer
-    # harmonic basis carries to exact kernel vectors of the monomial div
+def test_exact_subspace_is_primitive_integer_kernel(monkeypatch):
+    # each block's div kernel, as the exact decomposition computes it, holds
+    # b.dim primitive integer vectors, which the integer harmonic basis
+    # carries to exact kernel vectors of the monomial div
     D = 2
     sub = divergence_free_subspace(D, ring="exact")
+    kernels = []
+    original = exactla.nullspace
+
+    def recording(rows, n_cols=None):
+        out = original(rows, n_cols)
+        if n_cols is None:  # the div kernel; the shifts pass their width
+            kernels.append(np.array(out, dtype=object).T)
+        return out
+
+    monkeypatch.setattr(exactla, "nullspace", recording)
+    _eigen_decompose_exact(sub)
     lap = _frame_laplacian(D, [_integer_entries(E) for E in polys.derivative_triples(D)])
     offs = _degree_offsets(D)
     Dv = operator_matrix("div", D).astype(np.int64).astype(object)
-    for b in sub.blocks:
-        assert all(type(v) is int for v in b.kernel.ravel())
-        assert all(np.gcd.reduce(b.kernel[:, j]) == 1 for j in range(b.dim))
+    assert len(kernels) == len(sub.blocks)
+    for b, N in zip(sub.blocks, kernels):
+        assert N.shape == (3 * len(b.frame[0]), b.dim)
+        assert all(type(v) is int for v in N.ravel())
+        assert all(np.gcd.reduce(N[:, j]) == 1 for j in range(b.dim))
         Z = _harmonic_basis(lap, offs, b.k, math.prod((b.k - j) * (b.k + j + 2)
                                                        for j in range(b.k)))
         m, n = Z.shape
         V = np.zeros((3, offs[-1], b.dim), dtype=object)
-        V[:, :m] = [Z @ b.kernel[c * n:(c + 1) * n] for c in range(3)]
+        V[:, :m] = [Z @ N[c * n:(c + 1) * n] for c in range(3)]
         assert not (Dv @ V.reshape(3 * offs[-1], -1)).any()
 
 

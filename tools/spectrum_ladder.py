@@ -1,7 +1,7 @@
 """Wall time, CPU time and peak memory of ``sdforms spectrum`` at growing degree.
 
     python3 tools/spectrum_ladder.py
-    python3 tools/spectrum_ladder.py --float 16 24 48 --exact --max-rss-mb 250
+    python3 tools/spectrum_ladder.py --float 16 24 48 --exact 8 --max-rss-mb 250
     python3 tools/spectrum_ladder.py --root ../other-checkout --out ladder.json
 
 Each rung is one fresh ``python3 -m sdforms.cli spectrum --degree D`` process
