@@ -5,14 +5,15 @@ of the radial variable) propagates each *d eigenfield by the factor
 (t/t0)^(lambda - 2).  Two independent integration paths are provided and
 cross-checked against each other:
 
-* :func:`propagate` applies the exact per-mode power law to a spectral
-  expansion of the initial field;
+* :func:`propagate` applies the exact power law to each *d eigencomponent
+  of the initial field, split off by per-block projectors;
 * :func:`evolve_ode` integrates the coefficient ODE with a classical
   fourth-order Runge-Kutta scheme, never using the spectral decomposition;
   each stage applies the sparse curl triples once.
 
 L^2 norms and pairings take the scalar Gram matrix per frame component; no
-dense 3N x 3N operator or Gram matrix is formed.
+dense 3N x 3N operator or Gram matrix is formed.  A field is divergence-free
+here when the L^2 norm of its div is at most DIV_TOL times its own.
 
 Initial fields can be read from a JSON file holding a list of records
 ``{"monomial": [e0, e1, e2, e3], "axis": i, "coefficient": c}`` with 1-based
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import spectrum
 from .polys import (
     CoframeField,
     PolyScalar,
@@ -34,7 +36,6 @@ from .polys import (
     make_basis,
     sparse_apply,
 )
-from .spectrum import ModeSet
 
 __all__ = [
     "ModeExpansion",
@@ -63,56 +64,57 @@ def gram_norm(D, v):
 
 @dataclass
 class ModeExpansion:
-    """Spectral expansion sum_m a_m eta_m of a divergence-free field."""
+    """A divergence-free field as the sum of its *d eigencomponents eta_lambda."""
 
-    modes: ModeSet
-    a: np.ndarray  # one coefficient per mode; dropped coefficients are zero
-    t0: float = 1.0
-    residual: float = 0.0  # L^2 distance between the input and the expansion
+    D: int
+    lam: np.ndarray  # one integer eigenvalue per column of V
+    V: np.ndarray  # (3N, L): the eta_lambda at t = 1 on the degree <= D basis
+    residual: float = 0.0  # L^2 norm of sum_lambda (*d - lambda) eta_lambda
 
     @property
     def terms(self):
-        """(SpectralMode, coefficient) pairs of the nonzero coefficients."""
-        return [(self.modes[k], float(self.a[k])) for k in np.flatnonzero(self.a)]
+        """(eigenvalue, CoframeField) pairs, one per eigenvalue."""
+        return list(zip(self.lam.tolist(), map(make_basis(self.D).coframe_from_vector, self.V.T)))
 
     def coefficients(self, t):
-        """Coefficient vector of the solution at radius t, C (a o (t/t0)^(lambda-2))."""
+        """Coefficient vector of the solution at radius t, sum_lambda t^(lambda-2) eta_lambda."""
         if t <= 0:
             raise ValueError(f"the evolution lives on t > 0, got t = {t}")
-        scale = (t / self.t0) ** (self.modes.lam_int - 2)
-        return self.modes.C @ (self.a * scale)
+        return self.V @ (t ** (self.lam - 2.0))
 
     def distance(self, field, t):
         """L^2 distance between field and the solution at radius t."""
-        D = self.modes.D
-        return gram_norm(D, make_basis(D).coframe_to_vector(field) - self.coefficients(t))
+        return gram_norm(self.D, make_basis(self.D).coframe_to_vector(field)
+                         - self.coefficients(t))
 
 
-def decompose_initial(eta0, modes, drop_tol=1e-13):
-    """Expand a divergence-free field over Gram-orthonormal eigenfields.
-
-    Coefficients are the L^2 pairings a = C^T G c0; entries with
-    |a| <= drop_tol are zeroed.  The reconstruction residual, the Gram norm
-    of c0 - C a, is reported on the returned expansion; it vanishes whenever
-    eta0 lies in the degree window spanned by the modes.  A field of higher
-    degree than the modes is compared on its own, larger basis.  Fields that
-    are not divergence-free are rejected.
-    """
-    r = div_residual(eta0)
-    if not r <= DIV_TOL:
+def _check_divergence(D, c):
+    """Reject c unless its div has L^2 norm at most DIV_TOL times its own."""
+    r = div_norms(D, c)[0]
+    if not r <= DIV_TOL * gram_norm(D, c):
         raise ValueError(f"initial field is not divergence-free (residual {r:.3e})")
-    D = max(eta0.degree, modes.D)
+
+
+def decompose_initial(eta0):
+    """Split a divergence-free field into its *d eigencomponents (no eigenvector).
+
+    ``residual`` certifies them: the L^2 norm of sum_lambda (*d - lambda)
+    eta_lambda, with the sparse curl triples, counting the components at 0
+    and -1 that are zero on a divergence-free field and not kept.  A field
+    whose div passes DIV_TOL times its L^2 norm is rejected.
+    """
+    D = eta0.degree
     c0 = make_basis(D).coframe_to_vector(eta0)
-    C = modes.embedded(D)
-    a = coframe_pairings(D, C, c0)
-    a[np.abs(a) <= drop_tol] = 0.0
-    return ModeExpansion(modes=modes, a=a, t0=1.0, residual=gram_norm(D, c0 - C @ a))
+    _check_divergence(D, c0)
+    lam, V = spectrum.eigencomponents(D, c0)
+    defect = sparse_apply(coframe_triples(D)["curl"], V, len(V)) + (2.0 - lam) * V
+    keep = np.abs(lam) >= 2
+    return ModeExpansion(D, lam[keep], V[:, keep], gram_norm(D, defect.sum(axis=1)))
 
 
 def propagate(expansion, t):
-    """Exact solution at radius t: sum_m a_m (t/t0)^(lambda_m - 2) eta_m."""
-    c = expansion.coefficients(t)
-    return make_basis(expansion.modes.D).coframe_from_vector(c)
+    """Exact solution at radius t: sum_lambda t^(lambda - 2) eta_lambda."""
+    return make_basis(expansion.D).coframe_from_vector(expansion.coefficients(t))
 
 
 def evolve_ode(eta0, u0, u1, steps):
@@ -124,14 +126,12 @@ def evolve_ode(eta0, u0, u1, steps):
     """
     if steps < 1:
         raise ValueError(f"need at least one step, got {steps}")
-    r = div_residual(eta0)
-    if not r <= DIV_TOL:
-        raise ValueError(f"initial field is not divergence-free (residual {r:.3e})")
     D = eta0.degree
     basis = make_basis(D)
+    y = basis.coframe_to_vector(eta0)
+    _check_divergence(D, y)
     curl = coframe_triples(D)["curl"]
     n = 3 * basis.dim
-    y = basis.coframe_to_vector(eta0)
     h = (u1 - u0) / steps
     for _ in range(steps):
         k1 = sparse_apply(curl, y, n)

@@ -475,18 +475,24 @@ def _scalar_gram(D):
 
     Entry (a, b) is the integral of x^(e_a + e_b).  Each monomial is one
     integer key in base 2D + 1, whose digits (at most 2D in a sum) add
-    without carries, so the key of a sum is the sum of the keys; the
-    rational integral of each distinct key is converted to a float once,
-    its exponents read back from the digits.
+    without carries, so the key of a sum is the sum of the keys.  A table
+    over all (2D + 1)^4 keys marks those that occur; the rational integral
+    of each is converted to a float once, its exponents read back from the
+    digits, and the N x N key sums index the table.
     """
     E = np.array(make_basis(D).monomials, dtype=np.int64)
     base = 2 * D + 1
     place = base ** np.arange(3, -1, -1, dtype=np.int64)
     key = E @ place
-    keys, inverse = np.unique((key[:, None] + key[None, :]).ravel(), return_inverse=True)
+    S = key[:, None] + key[None, :]
+    values = np.zeros(base ** 4)
+    values[S] = 1.0
+    keys = np.flatnonzero(values)
     exponents = keys[:, None] // place % base
-    values = np.array([float(monomial_integral_over_pi2(e)) for e in exponents.tolist()])
-    G = values[inverse].reshape(len(E), len(E)) * pi * pi
+    values[keys] = [float(monomial_integral_over_pi2(e)) for e in exponents.tolist()]
+    G = values[S]
+    G *= pi
+    G *= pi
     G.flags.writeable = False
     return G
 

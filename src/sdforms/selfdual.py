@@ -161,12 +161,8 @@ class SelfDualForm:
 
     @classmethod
     def from_expansion(cls, expansion):
-        """Convert a sphere-side ModeExpansion (with reference time t0)."""
-        terms = []
-        for mode, c in expansion.terms:
-            scale = float(c) * expansion.t0 ** (2 - mode.lam_int)
-            terms.append((scale, mode.lam_int, mode.field))
-        return cls(terms)
+        """The form of a sphere-side ModeExpansion: one term per eigenvalue."""
+        return cls([(1.0, lam, field) for lam, field in expansion.terms])
 
     @cached_property
     def _compiled(self):

@@ -50,9 +50,9 @@ the whole degree <= D coframe space is formed.  The full blocks -- harmonic
 basis (m, n), n = (k + 1)^2, frame blocks (n, n) and the (3n, 3n) *d --
 serve the exact ring and the eigenfields of a :class:`ModeSet`; the float
 ones are built only when a caller reads the modes, and each raises
-ArithmeticError when its basis leaves H_k (:func:`_harmonic_defect`).  The
-eigenfields' (3N, K) monomial coefficient matrix is written once, in
-eigenvalue order.
+ArithmeticError when its basis leaves H_k (:func:`_harmonic_defect`).  A
+field's *d eigencomponents need no eigenfield: the harmonic bases split it
+by blocks and one projector per block by eigenvalue (:func:`eigencomponents`).
 
 The float ring (reduced blocks) and the exact ring (full blocks) are the
 two independent routes, both on numpy alone.  Full float blocks are
@@ -85,6 +85,7 @@ __all__ = [
     "divergence_free_subspace",
     "eigen_decompose",
     "eigenmodes",
+    "eigencomponents",
     "constant_norm_check",
     "hodge_laplacian_check",
 ]
@@ -171,20 +172,6 @@ class ModeSet(Sequence):
 
     def __getitem__(self, i):
         return self._modes[i]
-
-    def embedded(self, D):
-        """C on the degree <= D basis, D >= self.D.
-
-        Within each frame component the degree <= self.D reduced monomials
-        are a prefix of the degree <= D ones, so embedding is by index.
-        """
-        if D == self.D:
-            return self.C
-        n, n_big = make_basis(self.D).dim, make_basis(D).dim
-        out = np.zeros((3 * n_big, len(self)))
-        for m in range(3):
-            out[m * n_big:m * n_big + n] = self.C[m * n:(m + 1) * n]
-        return out
 
     def pairings(self):
         """The L^2 pairing table C^T G C of all modes, G on each frame component."""
@@ -765,6 +752,29 @@ def _float_modes(sub):
     return _sorted_modes(sub.degree, np.concatenate(lams), [b.basis for b in sub.blocks],
                          coords)
 
+
+def eigencomponents(D, c0):
+    """``(lam, V)``: the eigenvalues k + 2, -k of each degree k = D..0 and the *d
+    eigencomponents of c0 (3N,), the columns of V, which sum to c0.
+
+    From degree D down, the basis of H_k that is the identity on degree k
+    (:func:`_harmonic_basis`) times the degree-k coefficients left is the
+    block-k part; on ker(div) in H_k^3 *d is k + 2 or -k, so (*d + k) / (2k + 2)
+    projects onto the first."""
+    lap = _frame_laplacian(D, polys.derivative_triples(D))
+    curl = polys.coframe_triples(D)["curl"]
+    offs = _degree_offsets(D)
+    rest = c0.reshape(3, -1).astype(float)
+    cols = []
+    for k in range(D, -1, -1):
+        T = _harmonic_basis(lap, offs, k)
+        eta = np.zeros_like(rest)
+        eta[:, :len(T)] = rest[:, offs[k]:offs[k + 1]] @ T.T
+        rest -= eta
+        eta = eta.ravel()
+        plus = (polys.sparse_apply(curl, eta, len(eta)) + (k + 2) * eta) / (2 * k + 2)
+        cols += [plus, eta - plus]
+    return np.ravel([(k + 2, -k) for k in range(D, -1, -1)]), np.column_stack(cols)
 
 def _full_dimension(k, count):
     """Dimension on H_k^3 of a *d-invariant piece of dimension ``count`` on W_k^3."""

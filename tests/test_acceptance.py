@@ -207,7 +207,7 @@ def test_criterion_10_orthogonality_and_evolution(modes_d3, modes_d2):
         eta0 = CoframeField.zero()
         for c, m in zip(rng.standard_normal(len(modes_d2)), modes_d2):
             eta0 = eta0 + float(c) * m.field
-        expansion = evolution.decompose_initial(eta0, modes_d2)
+        expansion = evolution.decompose_initial(eta0)
         u1 = 0.3
         exact = evolution.propagate(expansion, float(np.exp(u1)))
 

@@ -1,9 +1,11 @@
 import contextlib
+import importlib.util
 import io
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -374,21 +376,104 @@ def test_evolve_rejects_bad_flags(capsys, tmp_path, flags, named):
     assert named in rep["message"]
 
 
+def forbid_everywhere(monkeypatch, owner, names, message):
+    """Make every sdforms binding of owner's ``names`` raise AssertionError(message)."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError(message)
+
+    for name in names:
+        original = getattr(owner, name)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "sdforms" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, forbidden)
+
+
+def pairings_input(D, path):
+    """The benchmark's pairings-workload evolve input of degree D at seed 7."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    workloads.write_evolve_input(7, D, str(path))
+
+
 def test_evolve_fails_when_cross_check_skipped(capsys, tmp_path, monkeypatch):
-    # modes one degree short of the field cannot span it: the decomposition
-    # residual is large, the cross-check is skipped and that is a failure
+    # eigenvalues k + 1 in place of k + 2: the *d certificate sees the wrong
+    # labels, the cross-check is skipped and that is a failure
     from sdforms import spectrum
 
-    full = spectrum.eigenmodes
-    monkeypatch.setattr("sdforms.cli.spectrum.eigenmodes", lambda D: full(D - 1))
+    split = spectrum.eigencomponents
+
+    def relabelled(D, c0):
+        lam, V = split(D, c0)
+        return np.where(lam > 0, lam - 1, lam), V
+
+    monkeypatch.setattr(spectrum, "eigencomponents", relabelled)
     init = tmp_path / "init.json"
-    dump_initial_field(right_invariant_coframe(1), str(init))
+    pairings_input(3, init)
     code, rep = run(capsys, "evolve", "--init", str(init), "--steps", "10")
-    assert code == 1
-    assert rep["status"] == "fail"
+    assert (code, rep["status"]) == (1, "fail")
     assert rep["spectral_cross_check"] is None
-    assert rep["decomposition_residual"] > 1e-8
-    assert rep["failures"][0]["operation"] == "decompose_initial"
+    assert rep["decomposition_residual"] > 1.0
+    assert [f["operation"] for f in rep["failures"]] == ["decompose_initial"]
+
+
+def test_evolve_builds_no_eigenbasis(capsys, tmp_path, monkeypatch):
+    # the spectral side is the projector split: evolve passes on the
+    # pairings inputs with every route to an eigenbasis raising
+    from sdforms import spectrum
+
+    forbid_everywhere(monkeypatch, spectrum, ("eigenmodes", "divergence_free_subspace",
+                                              "_float_block", "_sorted_modes", "eigh"),
+                      "eigenbasis built")
+    for D in (3, 4):
+        init = tmp_path / f"init_d{D}.json"
+        pairings_input(D, init)
+        code, rep = run(capsys, "evolve", "--init", str(init), "--steps", "100")
+        assert (code, rep["status"]) == (0, "pass")
+        assert 15.0 < rep["spectral_cross_check"]["step_doubling_ratio"] < 17.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("t1, code", [("1e100", 2), ("5e50", 1)])
+def test_evolve_bounds_the_growth_of_the_field(capsys, tmp_path, t1, code):
+    # the largest mode factor of the degree-3 input is (t1/t0)^3: at 1e100
+    # the propagated field's squared norm overflows and the run stops before
+    # any work, naming --t1; at 5e50 it is finite, and the run reports
+    # finite values (RK4 is unstable at such steps, so it fails)
+    init = tmp_path / "init.json"
+    pairings_input(3, init)
+    assert dispatch(["evolve", "--init", str(init), "--t1", t1]) == code
+    rep = strict_json(capsys.readouterr().out)
+    if code == 2:
+        assert rep["status"] == "error" and "--t1" in rep["message"]
+    else:
+        assert rep["status"] == "fail" and rep["spectral_cross_check"] is not None
+
+
+def test_evolve_judges_divergence_relative_to_the_field(capsys, tmp_path):
+    # a divergence-free field passes at any scale with the same statuses; a
+    # field whose divergence is a large share of its norm is rejected at any
+    # scale
+    from sdforms.evolution import load_initial_field
+    from sdforms.polys import PolyScalar, gradient_coframe
+
+    init = tmp_path / "init.json"
+    pairings_input(3, init)
+    eta0 = load_initial_field(str(init))
+    leak = gradient_coframe(PolyScalar.coordinate(0) * PolyScalar.coordinate(1))
+    reports = []
+    for scale in (1.0, 1e8, 1e-8):
+        dump_initial_field(scale * eta0, str(init))
+        code, rep = run(capsys, "evolve", "--init", str(init))
+        assert (code, rep["status"], rep["failures"]) == (0, "pass", [])
+        reports.append(rep)
+        dump_initial_field(scale * (eta0 + leak), str(init))
+        code, rep = run(capsys, "evolve", "--init", str(init))
+        assert (code, rep["status"]) == (2, "error")
+        assert "not divergence-free" in rep["message"]
+    ratios = [rep["spectral_cross_check"]["step_doubling_ratio"] for rep in reports]
+    assert ratios == pytest.approx([ratios[0]] * 3, rel=1e-4)
 
 
 def write_random_field(D, path, seed=5):
@@ -468,19 +553,11 @@ def test_evolve_rejects_unusable_initial_data(capsys, tmp_path, text, named):
 def test_library_paths_form_no_dense_operator_or_gram(capsys, tmp_path, monkeypatch):
     # the dense operators and the coframe Gram are test and tracing oracles:
     # evolve and the orthogonality check pass with every binding of them raising
-    import sys
-
     from sdforms import polys
     from sdforms.polys import make_basis, star_d
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("dense 3N x 3N operator or coframe Gram formed")
-
-    for name in ("operator_matrix", "coframe_gram"):
-        original = getattr(polys, name)
-        for module_name, module in list(sys.modules.items()):
-            if module_name.split(".")[0] == "sdforms" and getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, forbidden)
+    forbid_everywhere(monkeypatch, polys, ("operator_matrix", "coframe_gram"),
+                      "dense 3N x 3N operator or coframe Gram formed")
     rng = np.random.default_rng(5)
     for D in (3, 4):
         basis = make_basis(D)

@@ -40,79 +40,83 @@ def l2_distance(a, b):
 
 # --------------------------------------------------------------- decompose
 
-def test_decompose_left_invariant(modes_d2):
-    exp = decompose_initial(left_invariant_coframe(1), modes_d2)
+def test_decompose_left_invariant():
+    exp = decompose_initial(left_invariant_coframe(1))
     assert exp.residual <= 1e-10
-    assert all(m.lam_int == 2 for m, c in exp.terms)
+    assert [lam for lam, _ in exp.terms] == [2]
 
 
-def test_decompose_mixed_invariant(modes_d2):
+def test_decompose_mixed_invariant():
     eta0 = left_invariant_coframe(1) + right_invariant_coframe(1)
-    exp = decompose_initial(eta0, modes_d2)
+    exp = decompose_initial(eta0)
     assert exp.residual <= 1e-10
-    lams = {m.lam_int for m, _ in exp.terms}
-    assert lams == {2, -2}
-    # the two eigenspace components are mutually L^2-orthogonal
-    plus = sum((c * m.field for m, c in exp.terms if m.lam_int == 2),
-               CoframeField.zero())
-    minus = sum((c * m.field for m, c in exp.terms if m.lam_int == -2),
-                CoframeField.zero())
+    assert sorted(lam for lam, _ in exp.terms) == [-2, 2, 3, 4]
+    parts = dict(exp.terms)
+    assert {lam for lam, field in parts.items() if field.l2_norm() > 1e-13} == {2, -2}
+    # the two eigenspace components are the two invariant fields, mutually
+    # L^2-orthogonal
     from sdforms.polys import coframe_inner
 
-    assert abs(coframe_inner(plus, minus)) <= 1e-12
+    assert l2_distance(parts[2], left_invariant_coframe(1)) <= 1e-12
+    assert l2_distance(parts[-2], right_invariant_coframe(1)) <= 1e-12
+    assert abs(coframe_inner(parts[2], parts[-2])) <= 1e-12
 
 
-def test_decompose_rejects_gradient(modes_d2):
+def test_decompose_rejects_gradient():
     df = gradient_coframe(PolyScalar.coordinate(0))
     with pytest.raises(ValueError, match="divergence-free"):
-        decompose_initial(df, modes_d2)
-
-
-def test_reconstruction_residual_reported_for_window_overflow():
-    # a degree-3 eigenfield cannot be represented by degree <= 1 modes;
-    # the residual must say so rather than fail silently
-    modes_d1 = eigen_decompose(1)[0]
-    eta0 = right_invariant_coframe(1)  # lambda = -2, degree 2
-    exp = decompose_initial(eta0, modes_d1)
-    assert exp.residual > 0.5
+        decompose_initial(df)
 
 
 # --------------------------------------------------------------- propagate
 
-def test_propagate_identity_at_t0(modes_d2):
+def test_propagate_identity_at_t0():
     eta0 = left_invariant_coframe(1) + 0.5 * right_invariant_coframe(2)
-    exp = decompose_initial(eta0, modes_d2)
+    exp = decompose_initial(eta0)
     assert l2_distance(propagate(exp, 1.0), eta0.as_float()) <= 1e-10
 
 
-def test_propagate_stationary_kahler_mode(modes_d2):
-    exp = decompose_initial(left_invariant_coframe(1), modes_d2)
+def test_propagate_stationary_kahler_mode():
+    exp = decompose_initial(left_invariant_coframe(1))
     for t in (0.5, 2.0, 7.3):
         assert l2_distance(propagate(exp, t), left_invariant_coframe(1)) <= 1e-10
 
 
-def test_propagate_minus_two_scaling(modes_d2):
-    exp = decompose_initial(right_invariant_coframe(1), modes_d2)
+def test_propagate_minus_two_scaling():
+    exp = decompose_initial(right_invariant_coframe(1))
     out = propagate(exp, 2.0)
     expected = (2.0 ** -4) * right_invariant_coframe(1)
     assert l2_distance(out, expected) <= 1e-10
 
 
-def test_propagate_rejects_nonpositive_time(modes_d2):
-    exp = decompose_initial(left_invariant_coframe(1), modes_d2)
+def test_propagate_rejects_nonpositive_time():
+    exp = decompose_initial(left_invariant_coframe(1))
     with pytest.raises(ValueError):
         propagate(exp, 0.0)
     with pytest.raises(ValueError):
         propagate(exp, -1.0)
 
 
-def test_per_mode_energy_scaling(modes_d2):
-    # ||eta(t)||^2 of a pure lambda mode is (t/t0)^(2 lambda - 4)
-    for k, mode in enumerate(modes_d2[:6]):
-        exp = ModeExpansion(modes_d2, np.eye(len(modes_d2))[k], t0=1.0)
+def test_per_mode_energy_scaling():
+    # ||eta_lambda(t)||^2 = t^(2 lambda - 4) ||eta_lambda||^2 for each
+    # eigencomponent of fields with every eigenvalue of their degree, and
+    # the components are L^2-orthogonal, so the energies add
+    for D in (3, 4):
+        basis = make_basis(D)
+        rng = np.random.default_rng(40 + D)
+        exp = decompose_initial(star_d(basis.coframe_from_vector(
+            rng.standard_normal(3 * basis.dim))))
+        assert sorted(exp.lam.tolist()) == [*range(-D, -1), *range(2, D + 3)]
         for t in (0.5, 1.5):
-            e = sphere_integral(propagate(exp, t).norm_sq_poly())
-            assert_allclose(e, t ** (2 * mode.lam_int - 4), rtol=1e-9)
+            energies = []
+            for j, lam in enumerate(exp.lam):
+                part = ModeExpansion(D, exp.lam[j:j + 1], exp.V[:, j:j + 1])
+                e0 = sphere_integral(propagate(part, 1.0).norm_sq_poly())
+                energies.append(sphere_integral(propagate(part, t).norm_sq_poly()))
+                assert e0 > 1e-3
+                assert_allclose(energies[-1], t ** (2 * lam - 4) * e0, rtol=1e-9)
+            assert_allclose(sphere_integral(propagate(exp, t).norm_sq_poly()), sum(energies),
+                            rtol=1e-9)
 
 
 # --------------------------------------------------------------- evolve_ode
@@ -141,7 +145,7 @@ def test_evolve_agrees_with_propagate(modes_d2):
     eta0 = CoframeField.zero()
     for c, m in zip(coeffs, modes_d2):
         eta0 = eta0 + float(c) * m.field
-    exp = decompose_initial(eta0, modes_d2)
+    exp = decompose_initial(eta0)
     u1 = 0.4
     exact = propagate(exp, float(np.exp(u1)))
     errors = [l2_distance(evolve_ode(eta0, 0.0, u1, steps=s), exact)
@@ -259,11 +263,11 @@ def test_load_rejects_the_zero_field(records):
         load_initial_field(records)
 
 
-def test_nan_field_fails_the_divergence_guards(modes_d2):
+def test_nan_field_fails_the_divergence_guards():
     # NaN compares false with everything: the guards must not read it as small
     nan = CoframeField((PolyScalar({(1, 0, 0, 0): float("nan")}), PolyScalar.zero(),
                         PolyScalar.zero()))
     with pytest.raises(ValueError, match="not divergence-free"):
         evolve_ode(nan, 0.0, 1.0, 4)
     with pytest.raises(ValueError, match="not divergence-free"):
-        decompose_initial(nan, modes_d2)
+        decompose_initial(nan)

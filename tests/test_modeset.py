@@ -1,20 +1,23 @@
 """The matrix route for eigenmodes against the dict-of-monomials route.
 
-Pairings, expansion coefficients and propagated fields computed from the
-coefficient matrix of a ModeSet must agree with the same quantities built
-from materialized CoframeFields by polynomial products.
+Pairings and shell pairings computed from the coefficient matrix of a
+ModeSet, and the eigencomponents and propagated fields of an expansion,
+must agree with the same quantities built from materialized CoframeFields
+by polynomial products; the projector split of a field must agree with
+its projections on the ModeSet's eigenspaces.
 """
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sdforms.evolution import decompose_initial, propagate
+from sdforms.evolution import decompose_initial, gram_norm, propagate
 from sdforms.polys import (
     CoframeField,
     PolyBasis,
     coframe_gram,
     coframe_inner,
+    coframe_pairings,
     left_invariant_coframe,
     make_basis,
     right_invariant_coframe,
@@ -22,7 +25,7 @@ from sdforms.polys import (
     star_d,
 )
 from sdforms.selfdual import l2_shell_orthogonality, shell_pairings
-from sdforms.spectrum import ModeSet, SpectralMode, eigen_decompose
+from sdforms.spectrum import ModeSet, SpectralMode, eigen_decompose, eigencomponents, eigenmodes
 
 TOL = 1e-12
 
@@ -37,6 +40,10 @@ def modes_d3():
     return eigen_decompose(3)[0]
 
 
+def l2_norm(field):
+    return float(np.sqrt(max(sphere_integral(field.norm_sq_poly()), 0.0)))
+
+
 def unit_field(D, seed):
     """A divergence-free degree-D field of unit L^2 norm (image of *d)."""
     basis = make_basis(D)
@@ -45,14 +52,13 @@ def unit_field(D, seed):
     return (1.0 / eta.l2_norm()) * eta
 
 
-def dict_expansion(eta0, modes):
-    """Pairings, reconstruction and residual by polynomial products."""
-    coeffs = [float(coframe_inner(eta0, m.field)) for m in modes]
-    recon = CoframeField.zero()
-    for c, m in zip(coeffs, modes):
-        recon = recon + c * m.field
-    diff = eta0.as_float() - recon
-    return np.array(coeffs), float(np.sqrt(max(sphere_integral(diff.norm_sq_poly()), 0.0)))
+def dict_components(eta0, modes):
+    """The field's part in each eigenspace of the modes, by polynomial products."""
+    parts = {}
+    for m in modes:
+        parts[m.lam_int] = (parts.get(m.lam_int, CoframeField.zero())
+                            + float(coframe_inner(eta0, m.field)) * m.field)
+    return parts
 
 
 # ------------------------------------------------------------- sequence API
@@ -148,33 +154,44 @@ def test_shell_pairings_match_pairwise_route(modes_d2, t):
     left_invariant_coframe(1, ring="exact"),
 ], ids=["random_d2", "invariant_mix", "exact_ring"])
 def test_decompose_matches_dict_route(modes_d2, eta0):
-    exp = decompose_initial(eta0, modes_d2)
-    coeffs, residual = dict_expansion(eta0, modes_d2)
-    kept = np.where(np.abs(coeffs) > 1e-13, coeffs, 0.0)
-    assert_allclose(exp.a, kept, rtol=0, atol=TOL)
-    assert abs(exp.residual - residual) <= TOL
+    # each eigencomponent is the field's projection on the modes of its
+    # eigenvalue; eigenvalues without a component have none
+    exp = decompose_initial(eta0)
+    parts = dict(exp.terms)
+    for lam, expected in dict_components(eta0, modes_d2).items():
+        got = parts.pop(lam, CoframeField.zero())
+        assert l2_norm(got - expected) <= TOL
+    assert all(l2_norm(field) <= TOL for field in parts.values())
     assert exp.residual <= 1e-10
 
 
-def test_decompose_embeds_lower_degree_modes(modes_d2):
-    # a degree-3 field against degree-2 modes: the coefficients are the same
-    # pairings and the residual is the part outside the span
-    eta0 = unit_field(3, 11)
-    exp = decompose_initial(eta0, modes_d2)
-    coeffs, residual = dict_expansion(eta0, modes_d2)
-    assert_allclose(exp.a, np.where(np.abs(coeffs) > 1e-13, coeffs, 0.0),
-                    rtol=0, atol=TOL)
-    assert abs(exp.residual - residual) <= TOL
-    assert exp.residual > 0.1
+@pytest.mark.parametrize("D", range(7))
+def test_eigencomponents_match_modeset_sums(D):
+    # the projector split against the eigenbasis route: the component of
+    # eigenvalue lambda is C_lambda C_lambda^T G c0, and the components at
+    # 0 and -1 (no eigenvalue there) vanish
+    basis = make_basis(D)
+    rng = np.random.default_rng(60 + D)
+    c0 = basis.coframe_to_vector(star_d(basis.coframe_from_vector(
+        rng.standard_normal(3 * basis.dim))))
+    lam, V = eigencomponents(D, c0)
+    modes = eigenmodes(D)
+    scale = gram_norm(D, c0)
+    assert sorted(lam.tolist()) == [*range(-D, 1), *range(2, D + 3)]
+    assert gram_norm(D, V.sum(axis=1) - c0) <= 1e-14 * scale
+    for j, value in enumerate(lam):
+        C = modes.C[:, modes.lam_int == value]
+        expected = C @ coframe_pairings(D, C, c0)
+        assert gram_norm(D, V[:, j] - expected) <= 1e-12 * scale, value
 
 
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.7])
-def test_propagate_matches_dict_route(modes_d2, t):
+def test_propagate_matches_dict_route(t):
     eta0 = unit_field(2, 7)
-    exp = decompose_initial(eta0, modes_d2)
+    exp = decompose_initial(eta0)
     expected = CoframeField.zero()
-    for mode, c in exp.terms:
-        expected = expected + (c * t ** (mode.lam_int - 2)) * mode.field
+    for lam, field in exp.terms:
+        expected = expected + t ** (lam - 2) * field
     basis = make_basis(2)
     assert_allclose(basis.coframe_to_vector(propagate(exp, t)),
                     basis.coframe_to_vector(expected), rtol=0, atol=TOL)
@@ -182,9 +199,9 @@ def test_propagate_matches_dict_route(modes_d2, t):
                     rtol=0, atol=TOL)
 
 
-def test_distance_matches_dict_route(modes_d2):
+def test_distance_matches_dict_route():
     eta0 = unit_field(2, 9)
-    exp = decompose_initial(eta0, modes_d2)
+    exp = decompose_initial(eta0)
     other = unit_field(2, 10)
     diff = other - propagate(exp, 1.5)
     expected = float(np.sqrt(max(sphere_integral(diff.norm_sq_poly()), 0.0)))

@@ -253,9 +253,9 @@ def test_series_rejects_origin():
         minus_two_form()(np.zeros(4))
 
 
-def test_series_from_mode_expansion(modes_d2):
+def test_series_from_mode_expansion():
     eta0 = left_invariant_coframe(1) + right_invariant_coframe(1)
-    exp = decompose_initial(eta0, modes_d2)
+    exp = decompose_initial(eta0)
     sdf = SelfDualForm.from_expansion(exp)
     # at |x| = 1 the form contracts back to the initial field
     for x in random_points(10, seed=13, lo=1.0, hi=1.0):
@@ -278,7 +278,7 @@ def test_series_batch_matches_one_point_values():
         "pure_minus_two": minus_two_form(),
         "kahler_plus_decaying": SelfDualForm([(0.5, 2, left_invariant_coframe(1)),
                                               (1.5, -2, right_invariant_coframe(2))]),
-        "expansion_d3": SelfDualForm.from_expansion(decompose_initial(eta0, modes_d3)),
+        "expansion_d3": SelfDualForm.from_expansion(decompose_initial(eta0)),
     }
     pts = random_points(24, seed=31).reshape(2, 3, 4, 4)
     for name, sdf in forms.items():
@@ -323,7 +323,7 @@ def test_series_sums_table_nonzeros_like_dense_contraction():
         eta0 = eta0 + mode.field * float(rng.uniform(0.5, 1.5))
     pts = random_points(300, seed=33).reshape(3, 100, 4)
     for sdf in (ak_form(AKFormParams(1.0, 1.0, 0.2)),
-                SelfDualForm.from_expansion(decompose_initial(eta0, modes_d3))):
+                SelfDualForm.from_expansion(decompose_initial(eta0))):
         E, C, c, lam = sdf._compiled
         assert 0 < np.count_nonzero(C) < C.size
         np.testing.assert_array_equal(sdf(pts), dense_table_series(sdf, pts))

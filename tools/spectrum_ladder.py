@@ -30,17 +30,18 @@ LIMIT_BYTES = 4 * 2 ** 30
 TIMEOUT_S = 600.0
 
 
-def run_rung(root, degree, exact):
-    """Exit code, report status, wall and CPU time and peak RSS of one spectrum run."""
-    argv = [sys.executable, "-m", "sdforms.cli", "spectrum", "--degree", str(degree)]
-    argv += ["--exact"] * exact
+def run_child(root, argv):
+    """Exit code, stdout, wall and CPU time and peak RSS of one ``sdforms`` run.
+
+    ``argv`` is the command line after ``python3 -m sdforms.cli``.
+    """
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (LIMIT_BYTES, LIMIT_BYTES))
 
     env = dict(os.environ, PYTHONPATH=str(Path(root).resolve() / "src"))
     t0 = time.perf_counter()
-    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
-                            stderr=subprocess.DEVNULL, preexec_fn=cap)
+    proc = subprocess.Popen([sys.executable, "-m", "sdforms.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, preexec_fn=cap)
     timer = threading.Timer(TIMEOUT_S, proc.kill)
     timer.start()
     try:
@@ -49,19 +50,30 @@ def run_rung(root, degree, exact):
     finally:
         timer.cancel()
     wall = time.perf_counter() - t0
-    proc.returncode = os.waitstatus_to_exitcode(status)
+    return {
+        "exit": os.waitstatus_to_exitcode(status),
+        "stdout": out,
+        "wall_s": round(wall, 3),
+        "cpu_s": round(usage.ru_utime + usage.ru_stime, 3),
+        "peak_rss_mb": round(usage.ru_maxrss / 1024.0, 1),
+    }
+
+
+def run_rung(root, degree, exact):
+    """Exit code, report status, wall and CPU time and peak RSS of one spectrum run."""
+    run = run_child(root, ["spectrum", "--degree", str(degree)] + ["--exact"] * exact)
     try:
-        report = json.loads(out)
+        report = json.loads(run.pop("stdout"))
     except ValueError:
         report = {}
     return {
         "degree": degree,
         "ring": "exact" if exact else "float",
-        "exit": proc.returncode,
+        "exit": run["exit"],
         "status": report.get("status"),
-        "wall_s": round(wall, 3),
-        "cpu_s": round(usage.ru_utime + usage.ru_stime, 3),
-        "peak_rss_mb": round(usage.ru_maxrss / 1024.0, 1),
+        "wall_s": run["wall_s"],
+        "cpu_s": run["cpu_s"],
+        "peak_rss_mb": run["peak_rss_mb"],
         "max_integer_deviation": report.get("residuals", {}).get("max_integer_deviation"),
     }
 
