@@ -67,6 +67,9 @@ INDETERMINATE = "Indeterminate"
 KAHLER_SLOPE_BAND = 0.1
 FAST_DECAY_CUTOFF = -3.5
 
+#: relative step of the energy stencils: a point x is differenced at step FD_STEP |x|
+FD_STEP = 1e-4
+
 #: fixed generic direction used when profiles sample the cross term
 PROFILE_DIRECTION = np.array([0.6, 0.48, -0.36, 0.52]) / np.linalg.norm(
     [0.6, 0.48, -0.36, 0.52])
@@ -332,7 +335,7 @@ def _boundary_energy_at(params, A):
                                    - _radial_norm_derivative(params, t_minus)))
 
 
-def grad_energy_boundary(params, A, extrapolate=True):
+def grad_energy_boundary(params, A):
     """Gradient energy by the boundary formula, Richardson-extrapolated.
 
     Evaluates half the flux of the radial derivative of |omega|^2 through
@@ -343,8 +346,6 @@ def grad_energy_boundary(params, A, extrapolate=True):
     if A <= 0:
         raise ValueError(f"cut-off must be positive, got {A}")
     v1 = _boundary_energy_at(params, A)
-    if not extrapolate:
-        return v1
     v2 = _boundary_energy_at(params, 2.0 * A)
     v4 = _boundary_energy_at(params, 4.0 * A)
     if abs(v4 - v2) > abs(v2 - v1) + 1e-13 * abs(v1):
@@ -400,12 +401,12 @@ def _grad_norm_sq_rule(epsilon):
     return rule
 
 
-def grad_norm_sq_batch(params, X, h=1e-4):
+def grad_norm_sq_batch(params, X):
     """Curved-metric |grad omega|^2 at points X by finite differences.
 
-    Partial derivatives of the components use a stencil scaled by the local
-    radius; the connection terms of the conformal metric f^2 g_flat are
-    contracted in closed form.  With phi = grad log f the Christoffel symbols
+    Partial derivatives of the components use a stencil of step FD_STEP |x|;
+    the connection terms of the conformal metric f^2 g_flat are contracted
+    in closed form.  With phi = grad log f the Christoffel symbols
     are Gamma^p_sm = delta^p_s phi_m + delta^p_m phi_s - delta_sm phi^p, so
 
         nabla_s w_mn = d_s w_mn - phi_m w_sn - phi_n w_ms - 2 phi_s w_mn
@@ -414,7 +415,7 @@ def grad_norm_sq_batch(params, X, h=1e-4):
     Returns values of f^-6 * (1/2) sum (nabla_s omega_{mn})^2; the points go
     through in blocks (selfdual.stencil_batch).
     """
-    return stencil_batch(_grad_norm_sq_rule(params.epsilon), ak_form(params), X, h,
+    return stencil_batch(_grad_norm_sq_rule(params.epsilon), ak_form(params), X, FD_STEP,
                          scaled=True)[0]
 
 
@@ -462,14 +463,14 @@ def _unit_sphere_tables(sdf, pts, h):
     return tables
 
 
-def _shell_energies(params, rhos, n_sphere=8, h=1e-4):
+def _shell_energies(params, rhos):
     """t^3 f^3 times the sphere integral of |grad omega|^2 on the shells rhos.
 
-    The stencil of t n (step h t) is t times the stencil of n, so a term
-    takes on the shell t the values c t^(lam - 2) U of its unit-coefficient
-    values U on the unit sphere's stencils, and phi = s n with
-    s = -2 / (t^3 f).  The series is therefore evaluated once, on the unit
-    sphere (_unit_sphere_tables), and on each shell
+    On the sphere rule s3_quadrature(8) the stencil of t n (step FD_STEP t)
+    is t times the stencil of n, so a term takes on the shell t the values
+    c t^(lam - 2) U of its unit-coefficient values U on the unit sphere's
+    stencils, and phi = s n with s = -2 / (t^3 f).  The series is therefore
+    evaluated once, on the unit sphere (_unit_sphere_tables), and on each shell
 
         t nabla omega = sum_j c_j t^(lam_j - 2) (G_j + t s B_j)
 
@@ -477,8 +478,8 @@ def _shell_energies(params, rhos, n_sphere=8, h=1e-4):
     connection terms cancel before the square as they do point by point.
     """
     eps = params.epsilon
-    pts, ws = s3_quadrature(n_sphere)
-    tables = _unit_sphere_tables(ak_form(params), pts, h)
+    pts, ws = s3_quadrature(8)
+    tables = _unit_sphere_tables(ak_form(params), pts, FD_STEP)
     out = np.empty(len(rhos))
     for i, t in enumerate(params.model.t_of_rho(rhos)):
         t = float(t)
@@ -492,47 +493,40 @@ def _shell_energies(params, rhos, n_sphere=8, h=1e-4):
     return out
 
 
-def grad_energy_volume(params, A, n_radial=12, n_sphere=8, h=1e-4):
+def grad_energy_volume(params, A):
     """Direct volume quadrature of |grad omega|^2 over -A < rho < A.
 
     Independent of the boundary formula: component partials by finite
     differences, exact conformal connection, product quadrature over a
-    sphere rule and radial Gauss panels (log-spaced toward rho = 0, where
-    the energy density concentrates on the eps scale).  The measure reduces
-    to f^3 t^3 d rho d sigma against the curved gradient density.  The
-    series is evaluated on the sphere rule's stencils once for all shells
-    (_shell_energies).
+    sphere rule and radial Gauss panels of 12 nodes (log-spaced toward
+    rho = 0, where the energy density concentrates on the eps scale).  The
+    measure reduces to f^3 t^3 d rho d sigma against the curved gradient
+    density.  The series is evaluated on the sphere rule's stencils once for
+    all shells (_shell_energies).
     """
-    rhos, wr = _radial_panels(params.epsilon, A, n_radial)
-    return float(wr @ _shell_energies(params, rhos, n_sphere, h))
+    rhos, wr = _radial_panels(params.epsilon, A, 12)
+    return float(wr @ _shell_energies(params, rhos))
 
 
-def sup_grad(params_or_eps, eps_list=None, rho_max=5.0, n_rho=61, n_dirs=8, h=1e-4):
+def sup_grad(coefficients, eps_list):
     """Max of |grad omega| over the neck region for a decreasing eps list.
 
-    Called either with (AKFormParams, eps_list) reusing alpha/beta, or with
-    alpha/beta fixed to 1.  Returns one supremum per epsilon; along
-    eps -> 0 the suprema increase while the gradient energy decreases.
+    ``coefficients`` is (alpha, beta).  The neck is sampled on 61 shells
+    -5 <= rho <= 5 in 8 seeded directions.  Returns one supremum per
+    epsilon; along eps -> 0 the suprema increase while the gradient energy
+    decreases.
     """
-    if eps_list is None:
-        raise ValueError("need the list of epsilon values")
+    alpha, beta = coefficients
     eps_list = [float(e) for e in eps_list]
     if any(e <= 0 for e in eps_list) or any(
             b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("epsilon values must be positive and strictly decreasing")
-    if isinstance(params_or_eps, AKFormParams):
-        alpha, beta = params_or_eps.alpha, params_or_eps.beta
-    else:
-        alpha, beta = params_or_eps
-    dirs = Sampler(23).directions(n_dirs)
+    dirs = Sampler(23).directions(8)
+    rhos = np.linspace(-5.0, 5.0, 61)
     out = []
     for eps in eps_list:
         p = AKFormParams(alpha, beta, eps)
-        model = p.model
-        rhos = np.linspace(-rho_max, rho_max, n_rho)
-        ts = model.t_of_rho(rhos)
-        X = ts[:, None, None] * dirs[None, :, :]
-        q = grad_norm_sq_batch(p, X, h=h)
+        q = grad_norm_sq_batch(p, p.model.t_of_rho(rhos)[:, None, None] * dirs)
         out.append(float(np.sqrt(q.max())))
     return out
 
@@ -555,15 +549,13 @@ class DecayReport:
         }
 
 
-def decay_profile(params, end="plus", rho_min=10.0, rho_max=1000.0, n=40,
-                  direction=None):
-    """Profile (rho, |omega|) along one end at a fixed generic direction."""
+def decay_profile(params, end, rho_max=1000.0):
+    """Profile (rho, |omega|) along one end in PROFILE_DIRECTION, |rho| log-spaced
+    at 40 points from 10 to rho_max."""
     if end not in ("plus", "minus"):
         raise ValueError(f"end must be 'plus' or 'minus', got {end!r}")
-    u = PROFILE_DIRECTION if direction is None else np.asarray(direction, dtype=float)
-    u = u / np.linalg.norm(u)
-    pairing = float(frame_pairing_poly()(u))
-    rhos = np.geomspace(rho_min, rho_max, n)
+    pairing = float(frame_pairing_poly()(PROFILE_DIRECTION))
+    rhos = np.geomspace(10.0, rho_max, 40)
     if end == "minus":
         rhos = -rhos
     ts = params.model.t_of_rho(rhos)

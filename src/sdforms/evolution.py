@@ -69,7 +69,7 @@ class ModeExpansion:
     D: int
     lam: np.ndarray  # one integer eigenvalue per column of V
     V: np.ndarray  # (3N, L): the eta_lambda at t = 1 on the degree <= D basis
-    residual: float = 0.0  # L^2 norm of sum_lambda (*d - lambda) eta_lambda
+    residual: float = 0.0  # root sum of squares of the ||(*d - lambda) eta_lambda||
 
     @property
     def terms(self):
@@ -98,10 +98,11 @@ def _check_divergence(D, c):
 def decompose_initial(eta0):
     """Split a divergence-free field into its *d eigencomponents (no eigenvector).
 
-    ``residual`` certifies them: the L^2 norm of sum_lambda (*d - lambda)
-    eta_lambda, with the sparse curl triples, counting the components at 0
-    and -1 that are zero on a divergence-free field and not kept.  A field
-    whose div passes DIV_TOL times its L^2 norm is rejected.
+    ``residual`` certifies them: the root sum of squares of the L^2 norms
+    ||(*d - lambda) eta_lambda|| (sparse curl triples), the components at 0
+    and -1 (zero on a divergence-free field, not kept) included; unlike the
+    norm of the sum, which cancels on any block split, it sees a wrong one.
+    A field whose div passes DIV_TOL times its L^2 norm is rejected.
     """
     D = eta0.degree
     c0 = make_basis(D).coframe_to_vector(eta0)
@@ -109,7 +110,8 @@ def decompose_initial(eta0):
     lam, V = spectrum.eigencomponents(D, c0)
     defect = sparse_apply(coframe_triples(D)["curl"], V, len(V)) + (2.0 - lam) * V
     keep = np.abs(lam) >= 2
-    return ModeExpansion(D, lam[keep], V[:, keep], gram_norm(D, defect.sum(axis=1)))
+    residual = math.sqrt(max(float(np.trace(coframe_pairings(D, defect, defect))), 0.0))
+    return ModeExpansion(D, lam[keep], V[:, keep], residual)
 
 
 def propagate(expansion, t):
@@ -145,7 +147,7 @@ def evolve_ode(eta0, u0, u1, steps):
 def load_initial_field(source):
     """Read a coframe field from the JSON initial-data format.
 
-    ``source`` is a path, file object, or already-parsed list of records
+    ``source`` is a path or an already-parsed list of records
     {"monomial": [e0, e1, e2, e3], "axis": i, "coefficient": c}, summed in
     order into one coefficient dict per axis (linear time).  Rejected, naming
     the source: a record whose coefficient is not finite or takes the
@@ -154,14 +156,10 @@ def load_initial_field(source):
     times the squared sum of the absolute reduced coefficients), and records
     that sum to the zero field.
     """
-    name = source if isinstance(source, str) else "initial data"
-    if isinstance(source, (str, bytes)):
+    records, name = source, "initial data"
+    if isinstance(source, str):
         with open(source) as fh:
-            records = json.load(fh)
-    elif hasattr(source, "read"):
-        records = json.load(source)
-    else:
-        records = source
+            records, name = json.load(fh), source
     comps = [{}, {}, {}]
     total = 0.0
     for i, rec in enumerate(records):

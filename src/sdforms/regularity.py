@@ -19,7 +19,7 @@ from math import exp, log, log1p
 
 import numpy as np
 
-from .selfdual import stencil_batch, stencil_laplacian
+from .selfdual import ZERO_TOL, stencil_batch, stencil_laplacian
 
 __all__ = [
     "MoserEvaluation",
@@ -54,12 +54,12 @@ class MoserEvaluation:
         }
 
 
-def moser_product(c, N=200, convergence_tol=1e-12):
+def moser_product(c, N=200):
     """Evaluate prod_{i=0..N} (1 + c 2^i)^(2^-i) in log space.
 
     The log-series terms 2^-i log(1 + c 2^i) decay geometrically, so the
     partial products converge; convergence is flagged once the relative
-    change of the log falls below the tolerance.  The claimed bound is e^c;
+    change of the log falls below 1e-12.  The claimed bound is e^c;
     the ratio product/bound exceeds 1 for c of order one and tends to 1 as
     c -> 0.  Raises ValueError when e^c overflows a float (c above
     log(float max), about 709.78); the product is at most
@@ -76,7 +76,7 @@ def moser_product(c, N=200, convergence_tol=1e-12):
     for i in range(N + 1):
         term = log1p(c * 2.0 ** i) / 2.0 ** i
         log_total += term
-        if log_total > 0 and term <= convergence_tol * log_total:
+        if log_total > 0 and term <= 1e-12 * log_total:
             converged = True
             break
     product = exp(log_total)
@@ -93,26 +93,22 @@ def moser_product(c, N=200, convergence_tol=1e-12):
     )
 
 
-def moser_sweep_csv(c_values, path=None, N=200):
-    """CSV sweep (c, converged_product, e^c, ratio) over the given c grid."""
+def moser_sweep_csv(c_values):
+    """CSV text of the sweep (c, converged_product, e^c, ratio) over the given c grid."""
     rows = ["c,product,exp_c,ratio"]
     for c in c_values:
-        ev = moser_product(c, N=N)
+        ev = moser_product(c)
         rows.append(f"{ev.c:.12e},{ev.partial_product:.12e},"
                     f"{ev.claimed_bound:.12e},{ev.ratio:.12e}")
-    text = "\n".join(rows) + "\n"
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+    return "\n".join(rows) + "\n"
 
 
-def sqrt_elliptic_check(sdf, x, h, zero_tol=1e-8):
+def sqrt_elliptic_check(sdf, x, h):
     """Finite-difference Laplacian of |omega|^(1/2) at points x.
 
     For closed self-dual forms on flat space this is nonnegative; the value
     should only dip below zero by the stencil error C h^2.  A point is
-    rejected where |omega| <= zero_tol, too small for the square root to be
+    rejected where |omega| <= ZERO_TOL, too small for the square root to be
     differentiable, and where its stencil reaches the origin.
 
     For points of shape (..., 4) with more than one axis, returns the values
@@ -122,7 +118,7 @@ def sqrt_elliptic_check(sdf, x, h, zero_tol=1e-8):
     """
     def rule(sdf, S, h):
         norms = sdf.norm(S)
-        return stencil_laplacian(np.sqrt(norms), h), ~(norms[0] <= zero_tol)
+        return stencil_laplacian(np.sqrt(norms), h), ~(norms[0] <= ZERO_TOL)
 
     values, accepted = stencil_batch(rule, sdf, x, h)
     if np.ndim(x) > 1:

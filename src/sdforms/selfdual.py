@@ -51,6 +51,9 @@ _SQRT2 = np.sqrt(2.0)
 #: their temporaries stay the same size however many points they are given
 EVAL_BLOCK = 2304
 
+#: kato_ratio and regularity.sqrt_elliptic_check reject |omega| <= ZERO_TOL
+ZERO_TOL = 1e-8
+
 # The private evaluators keep components on the leading axes, (4, ...) for
 # points and covectors and (4, 4, ...) for 2-forms, so that each elementwise
 # step runs along the points; the public functions use trailing axes.  The
@@ -156,8 +159,8 @@ class SelfDualForm:
     terms: list
 
     @classmethod
-    def kahler(cls, axis, coefficient=1.0):
-        return cls([(float(coefficient), 2, left_invariant_coframe(axis))])
+    def kahler(cls, axis):
+        return cls([(1.0, 2, left_invariant_coframe(axis))])
 
     @classmethod
     def from_expansion(cls, expansion):
@@ -278,14 +281,14 @@ def harmonic_residual(sdf, x, h):
     return float(np.max(np.abs(stencil_laplacian(sdf(stencil_points(x, h)), h))))
 
 
-def kato_ratio(sdf, x, h, zero_tol=1e-8, constant_tol=1e-12):
+def kato_ratio(sdf, x, h):
     """Ratio |grad|omega||^2 / |grad omega|^2 at points x by central differences.
 
     Flat metric, so the covariant derivative is the componentwise partial.
     Closed self-dual forms obey the sharpened bound ratio <= 2/3.  A point
-    is rejected where |omega| <= zero_tol, too small to differentiate, or
-    where its stencil reaches the origin; the ratio is undefined where the
-    form is covariant-constant at the stencil scale.
+    is rejected where |omega| <= ZERO_TOL or where its stencil reaches the
+    origin; the ratio is undefined where the form is covariant-constant at
+    the stencil scale, |grad omega| below 1e-12 or its rounding noise.
 
     For points of shape (..., 4) with more than one axis, returns the ratios
     (NaN where rejected or undefined) and the mask of points not rejected,
@@ -300,7 +303,7 @@ def kato_ratio(sdf, x, h, zero_tol=1e-8, constant_tol=1e-12):
     def rule(sdf, S, h):
         M = sdf(S)
         norms = _norm(M)
-        accepted = ~(norms[0] <= zero_tol)
+        accepted = ~(norms[0] <= ZERO_TOL)
         dn = (norms[1:5] - norms[5:]) / (2.0 * h)
         num = dn[0] * dn[0] + dn[1] * dn[1] + dn[2] * dn[2] + dn[3] * dn[3]
         # derivative of a self-dual family is self-dual, so the wedge norm
@@ -310,7 +313,7 @@ def kato_ratio(sdf, x, h, zero_tol=1e-8, constant_tol=1e-12):
         # a central difference of a covariant-constant form returns pure
         # rounding noise of size eps_machine |omega| / h, so the
         # constant-form floor scales with the stencil
-        noise_floor = np.maximum(constant_tol, 64.0 * np.finfo(float).eps * norms[0] / h)
+        noise_floor = np.maximum(1e-12, 64.0 * np.finfo(float).eps * norms[0] / h)
         defined = accepted & ~(den < noise_floor ** 2)
         ratio = np.full(den.shape, np.nan)
         ratio[defined] = num[defined] / den[defined]

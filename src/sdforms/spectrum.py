@@ -67,6 +67,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from itertools import accumulate
+from typing import ClassVar
 
 import numpy as np
 from numpy.linalg import eigh
@@ -173,9 +174,16 @@ class ModeSet(Sequence):
     def __getitem__(self, i):
         return self._modes[i]
 
+    @cached_property
+    def _pairings(self):
+        P = polys.coframe_pairings(self.D, self.C, self.C)
+        P.setflags(write=False)
+        return P
+
     def pairings(self):
-        """The L^2 pairing table C^T G C of all modes, G on each frame component."""
-        return polys.coframe_pairings(self.D, self.C, self.C)
+        """The L^2 pairing table C^T G C of all modes, G on each frame component;
+        formed on the first call, as ``C`` is, and returned read-only."""
+        return self._pairings
 
 
 @dataclass
@@ -189,7 +197,7 @@ class SpectrumReport:
     multiplicities: dict
     max_integer_deviation: float
     max_div_residual: float
-    cluster_tol: float = CLUSTER_TOL
+    cluster_tol: ClassVar[float] = CLUSTER_TOL
     complete: bool = False
     forbidden_multiplicities: dict = field(default_factory=dict)
 
@@ -881,13 +889,13 @@ def _eigen_decompose_exact(sub):
     return modes, report
 
 
-def constant_norm_check(mode, n_samples=1000, seed=7):
-    """Spread max-min of the pointwise |eta|^2 over random sphere points.
+def constant_norm_check(mode):
+    """Spread max-min of the pointwise |eta|^2 over 1000 seeded sphere points.
 
     For eigenvalues +-2 the norm is constant and the spread vanishes; for
     other eigenvalues the returned spread is informational.
     """
-    return mode.norm_spread(Sampler(seed).directions(n_samples))
+    return mode.norm_spread(Sampler(7).directions(1000))
 
 
 def hodge_laplacian_check(D):

@@ -340,13 +340,32 @@ def test_energy_epsilon_square_law():
 
 @pytest.mark.parametrize("alpha, beta", [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.5, -0.7)])
 def test_boundary_energy_at_small_epsilon(alpha, beta):
-    # at the ale-report cut-off, from the smallest --epsilon the flags allow
-    # up to 0.1; separate float powers of eps and t gave half the limit or 0
+    # at the ale-report cut-off 1000 eps, from the smallest --epsilon the
+    # flags allow up to 0.1; separate float powers of eps and t gave half the
+    # limit or 0
     for eps in np.geomspace(1.49e-31, 0.1, 61):
         params = AKFormParams(alpha, beta, float(eps))
-        computed = grad_energy_boundary(params, max(20.0, 10.0 / eps))
+        computed = grad_energy_boundary(params, 1000.0 * eps)
         expected = energy_reference_values(params)["computed_expected"]
         assert abs(computed - expected) <= 1e-14 * expected, eps
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+def test_energy_routes_at_cutoff_1000_eps_do_not_depend_on_eps(alpha, beta):
+    # the family is homothetic (g_eps pulled back by x = y / eps is eps^2 g_1),
+    # so at A = 1000 eps both routes integrate the same rescaled model: the
+    # volume matches the flux through rho = +-A, and the extrapolation adds
+    # the same 3.0e-6 tail at every eps
+    from sdforms import ale
+
+    for eps in np.geomspace(1e-30, 1e28, 8):
+        params = AKFormParams(alpha, beta, float(eps))
+        A = 1000.0 * eps
+        volume = grad_energy_volume(params, A)
+        flux = ale._boundary_energy_at(params, A)
+        boundary = grad_energy_boundary(params, A)
+        assert abs(volume - flux) <= 2.5e-9 * flux, eps
+        assert 2.9e-6 <= abs(volume - boundary) / boundary <= 3.1e-6, eps
 
 
 def test_energy_zero_form():
@@ -434,7 +453,7 @@ def test_energy_volume_compiles_once_and_sums_every_shell(monkeypatch):
     from sdforms import ale
 
     params = AKFormParams(1.0, 1.0, 0.2)
-    pts, ws = s3_quadrature(4)
+    pts, ws = s3_quadrature(8)
     call = SelfDualForm.__call__
     for n_radial in (3, 6):
         rhos, wr = ale._radial_panels(params.epsilon, 20.0, n_radial)
@@ -448,7 +467,7 @@ def test_energy_volume_compiles_once_and_sums_every_shell(monkeypatch):
             m.setattr(ale, "ak_form", lambda p: built.append(p) or ak_form(p))
             m.setattr(SelfDualForm, "__call__",
                       lambda self, x: batches.append(np.size(x) // 4) or call(self, x))
-            volume = grad_energy_volume(params, 20.0, n_radial=n_radial, n_sphere=4)
+            volume = float(wr @ ale._shell_energies(params, rhos))
         assert_allclose(volume, expected, rtol=STENCIL_FLOOR)
         assert len(built) == 1
         assert max(batches) <= len(pts)

@@ -88,8 +88,8 @@ codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(dispatch(argv))
-ale.sup_grad((1.0, 1.0), [0.2], n_rho=5, n_dirs=2)
-spectrum.constant_norm_check(spectrum.eigenmodes(1)[0], n_samples=10)
+ale.sup_grad((1.0, 1.0), [0.2])
+spectrum.constant_norm_check(spectrum.eigenmodes(1)[0])
 print(json.dumps([codes, sorted(m for m in ("numpy.random", "numpy.polynomial", "hashlib")
                                 if m in sys.modules)]))
 """
@@ -416,6 +416,57 @@ def test_evolve_fails_when_cross_check_skipped(capsys, tmp_path, monkeypatch):
     assert rep["spectral_cross_check"] is None
     assert rep["decomposition_residual"] > 1.0
     assert [f["operation"] for f in rep["failures"]] == ["decompose_initial"]
+
+
+def test_evolve_certificate_sees_a_wrong_block_split(capsys, tmp_path, monkeypatch):
+    # the lower-degree rows of the H_2 basis scaled by 1.5: the blocks no
+    # longer split the field, yet each block's projector still labels its
+    # parts k + 2 and -k, so sum_lambda (*d - lambda) eta_lambda cancels; the
+    # per-component norms of the certificate see the split
+    from sdforms import spectrum
+
+    basis = spectrum._harmonic_basis
+
+    def skewed(lap, offs, k, scale=None):
+        T = basis(lap, offs, k, scale)
+        if k == 2:
+            T[:offs[k]] *= 1.5
+        return T
+
+    monkeypatch.setattr(spectrum, "_harmonic_basis", skewed)
+    init = tmp_path / "init.json"
+    pairings_input(3, init)
+    code, rep = run(capsys, "evolve", "--init", str(init), "--steps", "10")
+    assert (code, rep["status"]) == (1, "fail")
+    assert rep["spectral_cross_check"] is None
+    assert rep["decomposition_residual"] > 1.0
+    assert [f["operation"] for f in rep["failures"]] == ["decompose_initial"]
+
+
+def test_evolve_judges_conservation_against_the_larger_field(capsys, tmp_path):
+    # over t1 / t0 = 1e4 the modes of the degree-3 input grow by up to 1e12;
+    # the div of the result, rounding of the grown field, is judged against
+    # DIV_TOL times the larger field norm
+    init = tmp_path / "init.json"
+    pairings_input(3, init)
+    code, rep = run(capsys, "evolve", "--init", str(init), "--t1", "1e4", "--steps", "2000")
+    assert (code, rep["status"], rep["failures"]) == (0, "pass", [])
+    assert rep["divergence_residual"] > 1e-3
+    assert 15.0 < rep["spectral_cross_check"]["step_doubling_ratio"] < 17.0
+
+
+def test_orthogonality_forms_its_pairing_table_once(capsys, monkeypatch):
+    # the three shell radii share one read-only C^T G C
+    from sdforms import polys, spectrum
+
+    calls = []
+    pairings = polys.coframe_pairings
+    monkeypatch.setattr(polys, "coframe_pairings", lambda *a: calls.append(a) or pairings(*a))
+    code, rep = run(capsys, "verify", "orthogonality", "--degree", "3")
+    assert (code, rep["status"], len(calls)) == (0, "pass", 1)
+    modes = spectrum.eigenmodes(2)
+    assert modes.pairings() is modes.pairings()
+    assert not modes.pairings().flags.writeable
 
 
 def test_evolve_builds_no_eigenbasis(capsys, tmp_path, monkeypatch):
@@ -829,31 +880,33 @@ def test_ale_asymptotics_fail_far_from_the_end_regime(capsys):
             if f["reason"] == "end asymptotics out of envelope"] == ["plus_end", "minus_end"]
 
 
-@pytest.mark.parametrize("epsilon", ["1e3", "1e28"])
+@pytest.mark.parametrize("epsilon", ["1e-6", "1e-2", "1e3", "1e28"])
 def test_ale_energy_at_large_epsilon(capsys, epsilon):
-    # the cut-off 20 epsilon lies outside the neck; at 20 the extrapolation
-    # was unstable (1e3) and the two boundary fluxes cancelled exactly (1e28)
-    # (the asymptotics and decay blocks still fail there: their envelopes
-    # do not scale with epsilon)
+    # the cut-off 1000 epsilon is the same point of the rescaled model at
+    # every epsilon, far from the neck and inside the float range at both
+    # extremes; the Ricci, asymptotics and decay blocks may still fail there
+    # (their windows do not scale with epsilon)
     code, rep = run(capsys, "ale-report", "--epsilon", epsilon, "--ricci-samples", "5")
     assert code in (0, 1)
     energy = rep["energy"]
-    assert energy["cutoff"] == pytest.approx(20 * float(epsilon), rel=1e-15)
-    assert energy["relative_agreement"] == pytest.approx(0.0074, abs=1e-4)
-    assert energy["boundary"] == pytest.approx(energy["computed_constant"], rel=1e-6)
+    assert energy["cutoff"] == pytest.approx(1000 * float(epsilon), rel=1e-15)
+    assert 2.9e-6 <= energy["relative_agreement"] <= 3.1e-6
+    assert energy["boundary"] == pytest.approx(energy["computed_constant"], rel=1e-14)
     assert not [f for f in rep["failures"] if f["operation"] == "grad_energy_boundary"]
 
 
-@pytest.mark.parametrize("epsilon, cutoff", [(0.1, 100.0), (0.5, 20.0), (0.75, 20.0),
-                                             (1.0, 20.0), (2.0, 40.0)])
+@pytest.mark.parametrize("epsilon, cutoff", [(0.1, 100.0), (0.5, 500.0), (0.75, 750.0),
+                                             (1.0, 1000.0), (2.0, 2000.0)])
 def test_ale_energy_cutoff(epsilon, cutoff):
-    # max(20, 20 epsilon, 10 / epsilon): unchanged at epsilon <= 1
+    # 1000 epsilon, by the homothety of the family: the routes agree to the
+    # same 3.0e-6 at every epsilon
     from sdforms.ale import AKFormParams
     from sdforms.cli import _ale_energy
 
     failures, energy = _ale_energy(None, AKFormParams(1.0, 0.0, epsilon))
     assert failures == []
     assert energy["cutoff"] == cutoff
+    assert 2.9e-6 <= energy["relative_agreement"] <= 3.1e-6
 
 
 def test_ale_report_overflowing_energy_is_an_error(capsys):
