@@ -340,14 +340,16 @@ def test_energy_epsilon_square_law():
 
 @pytest.mark.parametrize("alpha, beta", [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.5, -0.7)])
 def test_boundary_energy_at_small_epsilon(alpha, beta):
-    # at the ale-report cut-off 1000 eps, from the smallest --epsilon the
-    # flags allow up to 0.1; separate float powers of eps and t gave half the
-    # limit or 0
+    # from the smallest --epsilon the flags allow up to 0.1, at the ale-report
+    # cut-off 1000 eps and at the earlier max(20, 10 / eps), which puts eps t
+    # near 10 / eps (w = (eps t)^2 up to about 1e124, where r^3 underflows);
+    # separate float powers of eps and t gave half the limit or 0
     for eps in np.geomspace(1.49e-31, 0.1, 61):
         params = AKFormParams(alpha, beta, float(eps))
-        computed = grad_energy_boundary(params, 1000.0 * eps)
         expected = energy_reference_values(params)["computed_expected"]
-        assert abs(computed - expected) <= 1e-14 * expected, eps
+        for A in (max(20.0, 10.0 / eps), 1000.0 * eps):
+            computed = grad_energy_boundary(params, A)
+            assert abs(computed - expected) <= 1e-14 * expected, (eps, A)
 
 
 @pytest.mark.parametrize("alpha, beta", [(1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])

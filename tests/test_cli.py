@@ -455,6 +455,29 @@ def test_evolve_judges_conservation_against_the_larger_field(capsys, tmp_path):
     assert 15.0 < rep["spectral_cross_check"]["step_doubling_ratio"] < 17.0
 
 
+def test_evolve_uncertified_split_does_not_loosen_conservation(capsys, tmp_path, monkeypatch):
+    # eigenvalues k + 5 in place of k + 2 grow the spectral side by a further
+    # t^3 = 1e12; the certificate rejects the split, so conservation of the
+    # same grown RK4 run is judged against DIV_TOL ||eta0|| and fails
+    from sdforms import evolution, spectrum
+
+    split = spectrum.eigencomponents
+
+    def relabelled(D, c0):
+        lam, V = split(D, c0)
+        return np.where(lam > 0, lam + 3, lam), V
+
+    monkeypatch.setattr(spectrum, "eigencomponents", relabelled)
+    init = tmp_path / "init.json"
+    pairings_input(3, init)
+    eta0 = evolution.load_initial_field(str(init))
+    size0 = evolution.gram_norm(3, spectrum.make_basis(3).coframe_to_vector(eta0))
+    code, rep = run(capsys, "evolve", "--init", str(init), "--t1", "1e4", "--steps", "2000")
+    assert (code, rep["spectral_cross_check"]) == (1, None)
+    assert [f["operation"] for f in rep["failures"]] == ["evolve_ode", "decompose_initial"]
+    assert rep["failures"][0]["tolerance"] == pytest.approx(evolution.DIV_TOL * size0, rel=1e-12)
+
+
 def test_orthogonality_forms_its_pairing_table_once(capsys, monkeypatch):
     # the three shell radii share one read-only C^T G C
     from sdforms import polys, spectrum
