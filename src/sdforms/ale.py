@@ -198,11 +198,14 @@ class ALEModel:
     def ricci_norm_sq(self, x):
         """|Ric|^2 in the curved metric; equals 192 eps^4/(rho^2+4 eps^2)^4.
 
-        Takes points of shape (..., 4) and returns shape (...).
+        Takes points of shape (..., 4) and returns shape (...).  The mixed
+        tensor A = g^-1 Ric is formed first and |Ric|^2 = tr(A A): squaring Ric
+        before the inverse metric scales it back would underflow where Ric is
+        below about 1e-154 (the plus end at eps <= 1e-27).
         """
         ric = self.ricci_closed_form(x)
-        ginv = np.linalg.inv(self.metric_eval(x))
-        return np.einsum("...mn,...st,...ms,...nt->...", ric, ric, ginv, ginv)
+        A = np.linalg.inv(self.metric_eval(x)) @ ric
+        return np.einsum("...mn,...nm->...", A, A)
 
     def scalar_curvature(self, x):
         """Trace of the closed-form Ricci tensor; the family is scalar-flat.
@@ -255,6 +258,19 @@ def ak_form(params):
     ])
 
 
+def _ak_substitution(epsilon, t):
+    """(r, q) = (1 / (1 + w), w r) at w = (eps t)^2, the variables of the AK closed forms.
+
+    The numerator of |omega|^2 and f^4 share the factor t^-8, and what is left
+    is a polynomial in r and q, both in [0, 1].  w is capped at 1e300, where q
+    is 1 and r^2 is 0, so no t takes them past the float range.
+    """
+    with np.errstate(over="ignore"):
+        w = np.minimum((epsilon * np.asarray(t, dtype=float)) ** 2, 1e300)
+    r = 1.0 / (1.0 + w)
+    return r, w * r
+
+
 def ak_norm_sq_closed_form(params, t, pairing):
     """|omega|^2 in the curved metric from the conformal weight f^-4.
 
@@ -262,17 +278,11 @@ def ak_norm_sq_closed_form(params, t, pairing):
     interest (it averages to zero over the sphere).  A norm past the float
     range, which needs |alpha| or |beta| near 1e154, is inf.
     """
-    a, b, eps = params.alpha, params.beta, params.epsilon
-    t = np.asarray(t, dtype=float)
-    # numerator and f^4 share the factor t^-8; in w = (eps t)^2 the norm is
-    # a^2 q^4 + 2 a b pairing q^2 r^2 + b^2 r^4 with r = 1 / (1 + w), q = w r,
-    # which overflows for no t once w is capped at 1e300 (q is 1, r^2 is 0
-    # there); the cross term doubles last, so that an a b near the float
-    # limit meets r^2 = 0 before it can overflow
+    a, b = params.alpha, params.beta
+    r, q = _ak_substitution(params.epsilon, t)
+    # a^2 q^4 + 2 a b pairing q^2 r^2 + b^2 r^4; the cross term doubles last,
+    # so that an a b near the float limit meets r^2 = 0 before it can overflow
     with np.errstate(over="ignore"):
-        w = np.minimum((eps * t) ** 2, 1e300)
-        r = 1.0 / (1.0 + w)
-        q = w * r
         cross = 2 * (a * b * np.asarray(pairing) * q ** 2 * r ** 2)
         return a ** 2 * q ** 4 + cross + b ** 2 * r ** 4
 
@@ -280,14 +290,12 @@ def ak_norm_sq_closed_form(params, t, pairing):
 def ak_norm_sq_end_deviation(params, t, plus_end):
     """Sphere average of |omega|^2 minus its limit alpha^2 (plus end) or beta^2.
 
-    Without cancellation, in the r, q of :func:`ak_norm_sq_closed_form`:
+    Without cancellation, in the r, q of :func:`_ak_substitution`:
     a^2 s (-4 + 6s - 4s^2 + s^3) + b^2 s^4, s = r; a, b swapped and s = q.
     """
-    a, b, eps = params.alpha, params.beta, params.epsilon
-    with np.errstate(over="ignore"):
-        w = np.minimum((eps * np.asarray(t, dtype=float)) ** 2, 1e300)
-    r = 1.0 / (1.0 + w)
-    lead, other, s = (a, b, r) if plus_end else (b, a, w * r)
+    a, b = params.alpha, params.beta
+    r, q = _ak_substitution(params.epsilon, t)
+    lead, other, s = (a, b, r) if plus_end else (b, a, q)
     return lead ** 2 * s * (-4.0 + s * (6.0 + s * (-4.0 + s))) + other ** 2 * s ** 4
 
 
@@ -312,15 +320,13 @@ def _radial_norm_derivative(params, t):
     """d/d rho of the sphere-averaged |omega|^2 (cross term integrates out).
 
     The average is a^2 q^4 + b^2 r^4 in the w = (eps t)^2, r = 1 / (1 + w),
-    q = w r of :func:`ak_norm_sq_closed_form`; dq/dw = r^2 = -dr/dw,
+    q = w r of :func:`_ak_substitution`; dq/dw = r^2 = -dr/dw,
     dw/dt = 2 w / t and d rho = dt / (r t^2) give
     8 t q r^2 (a^2 q^3 - b^2 r^3), with no power of eps or t alone that
     could leave the float range.
     """
-    a, b, eps = params.alpha, params.beta, params.epsilon
-    w = (eps * t) ** 2
-    r = 1.0 / (1.0 + w)
-    q = w * r
+    a, b = params.alpha, params.beta
+    r, q = _ak_substitution(params.epsilon, t)
     return 8.0 * t * q * r * r * (a * a * q ** 3 - b * b * r ** 3)
 
 
@@ -503,7 +509,14 @@ def grad_energy_volume(params, A):
     measure reduces to f^3 t^3 d rho d sigma against the curved gradient
     density.  The series is evaluated on the sphere rule's stencils once for
     all shells (_shell_energies).
+
+    Raises ValueError for A > 1e4 eps: from there on the volume drifts from
+    the boundary energy, as (A / eps)^2 with beta != 0, at every eps (1.2e-3
+    at A / eps = 1e6 for alpha = beta = 1, against 3.0e-6 at 1e3).
     """
+    if A > 1e4 * params.epsilon:
+        raise ValueError(f"cut-off A = {A} is {A / params.epsilon:.3g} epsilon; the volume "
+                         f"quadrature is trusted only up to A/epsilon = 1e4")
     rhos, wr = _radial_panels(params.epsilon, A, 12)
     return float(wr @ _shell_energies(params, rhos))
 

@@ -196,10 +196,17 @@ def monomial_values(E, x):
 
 
 def evaluate_monomials(E, C, x):
-    """Values (P, ...) of the polynomials of a monomial table at points x (4, ...)."""
-    x = np.asarray(x, dtype=float)
+    """Values (P, ...) of the polynomials of a monomial table at points x (4, ...).
+
+    Each value is summed over the table's nonzeros in a fixed order along the
+    points, never in a matrix product, so a point's value does not depend on
+    its batch.
+    """
     V = monomial_values(E, x)
-    return (C.T @ V.reshape(len(E), x[0].size)).reshape(C.shape[1:] + x.shape[1:])
+    out = np.zeros(C.shape[1:] + V.shape[1:])
+    for k, p in zip(*np.nonzero(C)):
+        out[p] += C[k, p] * V[k]
+    return out
 
 
 def _axis_index(axis):

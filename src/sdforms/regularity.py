@@ -43,16 +43,6 @@ class MoserEvaluation:
     ratio: float
     converged: bool
 
-    def to_json(self):
-        return {
-            "c": self.c,
-            "N": self.n_terms,
-            "product": self.partial_product,
-            "claimed_bound": self.claimed_bound,
-            "ratio": self.ratio,
-            "converged": self.converged,
-        }
-
 
 def moser_product(c, N=200):
     """Evaluate prod_{i=0..N} (1 + c 2^i)^(2^-i) in log space.

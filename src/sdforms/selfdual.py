@@ -26,7 +26,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .frames import LEFT_MULT
-from .polys import coframe_inner, left_invariant_coframe, monomial_table, monomial_values
+from .polys import coframe_inner, evaluate_monomials, left_invariant_coframe, monomial_table
 
 __all__ = [
     "star_two_form",
@@ -178,16 +178,11 @@ class SelfDualForm:
 
     def __call__(self, x):
         # F^{-1} and the contraction are linear, so the weighted frame
-        # components of all terms are summed before either is applied; the
-        # sums run over the table's nonzeros in a fixed order along the
-        # points, never in a matrix product
+        # components of all terms are summed before either is applied
         x = np.asarray(x, dtype=float)
         n, t = _radial_split(x.reshape(-1, 4))
         E, C, c, lam = self._compiled
-        V = monomial_values(E, n)
-        A = np.zeros((C.shape[1], t.size))
-        for k, p in zip(*np.nonzero(C)):
-            A[p] += C[k, p] * V[k]
+        A = evaluate_monomials(E, C, n)
         a = np.zeros((3, t.size))
         for j in range(len(c)):
             a += (c[j] * t ** (lam[j] - 2.0)) * A[3 * j:3 * j + 3]

@@ -82,6 +82,7 @@ __all__ = [
     "ModeSet",
     "SpectrumReport",
     "failure",
+    "bound",
     "trusted_window",
     "divergence_free_subspace",
     "eigen_decompose",
@@ -102,6 +103,16 @@ def failure(module, operation, inputs, observed, tolerance, reason):
     """One machine-readable failure record, the form every report uses."""
     return {"module": module, "operation": operation, "input": inputs,
             "observed": observed, "tolerance": tolerance, "reason": reason}
+
+
+def bound(failures, module, operation, inputs, observed, tolerance, reason, above=False):
+    """Append the failure record of one value checked against one bound.
+
+    The check passes when ``observed <= tolerance``, or ``observed >=
+    tolerance`` with ``above``; anything else, NaN included, fails.
+    """
+    if not (observed >= tolerance if above else observed <= tolerance):
+        failures.append(failure(module, operation, inputs, observed, tolerance, reason))
 
 
 def trusted_window(D):
@@ -217,9 +228,8 @@ class SpectrumReport:
             elif lo <= lam <= hi and mult != self.expected_multiplicity(lam):
                 failures.append(fail(at, mult, self.expected_multiplicity(lam),
                                      "multiplicity differs from lambda^2 - 1"))
-        if self.max_integer_deviation > self.cluster_tol:
-            failures.append(fail(deg, self.max_integer_deviation, self.cluster_tol,
-                                 "eigenvalue deviates from the integers"))
+        bound(failures, "spectrum", "eigen_decompose", deg, self.max_integer_deviation,
+              self.cluster_tol, "eigenvalue deviates from the integers")
         if not self.complete:
             failures.append(fail(deg, sum(self.multiplicities.values()), self.subspace_dim,
                                  "eigenspaces do not span the divergence-free subspace"))

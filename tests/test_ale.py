@@ -125,6 +125,19 @@ def test_ricci_norm_identity():
         assert_allclose(model.ricci_norm_sq(x), expected, rtol=1e-10)
 
 
+@pytest.mark.parametrize("eps", [1e-27, 1e-30, 1.5e-31])
+def test_ricci_norm_identity_at_small_epsilon(eps):
+    # on the plus end Ric is about 1e-165 here: squared before the inverse
+    # metrics scale it back, it underflowed to 0 (relative error 1.0)
+    model = ALEModel(eps)
+    rng = np.random.default_rng(5)
+    rho = rng.uniform(-5.0, 5.0, 100)
+    dirs = rng.standard_normal((100, 4))
+    X = model.t_of_rho(rho)[:, None] * dirs / np.linalg.norm(dirs, axis=1)[:, None]
+    expected = 192 * eps ** 4 / (rho ** 2 + 4 * eps ** 2) ** 4
+    assert np.max(np.abs(model.ricci_norm_sq(X) - expected) / expected) <= 1e-14
+
+
 def test_curvature_batches_match_point_by_point():
     # one call on points (..., 4) gives what a loop over the points gives
     model = ALEModel(0.3)
@@ -368,6 +381,26 @@ def test_energy_routes_at_cutoff_1000_eps_do_not_depend_on_eps(alpha, beta):
         boundary = grad_energy_boundary(params, A)
         assert abs(volume - flux) <= 2.5e-9 * flux, eps
         assert 2.9e-6 <= abs(volume - boundary) / boundary <= 3.1e-6, eps
+
+
+def test_volume_energy_cutoff_in_units_of_epsilon():
+    # the volume drifts from the boundary energy far out in units of eps
+    # (2.5e-5 at A = 1e5 eps for (0, 1)), so it is refused there
+    eps = 0.1
+    with pytest.raises(ValueError, match="A/epsilon"):
+        grad_energy_volume(AKFormParams(0.0, 1.0, eps), 1e5 * eps)
+    for alpha, beta in [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]:
+        params = AKFormParams(alpha, beta, eps)
+        boundary = grad_energy_boundary(params, 1e4 * eps)
+        volume = grad_energy_volume(params, 1e4 * eps)
+        assert abs(volume - boundary) <= 3.0e-6 * boundary, (alpha, beta)
+
+
+def test_radial_norm_derivative_far_out_is_zero():
+    # w = (eps t)^2 is capped as in the closed forms: 0.0, not OverflowError
+    from sdforms import ale
+
+    assert ale._radial_norm_derivative(AKFormParams(1.0, 1.0, 1.0), 1e200) == 0.0
 
 
 def test_energy_zero_form():

@@ -291,6 +291,15 @@ def test_series_batch_matches_one_point_values():
             assert isinstance(sdf.norm(pts[idx]), float)
             assert_allclose(norms[idx], sdf.norm(pts[idx]), rtol=1e-14, atol=1e-14,
                             err_msg=name)
+    # the polynomial evaluators share the series' contraction
+    # (polys.evaluate_monomials): a batch gives the one-point values bit for bit
+    for field in (field for sdf in forms.values() for _, _, field in sdf.terms):
+        values = field.evaluate(pts)
+        components = [a(pts) for a in field.alpha]
+        for idx in np.ndindex(2, 3, 4):
+            assert values[idx].tobytes() == field.evaluate(pts[idx]).tobytes()
+            for a, batch in zip(field.alpha, components):
+                assert np.float64(batch[idx]).tobytes() == np.float64(a(pts[idx])).tobytes()
 
 
 def dense_table_series(sdf, x):

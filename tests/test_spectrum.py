@@ -19,10 +19,12 @@ from sdforms.spectrum import (
     _frame_laplacian,
     _harmonic_basis,
     _integer_entries,
+    bound,
     constant_norm_check,
     divergence_free_subspace,
     eigen_decompose,
     eigenmodes,
+    failure,
     hodge_laplacian_check,
     trusted_window,
 )
@@ -283,3 +285,16 @@ def test_report_serialization(decomposition_d3):
 def test_negative_degree_rejected():
     with pytest.raises(ValueError):
         eigen_decompose(-1)
+
+
+@pytest.mark.parametrize("above", [False, True])
+def test_bound_passes_at_the_bound_and_records_past_it(above):
+    args = ("spectral", "op", {"degree": 3})
+    failures = []
+    bound(failures, *args, 0.5, 0.5, "at the bound", above=above)
+    assert failures == []
+    past = 0.25 if above else 0.75
+    bound(failures, *args, past, 0.5, "past the bound", above=above)
+    bound(failures, *args, float("nan"), 0.5, "not a number", above=above)
+    assert failures[0] == failure(*args, past, 0.5, "past the bound")
+    assert [f["reason"] for f in failures] == ["past the bound", "not a number"]
