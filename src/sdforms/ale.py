@@ -173,8 +173,11 @@ class ALEModel:
         central differences.  The stencil is h times the local radius, since
         the conformal factor varies on the scale of t; the relative deviation
         from the closed form is then O(h^2) uniformly over the model.  Takes
-        points of shape (..., 4) and returns (..., 4, 4); the Christoffel
-        symbols of every point and its eight neighbours are one batch.
+        points of shape (..., 4) and returns (..., 4, 4).  Each point needs
+        metric_eval at 81 points (its stencil of 9, each with 8 neighbours),
+        so the points go through EVAL_BLOCK // 81 at a time: the temporaries
+        stay the same size however many points are given, and a point's
+        value does not depend on its batch.
         """
         self._require_curved("Ricci curvature")
         x = np.asarray(x, dtype=float)
@@ -182,13 +185,21 @@ class ALEModel:
         step = h * t
         if np.any((t <= 2 * step) | (step == 0.0)):
             raise ValueError("stencil of radius 2 h |x| reaches the origin")
-        shift = step[..., None, None] * np.eye(4)
-        centre = x[..., None, :]
-        stencil = np.concatenate([centre, centre + shift, centre - shift], axis=-2)
-        gam = self._christoffel_fd(stencil, step[..., None])
-        dgam = ((gam[..., 1:5, :, :, :] - gam[..., 5:, :, :, :])
-                / (2 * step)[..., None, None, None, None])
-        gam = gam[..., 0, :, :, :]
+        flat, step = x.reshape(-1, 4), step.reshape(-1)
+        size = EVAL_BLOCK // 81
+        # at least one block, so that no points give an empty (0, 4, 4)
+        ric = np.concatenate([self._ricci_fd(flat[lo:lo + size], step[lo:lo + size])
+                              for lo in range(0, max(len(flat), 1), size)])
+        return ric.reshape(x.shape + (4,))
+
+    def _ricci_fd(self, x, step):
+        """ricci_numeric at points x (N, 4) with steps (N,), in one batch."""
+        shift = step[:, None, None] * np.eye(4)
+        centre = x[:, None, :]
+        stencil = np.concatenate([centre, centre + shift, centre - shift], axis=1)
+        gam = self._christoffel_fd(stencil, step[:, None])
+        dgam = (gam[:, 1:5] - gam[:, 5:]) / (2 * step)[:, None, None, None, None]
+        gam = gam[:, 0]
         ric = (np.einsum("...ssmn->...mn", dgam)
                - np.einsum("...nsms->...mn", dgam)
                + np.einsum("...ssr,...rmn->...mn", gam, gam)

@@ -48,8 +48,9 @@ def moser_product(c, N=200):
     """Evaluate prod_{i=0..N} (1 + c 2^i)^(2^-i) in log space.
 
     The log-series terms 2^-i log(1 + c 2^i) decay geometrically, so the
-    partial products converge; convergence is flagged once the relative
-    change of the log falls below 1e-12.  The claimed bound is e^c;
+    partial products converge; convergence is flagged, and the sum stopped,
+    once the relative change of the log falls below 1e-12.  ``n_terms`` is
+    the number of terms summed, at most N + 1.  The claimed bound is e^c;
     the ratio product/bound exceeds 1 for c of order one and tends to 1 as
     c -> 0.  Raises ValueError when e^c overflows a float (c above
     log(float max), about 709.78); the product is at most
@@ -75,7 +76,7 @@ def moser_product(c, N=200):
     ratio = exp(log_total - c)
     return MoserEvaluation(
         c=float(c),
-        n_terms=N,
+        n_terms=i + 1,
         partial_product=product,
         claimed_bound=bound,
         ratio=ratio,

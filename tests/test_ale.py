@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from fractions import Fraction
 from math import pi
@@ -184,6 +185,39 @@ def test_ricci_numeric_stencil_guard():
     # the stencil scales with |x|, so it reaches the origin once 2h >= 1
     with pytest.raises(ValueError):
         ALEModel(0.5).ricci_numeric(np.array([1e-3, 0, 0, 0]), 0.6)
+    # one point at the origin, past the first block, rejects the whole batch
+    X = random_points(2 * (EVAL_BLOCK // 81), seed=40)
+    X[-1] = 0.0
+    with pytest.raises(ValueError, match="reaches the origin"):
+        ALEModel(0.5).ricci_numeric(X, 1e-3)
+
+
+def test_ricci_numeric_blocks_match_one_point_values():
+    # three full blocks of EVAL_BLOCK // 81 points and a partial one: every
+    # value equals the point's own one-point value bit for bit
+    model = ALEModel(0.5)
+    X = random_points(3 * (EVAL_BLOCK // 81) + 5, seed=41)
+    fd = model.ricci_numeric(X, 1e-3)
+    assert fd.shape == (len(X), 4, 4)
+    assert np.array_equal(fd, [model.ricci_numeric(x, 1e-3) for x in X])
+    assert model.ricci_numeric(X[0], 1e-3).shape == (4, 4)
+    assert model.ricci_numeric(X[:0], 1e-3).shape == (0, 4, 4)
+    assert np.array_equal(model.ricci_numeric(X[:6].reshape(3, 2, 4), 1e-3),
+                          fd[:6].reshape(3, 2, 4, 4))
+
+
+def test_ricci_numeric_memory_does_not_grow_with_points():
+    # the Christoffel stencil of one point takes about 16 KB; in blocks the
+    # oracle's peak stays near one block's worth (1 MB), not 3000 points' (45 MB)
+    model = ALEModel(0.5)
+    X = random_points(3000, seed=42)
+    tracemalloc.start()
+    try:
+        model.ricci_numeric(X, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
 
 
 # --------------------------------------------------------------- the form

@@ -41,6 +41,19 @@ def test_moser_product_small_c_ratio_tends_to_one():
     assert 1.0 <= ev.ratio <= 1.0 + 1e-4
 
 
+def test_moser_product_counts_terms_summed():
+    # at c = 1e-6 the series converges after 62 of the N + 1 = 201 terms
+    ev = moser_product(1e-6)
+    assert ev.converged
+    assert 1 <= ev.n_terms < 200
+    direct = sum(math.log1p(1e-6 * 2.0 ** i) / 2.0 ** i for i in range(ev.n_terms))
+    assert math.exp(direct) == ev.partial_product
+    # without convergence every one of the N + 1 terms is summed
+    ev = moser_product(1.0, N=5)
+    assert not ev.converged
+    assert ev.n_terms == 6
+
+
 def test_moser_product_monotone_in_n():
     vals = [moser_product(0.5, N=n).partial_product for n in (2, 5, 10, 30)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
