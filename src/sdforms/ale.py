@@ -311,18 +311,17 @@ def ak_norm_sq_end_deviation(params, t, plus_end):
 
 
 def ak_form_eval(params, x):
-    """Pointwise component matrix and curved-metric squared norm at x.
+    """Component matrices and curved-metric squared norms at points x (..., 4).
 
-    The norm is computed from the flat wedge norm and the conformal weight,
-    and cross-checked in tests against the closed-form expansion with the
+    Returns (M, norm_sq) of shapes (..., 4, 4) and (...).  The norm is
+    computed from the flat wedge norm and the conformal weight, and
+    cross-checked in tests against the closed-form expansion with the
     explicit <eta_2, eta_{-2}> cross term.
     """
-    sdf = ak_form(params)
     x = np.asarray(x, dtype=float)
-    M = sdf(x)
-    t = np.linalg.norm(x)
-    f = params.epsilon ** 2 + t ** -2
-    return M, float(wedge_norm_sq(M)) / f ** 4
+    M = ak_form(params)(x)
+    f = params.epsilon ** 2 + np.linalg.norm(x, axis=-1) ** -2
+    return M, wedge_norm_sq(M) / f ** 4
 
 
 # ------------------------------------------------------------------ energy

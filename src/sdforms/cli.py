@@ -24,6 +24,7 @@ supplies per-subcommand defaults; explicit flags win over the file.
 import argparse
 import json
 import math
+import operator
 import os
 import sys
 
@@ -77,16 +78,20 @@ def _power_is_finite(value, p):
         return False
 
 
-def _check_flags(args, positive=(), finite=(), counts=(), squared=(), powers=()):
+def _check_flags(args, positive=(), finite=(), limits=(), squared=(), powers=()):
     """Reject out-of-range numeric flags, naming the flag, before any work.
 
-    ``squared`` flags enter as their square, which must not underflow to 0.
-    ``powers`` holds (flag, p) pairs: the computation takes the flag's p-th
-    power, which must be finite (for p < 0 the flag must not be too small).
+    ``limits`` holds (flag, op, limit) triples, op ">=" or "<": the flag
+    must compare so with the limit (">= 1" for a count).  ``squared`` flags
+    enter as their square, which must not underflow to 0.  ``powers`` holds
+    (flag, p) pairs: the computation takes the flag's p-th power, which must
+    be finite (for p < 0 the flag must not be too small).
     """
+    compare = {">=": operator.ge, "<": operator.lt}
     rules = ([(f, "finite and > 0", lambda v: math.isfinite(v) and v > 0) for f in positive]
              + [(f, "finite", math.isfinite) for f in finite]
-             + [(f, ">= 1", lambda v: v >= 1) for f in counts]
+             + [(f, f"{op} {limit}", lambda v, op=op, limit=limit: compare[op](v, limit))
+                for f, op, limit in limits]
              + [(f, "large enough that its square is > 0 (about 1.5e-162)",
                  lambda v: v * v > 0) for f in squared]
              + [(f, f"{'small' if p > 0 else 'large'} enough that {f}^{p} is finite "
@@ -115,7 +120,7 @@ def _check_growth(args, D, norm):
 
 
 def cmd_evolve(args):
-    _check_flags(args, positive=("t0", "t1"), counts=("steps",))
+    _check_flags(args, positive=("t0", "t1"), limits=(("steps", ">=", 1),))
     if args.t1 == args.t0:
         raise ValueError(f"--t1 must differ from --t0, both are {args.t0}: "
                          "no evolution to compare")
@@ -168,21 +173,15 @@ def cmd_evolve(args):
 def _verify_frames(args):
     failures = []
     pts = _annulus_samples(args.samples, args.seed, lo=1.0, hi=1.0)
-    worst_structure = 0.0
-    worst_orth = 0.0
-    for p in pts:
-        worst_structure = max(worst_structure, structure_residual(p),
-                              structure_residual(p, frame="right"))
-        for frame in (left_frame_at(p), right_frame_at(p)):
-            gram = frame @ frame.T
-            worst_orth = max(worst_orth, float(np.max(np.abs(gram - np.eye(3)))))
+    worst_structure = float(max(structure_residual(pts).max(),
+                                structure_residual(pts, frame="right").max()))
+    frames = np.stack([left_frame_at(pts), right_frame_at(pts)])
+    worst_orth = float(np.max(np.abs(frames @ frames.swapaxes(-1, -2) - np.eye(3))))
     bound(failures, "frame_calculus", "structure_residual", {}, worst_structure, 1e-12,
           "structure equations")
     bound(failures, "frame_calculus", "frames", {}, worst_orth, 1e-12, "orthonormality")
-    worst_star = 0.0
-    for xi in Sampler(args.seed + 1).normal((50, 3)):
-        back = hodge_star_s3(hodge_star_s3(xi, 1), 2)
-        worst_star = max(worst_star, float(np.max(np.abs(back - xi))))
+    xi = Sampler(args.seed + 1).normal((50, 3))
+    worst_star = float(np.max(np.abs(hodge_star_s3(hodge_star_s3(xi, 1), 2) - xi)))
     bound(failures, "frame_calculus", "hodge_star_s3", {}, worst_star, 1e-12,
           "star involution")
     return failures, {
@@ -291,7 +290,7 @@ VERIFY_SUITES = {
 
 
 def cmd_verify(args):
-    _check_flags(args, counts=("samples",))
+    _check_flags(args, limits=(("samples", ">=", 1),))
     failures, details = VERIFY_SUITES[args.suite](args)
     return failures, {"suite": args.suite, "details": details}
 
@@ -452,9 +451,13 @@ def cmd_ale_report(args):
     # the epsilon^9 and epsilon^-10 bounds keep the curvature block in range:
     # below them ricci_closed_form's |x|^4 (t2 ** 2) overflows on the window
     # -5 <= rho <= 5 (epsilon = 1e-60), above them the closed form of |Ric|^2
-    # underflows to 0 and the identity's relative error divides by it (1e40)
+    # underflows to 0 and the identity's relative error divides by it (1e40).
+    # The decay profile runs from |rho| = 10 to rho_max and must span a decade;
+    # the Ricci oracle's step-doubling rerun at 2h has stencil radius 4 h |x|,
+    # which reaches the origin from h = 0.25 on
     _check_flags(args, positive=("epsilon", "rho_max", "h"), finite=("alpha", "beta"),
-                 counts=("ricci_samples",), squared=("epsilon", "rho_max"),
+                 limits=(("ricci_samples", ">=", 1), ("rho_max", ">=", 100), ("h", "<", 0.25)),
+                 squared=("epsilon", "rho_max"),
                  powers=(("alpha", 2), ("beta", 2), ("epsilon", 9), ("epsilon", -10),
                          ("rho_max", 2)))
     params = ale.AKFormParams(args.alpha, args.beta, args.epsilon)
@@ -478,7 +481,7 @@ def _ale_profile_csv(args, report):
 
 
 def cmd_moser(args):
-    _check_flags(args, positive=("c_min", "c_max"), counts=("points",))
+    _check_flags(args, positive=("c_min", "c_max"), limits=(("points", ">=", 1),))
     failures = []
     cs = np.geomspace(args.c_min, args.c_max, args.points)
     csv_text = regularity.moser_sweep_csv(cs)
@@ -504,8 +507,10 @@ def _moser_sweep_csv(args, report):
 
 
 def cmd_decay(args):
+    # the profile runs from |rho| = 10 to rho_max and must span a decade
     _check_flags(args, positive=("epsilon", "rho_max"), finite=("alpha", "beta"),
-                 squared=("epsilon",), powers=(("alpha", 2), ("beta", 2), ("epsilon", 2)))
+                 limits=(("rho_max", ">=", 100),), squared=("epsilon",),
+                 powers=(("alpha", 2), ("beta", 2), ("epsilon", 2)))
     params = ale.AKFormParams(args.alpha, args.beta, args.epsilon)
     failures, decay, profile = _decay_end(params, args.end, args.rho_max)
     return failures, {
@@ -654,8 +659,9 @@ def dispatch(argv=None):
     args = _apply_config(parser.parse_args(argv, defaults), parser, argv)
     try:
         return _run(args)
-    except (ValueError, OverflowError, OSError) as exc:
-        # an OverflowError means a flag put the model outside the float range
+    except (ValueError, OverflowError, MemoryError, OSError) as exc:
+        # an OverflowError means a flag put the model outside the float range,
+        # a MemoryError an input too large for the dense arrays it needs
         print(json.dumps({"status": "error", "message": str(exc)}))
         return 2
 

@@ -61,55 +61,65 @@ def _levi_civita():
 LEVI_CIVITA = _levi_civita()
 
 
+#: per frame: the matrices of its vector fields X_m(x) = mats[m] x, their
+#: commutators [X_j, X_k] as matrices (3, 3, 4, 4), and its structure sign
+_FRAMES = {name: (m, np.einsum("kab,jbc->jkac", m, m) - np.einsum("jab,kbc->jkac", m, m), sign)
+           for name, m, sign in (("left", LEFT_MULT, 1.0), ("right", RIGHT_MULT, -1.0))}
+
+
+def _apply(mats, p):
+    """Matrices (..., 4, 4) applied to points p (P..., 4), shape (P..., ..., 4).
+
+    Each row of a frame or bracket matrix has at most one nonzero entry, so
+    every value is exact and does not depend on the batch.
+    """
+    out = np.einsum("...ij,nj->n...i", mats, p.reshape(-1, 4))
+    return out.reshape(p.shape[:-1] + mats.shape[:-1])
+
+
 def normalize_point(p):
-    """Project p in R^4 onto the unit sphere; rejects the origin."""
+    """Project points p of shape (..., 4) onto the unit sphere; rejects the origin."""
     p = np.asarray(p, dtype=float)
-    n = np.linalg.norm(p)
-    if n == 0.0:
+    n = np.linalg.norm(p, axis=-1, keepdims=True)
+    if np.any(n == 0.0):
         raise ValueError("cannot normalize the origin onto the sphere")
     return p / n
 
 
 def left_frame_at(p):
-    """Orthonormal tangent frame (e1, e2, e3) at p, rows of the result.
+    """Orthonormal tangent frames (e1, e2, e3) at points p (..., 4), rows of (..., 3, 4).
 
     e_m(p) is the quaternion product e_hat_m * p.  This is the coframe
     satisfying d eta^1 = 2 eta^2 ^ eta^3 and cyclic permutations.
     """
-    p = normalize_point(p)
-    return LEFT_MULT @ p
+    return _apply(LEFT_MULT, normalize_point(p))
 
 
 def right_frame_at(p):
-    """Opposite frame (f1, f2, f3) at p, with f_m(p) = p * e_hat_m.
+    """Opposite frames (f1, f2, f3) at points p (..., 4), with f_m(p) = p * e_hat_m.
 
     Satisfies the structure equation with a global sign flip:
     d phi^1 = -2 phi^2 ^ phi^3, cyclically.
     """
-    p = normalize_point(p)
-    return RIGHT_MULT @ p
+    return _apply(RIGHT_MULT, normalize_point(p))
 
 
 def structure_residual(p, frame="left"):
-    """Max deviation of d eta^i(e_j, e_k) from 2*eps^i_{jk} at p.
+    """Max deviation of d eta^i(e_j, e_k) from 2*eps^i_{jk} at points p (..., 4).
 
     The exterior derivative is evaluated through the exact commutator of the
     linear vector fields generating the frame: d eta^i(X_j, X_k) =
     -eta^i([X_j, X_k]).  For the right frame the target carries the opposite
-    sign.  Zero up to rounding for every p on the sphere.
+    sign.  One value per point, zero up to rounding everywhere on the sphere.
     """
     p = normalize_point(p)
-    mats = LEFT_MULT if frame == "left" else RIGHT_MULT
-    sign = 1.0 if frame == "left" else -1.0
-    vecs = mats @ p
-    worst = 0.0
-    for j in range(3):
-        for k in range(3):
-            bracket = (mats[k] @ mats[j] - mats[j] @ mats[k]) @ p
-            for i in range(3):
-                d_eta = -np.dot(vecs[i], bracket)
-                worst = max(worst, abs(d_eta - sign * 2.0 * LEVI_CIVITA[i, j, k]))
-    return worst
+    mats, brackets, sign = _FRAMES[frame]
+    e = _apply(mats, p)[..., :, None, None, :]
+    b = _apply(brackets, p)[..., None, :, :, :]
+    # <X_i p, [X_j, X_k] p>, summed elementwise in one order for every batch
+    d_eta = -(e[..., 0] * b[..., 0] + e[..., 1] * b[..., 1]
+              + e[..., 2] * b[..., 2] + e[..., 3] * b[..., 3])
+    return np.max(np.abs(d_eta - sign * 2.0 * LEVI_CIVITA), axis=(-3, -2, -1))
 
 
 # Star tables in the eta^i basis.  1-forms are component triples (a1, a2, a3);
@@ -125,7 +135,7 @@ _STAR_S3 = np.array([
 
 
 def hodge_star_s3(components, degree):
-    """Hodge star on the round 3-sphere in frame components.
+    """Hodge star on the round 3-sphere in frame components, shape (..., 3).
 
     degree 1: input (a1, a2, a3) for a_i eta^i, output in the j<k basis
     (eta^1^eta^2, eta^1^eta^3, eta^2^eta^3).  degree 2: the inverse map.
@@ -133,6 +143,6 @@ def hodge_star_s3(components, degree):
     if degree not in (1, 2):
         raise ValueError(f"degree must be 1 or 2, got {degree!r}")
     components = np.asarray(components, dtype=float)
-    if components.shape != (3,):
-        raise ValueError("expected a component triple")
-    return _STAR_S3 @ components
+    if components.shape[-1:] != (3,):
+        raise ValueError("expected component triples on the last axis")
+    return components @ _STAR_S3.T

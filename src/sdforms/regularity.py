@@ -100,20 +100,12 @@ def sqrt_elliptic_check(sdf, x, h):
     For closed self-dual forms on flat space this is nonnegative; the value
     should only dip below zero by the stencil error C h^2.  A point is
     rejected where |omega| <= ZERO_TOL, too small for the square root to be
-    differentiable, and where its stencil reaches the origin.
-
-    For points of shape (..., 4) with more than one axis, returns the values
-    (NaN where rejected) and the mask of points not rejected, both of shape
-    x.shape[:-1].  For one point of shape (4,), returns the value as a float
-    and raises ValueError where the point is rejected.
+    differentiable, and where its stencil reaches the origin.  Returns the
+    values (NaN where rejected) and the mask of points not rejected, both of
+    shape x.shape[:-1], as selfdual.stencil_batch does.
     """
     def rule(sdf, S, h):
         norms = sdf.norm(S)
         return stencil_laplacian(np.sqrt(norms), h), ~(norms[0] <= ZERO_TOL)
 
-    values, accepted = stencil_batch(rule, sdf, x, h)
-    if np.ndim(x) > 1:
-        return values, accepted
-    if not accepted:
-        raise ValueError("|omega| vanishes at x; |omega|^(1/2) is not smooth there")
-    return float(values)
+    return stencil_batch(rule, sdf, x, h)

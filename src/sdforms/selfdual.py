@@ -33,7 +33,6 @@ __all__ = [
     "wedge_norm_sq",
     "eval_kahler_basis",
     "SelfDualForm",
-    "stencil_points",
     "stencil_laplacian",
     "stencil_batch",
     "d_residual",
@@ -45,10 +44,11 @@ __all__ = [
 
 _SQRT2 = np.sqrt(2.0)
 
-#: the most points one call of a form's evaluator receives from the batched
-#: stencil checks (kato_ratio, sqrt_elliptic_check) and the ALE energy
-#: density: they take their points in blocks of EVAL_BLOCK // 9 stencils, so
-#: their temporaries stay the same size however many points they are given
+#: the most points one call of a form's evaluator receives from the stencil
+#: checks (d_residual, harmonic_residual, kato_ratio, sqrt_elliptic_check)
+#: and the ALE energy density: they take their points in blocks of
+#: EVAL_BLOCK // 9 stencils, so their temporaries stay the same size however
+#: many points they are given
 EVAL_BLOCK = 2304
 
 #: kato_ratio and regularity.sqrt_elliptic_check reject |omega| <= ZERO_TOL
@@ -190,9 +190,8 @@ class SelfDualForm:
         return M.transpose(2, 0, 1).reshape(x.shape[:-1] + (4, 4))
 
     def norm(self, x):
-        """|omega| at x: a float for one point, an array for points (..., 4)."""
-        v = _norm(self(x))
-        return float(v) if v.ndim == 0 else v
+        """|omega| at points x of shape (..., 4), one value per point."""
+        return _norm(self(x))
 
     def self_duality_defect(self, x):
         M = self(x)
@@ -208,20 +207,6 @@ def _stencils(x, step):
     return np.concatenate([x[None], x + d, x - d])
 
 
-def _leaves_annulus(step, t):
-    """The error for a stencil of the given step that reaches the origin from |x| = t."""
-    return ValueError(f"stencil of radius {2 * step} leaves the annulus at |x| = {t}")
-
-
-def stencil_points(x, h):
-    """The 9-point stencil [x, x + h e_m, x - h e_m] of x, shape (9, 4); needs |x| > 2h."""
-    x = np.asarray(x, dtype=float)
-    t = _radius(x)
-    if t - 2.0 * h <= 0.0:
-        raise _leaves_annulus(h, t)
-    return _stencils(x[None], h)[:, 0]
-
-
 def stencil_batch(rule, sdf, x, h, scaled=False):
     """A per-point stencil rule at points x of shape (..., 4), block by block.
 
@@ -231,16 +216,14 @@ def stencil_batch(rule, sdf, x, h, scaled=False):
     and returns their values and a mask of the points it accepts.  Points go
     through EVAL_BLOCK // 9 at a time, so the form never sees more than
     EVAL_BLOCK points in one call.  Returns the values (NaN where rejected)
-    and the accepted mask, both of shape x.shape[:-1]; a single point of
-    shape (4,) whose stencil reaches the origin raises ValueError instead.
+    and the accepted mask, both of shape x.shape[:-1] (numpy scalars for
+    one point of shape (4,)).
     """
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1, 4)
     t = _radius(flat.T)
     step = h * t if scaled else np.full_like(t, h)
     inside = np.flatnonzero(t - 2.0 * step > 0.0)
-    if x.ndim == 1 and not inside.size:
-        raise _leaves_annulus(step[0], t[0])
     values = np.full(len(flat), np.nan)
     accepted = np.zeros(len(flat), dtype=bool)
     size = EVAL_BLOCK // 9
@@ -248,11 +231,11 @@ def stencil_batch(rule, sdf, x, h, scaled=False):
         idx = inside[start:start + size]
         values[idx], accepted[idx] = rule(sdf, _stencils(flat[idx], step[idx]), h)
     values[~accepted] = np.nan
-    return values.reshape(x.shape[:-1]), accepted.reshape(x.shape[:-1])
+    return values.reshape(x.shape[:-1])[()], accepted.reshape(x.shape[:-1])[()]
 
 
 def stencil_laplacian(values, h):
-    """Flat Laplacian at x by second differences of values on stencil_points(x, h)."""
+    """Flat Laplacian by second differences of values on the stencils of stencil_batch."""
     lap = -8.0 * values[0]
     for m in range(4):
         lap = lap + values[1 + m] + values[5 + m]
@@ -263,17 +246,31 @@ def d_residual(sdf, x, h):
     """Max component of the exterior derivative by central differences.
 
     Second-order accurate: for exact closed forms the residual decays like
-    h^2 under step halving.
+    h^2 under step halving.  Returns the residuals (NaN where rejected) and
+    the mask of points whose stencil stays clear of the origin, both of
+    shape x.shape[:-1], as stencil_batch does.
     """
-    M = sdf(stencil_points(x, h))
-    grad = (M[1:5] - M[5:]) / (2.0 * h)
     m, n, r = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]).T
-    return float(np.max(np.abs(grad[m, n, r] - grad[n, m, r] + grad[r, m, n])))
+
+    def rule(sdf, S, h):
+        M = sdf(S)
+        grad = (M[1:5] - M[5:]) / (2.0 * h)
+        d = grad[m, :, n, r] - grad[n, :, m, r] + grad[r, :, m, n]
+        return np.max(np.abs(d), axis=0), np.ones(d.shape[1], dtype=bool)
+
+    return stencil_batch(rule, sdf, x, h)
 
 
 def harmonic_residual(sdf, x, h):
-    """Max component of the flat Laplacian of the form by second differences."""
-    return float(np.max(np.abs(stencil_laplacian(sdf(stencil_points(x, h)), h))))
+    """Max component of the flat Laplacian of the form by second differences.
+
+    Returns the residuals and the accepted mask as d_residual does.
+    """
+    def rule(sdf, S, h):
+        lap = stencil_laplacian(sdf(S), h)
+        return np.max(np.abs(lap), axis=(-2, -1)), np.ones(len(lap), dtype=bool)
+
+    return stencil_batch(rule, sdf, x, h)
 
 
 def kato_ratio(sdf, x, h):
@@ -284,12 +281,8 @@ def kato_ratio(sdf, x, h):
     is rejected where |omega| <= ZERO_TOL or where its stencil reaches the
     origin; the ratio is undefined where the form is covariant-constant at
     the stencil scale, |grad omega| below 1e-12 or its rounding noise.
-
-    For points of shape (..., 4) with more than one axis, returns the ratios
-    (NaN where rejected or undefined) and the mask of points not rejected,
-    both of shape x.shape[:-1].  For one point of shape (4,), returns the
-    ratio as a float, None where it is undefined, and raises ValueError
-    where the point is rejected.
+    Returns the ratios (NaN where rejected or undefined) and the mask of
+    points not rejected, both of shape x.shape[:-1], as stencil_batch does.
 
     Forms built from the -2 eigenvalue saturate the bound exactly, so
     checking the ratio against 2/3 + 1e-6 needs h around 1e-4 or smaller;
@@ -314,12 +307,7 @@ def kato_ratio(sdf, x, h):
         ratio[defined] = num[defined] / den[defined]
         return ratio, accepted
 
-    ratio, accepted = stencil_batch(rule, sdf, x, h)
-    if np.ndim(x) > 1:
-        return ratio, accepted
-    if not accepted:
-        raise ValueError("|omega| vanishes at x; the Kato ratio is undefined")
-    return None if np.isnan(ratio) else float(ratio)
+    return stencil_batch(rule, sdf, x, h)
 
 
 def l2_shell_orthogonality(mode1, mode2, t):

@@ -88,7 +88,8 @@ def test_criterion_3_closedness_h_squared(modes_d3):
         floor = 1e-12
         measured_any = False
         for name, sdf in series_test_forms(modes_d3).items():
-            r = [selfdual.d_residual(sdf, x, h) for h in (1e-2, 5e-3, 2.5e-3)]
+            # a rejected point's NaN fails every comparison below
+            r = [selfdual.d_residual(sdf, x, h)[0] for h in (1e-2, 5e-3, 2.5e-3)]
             if r[0] <= floor:
                 # polynomial component matrices: the stencil is exact
                 assert all(v <= floor for v in r), name

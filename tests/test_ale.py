@@ -225,19 +225,19 @@ def test_ricci_numeric_memory_does_not_grow_with_points():
 def test_ak_form_is_closed():
     sdf = ak_form(AKFormParams(1.0, 1.0, 0.3))
     x = np.array([0.9, 0.5, -0.2, 0.4])
-    r = [d_residual(sdf, x, h) for h in (1e-2, 5e-3)]
+    r = [d_residual(sdf, x, h)[0] for h in (1e-2, 5e-3)]
     assert 3.5 <= r[0] / r[1] <= 4.5
 
 
 def test_ak_form_eval_matches_closed_form_norm():
     params = AKFormParams(0.8, -1.2, 0.25)
     pairing_poly = frame_pairing_poly()
-    for x in random_points(50, seed=3):
-        t = np.linalg.norm(x)
-        u = x / t
-        _, norm_sq = ak_form_eval(params, x)
-        expected = ak_norm_sq_closed_form(params, t, float(pairing_poly(u)))
-        assert_allclose(norm_sq, expected, rtol=1e-10, atol=1e-14)
+    X = random_points(50, seed=3)
+    t = np.linalg.norm(X, axis=-1)
+    M, norm_sq = ak_form_eval(params, X)
+    assert M.shape == (50, 4, 4) and norm_sq.shape == (50,)
+    expected = ak_norm_sq_closed_form(params, t, pairing_poly(X / t[:, None]))
+    assert_allclose(norm_sq, expected, rtol=1e-10, atol=1e-14)
 
 
 def ak_matrices_by_hand(params, X):

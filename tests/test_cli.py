@@ -766,6 +766,12 @@ def test_kato_fails_when_a_form_has_no_points(capsys, monkeypatch):
     # t^-9 with t ~ 1 / epsilon; these printed the bare errno text
     (["--epsilon", "1e-36"], "--epsilon"),
     (["--epsilon", "1e37"], "--epsilon"),
+    # the decay profile from |rho| = 10 spans less than a decade; these exited
+    # 2 only after every other block ran, without naming the flag
+    (["--epsilon", "0.1", "--rho-max", "99.9"], "--rho-max"),
+    # the Ricci oracle's rerun at 2h has a stencil that reaches the origin
+    (["--epsilon", "0.1", "--h", "0.25"], "--h"),
+    (["--epsilon", "0.1", "--h", "0.4"], "--h"),
 ])
 def test_ale_report_rejects_bad_flags(capsys, monkeypatch, flags, named):
     # the flags are checked before any computation
@@ -791,6 +797,8 @@ def test_ale_report_rejects_bad_flags(capsys, monkeypatch, flags, named):
     (["--epsilon", "0.1", "--end", "plus", "--alpha", "1e300"], "--alpha"),
     (["--epsilon", "0.1", "--end", "minus", "--beta", "1e200"], "--beta"),
     (["--epsilon", "1e300", "--end", "plus"], "--epsilon"),
+    # the profile from |rho| = 10 spans less than a decade
+    (["--epsilon", "0.1", "--end", "minus", "--rho-max", "99.9"], "--rho-max"),
 ])
 def test_decay_rejects_bad_flags(capsys, monkeypatch, flags, named):
     # the flags are checked before any computation; epsilon^2 underflowing
@@ -805,6 +813,29 @@ def test_decay_rejects_bad_flags(capsys, monkeypatch, flags, named):
     assert code == 2
     assert rep["status"] == "error"
     assert named in rep["message"]
+
+
+@pytest.mark.parametrize("argv", [["decay", "--epsilon", "0.1", "--end", "plus"],
+                                  ["ale-report", "--epsilon", "0.1", "--ricci-samples", "5"]])
+def test_rho_max_of_one_decade_passes(capsys, argv):
+    code, rep = run(capsys, *argv, "--rho-max", "100")
+    assert (code, rep["status"]) == (0, "pass")
+
+
+def test_evolve_out_of_memory_is_an_error_report(capsys, tmp_path, monkeypatch):
+    # a field whose dense monomial Gram does not fit in memory: exit 2 with an
+    # error report, not a traceback with the exit code of a failed check
+    from sdforms.polys import PolyBasis
+
+    def exhausted(self):
+        raise MemoryError("Unable to allocate 4.23 GiB")
+
+    monkeypatch.setattr(PolyBasis, "gram", exhausted)
+    init = tmp_path / "init.json"
+    dump_initial_field(left_invariant_coframe(1), str(init))
+    code, rep = run(capsys, "evolve", "--init", str(init))
+    assert code == 2
+    assert rep == {"status": "error", "message": "Unable to allocate 4.23 GiB"}
 
 
 def test_evolve_ratio_at_rounding_level_is_null(capsys, tmp_path, monkeypatch):

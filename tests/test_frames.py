@@ -64,6 +64,23 @@ def test_left_right_pairing_not_constant():
     assert_allclose(d2, -1.0, atol=1e-14)
 
 
+def test_frame_functions_batch_equals_each_point_bit_for_bit():
+    # points on the last axis, any leading shape: each point's result is what
+    # the point alone gives, bit for bit
+    pts = 1.5 * random_sphere_points(500, seed=4).reshape(20, 25, 4)
+    xi = np.random.default_rng(5).standard_normal((20, 25, 3))
+    cases = [(normalize_point, pts, (4,)), (left_frame_at, pts, (3, 4)),
+             (right_frame_at, pts, (3, 4)), (structure_residual, pts, ()),
+             (lambda p: structure_residual(p, frame="right"), pts, ()),
+             (lambda a: hodge_star_s3(a, 1), xi, (3,)),
+             (lambda a: hodge_star_s3(a, 2), xi, (3,))]
+    for f, x, tail in cases:
+        batch = f(x)
+        assert batch.shape == x.shape[:-1] + tail
+        for idx in np.ndindex(x.shape[:-1]):
+            assert batch[idx].tobytes() == np.asarray(f(x[idx])).tobytes()
+
+
 def test_levi_civita_contraction():
     contracted = np.einsum("ijk,ljk->il", LEVI_CIVITA, LEVI_CIVITA)
     assert_allclose(contracted, 2 * np.eye(3))

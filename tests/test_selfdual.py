@@ -343,13 +343,15 @@ def test_series_sums_table_nonzeros_like_dense_contraction():
 def test_d_residual_constant_form():
     sdf = SelfDualForm.kahler(1)
     x = np.array([0.9, -0.2, 0.4, 0.1])
-    assert d_residual(sdf, x, 1e-3) <= 1e-12
+    value, accepted = d_residual(sdf, x, 1e-3)
+    assert accepted and value <= 1e-12
 
 
 def test_d_residual_minus_two_small():
     sdf = minus_two_form()
     x = np.array([0.5, 0.5, 0.5, 0.5])  # on the unit sphere
-    assert d_residual(sdf, x, 1e-3) <= 1e-5
+    value, accepted = d_residual(sdf, x, 1e-3)
+    assert accepted and value <= 1e-5
 
 
 def test_d_residual_second_order(modes_d2):
@@ -364,7 +366,8 @@ def test_d_residual_second_order(modes_d2):
     ]
     x = np.array([0.8, 0.4, -0.3, 0.9])
     for sdf in forms:
-        r = [d_residual(sdf, x, h) for h in (1e-2, 5e-3, 2.5e-3)]
+        # a rejected point's NaN fails every comparison below
+        r = [d_residual(sdf, x, h)[0] for h in (1e-2, 5e-3, 2.5e-3)]
         assert 3.5 <= r[0] / r[1] <= 4.5
         assert 3.5 <= r[1] / r[2] <= 4.5
 
@@ -377,42 +380,47 @@ def test_d_residual_polynomial_modes_exact(modes_d2):
     sdf = SelfDualForm([(1.0, 3, lam3.field)])
     x = np.array([0.8, 0.4, -0.3, 0.9])
     for h in (1e-2, 5e-3, 2.5e-3):
-        assert d_residual(sdf, x, h) <= 1e-12
+        value, accepted = d_residual(sdf, x, h)
+        assert accepted and value <= 1e-12
 
 
 def test_d_residual_wrong_exponent_detected():
     # negative control: t^(lambda-1) instead of t^(lambda-2) is not closed
     broken = SelfDualForm([(1.0, -1, right_invariant_coframe(1))])
     x = np.array([1.0, 0, 0, 0])
-    assert d_residual(broken, x, 1e-3) > 0.1
+    value, accepted = d_residual(broken, x, 1e-3)
+    assert accepted and value > 0.1
 
 
 def test_d_residual_stencil_guard():
-    with pytest.raises(ValueError):
-        d_residual(minus_two_form(), np.array([1e-3, 0, 0, 0]), 1e-3)
+    # the stencil of radius 2h reaches the origin: rejected, not evaluated
+    value, accepted = d_residual(minus_two_form(), np.array([1e-3, 0, 0, 0]), 1e-3)
+    assert not accepted and np.isnan(value)
 
 
 # ----------------------------------------------------------------- harmonicity
 
 def test_harmonic_residual_constant_form():
     x = np.array([0.5, 0.5, -0.5, 0.5])
-    assert harmonic_residual(SelfDualForm.kahler(3), x, 1e-3) <= 1e-9
+    value, accepted = harmonic_residual(SelfDualForm.kahler(3), x, 1e-3)
+    assert accepted and value <= 1e-9
 
 
 def test_harmonic_residual_minus_two():
     x = np.array([1.0, 0, 0, 0])
-    assert harmonic_residual(minus_two_form(), x, 1e-3) <= 1e-3
+    value, accepted = harmonic_residual(minus_two_form(), x, 1e-3)
+    assert accepted and value <= 1e-3
     # O(h^2): quartering h shrinks the residual ~16x, confirming the
     # residual is pure stencil error around an exactly harmonic form
-    r1 = harmonic_residual(minus_two_form(), x, 4e-3)
-    r2 = harmonic_residual(minus_two_form(), x, 1e-3)
-    assert 12 <= r1 / r2 <= 20
+    r1 = harmonic_residual(minus_two_form(), x, 4e-3)[0]
+    assert 12 <= r1 / value <= 20
 
 
 def test_harmonic_residual_negative_control():
     broken = SelfDualForm([(1.0, 0, right_invariant_coframe(1))])
     x = np.array([1.0, 0, 0, 0])
-    assert harmonic_residual(broken, x, 1e-3) > 0.5
+    value, accepted = harmonic_residual(broken, x, 1e-3)
+    assert accepted and value > 0.5
 
 
 # ----------------------------------------------------------------- Kato
@@ -420,32 +428,34 @@ def test_harmonic_residual_negative_control():
 def test_kato_ratio_bound_on_mixed_form():
     sdf = SelfDualForm([(0.8, 2, left_invariant_coframe(2)),
                         (1.2, -2, right_invariant_coframe(1))])
-    for x in random_points(500, seed=14):
-        r = kato_ratio(sdf, x, 1e-4)
-        if r is not None:
-            assert r <= 2.0 / 3.0 + 1e-6
+    ratios, accepted = kato_ratio(sdf, random_points(500, seed=14), 1e-4)
+    assert accepted.all()
+    # NaN where the ratio is undefined
+    assert np.all(ratios[~np.isnan(ratios)] <= 2.0 / 3.0 + 1e-6)
 
 
 def test_kato_ratio_constant_form_signals_none():
+    # undefined, not rejected: an accepted point with a NaN ratio
     x = np.array([1.0, 0.2, 0.3, -0.1])
-    assert kato_ratio(SelfDualForm.kahler(1), x, 1e-3) is None
+    ratio, accepted = kato_ratio(SelfDualForm.kahler(1), x, 1e-3)
+    assert accepted and np.isnan(ratio)
 
 
 def test_kato_ratio_pure_minus_two_saturates():
     # |omega|^(1/2) = t^-2 is harmonic: the sharpened inequality is equality
     sdf = minus_two_form()
-    for x in random_points(50, seed=15):
-        r = kato_ratio(sdf, x, 1e-5)
-        assert r <= 2.0 / 3.0 + 1e-6
-        assert r >= 2.0 / 3.0 - 1e-5
+    r, accepted = kato_ratio(sdf, random_points(50, seed=15), 1e-5)
+    assert accepted.all()
+    assert np.all(r <= 2.0 / 3.0 + 1e-6)
+    assert np.all(r >= 2.0 / 3.0 - 1e-5)
 
 
 def test_kato_ratio_rejects_vanishing_norm():
     # alpha omega^2 - alpha omega^2 == 0 identically
     zero = SelfDualForm([(1.0, 2, left_invariant_coframe(2)),
                          (-1.0, 2, left_invariant_coframe(2))])
-    with pytest.raises(ValueError):
-        kato_ratio(zero, np.array([1.0, 0, 0, 0]), 1e-3)
+    ratio, accepted = kato_ratio(zero, np.array([1.0, 0, 0, 0]), 1e-3)
+    assert not accepted and np.isnan(ratio)
 
 
 # ----------------------------------------------------------------- batched stencil checks
@@ -463,10 +473,11 @@ def batch_test_forms():
     }
 
 
-@pytest.mark.parametrize("check", [kato_ratio, sqrt_elliptic_check])
+@pytest.mark.parametrize("check", [kato_ratio, sqrt_elliptic_check, d_residual,
+                                   harmonic_residual])
 def test_batched_check_equals_point_loop_bit_for_bit(check):
-    # a batch is the one-point case applied to each point: same value bit for
-    # bit, NaN where one point gives None, rejected where one point raises
+    # a batch is the check applied to each point alone, value and mask bit for
+    # bit; a point whose stencil reaches the origin is rejected with a NaN value
     h = 1e-4
     near_origin = np.array([[1.5e-4, 0.0, 0.0, 0.0], [0.0, -1e-4, 1e-4, 0.0]])
     pts = np.concatenate([random_points(40, seed=32), near_origin]).reshape(2, 21, 4)
@@ -474,20 +485,12 @@ def test_batched_check_equals_point_loop_bit_for_bit(check):
     for name, sdf in batch_test_forms().items():
         values, accepted = check(sdf, pts, h)
         assert values.shape == accepted.shape == (2, 21), name
-        for x, value, ok in zip(pts.reshape(-1, 4), values.ravel(), accepted.ravel()):
-            try:
-                single = check(sdf, x, h)
-            except ValueError:
-                assert not ok and np.isnan(value), name
-                outcomes.add("rejected")
-                continue
-            assert ok, name
-            if single is None:
-                assert np.isnan(value), name
-                outcomes.add("undefined")
-            else:
-                assert np.float64(single).tobytes() == np.float64(value).tobytes(), name
-                outcomes.add("value")
+        assert not accepted[1, -2:].any(), name
+        for idx in np.ndindex(2, 21):
+            value, ok = check(sdf, pts[idx], h)
+            assert np.shape(value) == np.shape(ok) == (), name
+            assert value.tobytes() == values[idx].tobytes() and ok == accepted[idx], name
+            outcomes.add("value" if not np.isnan(value) else "undefined" if ok else "rejected")
     expected = {"rejected", "value"} | ({"undefined"} if check is kato_ratio else set())
     assert outcomes == expected
 

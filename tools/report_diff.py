@@ -1,0 +1,76 @@
+"""Byte-compare the reports of two checkouts, invocation by invocation.
+
+    python3 tools/report_diff.py --before ../parent --after .
+
+Runs every invocation of the benchmark workloads at seeds 1, 2 and 7, with
+their input files written by ``perfbench/workloads.generate`` into a
+temporary directory, and a fixed list of further invocations that reach the
+edges the workloads do not (large samples and degrees, failing ε, both
+decay ends).  Each runs once in each checkout as a fresh ``python3 -m
+sdforms.cli`` process through ``spectrum_ladder.run_child``, which imports
+the program from ``CHECKOUT/src``.  One line per invocation says ``same`` or
+``DIFF``; the exit code is 1 when any stdout or exit code differs.
+"""
+
+import argparse
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# the evolve inputs are written with this checkout's sdforms
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import workloads  # noqa: E402
+from spectrum_ladder import run_child  # noqa: E402
+
+SEEDS = (1, 2, 7)
+EXTRA = (
+    ["verify", "frames", "--seed", "1"],
+    ["verify", "frames", "--seed", "2"],
+    ["verify", "frames", "--seed", "7"],
+    ["verify", "frames", "--samples", "1"],
+    ["verify", "kato", "--samples", "2000"],
+    ["verify", "elliptic", "--samples", "2000"],
+    ["ale-report", "--epsilon", "2"],
+    ["ale-report", "--epsilon", "1e-2"],
+    ["decay", "--epsilon", "0.1", "--end", "plus"],
+    ["decay", "--epsilon", "0.1", "--end", "minus"],
+    ["moser"],
+    ["spectrum", "--degree", "12"],
+    ["verify", "hodge", "--degree", "12"],
+    ["verify", "orthogonality", "--degree", "8"],
+)
+
+
+def invocations(tmp):
+    """The command lines to compare; input files are written under ``tmp``."""
+    out = []
+    for workload in workloads.WORKLOADS:
+        for seed in SEEDS:
+            d = Path(tmp) / f"{workload}-{seed}"
+            for inv in workloads.generate(workload, seed, str(d)):
+                # manifest paths are relative to the workload directory
+                out.append([str(d / a) if (d / a).is_file() else a for a in inv["argv"]])
+    return out + [list(argv) for argv in EXTRA]
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--before", required=True, help="checkout of the parent commit")
+    ap.add_argument("--after", required=True, help="checkout of the change")
+    args = ap.parse_args(argv)
+    diffs = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for cmd in invocations(tmp):
+            before, after = run_child(args.before, cmd), run_child(args.after, cmd)
+            same = (before["exit"], before["stdout"]) == (after["exit"], after["stdout"])
+            diffs += not same
+            print(f"{'same' if same else 'DIFF'}  exit {before['exit']} -> {after['exit']}  "
+                  + " ".join(Path(a).name if a.startswith(tmp) else a for a in cmd),
+                  flush=True)
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
