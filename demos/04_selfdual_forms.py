@@ -20,7 +20,6 @@ from sdforms import (
     SelfDualForm,
     d_residual,
     eigen_decompose,
-    eval_kahler_basis,
     kato_ratio,
     l2_shell_orthogonality,
     left_invariant_coframe,
@@ -32,7 +31,7 @@ rng = np.random.default_rng(1)
 x = np.array([0.8, 0.4, -0.3, 0.9])
 
 # the covariant-constant basis: constant matrices of unit norm
-M = eval_kahler_basis(1, x)
+M = SelfDualForm.kahler(1)(x)
 print("omega^1 components at x:\n", np.round(M, 6))
 print("|omega^1|^2 =", 2 * (M[0, 1] * M[2, 3] - M[0, 2] * M[1, 3] + M[0, 3] * M[1, 2]))
 

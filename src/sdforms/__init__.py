@@ -61,7 +61,6 @@ from .regularity import moser_product, sqrt_elliptic_check
 from .selfdual import (
     SelfDualForm,
     d_residual,
-    eval_kahler_basis,
     kato_ratio,
     l2_shell_orthogonality,
     shell_pairings,

@@ -36,7 +36,7 @@ import numpy as np
 from .polys import left_invariant_coframe, right_invariant_coframe
 from .quadrature import radial_gauss, s3_quadrature
 from .sampling import Sampler
-from .selfdual import EVAL_BLOCK, SelfDualForm, _stencils, stencil_batch, wedge_norm_sq
+from .selfdual import EVAL_BLOCK, SelfDualForm, _stencils, in_blocks, stencil_batch, wedge_norm_sq
 
 __all__ = [
     "ALEModel",
@@ -175,9 +175,7 @@ class ALEModel:
         from the closed form is then O(h^2) uniformly over the model.  Takes
         points of shape (..., 4) and returns (..., 4, 4).  Each point needs
         metric_eval at 81 points (its stencil of 9, each with 8 neighbours),
-        so the points go through EVAL_BLOCK // 81 at a time: the temporaries
-        stay the same size however many points are given, and a point's
-        value does not depend on its batch.
+        so the points go through in_blocks of EVAL_BLOCK // 81.
         """
         self._require_curved("Ricci curvature")
         x = np.asarray(x, dtype=float)
@@ -185,19 +183,12 @@ class ALEModel:
         step = h * t
         if np.any((t <= 2 * step) | (step == 0.0)):
             raise ValueError("stencil of radius 2 h |x| reaches the origin")
-        flat, step = x.reshape(-1, 4), step.reshape(-1)
-        size = EVAL_BLOCK // 81
-        # at least one block, so that no points give an empty (0, 4, 4)
-        ric = np.concatenate([self._ricci_fd(flat[lo:lo + size], step[lo:lo + size])
-                              for lo in range(0, max(len(flat), 1), size)])
+        ric = in_blocks(self._ricci_fd, EVAL_BLOCK // 81, x.reshape(-1, 4), step.reshape(-1))
         return ric.reshape(x.shape + (4,))
 
     def _ricci_fd(self, x, step):
         """ricci_numeric at points x (N, 4) with steps (N,), in one batch."""
-        shift = step[:, None, None] * np.eye(4)
-        centre = x[:, None, :]
-        stencil = np.concatenate([centre, centre + shift, centre - shift], axis=1)
-        gam = self._christoffel_fd(stencil, step[:, None])
+        gam = self._christoffel_fd(_stencils(x, step).swapaxes(0, 1), step[:, None])
         dgam = (gam[:, 1:5] - gam[:, 5:]) / (2 * step)[:, None, None, None, None]
         gam = gam[:, 0]
         ric = (np.einsum("...ssmn->...mn", dgam)
@@ -457,8 +448,8 @@ def _unit_sphere_tables(sdf, pts, h):
     """Per term c t^(lam - 2) Omega(x / t) of sdf: (c, lam, G, B) at the nodes pts (N, 4).
 
     The term is evaluated with unit coefficient on the 9-point stencils of
-    step h of the unit-sphere nodes, one stencil slot (at most EVAL_BLOCK
-    points) per call.  G (4 axes, 6 pairs m < n, N) is its central-difference
+    step h of the unit-sphere nodes, one stencil slot at a time, in_blocks of
+    EVAL_BLOCK points.  G (4 axes, 6 pairs m < n, N) is its central-difference
     quotient and B its connection terms with phi = n.
     """
     S = _stencils(pts, h)
@@ -467,8 +458,7 @@ def _unit_sphere_tables(sdf, pts, h):
         unit = SelfDualForm([(1.0, lam, field)])
 
         def slot(k):
-            return np.concatenate([unit(S[k, lo:lo + EVAL_BLOCK])
-                                   for lo in range(0, len(pts), EVAL_BLOCK)]).transpose(1, 2, 0)
+            return in_blocks(unit, EVAL_BLOCK, S[k]).transpose(1, 2, 0)
 
         G = np.empty((4, 6, len(pts)))
         for s in range(4):

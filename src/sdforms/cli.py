@@ -170,13 +170,18 @@ def cmd_evolve(args):
     }
 
 
+def _frame_defects(pts):
+    """Per point: the worse structure residual of the two frames, their orthonormality defect."""
+    frames = np.stack([left_frame_at(pts), right_frame_at(pts)])
+    defect = np.abs(frames @ frames.swapaxes(-1, -2) - np.eye(3)).max(axis=(0, 2, 3))
+    return np.maximum(structure_residual(pts), structure_residual(pts, frame="right")), defect
+
+
 def _verify_frames(args):
     failures = []
     pts = _annulus_samples(args.samples, args.seed, lo=1.0, hi=1.0)
-    worst_structure = float(max(structure_residual(pts).max(),
-                                structure_residual(pts, frame="right").max()))
-    frames = np.stack([left_frame_at(pts), right_frame_at(pts)])
-    worst_orth = float(np.max(np.abs(frames @ frames.swapaxes(-1, -2) - np.eye(3))))
+    structure, orth = selfdual.in_blocks(_frame_defects, selfdual.EVAL_BLOCK, pts)
+    worst_structure, worst_orth = float(structure.max()), float(orth.max())
     bound(failures, "frame_calculus", "structure_residual", {}, worst_structure, 1e-12,
           "structure equations")
     bound(failures, "frame_calculus", "frames", {}, worst_orth, 1e-12, "orthonormality")

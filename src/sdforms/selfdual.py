@@ -31,7 +31,7 @@ from .polys import coframe_inner, evaluate_monomials, left_invariant_coframe, mo
 __all__ = [
     "star_two_form",
     "wedge_norm_sq",
-    "eval_kahler_basis",
+    "in_blocks",
     "SelfDualForm",
     "stencil_laplacian",
     "stencil_batch",
@@ -44,11 +44,9 @@ __all__ = [
 
 _SQRT2 = np.sqrt(2.0)
 
-#: the most points one call of a form's evaluator receives from the stencil
-#: checks (d_residual, harmonic_residual, kato_ratio, sqrt_elliptic_check)
-#: and the ALE energy density: they take their points in blocks of
-#: EVAL_BLOCK // 9 stencils, so their temporaries stay the same size however
-#: many points they are given
+#: the most points one evaluation receives from the work in_blocks runs (the
+#: stencil checks, the Ricci oracle, the energy shells' unit-sphere tables and
+#: ``verify frames``), so its temporaries do not grow with the number of points
 EVAL_BLOCK = 2304
 
 #: kato_ratio and regularity.sqrt_elliptic_check reject |omega| <= ZERO_TOL
@@ -137,13 +135,18 @@ def _norm(M):
     return np.sqrt(np.maximum(wedge_norm_sq(M), 0.0))
 
 
-def eval_kahler_basis(axis, x):
-    """Covariant-constant self-dual form from the invariant coframe eta^axis.
+def in_blocks(fn, size, *arrays):
+    """fn over row blocks of at most size rows of arrays, joined along axis 0.
 
-    Constant in x, self-dual, of unit norm; at the identity the first one has
-    components omega_{01} = omega_{23} = 1/sqrt(2).
+    fn takes one slice of each array and returns an array or a tuple of
+    arrays.  It is called at least once, so arrays with no rows give fn's
+    empty output.
     """
-    return SelfDualForm.kahler(axis)(x)
+    parts = [fn(*(a[lo:lo + size] for a in arrays))
+             for lo in range(0, max(len(arrays[0]), 1), size)]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(p) for p in zip(*parts))
+    return np.concatenate(parts)
 
 
 @dataclass
@@ -160,6 +163,11 @@ class SelfDualForm:
 
     @classmethod
     def kahler(cls, axis):
+        """Covariant-constant form from the invariant coframe eta^axis.
+
+        Constant in x, self-dual, of unit norm; at the identity the first one
+        has components omega_{01} = omega_{23} = 1/sqrt(2).
+        """
         return cls([(1.0, 2, left_invariant_coframe(axis))])
 
     @classmethod
@@ -193,10 +201,6 @@ class SelfDualForm:
         """|omega| at points x of shape (..., 4), one value per point."""
         return _norm(self(x))
 
-    def self_duality_defect(self, x):
-        M = self(x)
-        return float(np.max(np.abs(star_two_form(M) - M)))
-
 
 def _stencils(x, step):
     """The 9-point stencils [x, x + step e_m, x - step e_m] of points x (N, 4).
@@ -208,16 +212,14 @@ def _stencils(x, step):
 
 
 def stencil_batch(rule, sdf, x, h, scaled=False):
-    """A per-point stencil rule at points x of shape (..., 4), block by block.
+    """A per-point stencil rule at points x (..., 4), in_blocks of EVAL_BLOCK // 9.
 
     The stencil of a point has step h, or h |x| when ``scaled``, and must not
     reach the origin: points with |x| <= 2 step are rejected unevaluated.
     ``rule(sdf, S, h)`` gets the stencils S (9, N, 4) of the other points
-    and returns their values and a mask of the points it accepts.  Points go
-    through EVAL_BLOCK // 9 at a time, so the form never sees more than
-    EVAL_BLOCK points in one call.  Returns the values (NaN where rejected)
-    and the accepted mask, both of shape x.shape[:-1] (numpy scalars for
-    one point of shape (4,)).
+    and returns their values and a mask of the points it accepts.  Returns
+    the values (NaN where rejected) and the accepted mask, both of shape
+    x.shape[:-1] (numpy scalars for one point of shape (4,)).
     """
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1, 4)
@@ -226,10 +228,8 @@ def stencil_batch(rule, sdf, x, h, scaled=False):
     inside = np.flatnonzero(t - 2.0 * step > 0.0)
     values = np.full(len(flat), np.nan)
     accepted = np.zeros(len(flat), dtype=bool)
-    size = EVAL_BLOCK // 9
-    for start in range(0, len(inside), size):
-        idx = inside[start:start + size]
-        values[idx], accepted[idx] = rule(sdf, _stencils(flat[idx], step[idx]), h)
+    values[inside], accepted[inside] = in_blocks(
+        lambda idx: rule(sdf, _stencils(flat[idx], step[idx]), h), EVAL_BLOCK // 9, inside)
     values[~accepted] = np.nan
     return values.reshape(x.shape[:-1])[()], accepted.reshape(x.shape[:-1])[()]
 

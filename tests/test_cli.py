@@ -712,6 +712,27 @@ def test_kato_batches_stay_within_the_block(capsys, monkeypatch):
     assert sum(batches) == 3 * 9 * 5000
 
 
+def test_frames_batches_stay_within_the_block(capsys, monkeypatch):
+    # the frame checks run their points in blocks, so no call sees more than
+    # EVAL_BLOCK points however many samples are asked for
+    from sdforms import cli
+    from sdforms.selfdual import EVAL_BLOCK
+
+    batches = {}
+    for name in ("structure_residual", "left_frame_at", "right_frame_at"):
+        def record(p, *args, _name=name, _fn=getattr(cli, name), **kwargs):
+            batches.setdefault(_name, []).append(len(p))
+            return _fn(p, *args, **kwargs)
+
+        monkeypatch.setattr(cli, name, record)
+    code, rep = run(capsys, "verify", "frames", "--samples", "5000")
+    assert code == 0
+    assert max(max(b) for b in batches.values()) <= EVAL_BLOCK
+    # structure_residual runs once per frame
+    assert {name: sum(b) for name, b in batches.items()} == {
+        "structure_residual": 2 * 5000, "left_frame_at": 5000, "right_frame_at": 5000}
+
+
 @pytest.mark.parametrize("suite", ["frames", "kato", "elliptic", "hodge"])
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_verify_rejects_nonpositive_samples(capsys, suite, samples):

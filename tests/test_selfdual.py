@@ -14,8 +14,8 @@ from sdforms.selfdual import (
     _radial_split,
     _self_dual,
     d_residual,
-    eval_kahler_basis,
     harmonic_residual,
+    in_blocks,
     kato_ratio,
     l2_shell_orthogonality,
     star_two_form,
@@ -168,12 +168,12 @@ def test_star_two_form_matches_index_definition():
 def test_kahler_basis_unit_norm_everywhere():
     for x in random_points(100, seed=3):
         for axis in (1, 2, 3):
-            assert_allclose(wedge_norm_sq(eval_kahler_basis(axis, x)), 1.0,
+            assert_allclose(wedge_norm_sq(SelfDualForm.kahler(axis)(x)), 1.0,
                             atol=1e-12)
 
 
 def test_kahler_basis_value_at_identity():
-    M = eval_kahler_basis(1, np.array([1.0, 0, 0, 0]))
+    M = SelfDualForm.kahler(1)(np.array([1.0, 0, 0, 0]))
     s = 1 / np.sqrt(2)
     assert_allclose(M[0, 1], s, atol=1e-14)
     assert_allclose(M[2, 3], s, atol=1e-14)
@@ -181,21 +181,21 @@ def test_kahler_basis_value_at_identity():
 
 
 def test_kahler_basis_constant_over_space():
-    ref = [eval_kahler_basis(axis, np.array([1.0, 0, 0, 0])) for axis in (1, 2, 3)]
+    ref = [SelfDualForm.kahler(axis)(np.array([1.0, 0, 0, 0])) for axis in (1, 2, 3)]
     for x in random_points(50, seed=4):
         for axis in (1, 2, 3):
-            assert_allclose(eval_kahler_basis(axis, x), ref[axis - 1], atol=1e-12)
+            assert_allclose(SelfDualForm.kahler(axis)(x), ref[axis - 1], atol=1e-12)
 
 
 def test_kahler_basis_self_dual():
     for x in random_points(20, seed=5):
-        M = eval_kahler_basis(2, x)
+        M = SelfDualForm.kahler(2)(x)
         assert_allclose(star_two_form(M), M, atol=1e-13)
 
 
 def test_kahler_basis_rejects_origin():
     with pytest.raises(ValueError):
-        eval_kahler_basis(1, np.zeros(4))
+        SelfDualForm.kahler(1)(np.zeros(4))
 
 
 # ----------------------------------------------------------------- F_t maps
@@ -221,7 +221,7 @@ def test_f_t_norm_preserving():
 
 def test_f_t_of_kahler_is_invariant_coframe():
     for x in random_points(10, seed=10):
-        M = eval_kahler_basis(1, x)
+        M = SelfDualForm.kahler(1)(x)
         expected = tangent_covector(left_invariant_coframe(1), x)
         assert_allclose(f_t_map(M, x), expected, atol=1e-12)
 
@@ -232,7 +232,8 @@ def test_series_constant_kahler():
     sdf = SelfDualForm.kahler(1)
     for x in random_points(30, seed=11):
         assert_allclose(sdf.norm(x), 1.0, atol=1e-12)
-        assert sdf.self_duality_defect(x) <= 1e-12
+        M = sdf(x)
+        assert np.max(np.abs(star_two_form(M) - M)) <= 1e-12
 
 
 def test_series_minus_two_norm_decay():
@@ -240,7 +241,8 @@ def test_series_minus_two_norm_decay():
     for x in random_points(30, seed=12):
         t = np.linalg.norm(x)
         assert_allclose(sdf.norm(x), t ** -4, rtol=1e-10)
-        assert sdf.self_duality_defect(x) <= 1e-10 * max(1.0, t ** -4)
+        M = sdf(x)
+        assert np.max(np.abs(star_two_form(M) - M)) <= 1e-10 * max(1.0, t ** -4)
 
 
 def test_series_empty_is_zero():
@@ -493,6 +495,35 @@ def test_batched_check_equals_point_loop_bit_for_bit(check):
             outcomes.add("value" if not np.isnan(value) else "undefined" if ok else "rejected")
     expected = {"rejected", "value"} | ({"undefined"} if check is kato_ratio else set())
     assert outcomes == expected
+
+
+IN_BLOCKS_SIZE = 7
+
+
+@pytest.mark.parametrize("rows", [0, 1, IN_BLOCKS_SIZE, IN_BLOCKS_SIZE + 1,
+                                  3 * IN_BLOCKS_SIZE + 5])
+@pytest.mark.parametrize("pair", [False, True], ids=["array", "tuple"])
+def test_in_blocks_equals_one_call(rows, pair):
+    # the joined blocks are one unblocked call bit for bit, no call sees more
+    # than size rows, and no rows give the empty output's shape
+    x = random_points(rows, seed=rows)
+    w = np.linspace(0.5, 2.0, rows)
+    seen = []
+
+    def fn(x, w):
+        seen.append(len(x))
+        y = np.exp(x) * w[:, None]
+        return (y, np.linalg.norm(x, axis=1) > 1.0) if pair else y
+
+    whole = fn(x, w)
+    seen.clear()
+    blocked = in_blocks(fn, IN_BLOCKS_SIZE, x, w)
+    assert seen and max(seen) <= IN_BLOCKS_SIZE and sum(seen) == rows
+    if not pair:
+        blocked, whole = (blocked,), (whole,)
+    for got, want in zip(blocked, whole):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 # ----------------------------------------------------------------- orthogonality

@@ -1,8 +1,8 @@
-"""Peak memory guard for ``sdforms evolve`` and ``sdforms ale-report``.
+"""Peak memory guard for ``sdforms evolve``, ``ale-report`` and ``verify frames``.
 
     python3 tools/memory_guard.py
 
-Runs two commands, each in one fresh ``python3 -m sdforms.cli`` process
+Runs three commands, each in one fresh ``python3 -m sdforms.cli`` process
 reaped with ``os.wait4`` as in ``tools/spectrum_ladder.py``:
 
 * ``evolve --init FILE`` on the benchmark's evolve input of degree 14 at
@@ -10,9 +10,11 @@ reaped with ``os.wait4`` as in ``tools/spectrum_ladder.py``:
   directory), within 100 MB peak RSS;
 * ``ale-report --epsilon 0.1 --ricci-samples 10000``, within 60 MB: the
   finite-difference Ricci oracle runs in blocks, so its memory does not grow
-  with the number of samples.
+  with the number of samples;
+* ``verify frames --samples 100000``, within 60 MB: the frame checks run in
+  blocks too (all points at once peaked at 138 MB).
 
-One line is printed per command; the exit code is 1 unless both exit 0
+One line is printed per command; the exit code is 1 unless all exit 0
 within their bounds.
 """
 
@@ -29,6 +31,7 @@ import workloads  # noqa: E402
 DEGREE = 14
 SEED = 7
 RICCI_SAMPLES = 10000
+FRAME_SAMPLES = 100000
 
 
 def guard(label, argv, max_rss_mb):
@@ -48,6 +51,8 @@ def main():
         ok = guard(f"evolve, degree-{DEGREE} field", ["evolve", "--init", path], 100.0)
     ok &= guard(f"ale-report, {RICCI_SAMPLES} Ricci samples",
                 ["ale-report", "--epsilon", "0.1", "--ricci-samples", str(RICCI_SAMPLES)], 60.0)
+    ok &= guard(f"verify frames, {FRAME_SAMPLES} samples",
+                ["verify", "frames", "--samples", str(FRAME_SAMPLES)], 60.0)
     return 0 if ok else 1
 
 

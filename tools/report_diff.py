@@ -6,7 +6,7 @@ Runs every invocation of the benchmark workloads at seeds 1, 2 and 7, with
 their input files written by ``perfbench/workloads.generate`` into a
 temporary directory, and a fixed list of further invocations that reach the
 edges the workloads do not (large samples and degrees, failing ε, both
-decay ends).  Each runs once in each checkout as a fresh ``python3 -m
+decay ends, a ``verify frames`` that crosses block boundaries).  Each runs once in each checkout as a fresh ``python3 -m
 sdforms.cli`` process through ``spectrum_ladder.run_child``, which imports
 the program from ``CHECKOUT/src``.  One line per invocation says ``same`` or
 ``DIFF``; the exit code is 1 when any stdout or exit code differs.
@@ -30,6 +30,7 @@ EXTRA = (
     ["verify", "frames", "--seed", "2"],
     ["verify", "frames", "--seed", "7"],
     ["verify", "frames", "--samples", "1"],
+    ["verify", "frames", "--samples", "5000"],
     ["verify", "kato", "--samples", "2000"],
     ["verify", "elliptic", "--samples", "2000"],
     ["ale-report", "--epsilon", "2"],
