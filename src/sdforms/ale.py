@@ -75,6 +75,35 @@ PROFILE_DIRECTION = np.array([0.6, 0.48, -0.36, 0.52]) / np.linalg.norm(
     [0.6, 0.48, -0.36, 0.52])
 
 
+def _metric_inverse(g):
+    """Inverses of a stack of positive-definite matrices g (..., 4, 4).
+
+    Gauss-Jordan elimination, unrolled over the rows and elementwise along
+    the stack, so no LAPACK driver is loaded; beside g's copy and the result
+    it holds one row of temporaries.  A positive-definite matrix needs no
+    pivoting: its pivots are positive, and one that is not (or is NaN)
+    raises ValueError.  On a diagonal g every elimination factor is zero and
+    the result is exactly 1 / g_ii.  The result is C-contiguous, which keeps
+    the summation order of the einsum contractions that read it.
+    """
+    a = np.array(g, dtype=float)
+    inv = np.broadcast_to(np.eye(4), a.shape).copy()
+    for k in range(4):
+        # only the columns of a after k are read again, so column k stays
+        # as it is and pivot and factor can be views of it
+        pivot = a[..., k, k, None]
+        if not np.all(pivot > 0):
+            raise ValueError("metric is not positive definite")
+        a[..., k, k + 1:] /= pivot
+        inv[..., k, :] /= pivot
+        for i in range(4):
+            if i != k:
+                factor = a[..., i, k, None]
+                a[..., i, k + 1:] -= factor * a[..., k, k + 1:]
+                inv[..., i, :] -= factor * inv[..., k, :]
+    return inv
+
+
 @dataclass
 class ALEModel:
     """The metric (eps^2 + t^-2)^2 * flat on R^4 minus the origin."""
@@ -144,7 +173,7 @@ class ALEModel:
         centre = x[..., None, :]
         dg = ((self.metric_eval(centre + shift) - self.metric_eval(centre - shift))
               / (2 * step)[..., None, None, None])
-        ginv = np.linalg.inv(self.metric_eval(x))
+        ginv = _metric_inverse(self.metric_eval(x))
         gam = 0.5 * (np.einsum("...sr,...mrn->...smn", ginv, dg)
                      + np.einsum("...sr,...nrm->...smn", ginv, dg)
                      - np.einsum("...sr,...rmn->...smn", ginv, dg))
@@ -206,7 +235,7 @@ class ALEModel:
         below about 1e-154 (the plus end at eps <= 1e-27).
         """
         ric = self.ricci_closed_form(x)
-        A = np.linalg.inv(self.metric_eval(x)) @ ric
+        A = np.einsum("...mr,...rn->...mn", _metric_inverse(self.metric_eval(x)), ric)
         return np.einsum("...mn,...nm->...", A, A)
 
     def scalar_curvature(self, x):
@@ -215,7 +244,7 @@ class ALEModel:
         Takes points of shape (..., 4) and returns shape (...).
         """
         ric = self.ricci_closed_form(x)
-        ginv = np.linalg.inv(self.metric_eval(x))
+        ginv = _metric_inverse(self.metric_eval(x))
         return np.einsum("...mn,...mn->...", ric, ginv)
 
 

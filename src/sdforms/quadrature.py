@@ -10,8 +10,9 @@ limit: it integrates cos^a(c) sin^b(c) exactly only for a + b <= n - 1, and
 at degree n the frequency-n terms alias to a constant.
 
 The Gauss-Legendre rules, for the b-integral and the radial panels, come
-from the eigenproblem of the symmetric Jacobi matrix of the Legendre
-recurrence (Golub & Welsch, Math. Comp. 23, 1969), once per node count.
+from Newton's method on the three-term Legendre recurrence (Hale & Townsend,
+SIAM J. Sci. Comput. 35, 2013), once per node count.  It is elementwise work
+and calls no LAPACK driver.
 """
 
 from functools import cache
@@ -21,19 +22,36 @@ import numpy as np
 __all__ = ["s3_quadrature", "radial_gauss"]
 
 
+def _legendre(n, x):
+    """P_n(x) and P_n'(x) by the three-term recurrence, elementwise in x.
+
+    x^2 - 1 is formed as (x - 1)(x + 1), which does not cancel near the ends.
+    """
+    p_prev, p = np.ones_like(x), x
+    for j in range(1, n):
+        p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+    return p, n * (x * p - p_prev) / ((x - 1.0) * (x + 1.0))
+
+
 @cache
 def _gauss_legendre(n):
     """Gauss-Legendre nodes (ascending) and weights on [-1, 1], read-only.
 
-    The nodes are the eigenvalues of the Jacobi matrix with zero diagonal and
-    off-diagonal k / sqrt(4 k^2 - 1), k = 1 .. n - 1; the weight of a node is
-    2 times the square of the first component of its unit eigenvector.  Both
-    are symmetrised about 0, so odd polynomials integrate to 0 exactly.
+    Newton's method on P_n from the guesses cos(pi (k - 1/4) / (n + 1/2)),
+    k = n .. 1, until the largest step is below 1e-14; from there the
+    quadratic convergence leaves an error far below rounding.  The weight of
+    a node x is 2 / ((1 - x^2) P_n'(x)^2).  Both are symmetrised about 0, so
+    odd polynomials integrate to 0 exactly.
     """
-    k = np.arange(1, n)
-    off = k / np.sqrt(4.0 * k * k - 1.0)
-    x, V = np.linalg.eigh(np.diag(off, -1) + np.diag(off, 1))
-    w = 2.0 * V[0] ** 2
+    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    while True:
+        p, dp = _legendre(n, x)
+        step = p / dp
+        x -= step
+        if np.max(np.abs(step)) <= 1e-14:
+            break
+    dp = _legendre(n, x)[1]
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
     x, w = (x - x[::-1]) / 2.0, (w + w[::-1]) / 2.0
     x.setflags(write=False)
     w.setflags(write=False)

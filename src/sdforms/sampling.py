@@ -40,20 +40,35 @@ class Sampler:
     def uniform(self, lo=0.0, hi=1.0, size=1):
         """Uniform floats in [lo, hi) of shape ``size``; lo = hi gives lo."""
         n = _count(size)
-        raw = np.frombuffer(self._rng.randbytes(8 * n), dtype="<u8")
-        u = (raw >> np.uint64(11)) * 2.0 ** -53
-        return (lo + (hi - lo) * u).reshape(size)
+        # the random bytes are freed once shifted, before u is allocated
+        bits = np.frombuffer(self._rng.randbytes(8 * n), dtype="<u8") >> np.uint64(11)
+        u = bits * 2.0 ** -53
+        u *= hi - lo
+        u += lo
+        return u.reshape(size)
 
     def normal(self, size):
-        """Standard normal floats of shape ``size`` by Box-Muller."""
+        """Standard normal floats of shape ``size`` by Box-Muller.
+
+        Works in place on the uniforms and one output array, so it holds
+        about two arrays of the result's size, not a temporary per step.
+        """
         n = _count(size)
         u = self.uniform(size=(2, (n + 1) // 2))
+        r, theta = u
         # 1 - u lies in (0, 1], so the logarithm is finite
-        r = np.sqrt(-2.0 * np.log1p(-u[0]))
-        theta = 2.0 * np.pi * u[1]
-        return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n].reshape(size)
+        np.log1p(np.negative(r, out=r), out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        theta *= 2.0 * np.pi
+        z = np.empty_like(u)
+        np.cos(theta, out=z[0])
+        np.sin(theta, out=z[1])
+        z *= r
+        return z.reshape(-1)[:n].reshape(size)
 
     def directions(self, n):
         """``n`` unit vectors (n, 4), uniform on the sphere S^3."""
         p = self.normal((n, 4))
-        return p / np.linalg.norm(p, axis=1, keepdims=True)
+        p /= np.linalg.norm(p, axis=1, keepdims=True)
+        return p

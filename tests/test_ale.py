@@ -13,6 +13,7 @@ from sdforms.ale import (
     INDETERMINATE,
     AKFormParams,
     ALEModel,
+    _metric_inverse,
     ak_form,
     ak_form_eval,
     ak_matrix_batch,
@@ -218,6 +219,46 @@ def test_ricci_numeric_memory_does_not_grow_with_points():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2 ** 20
+
+
+# ---------------------------------------------------------- metric inverse
+
+@pytest.mark.parametrize("eps", [1.5e-31, 0.1, 1e34])
+def test_metric_inverse_of_the_model_metric_is_exact(eps):
+    # the model's metrics are diagonal: over the ricci_check window, at the
+    # extreme scales too, the inverse is 1 / g_ii bit for bit, as LAPACK's is
+    model = ALEModel(eps)
+    rng = np.random.default_rng(6)
+    dirs = rng.standard_normal((60, 4))
+    X = model.t_of_rho(rng.uniform(-5.0, 5.0, 60))[:, None] * dirs / np.linalg.norm(
+        dirs, axis=1)[:, None]
+    g = model.metric_eval(X.reshape(3, 20, 4))
+    inv = _metric_inverse(g)
+    diag = np.arange(4)
+    expected = np.zeros_like(g)
+    expected[..., diag, diag] = 1.0 / g[..., diag, diag]
+    assert inv.flags.c_contiguous
+    assert np.array_equal(inv, expected)
+    assert np.array_equal(inv, np.linalg.inv(g))
+
+
+def test_metric_inverse_matches_lapack_on_positive_definite_stacks():
+    rng = np.random.default_rng(7)
+    B = rng.standard_normal((500, 4, 4))
+    g = (B @ B.swapaxes(-1, -2) + np.eye(4)) * 10.0 ** rng.uniform(-30, 30, (500, 1, 1))
+    inv, ref = _metric_inverse(g), np.linalg.inv(g)
+    err = np.max(np.abs(inv - ref), axis=(1, 2)) / np.max(np.abs(ref), axis=(1, 2))
+    assert err.max() <= 1e-13
+    assert _metric_inverse(g[0]).shape == (4, 4)
+    assert _metric_inverse(g[:0]).shape == (0, 4, 4)
+
+
+@pytest.mark.parametrize("bad", [np.diag([1.0, 1.0, -1.0, 1.0]), np.zeros((4, 4)),
+                                 np.full((4, 4), np.nan), np.eye(4)[[1, 0, 2, 3]]])
+def test_metric_inverse_rejects_a_non_positive_pivot(bad):
+    # one bad matrix in the stack rejects the whole call
+    with pytest.raises(ValueError, match="not positive definite"):
+        _metric_inverse(np.stack([np.eye(4), bad]))
 
 
 # --------------------------------------------------------------- the form

@@ -113,6 +113,46 @@ def test_no_path_imports_numpy_random_polynomial_or_hashlib(tmp_path):
     assert loaded == []
 
 
+#: numpy's LAPACK-backed solvers; the pointwise subcommands call none of them
+LAPACK_DRIVERS = ("eigh", "eigvalsh", "inv", "solve", "lstsq", "svd", "qr", "cholesky")
+
+
+@pytest.mark.parametrize("argv", [
+    ["ale-report", "--epsilon", "0.1"],
+    ["verify", "kato"],
+    ["verify", "elliptic"],
+    ["decay", "--epsilon", "0.1", "--end", "plus"],
+    ["decay", "--epsilon", "0.1", "--end", "minus"],
+    ["moser"],
+])
+def test_pointwise_commands_call_no_lapack(capsys, monkeypatch, argv):
+    # the Gauss rules are cached, so they are rebuilt under the patch
+    from sdforms import quadrature
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a pointwise subcommand called a LAPACK driver")
+
+    quadrature._gauss_legendre.cache_clear()
+    with monkeypatch.context() as patch:
+        for name in LAPACK_DRIVERS:
+            patch.setattr(np.linalg, name, forbidden)
+        assert dispatch(argv) == 0
+        patched = capsys.readouterr().out
+    quadrature._gauss_legendre.cache_clear()
+    assert dispatch(argv) == 0
+    assert capsys.readouterr().out == patched
+
+
+def test_indefinite_metric_is_an_error_report(capsys, monkeypatch):
+    # the metric inverse takes positive pivots; any other is a ValueError
+    from sdforms import ale
+    monkeypatch.setattr(ale.ALEModel, "metric_eval",
+                        lambda self, x: -np.broadcast_to(np.eye(4), np.shape(x) + (4,)))
+    code, rep = run(capsys, "ale-report", "--epsilon", "0.1")
+    assert code == 2
+    assert rep == {"status": "error", "message": "metric is not positive definite"}
+
+
 def test_verify_suites_pass(capsys, tmp_path):
     for suite, extra in [("frames", ["--samples", "50"]),
                          ("hodge", ["--degree", "2"]),

@@ -35,6 +35,8 @@ EXTRA = (
     ["verify", "elliptic", "--samples", "2000"],
     ["ale-report", "--epsilon", "2"],
     ["ale-report", "--epsilon", "1e-2"],
+    ["ale-report", "--epsilon", "1e-6"],
+    ["ale-report", "--epsilon", "1e28"],
     ["decay", "--epsilon", "0.1", "--end", "plus"],
     ["decay", "--epsilon", "0.1", "--end", "minus"],
     ["moser"],
