@@ -316,6 +316,13 @@ def _mean_norm_sq(params, rho):
     return float(ale.ak_norm_sq_closed_form(params, float(params.model.t_of_rho(rho)), 0.0))
 
 
+def _fd_relative_error(model, x, h):
+    """Largest entry of |Ric_closed - Ric_fd(h)| over that of |Ric_closed|, per point."""
+    closed = model.ricci_closed_form(x)
+    return (np.max(np.abs(closed - model.ricci_numeric(x, h)), axis=(-2, -1))
+            / np.max(np.abs(closed), axis=(-2, -1)))
+
+
 def _ale_curvature(args, params):
     # closed-form identities over the full window, the finite-difference
     # oracle where its stencil resolves the metric, with the O(h^2) contract
@@ -334,16 +341,14 @@ def _ale_curvature(args, params):
     worst_scalar = float(np.max(np.abs(scalar)))
     rhos_fd = sampler.uniform(-1.0, 5.0, args.ricci_samples)
     X = model.t_of_rho(rhos_fd)[:, None] * dirs
-    closed = model.ricci_closed_form(X)
-    rel = (np.max(np.abs(closed - model.ricci_numeric(X, args.h)), axis=(1, 2))
-           / np.max(np.abs(closed), axis=(1, 2)))
+    # in the oracle's blocks, so the closed form is held for one block at a time
+    rel = selfdual.in_blocks(lambda x: _fd_relative_error(model, x, args.h),
+                             selfdual.EVAL_BLOCK // 81, X)
     worst = int(np.argmax(rel))
     worst_fd, worst_x = float(rel[worst]), X[worst]
     order = None
     if worst_fd > 1e-9:
-        closed = model.ricci_closed_form(worst_x)
-        coarse = float(np.max(np.abs(closed - model.ricci_numeric(worst_x, 2 * args.h)))
-                       / np.max(np.abs(closed)))
+        coarse = float(_fd_relative_error(model, worst_x, 2 * args.h))
         order = float(np.log2(coarse / worst_fd))
         if not 1.5 <= order <= 2.6:
             failures.append(failure("ale_models", "ricci_numeric",
@@ -577,19 +582,21 @@ def _run(args):
 def _build_parser():
     # the common flags are accepted both before and after the subcommand;
     # SUPPRESS keeps an unset subparser flag from clobbering the top-level one
-    common = argparse.ArgumentParser(add_help=False)
+    # allow_abbrev=False: a prefix such as --deg would escape _apply_config,
+    # which spots explicit flags by their full spelling
+    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--config", default=argparse.SUPPRESS,
                         help="JSON config file with defaults")
     common.add_argument("--output", default=argparse.SUPPRESS,
                         help="directory for report artifacts")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     top = argparse.ArgumentParser(
-        prog="sdforms", parents=[common],
+        prog="sdforms", parents=[common], allow_abbrev=False,
         description="verification pipelines for the sphere spectral calculus")
     sub = top.add_subparsers(dest="command", required=True)
 
     def add_parser(name, func, **kwargs):
-        p = sub.add_parser(name, parents=[common], **kwargs)
+        p = sub.add_parser(name, parents=[common], allow_abbrev=False, **kwargs)
         p.set_defaults(func=func)
         return p
 

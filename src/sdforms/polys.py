@@ -11,9 +11,11 @@ degree-non-increasingly on this model, so every operator is realized as an
 exact finite matrix, applied as sparse integer triples (:func:`sparse_apply`);
 L^2 pairings take the scalar Gram matrix per frame component.  The dense
 :func:`operator_matrix` and :func:`coframe_gram` are oracles only.
-Coefficients live either in 64-bit floats or in exact rationals
-(``fractions.Fraction``); the integral of a monomial over the sphere is a
-rational multiple of pi^2 in both cases.
+The dict algebra works with any coefficient type and keeps it, so the
+coefficient type decides exactness and no switch selects it: 64-bit floats
+give float results, and ``fractions.Fraction`` (or int) coefficients give
+exact ones.  The integral of a monomial over the sphere is a rational
+multiple of pi^2 (:func:`monomial_integral_over_pi2`).
 
 Coframe fields eta = a_i eta^i are triples of such polynomials in the frame
 of :mod:`sdforms.frames`; axis labels are 1-based to match eta^1, eta^2,
@@ -101,11 +103,10 @@ class PolyScalar:
         return cls({(0, 0, 0, 0): c})
 
     @classmethod
-    def coordinate(cls, nu, ring="float"):
-        one = Fraction(1) if ring == "exact" else 1.0
+    def coordinate(cls, nu):
         e = [0, 0, 0, 0]
         e[nu] = 1
-        return cls({tuple(e): one})
+        return cls({tuple(e): 1.0})
 
     @property
     def degree(self):
@@ -140,9 +141,6 @@ class PolyScalar:
         return PolyScalar({e: c * other for e, c in self.coeffs.items()})
 
     __rmul__ = __mul__
-
-    def as_float(self):
-        return PolyScalar({e: float(c) for e, c in self.coeffs.items()})
 
     def __call__(self, x):
         """Evaluate at points x of shape (..., 4)."""
@@ -220,7 +218,7 @@ def frame_derivative(f, axis):
 
     The generating field is linear, X(x) = L x with L antisymmetric, so the
     derivative of a polynomial is again a polynomial of no higher degree and
-    the result is exact in both coefficient rings.
+    the result keeps the coefficient type, exact for Fractions.
     """
     m = _axis_index(axis)
     out = {}
@@ -236,7 +234,7 @@ def frame_derivative(f, axis):
                 ee[nu] -= 1
                 ee[mu] += 1
                 ee = tuple(ee)
-                term = c * e[nu] * (int(a) if not isinstance(c, float) else a)
+                term = c * e[nu] * int(a)
                 acc = out.get(ee)
                 out[ee] = term if acc is None else acc + term
     return PolyScalar(out)
@@ -258,24 +256,20 @@ def monomial_integral_over_pi2(e):
     return Fraction(2 * num, den * factorial(sum(m) + 1))
 
 
-def sphere_integral(f, over_pi2=False):
-    """Integral of f over the unit 3-sphere.
+def sphere_integral(f):
+    """Integral of f over the unit 3-sphere, as a float.
 
-    With ``over_pi2`` the exact rational coefficient of pi^2 is returned
-    (a Fraction when f has Fraction coefficients); otherwise a float.
+    Float coefficients are summed in floats; any others exactly against the
+    rational integrals, converted once.
     """
     total = Fraction(0)
-    exact = True
     acc = 0.0
     for e, c in f.coeffs.items():
         w = monomial_integral_over_pi2(e)
         if isinstance(c, float):
-            exact = False
             acc += c * float(w)
         else:
             total += c * w
-    if over_pi2:
-        return total if exact else acc + float(total)
     return (float(total) + acc) * pi * pi
 
 
@@ -295,10 +289,8 @@ class CoframeField:
         return cls((z, z, z))
 
     @classmethod
-    def constant(cls, triple, ring="float"):
-        conv = Fraction if ring == "exact" else float
-        return cls(tuple(PolyScalar.constant(conv(c)) if c else PolyScalar.zero()
-                         for c in triple))
+    def constant(cls, triple):
+        return cls(tuple(PolyScalar.constant(c) for c in triple))
 
     def component(self, axis):
         return self.alpha[_axis_index(axis)]
@@ -317,9 +309,6 @@ class CoframeField:
         return CoframeField(tuple(a * scalar for a in self.alpha))
 
     __rmul__ = __mul__
-
-    def as_float(self):
-        return CoframeField(tuple(a.as_float() for a in self.alpha))
 
     def evaluate(self, x):
         """Frame components at points x of shape (..., 4); returns (..., 3)."""
@@ -367,28 +356,25 @@ def curl(eta):
 def star_d(eta):
     """The operator *d on 1-forms, star_d = curl + 2*id."""
     c = curl(eta)
-    two = Fraction(2) if any(
-        not isinstance(v, float) for a in eta.alpha for v in a.coeffs.values()
-    ) else 2.0
-    return CoframeField(tuple(ck + two * ak for ck, ak in zip(c.alpha, eta.alpha)))
+    return CoframeField(tuple(ck + 2 * ak for ck, ak in zip(c.alpha, eta.alpha)))
 
 
-def coframe_inner(eta, xi, over_pi2=False):
+def coframe_inner(eta, xi):
     """L^2 inner product of two coframe fields (frame-orthonormal metric)."""
     total = PolyScalar.zero()
     for a, b in zip(eta.alpha, xi.alpha):
         total = total + a * b
-    return sphere_integral(total, over_pi2=over_pi2)
+    return sphere_integral(total)
 
 
-def left_invariant_coframe(axis, ring="float"):
+def left_invariant_coframe(axis):
     """The constant field eta^axis, a *d eigenfield with eigenvalue +2."""
-    triple = [0, 0, 0]
-    triple[_axis_index(axis)] = 1
-    return CoframeField.constant(triple, ring=ring)
+    triple = [0.0, 0.0, 0.0]
+    triple[_axis_index(axis)] = 1.0
+    return CoframeField.constant(triple)
 
 
-def right_invariant_coframe(axis, ring="float"):
+def right_invariant_coframe(axis):
     """The right-frame covector phi^axis written in left-frame components.
 
     Its coefficients are the quadratic polynomials <x * e_hat_axis, e_hat_i * x>;
@@ -408,9 +394,7 @@ def right_invariant_coframe(axis, ring="float"):
                 e[a] += 1
                 e[b] += 1
                 e = tuple(e)
-                w = Fraction(int(v)) if ring == "exact" else float(v)
-                acc = coeffs.get(e)
-                coeffs[e] = w if acc is None else acc + w
+                coeffs[e] = coeffs.get(e, 0.0) + float(v)
         comps.append(PolyScalar(coeffs))
     return CoframeField(tuple(comps))
 

@@ -153,6 +153,27 @@ def test_indefinite_metric_is_an_error_report(capsys, monkeypatch):
     assert rep == {"status": "error", "message": "metric is not positive definite"}
 
 
+def test_ale_report_ricci_oracle_runs_in_blocks(capsys, monkeypatch):
+    # the closed form is compared with the oracle block by block, so no call
+    # holds more than one block of samples
+    from sdforms import ale
+    from sdforms.selfdual import EVAL_BLOCK
+    sizes = []
+    numeric = ale.ALEModel.ricci_numeric
+
+    def recorded(self, x, h):
+        sizes.append(np.shape(x)[:-1])
+        return numeric(self, x, h)
+
+    monkeypatch.setattr(ale.ALEModel, "ricci_numeric", recorded)
+    code, rep = run(capsys, "ale-report", "--epsilon", "0.1", "--ricci-samples", "500")
+    assert code == 0
+    assert rep["ricci_check"]["samples"] == 500
+    # the sweep covers every sample; the step-doubling rerun is one point
+    assert sum(int(np.prod(n)) for n in sizes if n) == 500
+    assert max(int(np.prod(n)) for n in sizes) <= EVAL_BLOCK // 81
+
+
 def test_verify_suites_pass(capsys, tmp_path):
     for suite, extra in [("frames", ["--samples", "50"]),
                          ("hodge", ["--degree", "2"]),
@@ -277,9 +298,17 @@ def test_config_file_defaults(capsys, tmp_path):
     code, rep = run(capsys, "--config", str(cfg), "spectrum")
     assert code == 0
     assert rep["D"] == 1
-    # explicit flag wins over the config file
-    code, rep = run(capsys, "--config", str(cfg), "spectrum", "--degree", "2")
-    assert rep["D"] == 2
+    # explicit flag wins over the config file, in either spelling
+    for flag in (["--degree", "2"], ["--degree=2"]):
+        code, rep = run(capsys, "--config", str(cfg), "spectrum", *flag)
+        assert rep["D"] == 2
+    # a prefix of a flag is a usage error, not a flag the config file overrides
+    cfg.write_text(json.dumps({"schema_version": 1, "spectrum": {"degree": 4},
+                               "verify": {"samples": 7}}))
+    for argv in (["spectrum", "--deg", "2"], ["verify", "frames", "--samp", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            dispatch(["--config", str(cfg), *argv])
+        assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("section", [

@@ -7,6 +7,8 @@ by polynomial products; the projector split of a field must agree with
 its projections on the ModeSet's eigenspaces.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -151,7 +153,7 @@ def test_shell_pairings_match_pairwise_route(modes_d2, t):
 @pytest.mark.parametrize("eta0", [
     unit_field(2, 5),
     left_invariant_coframe(2) + 0.5 * right_invariant_coframe(3),
-    left_invariant_coframe(1, ring="exact"),
+    CoframeField.constant((Fraction(1), 0, 0)),
 ], ids=["random_d2", "invariant_mix", "exact_ring"])
 def test_decompose_matches_dict_route(modes_d2, eta0):
     # each eigencomponent is the field's projection on the modes of its

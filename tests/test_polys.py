@@ -28,19 +28,26 @@ from sdforms.polys import (
 )
 
 
-def l2_inner(f, g, over_pi2=False):
+def l2_inner(f, g):
     """L^2 inner product of two scalars over the sphere."""
-    return sphere_integral(f * g, over_pi2=over_pi2)
+    return sphere_integral(f * g)
 
 
-def random_poly(rng, degree=3, ring="float"):
+def exact(field):
+    """The field with Fraction coefficients, equal to its integer-valued float ones."""
+    return CoframeField(tuple(PolyScalar({e: Fraction(c) for e, c in a.coeffs.items()})
+                              for a in field.alpha))
+
+
+def random_poly(rng, degree=3, ring=float):
+    """Random integer coefficients, of the coefficient type ``ring``."""
     basis = make_basis(degree)
     coeffs = {}
     for e in basis.monomials:
         if rng.random() < 0.3:
             c = rng.integers(-4, 5)
             if c:
-                coeffs[e] = Fraction(int(c)) if ring == "exact" else float(c)
+                coeffs[e] = ring(int(c))
     return PolyScalar(coeffs)
 
 
@@ -126,8 +133,8 @@ def test_frame_derivative_x0():
 def test_frame_derivative_leibniz_exact():
     rng = np.random.default_rng(2)
     for _ in range(10):
-        f = random_poly(rng, degree=2, ring="exact")
-        g = random_poly(rng, degree=2, ring="exact")
+        f = random_poly(rng, degree=2, ring=Fraction)
+        g = random_poly(rng, degree=2, ring=Fraction)
         for axis in (1, 2, 3):
             lhs = frame_derivative(f * g, axis)
             rhs = frame_derivative(f, axis) * g + f * frame_derivative(g, axis)
@@ -161,10 +168,8 @@ def test_sphere_integral_constants():
 
 
 def test_sphere_integral_exact_units():
-    one = PolyScalar.constant(Fraction(1))
-    assert sphere_integral(one, over_pi2=True) == Fraction(2)
-    x0sq = PolyScalar({(2, 0, 0, 0): Fraction(1)})
-    assert sphere_integral(x0sq, over_pi2=True) == Fraction(1, 2)
+    assert monomial_integral_over_pi2((0, 0, 0, 0)) == Fraction(2)
+    assert monomial_integral_over_pi2((2, 0, 0, 0)) == Fraction(1, 2)
 
 
 def test_sphere_integral_against_quadrature():
@@ -233,7 +238,7 @@ def test_curl_eigen_equations():
     sd = star_d(eta1)
     assert sd == 2.0 * eta1
     # right-invariant fields: *d phi = -2 phi  <=>  curl phi = -4 phi
-    phi = right_invariant_coframe(1, ring="exact")
+    phi = exact(right_invariant_coframe(1))
     assert curl(phi) == Fraction(-4) * phi
     assert star_d(phi) == Fraction(-2) * phi
 
@@ -252,17 +257,17 @@ def test_div_star_d_vanishes():
     # vanishes exactly on divergence-free fields
     rng = np.random.default_rng(8)
     for _ in range(5):
-        eta = CoframeField(tuple(random_poly(rng, 2, ring="exact") for _ in range(3)))
+        eta = CoframeField(tuple(random_poly(rng, 2, ring=Fraction) for _ in range(3)))
         assert div(star_d(eta)) == PolyScalar.zero()
         assert div(curl(eta)) == Fraction(-2) * div(eta)
-    phi = right_invariant_coframe(2, ring="exact")
+    phi = exact(right_invariant_coframe(2))
     assert div(curl(phi)) == PolyScalar.zero()
 
 
 def test_curl_is_star_d_minus_two_exact():
     rng = np.random.default_rng(9)
     for _ in range(5):
-        eta = CoframeField(tuple(random_poly(rng, 3, ring="exact") for _ in range(3)))
+        eta = CoframeField(tuple(random_poly(rng, 3, ring=Fraction) for _ in range(3)))
         lhs = curl(eta)
         rhs = star_d(eta) - Fraction(2) * eta
         assert lhs == rhs
