@@ -20,9 +20,9 @@ the model.
 
 import json
 
-from sdforms import constant_norm_check, eigen_decompose, hodge_laplacian_check
+from sdforms import constant_norm_check, eigen_decompose, eigenmodes, hodge_laplacian_check
 
-modes, report = eigen_decompose(3)
+report = eigen_decompose(3)
 print("degree 3 window      :", report.window)
 print("subspace dimension   :", report.subspace_dim)
 print("multiplicities       :", dict(sorted(report.multiplicities.items())))
@@ -31,6 +31,7 @@ print("max |lambda - round| :", report.max_integer_deviation)
 print("max div residual     :", report.max_div_residual)
 
 # eigenfields at +-2 have constant pointwise norm; higher modes do not
+modes = eigenmodes(3)
 for lam in (2, -2, 3):
     mode = next(m for m in modes if m.lam_int == lam)
     print(f"norm spread lambda={lam:+d} :", constant_norm_check(mode))
@@ -39,6 +40,6 @@ for lam in (2, -2, 3):
 print("\nHodge Laplacian check:", json.dumps(hodge_laplacian_check(2), default=str))
 
 # exact certificate at degree 2
-_, exact = eigen_decompose(2, ring="exact")
+exact = eigen_decompose(2, ring="exact")
 print("\nexact ring complete  :", exact.complete)
 print("kernels at -1, 0, +1 :", exact.forbidden_multiplicities)

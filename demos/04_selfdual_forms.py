@@ -19,7 +19,7 @@ import numpy as np
 from sdforms import (
     SelfDualForm,
     d_residual,
-    eigen_decompose,
+    eigenmodes,
     kato_ratio,
     l2_shell_orthogonality,
     left_invariant_coframe,
@@ -61,7 +61,7 @@ print(f"\ngradient ratio over {len(ratios)} points: max = {ratios.max():.8f} "
 print("pure -2 family saturates:", kato_ratio(decaying, x, 1e-5)[0])
 
 # shells of distinct eigenvalues do not interact
-modes, _ = eigen_decompose(2)
+modes = eigenmodes(2)
 by_lam = {}
 for m in modes:
     by_lam.setdefault(m.lam_int, []).append(m)

@@ -292,9 +292,6 @@ class CoframeField:
     def constant(cls, triple):
         return cls(tuple(PolyScalar.constant(c) for c in triple))
 
-    def component(self, axis):
-        return self.alpha[_axis_index(axis)]
-
     @property
     def degree(self):
         return max(a.degree for a in self.alpha)

@@ -48,11 +48,11 @@ triples from exponent arithmetic (:func:`sdforms.polys.derivative_triples`),
 Lap and the certificates are sparse products of them, and no operator on
 the whole degree <= D coframe space is formed.  The full blocks -- harmonic
 basis (m, n), n = (k + 1)^2, frame blocks (n, n) and the (3n, 3n) *d --
-serve the exact ring and the eigenfields of a :class:`ModeSet`; the float
-ones are built only when a caller reads the modes, and each raises
-ArithmeticError when its basis leaves H_k (:func:`_harmonic_defect`).  A
-field's *d eigencomponents need no eigenfield: the harmonic bases split it
-by blocks and one projector per block by eigenvalue (:func:`eigencomponents`).
+serve the exact report and the float eigenfields (:func:`eigenmodes`); a
+float one raises ArithmeticError when its basis leaves H_k
+(:func:`_harmonic_defect`).  A field's *d eigencomponents need no
+eigenfield: the harmonic bases split it by blocks and one projector per
+block by eigenvalue (:func:`eigencomponents`).
 
 The float ring (reduced blocks) and the exact ring (full blocks) are the
 two independent routes, both on numpy alone.  Full float blocks are
@@ -109,9 +109,12 @@ def bound(failures, module, operation, inputs, observed, tolerance, reason, abov
     """Append the failure record of one value checked against one bound.
 
     The check passes when ``observed <= tolerance``, or ``observed >=
-    tolerance`` with ``above``; anything else, NaN included, fails.
+    tolerance`` with ``above``, or ``lo <= observed <= hi`` for a ``(lo, hi)``
+    tolerance; anything else, NaN included, fails.
     """
-    if not (observed >= tolerance if above else observed <= tolerance):
+    lo, hi = tolerance if isinstance(tolerance, tuple) else (
+        (tolerance, math.inf) if above else (-math.inf, tolerance))
+    if not lo <= observed <= hi:
         failures.append(failure(module, operation, inputs, observed, tolerance, reason))
 
 
@@ -142,37 +145,21 @@ class SpectralMode:
         return float(vals.max() - vals.min())
 
 
+@dataclass(eq=False)
 class ModeSet(Sequence):
     """Eigenfields of *d sorted by eigenvalue.
 
-    ``solve()`` returns ``(lam, lam_int, C)`` and runs on first use, so a set
-    nobody reads builds nothing.  ``lam`` holds the float eigenvalues,
-    ``lam_int`` the integers they cluster to and ``C`` (3N, K) the
-    Gram-orthonormal coefficient vectors on the degree <= D coframe basis,
-    in eigenvalue order (:func:`_sorted_modes`).  The set is a sequence of
-    :class:`SpectralMode` views of the columns of ``C``, built once, so a
-    field materialized once serves every later access.
+    ``lam`` holds the float eigenvalues, ``lam_int`` the integers they
+    cluster to and ``C`` (3N, K) the Gram-orthonormal coefficient vectors on
+    the degree <= D coframe basis, in eigenvalue order (:func:`_sorted_modes`).
+    The set is a sequence of :class:`SpectralMode` views of the columns of
+    ``C``, built once, so a field materialized once serves every later access.
     """
 
-    def __init__(self, D, solve):
-        self.D = D
-        self._solve = solve
-
-    @cached_property
-    def _solved(self):
-        return self._solve()
-
-    @property
-    def lam(self):
-        return self._solved[0]
-
-    @property
-    def lam_int(self):
-        return self._solved[1]
-
-    @property
-    def C(self):
-        return self._solved[2]
+    D: int
+    lam: np.ndarray
+    lam_int: np.ndarray
+    C: np.ndarray
 
     @cached_property
     def _modes(self):
@@ -193,7 +180,7 @@ class ModeSet(Sequence):
 
     def pairings(self):
         """The L^2 pairing table C^T G C of all modes, G on each frame component;
-        formed on the first call, as ``C`` is, and returned read-only."""
+        formed on the first call and returned read-only."""
         return self._pairings
 
 
@@ -297,27 +284,27 @@ class HarmonicBlock:
         return np.hstack(self.frame)
 
 
-def _sorted_modes(D, w, bases, coords):
-    """``(lam, lam_int, C)`` of a ModeSet from block eigenvectors.
+def _sorted_modes(sub, spaces):
+    """The :class:`ModeSet` of the blocks' eigenpairs ``spaces``, one ``(w, Y)`` per block.
 
-    ``coords[b]`` (3n, K_b) holds eigenvectors in the coordinates of
-    ``bases[b]`` (m, n) on each frame component (component-major), and
-    ``w`` the eigenvalues of all block columns in turn.  Each block's
-    monomial coefficient columns are written straight into their
-    eigenvalue-sorted positions of ``C``.
+    ``Y`` (3n, K_b) holds eigenvectors in the coordinates of the block's
+    ``basis`` (m, n) on each frame component (component-major), and ``w``
+    their eigenvalues.  Each block's monomial coefficient columns are
+    written straight into their eigenvalue-sorted positions of ``C``.
     """
+    w = np.concatenate([lam for lam, _ in spaces])
     order = np.argsort(w, kind="stable")
     position = np.empty_like(order)
     position[order] = np.arange(len(w))
-    N = make_basis(D).dim
+    N = make_basis(sub.degree).dim
     out = np.zeros((3, N, len(w)))
     col = 0
-    for basis, Y in zip(bases, coords):
-        m, n = basis.shape
-        out[:, :m, position[col:col + Y.shape[1]]] = basis @ Y.reshape(3, n, -1)
+    for b, (_, Y) in zip(sub.blocks, spaces):
+        m, n = b.basis.shape
+        out[:, :m, position[col:col + Y.shape[1]]] = b.basis @ Y.reshape(3, n, -1)
         col += Y.shape[1]
     lam = w[order].astype(float)
-    return lam, np.rint(lam).astype(int), out.reshape(3 * N, -1)
+    return ModeSet(sub.degree, lam, np.rint(lam).astype(int), out.reshape(3 * N, -1))
 
 
 @dataclass(eq=False)
@@ -452,15 +439,17 @@ def _harmonic_basis(lap, offs, k, scale=None):
 
     Back-substitution of Lap T = k(k + 2) T on the degree <= k monomials,
     one degree at a time over the rows of ``lap`` of that degree (``lap``
-    is row-major).  With an integer ``scale`` the arithmetic is on Python
-    ints and the result is ``scale`` times the basis; the divisions are then
-    exact when ``scale`` is a multiple of prod_{j<k} (k - j)(k + j + 2).
+    is row-major).  Lap maps degree j into degrees j and j - 2 only, so the
+    rows of the degrees j = k - 1, k - 3, ... stay exactly 0 and are skipped.
+    With an integer ``scale`` the arithmetic is on Python ints and the
+    result is ``scale`` times the basis; the divisions are then exact when
+    ``scale`` is a multiple of prod_{j<k} (k - j)(k + j + 2).
     """
     dtype = float if scale is None else object
     m, n = offs[k + 1], offs[k + 1] - offs[k]
     T = np.zeros((m, n), dtype=dtype)
     T[offs[k]:] = np.eye(n, dtype=np.int64).astype(dtype) * (scale or 1)
-    for j in range(k - 1, -1, -1):
+    for j in range(k - 2, -1, -2):
         lo, hi = offs[j], offs[j + 1]
         acc = polys.sparse_apply(_block_triples(lap, lo, hi, range(hi, m)), T[hi:], hi - lo)
         d = (k - j) * (k + j + 2)
@@ -717,31 +706,27 @@ def _reduced_blocks(D):
 
 
 def eigen_decompose(D, ring="float"):
-    """Spectral decomposition of *d on the divergence-free subspace.
+    """The :class:`SpectrumReport` of *d on the divergence-free subspace.
 
-    Returns (modes, report).  ``modes`` is a :class:`ModeSet` of
-    L^2-normalized eigenfields sorted by eigenvalue; each eigenfield lies in
-    one harmonic block, so its coefficient degree is k.  The float report
-    comes from the reduced blocks (:func:`_reduced_blocks`) and the float
-    modes from the full harmonic blocks (:func:`eigenmodes`).  In the exact
-    ring the eigenfields come from integer kernels of the integer block
-    shifts and the report additionally certifies completeness (multiplicities
-    sum to the subspace dimension) and the absence of spectrum at -1, 0, +1.
+    The float report comes from the reduced blocks (:func:`_reduced_blocks`).
+    The exact report comes from integer kernels of the integer block shifts
+    (:func:`_exact_eigenspaces`) and additionally certifies completeness
+    (multiplicities sum to the subspace dimension) and the absence of
+    spectrum at -1, 0, +1.  The eigenfields are :func:`eigenmodes`.
     """
     if ring == "exact":
-        return _eigen_decompose_exact(divergence_free_subspace(D, ring))
-    return eigenmodes(D), _float_report(D, _reduced_blocks(D))
+        sub = divergence_free_subspace(D, ring)
+        return _exact_report(sub, _exact_eigenspaces(sub))
+    return _float_report(D, _reduced_blocks(D))
 
 
 def eigenmodes(D):
-    """The float eigenfields of *d, a :class:`ModeSet` without a report.
+    """The float eigenfields of *d, a :class:`ModeSet` of L^2-normalized fields.
 
     They come from the full harmonic blocks, the only float use of those
-    blocks, which are built when the set is first read.
+    blocks; each eigenfield lies in one block, so its coefficient degree is k.
     """
-    if D < 0:
-        raise ValueError(f"degree bound must be >= 0, got {D}")
-    return ModeSet(D, lambda: _float_modes(divergence_free_subspace(D)))
+    return _float_modes(divergence_free_subspace(D))
 
 
 def _block_eigh(b):
@@ -765,10 +750,8 @@ def _block_eigh(b):
 
 
 def _float_modes(sub):
-    """The float :class:`ModeSet`'s ``(lam, lam_int, C)``: one eigh per full harmonic block."""
-    lams, coords = zip(*(_block_eigh(b) for b in sub.blocks))
-    return _sorted_modes(sub.degree, np.concatenate(lams), [b.basis for b in sub.blocks],
-                         coords)
+    """The float :class:`ModeSet`: one eigh per full harmonic block."""
+    return _sorted_modes(sub, [_block_eigh(b) for b in sub.blocks])
 
 
 def eigencomponents(D, c0):
@@ -841,23 +824,20 @@ def _float_report(D, blocks):
     )
 
 
-def _eigen_decompose_exact(sub):
-    """Exact multiplicities from integer kernels of S_k - (k + 2) and S_k + k.
+def _exact_eigenspaces(sub):
+    """``(lam, Y)`` per block of the exact subspace: integer eigenvalues and
+    L^2-orthonormal eigenvectors in block coordinates, from integer kernels
+    of S_k - (k + 2) and S_k + k.
 
     The shifts act on N, primitive integer vectors spanning the kernel of
     the block's div by fraction-free elimination; ArithmeticError unless
     there are ``b.dim`` of them.  Each eigenspace is L^2-orthonormalized in
     floats by the R factor of its coordinates under the block's Gram factor.
-    The divergence residual of a mode is taken on its assembled monomial
-    coefficients, the column of :attr:`ModeSet.C`: the sparse monomial div,
-    normed under the monomial Gram on the degree <= k monomials, a second
-    route to the L^2 product that also sees the rounding of the float block
-    basis.
+    The report (:func:`_exact_report`) and the exact ring's eigenfields
+    (:func:`_sorted_modes`, a reference for the float ones) both read them.
     """
-    D = sub.degree
-    monomials = make_basis(D).monomials
-    G = make_basis(D).gram()
-    mults, lams, coords, residuals = {}, [], [], []
+    monomials = make_basis(sub.degree).monomials
+    spaces = []
     for b in sub.blocks:
         U3 = np.kron(np.eye(3), _gram_factor(monomials[:len(b.basis)], b.k, b.basis))
         null = exactla.nullspace(b.div.tolist())
@@ -866,37 +846,50 @@ def _eigen_decompose_exact(sub):
                                   f"{len(null)}, not {b.dim}")
         N = np.array(null, dtype=object).T
         SN = b.star_d @ N
-        Y = [np.zeros((len(N), 0))]
+        lams, Y = [], [np.zeros((len(N), 0))]
         for lam in (-b.k, b.k + 2):
             kernel = exactla.nullspace((SN - lam * N).tolist(), n_cols=b.dim)
             if not kernel:
                 continue
-            mults[lam] = len(kernel)
             V = (N @ np.array(kernel, dtype=object).T).astype(float)
             # Gram-Schmidt in the L^2 product: U3 V = Q R, so V R^-1 is orthonormal
             R = np.linalg.qr(U3 @ V, mode="r")
             Y.append(np.linalg.solve(R.T, V.T).T)
             lams += [lam] * len(kernel)
-        coords.append(np.hstack(Y))
+        spaces.append((np.array(lams, dtype=int), np.hstack(Y)))
+    return spaces
+
+
+def _exact_report(sub, spaces):
+    """The exact report of the eigenpairs of :func:`_exact_eigenspaces`.
+
+    The multiplicities are the kernel ranks.  The divergence residual of a
+    mode is taken on its monomial coefficients: the sparse monomial div,
+    normed under the monomial Gram on the degree <= k monomials, a second
+    route to the L^2 product that also sees the rounding of the float block
+    basis.
+    """
+    G = make_basis(sub.degree).gram()
+    residuals = []
+    for b, (_, Y) in zip(sub.blocks, spaces):
         m, n = b.basis.shape
-        fields = b.basis @ coords[-1].reshape(3, n, -1)
+        fields = b.basis @ Y.reshape(3, n, -1)
         div = sum(polys.sparse_apply(_block_triples(E, 0, m), F, m)
                   for E, F in zip(sub.frame, fields))
         residuals.append(np.sqrt(np.maximum(np.einsum("ik,ik->k", div, G[:m, :m] @ div), 0.0)))
-    bases = [b.basis for b in sub.blocks]
-    modes = ModeSet(D, lambda: _sorted_modes(D, np.array(lams), bases, coords))
-    report = SpectrumReport(
-        degree=D,
+    values, counts = np.unique(np.concatenate([lam for lam, _ in spaces]), return_counts=True)
+    mults = dict(zip(values.tolist(), counts.tolist()))
+    return SpectrumReport(
+        degree=sub.degree,
         ring="exact",
         subspace_dim=sub.dim,
-        window=trusted_window(D),
+        window=trusted_window(sub.degree),
         multiplicities=mults,
         max_integer_deviation=0.0,
         max_div_residual=float(np.concatenate(residuals).max(initial=0.0)),
         complete=sum(mults.values()) == sub.dim,
         forbidden_multiplicities={lam: mults.get(lam, 0) for lam in (-1, 0, 1)},
     )
-    return modes, report
 
 
 def constant_norm_check(mode):

@@ -33,12 +33,12 @@ def criterion(num, description):
 
 @pytest.fixture(scope="module")
 def modes_d2():
-    return spectrum.eigen_decompose(2)[0]
+    return spectrum.eigenmodes(2)
 
 
 @pytest.fixture(scope="module")
 def modes_d3():
-    return spectrum.eigen_decompose(3)[0]
+    return spectrum.eigenmodes(3)
 
 
 def series_test_forms(modes_d3):

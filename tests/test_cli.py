@@ -960,6 +960,9 @@ def test_non_finite_report_value_is_an_error(capsys, monkeypatch):
     (["--c-min", "nan"], "--c-min"),
     (["--c-max", "inf"], "--c-max"),
     (["--c-max=-1"], "--c-max"),
+    # e^c overflows a float for c above about 709.78
+    (["--c-max", "1e3"], "--c-max must be <= 709.78"),
+    (["--c-min", "800"], "--c-min must be <= 709.78"),
 ])
 def test_moser_rejects_bad_flags(capsys, monkeypatch, flags, named):
     # the flags are checked before any computation; --points 0 used to pass
@@ -973,12 +976,30 @@ def test_moser_rejects_bad_flags(capsys, monkeypatch, flags, named):
     assert named in rep["message"]
 
 
-def test_moser_overflow_is_an_error(capsys):
-    # e^c overflows a float for c above about 709
-    code, rep = run(capsys, "moser", "--c-max", "1e3")
-    assert code == 2
-    assert rep["status"] == "error"
-    assert "c = 1000.0" in rep["message"]
+def test_range_checks_fail_below_their_range(capsys, monkeypatch):
+    # a small-c ratio below 1 fails with the record [1, 1 + 1e-4], not a bare
+    # 1 + 1e-4 it seems to satisfy; a Ricci oracle whose error does not
+    # shrink with h (order 0) fails with [1.5, 2.6]
+    from dataclasses import replace
+
+    from sdforms import cli, regularity
+
+    product = regularity.moser_product
+    monkeypatch.setattr(regularity, "moser_product",
+                        lambda c: replace(product(c), ratio=0.5) if c == 1e-6 else product(c))
+    code, rep = run(capsys, "moser", "--points", "3")
+    assert code == 1
+    assert rep["failures"] == [{"module": "regularity", "operation": "moser_product",
+                                "input": {"c": 1e-6}, "observed": 0.5,
+                                "tolerance": [1.0, 1.0001],
+                                "reason": "small-c ratio not tending to one"}]
+    monkeypatch.setattr(cli, "_fd_relative_error",
+                        lambda model, x, h: np.full(np.shape(x)[:-1], 1e-3))
+    code, rep = run(capsys, "ale-report", "--epsilon", "0.1")
+    assert code == 1
+    assert rep["ricci_check"]["fd_convergence_order"] == 0.0
+    assert [(f["operation"], f["tolerance"]) for f in rep["failures"]] == [
+        ("ricci_numeric", [1.5, 2.6])]
 
 
 def test_ale_report_curvature_window_past_the_float_range(capsys):

@@ -25,12 +25,12 @@ from sdforms.polys import (
     sphere_integral,
     star_d,
 )
-from sdforms.spectrum import eigen_decompose
+from sdforms.spectrum import eigenmodes
 
 
 @pytest.fixture(scope="module")
 def modes_d2():
-    return eigen_decompose(2)[0]
+    return eigenmodes(2)
 
 
 def l2_distance(a, b):

@@ -19,10 +19,10 @@ from sdforms import polys, spectrum
 from sdforms.cli import dispatch
 from sdforms.polys import coframe_gram, make_basis, monomial_integral_over_pi2, operator_matrix
 from sdforms.spectrum import (
-    ModeSet,
     SpectrumReport,
     _degree_offsets,
-    _eigen_decompose_exact,
+    _exact_eigenspaces,
+    _exact_report,
     _float_modes,
     _float_report,
     _frame_laplacian,
@@ -72,7 +72,7 @@ def counts(lam_int):
 def test_blocks_match_dense_monomial_oracle(D):
     w, C0 = dense_monomial_modes(D)
     lam0 = np.rint(w).astype(int)
-    modes, report = eigen_decompose(D)
+    modes, report = eigenmodes(D), eigen_decompose(D)
     assert report.multiplicities == counts(lam0)
     assert report.subspace_dim == len(w)
     G = coframe_gram(D)
@@ -82,9 +82,9 @@ def test_blocks_match_dense_monomial_oracle(D):
         assert np.max(np.abs(P[lam] - proj)) <= 1e-10
 
 
-def test_float_and_exact_blocks_agree_at_degree5():
-    fmodes, flt = eigen_decompose(5)
-    emodes, exact = eigen_decompose(5, ring="exact")
+def test_float_and_exact_blocks_agree_at_degree5(exact_ring):
+    fmodes, flt = eigenmodes(5), eigen_decompose(5)
+    emodes, exact = exact_ring(5)
     assert flt.multiplicities == exact.multiplicities
     assert exact.complete and not exact.verify() and not flt.verify()
     G = coframe_gram(5)
@@ -96,9 +96,9 @@ def test_float_and_exact_blocks_agree_at_degree5():
 
 
 @pytest.mark.parametrize("ring", ["float", "exact"])
-def test_mode_degree_is_its_harmonic_degree(ring):
+def test_mode_degree_is_its_harmonic_degree(exact_ring, ring):
     # eigenvalue k + 2 lives on H_k, eigenvalue -k too
-    modes, _ = eigen_decompose(5, ring=ring)
+    modes = eigenmodes(5) if ring == "float" else exact_ring(5)[0]
     for m in modes:
         assert m.field.degree == (m.lam_int - 2 if m.lam_int > 0 else -m.lam_int)
 
@@ -142,6 +142,31 @@ def test_structure_certificate_exact_at_degree3():
     for i, Zi in enumerate(bases):
         for Zj in bases[i + 1:]:
             assert all(v == Fraction(0) for v in (Zi.T @ F @ Zj).ravel())
+
+
+@pytest.mark.parametrize("ring", ["float", "exact"])
+def test_harmonic_solve_steps_over_its_own_parity(monkeypatch, ring):
+    # Lap maps degree j into degrees j and j - 2 only: the basis of H_k is
+    # exactly 0 on the degrees k - 1, k - 3, ..., and the back-substitution
+    # applies lap to the floor(k/2) degree slices k - 2, k - 4, ... alone
+    D = 7
+    frame = polys.derivative_triples(D)
+    if ring == "exact":
+        frame = [_integer_entries(E) for E in frame]
+    lap = _frame_laplacian(D, frame)
+    offs = _degree_offsets(D)
+    slices = []
+    block_triples = spectrum._block_triples
+    monkeypatch.setattr(spectrum, "_block_triples",
+                        lambda A, lo, hi, cols=None: slices.append(lo)
+                        or block_triples(A, lo, hi, cols))
+    for k in range(D + 1):
+        slices.clear()
+        scale = math.prod((k - j) * (k + j + 2) for j in range(k)) if ring == "exact" else None
+        T = _harmonic_basis(lap, offs, k, scale)
+        assert slices == [offs[j] for j in range(k - 2, -1, -2)], k
+        for j in range(k - 1, -1, -2):
+            assert not T[offs[j]:offs[j + 1]].any(), (k, j)
 
 
 def test_fischer_gram_factor_matches_monomial_gram():
@@ -203,13 +228,13 @@ def no_monomial_gram(monkeypatch):
 
 @pytest.mark.parametrize("ring", ["float", "exact"])
 def test_spectrum_builds_no_monomial_space_operator(no_monomial_space_operators, ring):
-    _, report = eigen_decompose(5, ring=ring)
+    report = eigen_decompose(5, ring=ring)
     assert not report.verify()
     assert report.max_div_residual <= 1e-12
 
 
 def test_float_spectrum_builds_no_monomial_gram(no_monomial_space_operators, no_monomial_gram):
-    _, report = eigen_decompose(5)
+    report = eigen_decompose(5)
     assert not report.verify()
 
 
@@ -221,17 +246,19 @@ def test_hodge_check_builds_no_monomial_space_operator(no_monomial_space_operato
 
 
 def test_cli_spectrum_never_assembles_mode_matrix(monkeypatch, capsys):
-    monkeypatch.setattr(ModeSet, "C", property(forbidden))
+    # neither a full float block nor the mode matrix of either ring
+    for name in ("_sorted_modes", "_float_block"):
+        monkeypatch.setattr(spectrum, name, forbidden)
     assert dispatch(["spectrum", "--degree", "6"]) == 0
     assert dispatch(["spectrum", "--degree", "3", "--exact"]) == 0
 
 
 @pytest.mark.parametrize("ring", ["float", "exact"])
 @pytest.mark.parametrize("D", [3, 6])
-def test_block_residual_matches_dense_route(D, ring):
+def test_block_residual_matches_dense_route(exact_ring, D, ring):
     # per-block div residual, dimension and *d-invariance of the kept modes
     # against the dense monomial div and *d
-    modes, report = eigen_decompose(D, ring=ring)
+    modes, report = (eigenmodes(D), eigen_decompose(D)) if ring == "float" else exact_ring(D)
     assert report.max_div_residual <= 1e-13
     assert max(polys.div_norms(D, modes.C)) <= 1e-12
     Dv = operator_matrix("div", D)
@@ -257,7 +284,7 @@ def test_block_residuals_see_a_leaking_kernel(monkeypatch):
     # self-adjoint, or, below that tolerance, seen by the Hodge check
     sub = divergence_free_subspace(4)
     perturb_frame(sub.blocks[3], 1e-4, 3)
-    assert max(polys.div_norms(4, _float_modes(sub)[2])) > 1e-6
+    assert max(polys.div_norms(4, _float_modes(sub).C)) > 1e-6
     blocks = _reduced_blocks(4)
     perturb_frame(blocks[3], 1e-4, 3)
     assert _float_report(4, blocks).max_div_residual > 1e-6
@@ -296,7 +323,7 @@ def test_exact_ring_rejects_a_wrong_kernel_length():
     sub.blocks[1].frame = [0 * E for E in sub.blocks[1].frame]
     with pytest.raises(ArithmeticError, match="div kernel of harmonic block 1 has dimension "
                                               "12, not 8"):
-        _eigen_decompose_exact(sub)
+        _exact_eigenspaces(sub)
 
 
 @pytest.mark.parametrize("ring", ["float", "exact"])
@@ -306,7 +333,7 @@ def test_residuals_see_a_non_harmonic_block_basis(monkeypatch, ring):
     if ring == "exact":
         sub = divergence_free_subspace(4, ring)
         sub.blocks[3].basis[1] += 1e-4
-        assert _eigen_decompose_exact(sub)[1].max_div_residual > 1e-6
+        assert _exact_report(sub, _exact_eigenspaces(sub)).max_div_residual > 1e-6
         return
     original = spectrum._harmonic_basis
 
@@ -317,9 +344,8 @@ def test_residuals_see_a_non_harmonic_block_basis(monkeypatch, ring):
         return T
 
     monkeypatch.setattr(spectrum, "_harmonic_basis", perturbed)
-    modes = eigenmodes(4)
     with pytest.raises(ArithmeticError, match="basis of harmonic block 3 is not harmonic"):
-        modes.C
+        eigenmodes(4)
 
 
 @pytest.mark.parametrize("scale", [0, 2])

@@ -27,19 +27,19 @@ from sdforms.polys import (
     star_d,
 )
 from sdforms.selfdual import l2_shell_orthogonality, shell_pairings
-from sdforms.spectrum import ModeSet, SpectralMode, eigen_decompose, eigencomponents, eigenmodes
+from sdforms.spectrum import ModeSet, SpectralMode, eigencomponents, eigenmodes
 
 TOL = 1e-12
 
 
 @pytest.fixture(scope="module")
 def modes_d2():
-    return eigen_decompose(2)[0]
+    return eigenmodes(2)
 
 
 @pytest.fixture(scope="module")
 def modes_d3():
-    return eigen_decompose(3)[0]
+    return eigenmodes(3)
 
 
 def l2_norm(field):
@@ -91,7 +91,7 @@ def test_fields_materialized_lazily(monkeypatch):
         return original(self, v)
 
     monkeypatch.setattr(PolyBasis, "coframe_from_vector", counting)
-    modes, _ = eigen_decompose(3)
+    modes = eigenmodes(3)
     list(modes)
     assert len(calls) == 0
     field = modes[5].field
@@ -131,7 +131,7 @@ def test_pairing_table_matches_coframe_inner_d3_sample(modes_d3):
 
 @pytest.mark.parametrize("D", [1, 3, 5])
 def test_pairing_table_matches_coframe_gram(D):
-    modes = eigen_decompose(D)[0]
+    modes = eigenmodes(D)
     C = modes.C
     assert_allclose(modes.pairings(), C.T @ coframe_gram(D) @ C, rtol=0, atol=TOL)
 
@@ -211,8 +211,8 @@ def test_distance_matches_dict_route():
     assert exp.distance(propagate(exp, 1.5), 1.5) <= TOL
 
 
-def test_exact_ring_modeset():
-    modes, _ = eigen_decompose(2, ring="exact")
+def test_exact_ring_modeset(exact_ring):
+    modes, _ = exact_ring(2)
     assert isinstance(modes, ModeSet)
     assert list(modes.lam_int) == sorted(modes.lam_int)
     assert_allclose(modes.pairings(), np.eye(len(modes)), atol=1e-10)

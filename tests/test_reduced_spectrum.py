@@ -40,7 +40,7 @@ def test_reduced_report_matches_full_blocks():
         # the gradient count is the rank of the block's div
         assert b.dim == 3 * len(b.frame[0]) - np.linalg.matrix_rank(b.div)
         dim += b.dim
-        _, report = eigen_decompose(D)
+        report = eigen_decompose(D)
         assert (report.multiplicities, report.subspace_dim) == (mults, dim), D
         assert report.complete and not report.verify()
         assert report.max_integer_deviation <= 1e-12
@@ -83,8 +83,8 @@ def test_cli_hodge_builds_no_full_block(monkeypatch, capsys):
 
 @pytest.mark.parametrize("D", [0, 1, 4, 6])
 def test_reduced_report_matches_exact_ring(D):
-    _, flt = eigen_decompose(D)
-    _, exact = eigen_decompose(D, ring="exact")
+    flt = eigen_decompose(D)
+    exact = eigen_decompose(D, ring="exact")
     assert flt.multiplicities == exact.multiplicities
     assert flt.subspace_dim == exact.subspace_dim
     assert flt.complete and exact.complete
@@ -102,7 +102,7 @@ def test_lowest_reduced_blocks():
     lam, Y = _block_eigh(b1)
     assert np.allclose(lam, 3.0, atol=1e-13)
     assert np.max(np.abs(b1.div @ Y)) <= 1e-13
-    _, report = eigen_decompose(1)
+    report = eigen_decompose(1)
     assert report.multiplicities == {2: 3, 3: 8}
     assert report.subspace_dim == 11
 

@@ -21,7 +21,7 @@ from sdforms.selfdual import (
     star_two_form,
     wedge_norm_sq,
 )
-from sdforms.spectrum import eigen_decompose
+from sdforms.spectrum import eigenmodes
 
 
 def tangent_covector(field, x):
@@ -77,7 +77,7 @@ def dump_point_samples(sdf, points, path):
 
 @pytest.fixture(scope="module")
 def modes_d2():
-    return eigen_decompose(2)[0]
+    return eigenmodes(2)
 
 
 def random_points(n, seed=0, lo=0.3, hi=2.5):
@@ -269,7 +269,7 @@ def test_series_batch_matches_one_point_values():
     # the three forms of `verify kato` and a degree-3 mode expansion
     from sdforms.ale import AKFormParams, ak_form
 
-    modes_d3 = eigen_decompose(3)[0]
+    modes_d3 = eigenmodes(3)
     rng = np.random.default_rng(30)
     eta0 = CoframeField.zero()
     for lam in (-3, -2, 3, 4, 5):
@@ -327,7 +327,7 @@ def dense_table_series(sdf, x):
 def test_series_sums_table_nonzeros_like_dense_contraction():
     from sdforms.ale import AKFormParams, ak_form
 
-    modes_d3 = eigen_decompose(3)[0]
+    modes_d3 = eigenmodes(3)
     rng = np.random.default_rng(32)
     eta0 = CoframeField.zero()
     for mode in modes_d3[::3]:
@@ -358,7 +358,7 @@ def test_d_residual_minus_two_small():
 
 def test_d_residual_second_order(modes_d2):
     # h-halving shrinks the residual ~4x wherever it is above rounding noise
-    modes_d3 = eigen_decompose(3)[0]
+    modes_d3 = eigenmodes(3)
     lam_m3 = next(m for m in modes_d3 if m.lam_int == -3)
     forms = [
         minus_two_form(),

@@ -15,7 +15,7 @@ from sdforms.polys import (
 )
 from sdforms.spectrum import (
     _degree_offsets,
-    _eigen_decompose_exact,
+    _exact_eigenspaces,
     _frame_laplacian,
     _harmonic_basis,
     _integer_entries,
@@ -31,8 +31,13 @@ from sdforms.spectrum import (
 
 
 @pytest.fixture(scope="module")
-def decomposition_d3():
+def report_d3():
     return eigen_decompose(3)
+
+
+@pytest.fixture(scope="module")
+def modes_d3():
+    return eigenmodes(3)
 
 
 def expected_multiplicities(D):
@@ -79,21 +84,21 @@ def test_exact_and_float_subspace_dimensions_agree():
 # ------------------------------------------------------------- float spectrum
 
 def test_spectrum_degree0():
-    modes, report = eigen_decompose(0)
+    report = eigen_decompose(0)
     assert report.multiplicities == {2: 3}
     assert report.subspace_dim == 3
     assert report.max_integer_deviation <= 1e-10
 
 
 def test_spectrum_degree2():
-    modes, report = eigen_decompose(2)
+    report = eigen_decompose(2)
     assert report.multiplicities == {-2: 3, 2: 3, 3: 8, 4: 15}
     assert report.window == (-2, 4)
     assert not report.verify()
 
 
-def test_spectrum_degree3(decomposition_d3):
-    modes, report = decomposition_d3
+def test_spectrum_degree3(report_d3):
+    report = report_d3
     assert report.window == (-3, 5)
     for lam, mult in expected_multiplicities(3).items():
         assert report.multiplicities[lam] == mult
@@ -101,15 +106,14 @@ def test_spectrum_degree3(decomposition_d3):
     assert report.max_div_residual <= 1e-10
 
 
-def test_spectral_gap(decomposition_d3):
-    modes, _ = decomposition_d3
-    lams = np.array([m.lam for m in modes])
+def test_spectral_gap(modes_d3):
+    lams = np.array([m.lam for m in modes_d3])
     assert np.all(np.abs(lams) >= 2 - 1e-8)
     assert not np.any((np.abs(lams) < 2 - 1e-8) & (np.abs(lams) > 1e-8))
 
 
-def test_modes_l2_normalized_and_orthogonal(decomposition_d3):
-    modes, _ = decomposition_d3
+def test_modes_l2_normalized_and_orthogonal(modes_d3):
+    modes = modes_d3
     D = 3
     basis = make_basis(D)
     G = coframe_gram(D)
@@ -123,8 +127,8 @@ def test_modes_l2_normalized_and_orthogonal(decomposition_d3):
 
 def test_window_regression_between_degrees():
     # every multiplicity inside the window at D is reproduced at D + 2
-    _, r2 = eigen_decompose(2)
-    _, r4 = eigen_decompose(4)
+    r2 = eigen_decompose(2)
+    r4 = eigen_decompose(4)
     lo, hi = r2.window
     for lam in range(lo, hi + 1):
         if abs(lam) >= 2:
@@ -138,8 +142,15 @@ def test_trusted_window_shape():
 
 # ------------------------------------------------------------- exact spectrum
 
-def test_exact_spectrum_degree2():
-    modes, report = eigen_decompose(2, ring="exact")
+def test_exact_spectrum_degree2(exact_ring, monkeypatch):
+    # the eigenfields and the report come from one elimination: one div
+    # kernel per block (the shift kernels pass their width)
+    kernels = []
+    nullspace = exactla.nullspace
+    monkeypatch.setattr(exactla, "nullspace",
+                        lambda rows, n_cols=None: kernels.append(n_cols) or nullspace(rows, n_cols))
+    modes, report = exact_ring(2)
+    assert kernels.count(None) == 3
     assert report.ring == "exact"
     assert report.multiplicities == {-2: 3, 2: 3, 3: 8, 4: 15}
     assert report.complete            # ranks account for the whole subspace
@@ -153,14 +164,14 @@ def test_exact_spectrum_degree2():
 
 
 def test_exact_matches_float_clustering():
-    _, exact = eigen_decompose(2, ring="exact")
-    _, flt = eigen_decompose(2)
+    exact = eigen_decompose(2, ring="exact")
+    flt = eigen_decompose(2)
     assert exact.multiplicities == flt.multiplicities
 
 
-def test_exact_degree3_matches_float(decomposition_d3):
-    modes, exact = eigen_decompose(3, ring="exact")
-    _, flt = decomposition_d3
+def test_exact_degree3_matches_float(exact_ring, report_d3):
+    modes, exact = exact_ring(3)
+    flt = report_d3
     assert exact.multiplicities == flt.multiplicities
     assert exact.complete and exact.subspace_dim == flt.subspace_dim
     assert exact.max_div_residual <= 1e-14
@@ -184,7 +195,7 @@ def test_exact_subspace_is_primitive_integer_kernel(monkeypatch):
         return out
 
     monkeypatch.setattr(exactla, "nullspace", recording)
-    _eigen_decompose_exact(sub)
+    _exact_eigenspaces(sub)
     lap = _frame_laplacian(D, [_integer_entries(E) for E in polys.derivative_triples(D)])
     offs = _degree_offsets(D)
     Dv = operator_matrix("div", D).astype(np.int64).astype(object)
@@ -216,33 +227,30 @@ def test_exact_ring_rejects_non_integer_operator(monkeypatch):
 
 # ------------------------------------------------------------- mode checks
 
-def test_constant_norm_for_plus_minus_two(decomposition_d3):
-    modes, _ = decomposition_d3
-    for m in modes:
+def test_constant_norm_for_plus_minus_two(modes_d3):
+    for m in modes_d3:
         if abs(m.lam_int) == 2:
             assert constant_norm_check(m) <= 1e-10
 
 
-def test_norm_spread_takes_no_dict_product(decomposition_d3, monkeypatch):
+def test_norm_spread_takes_no_dict_product(modes_d3, monkeypatch):
     from sdforms.polys import CoframeField
 
     def forbidden(self):
         raise AssertionError("norm_spread formed |eta|^2 as a polynomial")
 
     monkeypatch.setattr(CoframeField, "norm_sq_poly", forbidden)
-    modes, _ = decomposition_d3
-    assert constant_norm_check(next(m for m in modes if m.lam_int == -2)) <= 1e-10
+    assert constant_norm_check(next(m for m in modes_d3 if m.lam_int == -2)) <= 1e-10
 
 
-def test_nonconstant_norm_for_lambda3(decomposition_d3):
-    modes, _ = decomposition_d3
-    spreads = [constant_norm_check(m) for m in modes if m.lam_int == 3]
+def test_nonconstant_norm_for_lambda3(modes_d3):
+    spreads = [constant_norm_check(m) for m in modes_d3 if m.lam_int == 3]
     assert max(spreads) > 0.1
 
 
 def test_invariant_frames_realize_plus_minus_two():
     # eta^1 lies in the +2 eigenspace, phi^1 in the -2 eigenspace
-    modes, _ = eigen_decompose(2)
+    modes = eigenmodes(2)
     basis = make_basis(2)
     G = coframe_gram(2)
     for field, lam in [(left_invariant_coframe(1), 2),
@@ -273,9 +281,8 @@ def test_hodge_laplacian_degree2():
 
 # ------------------------------------------------------------- report format
 
-def test_report_serialization(decomposition_d3):
-    _, report = decomposition_d3
-    blob = json.dumps(report.to_json())
+def test_report_serialization(report_d3):
+    blob = json.dumps(report_d3.to_json())
     parsed = json.loads(blob)
     assert parsed["D"] == 3
     assert parsed["trusted_window"] == [-3, 5]
@@ -285,6 +292,8 @@ def test_report_serialization(decomposition_d3):
 def test_negative_degree_rejected():
     with pytest.raises(ValueError):
         eigen_decompose(-1)
+    with pytest.raises(ValueError):
+        eigenmodes(-1)
 
 
 @pytest.mark.parametrize("above", [False, True])
@@ -298,3 +307,16 @@ def test_bound_passes_at_the_bound_and_records_past_it(above):
     bound(failures, *args, float("nan"), 0.5, "not a number", above=above)
     assert failures[0] == failure(*args, past, 0.5, "past the bound")
     assert [f["reason"] for f in failures] == ["past the bound", "not a number"]
+
+
+def test_bound_with_a_range_passes_inside_it_only():
+    args = ("regularity", "moser_product", {"c": 1e-6})
+    failures = []
+    for inside in (1.0, 1.00005, 1.0001):
+        bound(failures, *args, inside, (1.0, 1.0001), "inside")
+    assert failures == []
+    for outside in (1.0 - 1e-12, 1.0002, float("nan")):
+        bound(failures, *args, outside, (1.0, 1.0001), "outside")
+    assert failures[0] == failure(*args, 1.0 - 1e-12, (1.0, 1.0001), "outside")
+    assert [f["observed"] for f in failures[1:2]] == [1.0002]
+    assert len(failures) == 3

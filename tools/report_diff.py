@@ -6,9 +6,13 @@ Runs every invocation of the benchmark workloads at seeds 1, 2 and 7, with
 their input files written by ``perfbench/workloads.generate`` into a
 temporary directory, and a fixed list of further invocations that reach the
 edges the workloads do not (large samples and degrees, failing ε, both
-decay ends, a ``verify frames`` that crosses block boundaries).  Each runs once in each checkout as a fresh ``python3 -m
-sdforms.cli`` process through ``spectrum_ladder.run_child``, which imports
-the program from ``CHECKOUT/src``.  One line per invocation says ``same`` or
+decay ends, a ``verify frames`` that crosses block boundaries, the exact
+and float eigenfield routes on blocks of both parities, and ``evolve`` on
+the seeded degree-14 field of ``tools/memory_guard.py``, whose
+eigencomponent split runs through every parity).  Each runs once in each
+checkout as a fresh ``python3 -m sdforms.cli`` process through
+``spectrum_ladder.run_child``, which imports the program from
+``CHECKOUT/src``.  One line per invocation says ``same`` or
 ``DIFF``; the exit code is 1 when any stdout or exit code differs.
 """
 
@@ -41,7 +45,9 @@ EXTRA = (
     ["decay", "--epsilon", "0.1", "--end", "minus"],
     ["moser"],
     ["spectrum", "--degree", "12"],
+    ["spectrum", "--degree", "6", "--exact"],
     ["verify", "hodge", "--degree", "12"],
+    ["verify", "orthogonality", "--degree", "6"],
     ["verify", "orthogonality", "--degree", "8"],
 )
 
@@ -55,7 +61,9 @@ def invocations(tmp):
             for inv in workloads.generate(workload, seed, str(d)):
                 # manifest paths are relative to the workload directory
                 out.append([str(d / a) if (d / a).is_file() else a for a in inv["argv"]])
-    return out + [list(argv) for argv in EXTRA]
+    evolve_input = str(Path(tmp) / "evolve-d14.json")
+    workloads.write_evolve_input(7, 14, evolve_input)
+    return out + [list(argv) for argv in EXTRA] + [["evolve", "--init", evolve_input]]
 
 
 def main(argv=None):
