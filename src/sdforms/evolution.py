@@ -22,6 +22,7 @@ frame axis; the monomial exponents refer to the canonical reduced basis.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,33 +145,62 @@ def evolve_ode(eta0, u0, u1, steps):
     return basis.coframe_from_vector(y)
 
 
+def _read_record(name, i, rec):
+    """The (exponents, axis, coefficient) of record ``i`` of ``name``.
+
+    Rejected, naming the source and the record: a record that is not an
+    object or lacks a key, a monomial that is not four non-negative
+    integers, an axis other than 1, 2 or 3 and a coefficient that is not a
+    number.
+    """
+    where = f"{name}: record {i}"
+    if not isinstance(rec, dict):
+        raise ValueError(f"{where} is {rec!r}, not an object")
+    missing = [key for key in ("monomial", "axis", "coefficient") if key not in rec]
+    if missing:
+        raise ValueError(f"{where} has no {' or '.join(missing)}")
+    e, axis, c = rec["monomial"], rec["axis"], rec["coefficient"]
+    if not (isinstance(e, (list, tuple)) and len(e) == 4
+            and all(_is_integer(v) and v >= 0 for v in e)):
+        raise ValueError(f"{where}: bad monomial multi-index {e!r}, not four "
+                         "non-negative integers")
+    if not (_is_integer(axis) and axis in (1, 2, 3)):
+        raise ValueError(f"{where}: frame axis must be 1, 2 or 3, got {axis!r}")
+    if not isinstance(c, numbers.Real) or isinstance(c, bool):
+        raise ValueError(f"{where}: coefficient {c!r} is not a number")
+    return tuple(int(v) for v in e), int(axis), float(c)
+
+
+def _is_integer(v):
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 def load_initial_field(source):
     """Read a coframe field from the JSON initial-data format.
 
     ``source`` is a path or an already-parsed list of records
     {"monomial": [e0, e1, e2, e3], "axis": i, "coefficient": c}, summed in
     order into one coefficient dict per axis (linear time).  Rejected, naming
-    the source: a record whose coefficient is not finite or takes the
-    field's squared L^2 norm past the float range (the reduced monomials are
-    at most 1 on the sphere, of area 2 pi^2, so that norm is at most 2 pi^2
-    times the squared sum of the absolute reduced coefficients), and records
-    that sum to the zero field.
+    the source: a top level that is not a list, a malformed record
+    (:func:`_read_record`, which names the record too), a record whose
+    coefficient is not finite or takes the field's squared L^2 norm past the
+    float range (the reduced monomials are at most 1 on the sphere, of area
+    2 pi^2, so that norm is at most 2 pi^2 times the squared sum of the
+    absolute reduced coefficients), and records that sum to the zero field.
     """
     records, name = source, "initial data"
     if isinstance(source, str):
         with open(source) as fh:
             records, name = json.load(fh), source
+    if not isinstance(records, list):
+        raise ValueError(f"{name}: the top level must be a list of records, "
+                         f"not a {type(records).__name__}")
     comps = [{}, {}, {}]
     total = 0.0
     for i, rec in enumerate(records):
-        e = tuple(int(v) for v in rec["monomial"])
-        if len(e) != 4 or any(v < 0 for v in e):
-            raise ValueError(f"bad monomial multi-index {rec['monomial']!r}")
-        axis = int(rec["axis"])
-        if axis not in (1, 2, 3):
-            raise ValueError(f"frame axis must be 1, 2 or 3, got {axis}")
+        e, axis, coefficient = _read_record(name, i, rec)
         acc = comps[axis - 1]
-        for m, c in PolyScalar({e: float(rec["coefficient"])}).coeffs.items():
+        for m, c in PolyScalar({e: coefficient}).coeffs.items():
             acc[m] = acc.get(m, 0.0) + c
             total += abs(c)
         if not math.isfinite(2 * math.pi ** 2 * total * total):

@@ -39,6 +39,17 @@ def test_import_starts_one_thread():
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+def test_lazy_name_loading_numpy_starts_one_thread():
+    # numpy is first loaded by a public name the package serves on access,
+    # after the pin; a product big enough for OpenBLAS to split still runs
+    # on the one thread
+    code = ("import os, sys, sdforms; assert 'numpy' not in sys.modules; "
+            "sdforms.make_basis(2); import numpy; a = numpy.ones((256, 256)); a @ a; "
+            "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])")
+    assert _python(code, _env()) == ["1", "1"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
 @pytest.mark.skipif(CPUS < 2, reason="needs 2 CPUs")
 def test_caller_thread_setting_wins():
     assert _python(THREADS, _env(OPENBLAS_NUM_THREADS="2")) == ["2", "2"]

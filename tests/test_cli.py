@@ -347,6 +347,39 @@ def test_config_rejects_unknown_schema(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("text, named", [
+    (None, "cannot read config file"),
+    ('{"schema_version": 1,', "is not JSON"),
+    ("[1, 2]", "must hold a JSON object"),
+    ('{"schema_version": 1, "spectrum": [1]}', "section 'spectrum' must be a JSON object"),
+    ('{"schema_version": 1, "spectrum": {"exact": "false"}}', "must be true or false"),
+    ('{"schema_version": 1, "spectrum": {"exact": 1}}', "must be true or false"),
+    ('{"schema_version": 1, "spectrum": {"degree": 1.5}}', "must be int"),
+    ('{"schema_version": 1, "spectrum": {"degree": true}}', "must be a string or a number"),
+], ids=["missing", "invalid-json", "top-level-list", "section-list", "switch-string",
+        "switch-number", "int-fraction", "int-boolean"])
+def test_config_errors_are_usage_errors(tmp_path, capsys, text, named):
+    # a config file that cannot be read, or a value the flag would not take
+    # on the command line, exits 2 with a usage message before any work
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["--config", str(cfg), "--output", str(tmp_path / "out"), "spectrum"])
+    assert exc.value.code == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_switch_takes_json_booleans(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for value, ring in ((True, "exact"), (False, "float")):
+        cfg.write_text(json.dumps({"schema_version": 1,
+                                   "spectrum": {"degree": 1, "exact": value}}))
+        code, rep = run(capsys, "--config", str(cfg), "spectrum")
+        assert (code, rep["ring"]) == (0, ring)
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         dispatch(["no-such-command"])
@@ -694,6 +727,26 @@ RECORD = '{"monomial": [1, 0, 0, 0], "axis": 1, "coefficient": %s}'
 ], ids=["nan", "inf", "-inf", "1e300", "norm-overflow", "empty", "cancelling"])
 def test_evolve_rejects_unusable_initial_data(capsys, tmp_path, text, named):
     # no NaN, infinity, overflowing norm or zero field gets past the loader
+    init = tmp_path / "init.json"
+    init.write_text(text)
+    code, rep = run(capsys, "evolve", "--init", str(init))
+    assert (code, rep["status"]) == (2, "error")
+    assert str(init) in rep["message"] and named in rep["message"]
+
+
+@pytest.mark.parametrize("text, named", [
+    ("{%s}" % RECORD[1:-1] % "1.0", "top level must be a list"),
+    ("[%s, [1]]" % RECORD % "1.0", "record 1 is [1], not an object"),
+    ('[{"axis": 1, "coefficient": 1.0}]', "record 0 has no monomial"),
+    ('[{"monomial": [1, 0, 0, 0], "coefficient": 1.0}]', "record 0 has no axis"),
+    ('[{"monomial": [1, 0, 0, 0], "axis": 1}]', "record 0 has no coefficient"),
+    ('[{"monomial": [1, 0, null, 0], "axis": 1, "coefficient": 1.0}]', "record 0: bad monomial"),
+    ('[{"monomial": [1, 0, 0, 0], "axis": "1", "coefficient": 1.0}]', "record 0: frame axis"),
+    ("[%s]" % RECORD % '"1.0"', "record 0: coefficient '1.0' is not a number"),
+], ids=["object", "not-a-record", "no-monomial", "no-axis", "no-coefficient",
+        "null-exponent", "string-axis", "string-coefficient"])
+def test_evolve_rejects_malformed_initial_data(capsys, tmp_path, text, named):
+    # a file of the wrong shape is a usage error naming the file and the record
     init = tmp_path / "init.json"
     init.write_text(text)
     code, rep = run(capsys, "evolve", "--init", str(init))

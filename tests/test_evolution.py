@@ -213,6 +213,31 @@ def test_initial_field_schema_validation():
         load_initial_field([{"monomial": [0, 0, 0, 0], "axis": 4, "coefficient": 1.0}])
 
 
+GOOD_RECORD = {"monomial": [0, 1, 0, 0], "axis": 2, "coefficient": 1.0}
+
+
+@pytest.mark.parametrize("records, message", [
+    ({"monomial": [1, 0, 0, 0], "axis": 1, "coefficient": 1.0},
+     "initial data: the top level must be a list of records, not a dict"),
+    ([GOOD_RECORD, [1]], "initial data: record 1 is [1], not an object"),
+    ([GOOD_RECORD, {"axis": 1}], "initial data: record 1 has no monomial or coefficient"),
+    ([GOOD_RECORD, {**GOOD_RECORD, "monomial": [1, 0, 0]}],
+     "initial data: record 1: bad monomial multi-index"),
+    ([GOOD_RECORD, {**GOOD_RECORD, "monomial": [1, 0, 0, -1]}],
+     "initial data: record 1: bad monomial multi-index"),
+    ([GOOD_RECORD, {**GOOD_RECORD, "monomial": [1.5, 0, 0, 0]}],
+     "initial data: record 1: bad monomial multi-index"),
+    ([GOOD_RECORD, {**GOOD_RECORD, "axis": True}],
+     "initial data: record 1: frame axis must be 1, 2 or 3, got True"),
+    ([GOOD_RECORD, {**GOOD_RECORD, "coefficient": None}],
+     "initial data: record 1: coefficient None is not a number"),
+])
+def test_load_names_the_malformed_record(records, message):
+    with pytest.raises(ValueError) as exc:
+        load_initial_field(records)
+    assert str(exc.value).startswith(message)
+
+
 def test_load_sums_records_like_polyscalars():
     # repeated monomials, x3^2 and x3^3 records that reduce onto other
     # records' monomials, a record cancelling another and a zero coefficient
