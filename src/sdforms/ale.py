@@ -145,13 +145,6 @@ class ALEModel:
         with np.errstate(over="ignore"):
             return np.where(rho >= 0, half / self.epsilon ** 2, 1.0 / half)
 
-    def warp_identity_residual(self, t):
-        """|(eps^2 t + 1/t)^2 - (rho^2 + 4 eps^2)|, identically zero."""
-        t = np.asarray(t, dtype=float)
-        rho = self.rho_of_t(t)
-        lhs = (self.epsilon ** 2 * t + 1.0 / t) ** 2
-        return np.abs(lhs - (rho ** 2 + 4.0 * self.epsilon ** 2))
-
     def minimal_sphere_area(self):
         """Area (rho^2 + 4 eps^2)^(3/2) * 2 pi^2 at rho = 0, i.e. 16 pi^2 eps^3."""
         self._require_curved("minimal sphere")

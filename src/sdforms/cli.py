@@ -47,6 +47,7 @@ DEFAULT_SEED = 20240817
 CONFIG_SCHEMA_VERSION = 1
 KATO_BOUND = 2.0 / 3.0 + 1e-6
 KATO_DEFAULT_H = 1e-4
+RICCI_H = 1e-3
 SHELL_RADII = (0.5, 1.0, 2.0)
 
 
@@ -132,25 +133,28 @@ def cmd_evolve(args):
                          "no evolution to compare")
     eta0 = evolution.load_initial_field(args.init)
     D = eta0.degree
-    size0 = evolution.gram_norm(D, make_basis(D).coframe_to_vector(eta0))
+    basis = make_basis(D)
+    c0 = basis.coframe_to_vector(eta0)
+    size0 = evolution.gram_norm(D, c0)
     _check_growth(args, D, size0)
     t = args.t1 / args.t0
-    expansion = evolution.decompose_initial(eta0)
+    expansion = evolution.decompose_initial(D, c0)
     # the certificate is judged relative to the initial field, conservation to the
     # larger of ||eta0|| and the exact solution's norm at t1 once it is certified
     tol = evolution.DIV_TOL * size0
     certified = expansion.residual <= tol
-    size = max(size0, evolution.gram_norm(D, expansion.coefficients(t)) if certified else 0.0)
+    size = max(size0, evolution.gram_norm(D, evolution.propagate(expansion, t))
+               if certified else 0.0)
     failures = []
     u0, u1 = math.log(args.t0), math.log(args.t1)
-    result = evolution.evolve_ode(eta0, u0, u1, args.steps)
-    div_after = evolution.div_residual(result)
+    result = evolution.evolve_ode(D, c0, u0, u1, args.steps)
+    div_after = evolution.div_residual(D, result)
     bound(failures, "maxwell", "evolve_ode", {"steps": args.steps}, div_after,
           evolution.DIV_TOL * size, "divergence not conserved")
     cross = None
     if certified:
         err = expansion.distance(result, t)
-        err_fine = expansion.distance(evolution.evolve_ode(eta0, u0, u1, 2 * args.steps), t)
+        err_fine = expansion.distance(evolution.evolve_ode(D, c0, u0, u1, 2 * args.steps), t)
         # the comparison's own rounding: the certificate grown by the largest mode
         # factor, and one rounding of the larger field norm (at t0 or t1) per step
         # of the doubled run; at or below it the ratio measures nothing
@@ -172,7 +176,7 @@ def cmd_evolve(args):
         "divergence_residual": div_after,
         "decomposition_residual": expansion.residual,
         "spectral_cross_check": cross,
-        "final_field": evolution.dump_initial_field(result),
+        "final_field": evolution.dump_initial_field(basis.coframe_from_vector(result)),
     }
 
 
@@ -346,17 +350,17 @@ def _ale_curvature(args, params):
     rhos_fd = sampler.uniform(-1.0, 5.0, args.ricci_samples)
     X = model.t_of_rho(rhos_fd)[:, None] * dirs
     # in the oracle's blocks, so the closed form is held for one block at a time
-    rel = selfdual.in_blocks(lambda x: _fd_relative_error(model, x, args.h),
+    rel = selfdual.in_blocks(lambda x: _fd_relative_error(model, x, RICCI_H),
                              selfdual.EVAL_BLOCK // 81, X)
     worst = int(np.argmax(rel))
     worst_fd, worst_x = float(rel[worst]), X[worst]
     order = None
     if worst_fd > 1e-9:
-        coarse = float(_fd_relative_error(model, worst_x, 2 * args.h))
+        coarse = float(_fd_relative_error(model, worst_x, 2 * RICCI_H))
         order = float(np.log2(coarse / worst_fd))
-        bound(failures, "ale_models", "ricci_numeric", {"h": args.h}, order, (1.5, 2.6),
+        bound(failures, "ale_models", "ricci_numeric", {"h": RICCI_H}, order, (1.5, 2.6),
               "oracle not converging at second order")
-    bound(failures, "ale_models", "ricci_numeric", {"h": args.h}, worst_fd, 1e-2,
+    bound(failures, "ale_models", "ricci_numeric", {"h": RICCI_H}, worst_fd, 1e-2,
           "oracle disagrees")
     bound(failures, "ale_models", "ricci_closed_form", {}, worst_norm, 1e-10,
           "|Ric|^2 identity violated")
@@ -367,7 +371,7 @@ def _ale_curvature(args, params):
                       "fd_meets_1e-4": bool(worst_fd <= 1e-4),
                       "max_norm_identity_error": worst_norm,
                       "max_scalar_curvature": worst_scalar,
-                      "h": args.h, "samples": args.ricci_samples}
+                      "h": RICCI_H, "samples": args.ricci_samples}
 
 
 def _ale_asymptotics(args, params):
@@ -469,11 +473,9 @@ def cmd_ale_report(args):
     # below them ricci_closed_form's |x|^4 (t2 ** 2) overflows on the window
     # -5 <= rho <= 5 (epsilon = 1e-60), above them the closed form of |Ric|^2
     # underflows to 0 and the identity's relative error divides by it (1e40).
-    # The decay profile runs from |rho| = 10 to rho_max and must span a decade;
-    # the Ricci oracle's step-doubling rerun at 2h has stencil radius 4 h |x|,
-    # which reaches the origin from h = 0.25 on
-    _check_flags(args, positive=("epsilon", "rho_max", "h"), finite=("alpha", "beta"),
-                 limits=(("ricci_samples", ">=", 1), ("rho_max", ">=", 100), ("h", "<", 0.25)),
+    # The decay profile runs from |rho| = 10 to rho_max and must span a decade
+    _check_flags(args, positive=("epsilon", "rho_max"), finite=("alpha", "beta"),
+                 limits=(("ricci_samples", ">=", 1), ("rho_max", ">=", 100)),
                  squared=("epsilon", "rho_max"),
                  powers=(("alpha", 2), ("beta", 2), ("epsilon", 9), ("epsilon", -10),
                          ("rho_max", 2)))
@@ -559,18 +561,30 @@ def _report_name(args):
     return args.command.replace("-", "_") + ".json"
 
 
+def _print(text):
+    """Print ``text``; a stdout whose reader is gone is pointed at the null device,
+    so nothing more reaches the pipe, not even the flush at interpreter exit."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _run(args):
     """Run one subcommand and emit its report; the exit code is 0 or 1.
 
     The subcommand returns ``(failures, fields)``.  The report is the fields
     plus ``seed``, ``status`` and ``failures``; with ``--output`` it is also
-    written to the subcommand's report file, beside its other artifacts.
+    written to the subcommand's report file, beside its other artifacts.  A
+    stdout whose reader has closed it changes neither the files nor the code.
     """
     failures, report = args.func(args)
     report.update(seed=args.seed, status="fail" if failures else "pass",
                   failures=failures)
     blob = json.dumps(_round_floats(report), indent=1, sort_keys=True, allow_nan=False)
-    print(blob)
+    _print(blob)
     if args.output:
         files = {_report_name(args): blob + "\n"}
         files.update((name, write(args, report))
@@ -624,7 +638,6 @@ def _build_parser():
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--rho-max", type=float, default=1000.0)
-    p.add_argument("--h", type=float, default=1e-3)
     p.add_argument("--ricci-samples", type=int, default=100)
 
     p = add_parser("moser", cmd_moser, help="iteration product sweep")
@@ -644,11 +657,12 @@ def _build_parser():
 def _apply_config(args, parser, argv):
     """Defaults from the config file's section for the subcommand.
 
-    The file must be readable JSON whose top level and section are objects.
-    Each key must name a flag of the subcommand; an on/off flag takes a JSON
-    boolean, any other flag a string or number, converted as its text would
-    be on the command line.  Explicit flags win over the file.  Anything else
-    is a usage error.
+    The file must be readable JSON whose top level and section are objects,
+    with ``schema_version`` the JSON integer 1.  Each key must name a flag of
+    the subcommand other than ``config`` (``output`` and ``seed`` included);
+    an on/off flag takes a JSON boolean, any other flag a string or number,
+    converted as its text would be on the command line.  Explicit flags win
+    over the file.  Anything else is a usage error.
     """
     if not args.config:
         return args
@@ -661,20 +675,25 @@ def _apply_config(args, parser, argv):
         parser.error(f"config file {args.config!r} is not JSON: {exc}")
     if not isinstance(cfg, dict):
         parser.error(f"config file {args.config!r} must hold a JSON object")
-    if cfg.get("schema_version") != CONFIG_SCHEMA_VERSION:
-        parser.error(f"unsupported config schema_version {cfg.get('schema_version')!r}")
+    version = cfg.get("schema_version")
+    # type(True) is bool and type(1.0) float: only the JSON integer 1 passes
+    if type(version) is not int or version != CONFIG_SCHEMA_VERSION:
+        parser.error(f"unsupported config schema_version {version!r}, "
+                     f"expected the integer {CONFIG_SCHEMA_VERSION}")
     section = cfg.get(args.command, {})
     if not isinstance(section, dict):
         parser.error(f"config section {args.command!r} must be a JSON object")
     subparsers, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    # the file is read before any section, so a section cannot name another
     flags = {a.dest: a for a in subparsers.choices[args.command]._actions
-             if a.option_strings and a.dest != "help"}
+             if a.option_strings and a.dest not in ("help", "config")}
     explicit = {a.lstrip("-").replace("-", "_").split("=")[0]
                 for a in argv if a.startswith("--")}
     for key, value in section.items():
         flag = flags.get(key.replace("-", "_"))
         if flag is None:
-            parser.error(f"config key {key!r} is not a flag of {args.command}")
+            parser.error(f"config key {key!r} is not a flag of {args.command} "
+                         "that a config file can set")
         if flag.dest in explicit:
             continue
         if flag.nargs == 0:
@@ -703,7 +722,7 @@ def dispatch(argv=None):
     except (ValueError, OverflowError, MemoryError, OSError) as exc:
         # an OverflowError means a flag put the model outside the float range,
         # a MemoryError an input too large for the dense arrays it needs
-        print(json.dumps({"status": "error", "message": str(exc)}))
+        _print(json.dumps({"status": "error", "message": str(exc)}))
         return 2
 
 

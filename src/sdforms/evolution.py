@@ -11,6 +11,11 @@ cross-checked against each other:
   fourth-order Runge-Kutta scheme, never using the spectral decomposition;
   each stage applies the sparse curl triples once.
 
+Both routes, and :func:`div_residual` and :meth:`ModeExpansion.distance`,
+take and return coefficient vectors on the degree <= D basis
+(``make_basis(D).coframe_to_vector``); a ``CoframeField`` is built only
+where a field is read or written (:func:`load_initial_field`,
+:func:`dump_initial_field`) or asked for (:attr:`ModeExpansion.terms`).
 L^2 norms and pairings take the scalar Gram matrix per frame component; no
 dense 3N x 3N operator or Gram matrix is formed.  A field is divergence-free
 here when the L^2 norm of its div is at most DIV_TOL times its own.
@@ -52,10 +57,9 @@ __all__ = [
 DIV_TOL = 1e-8
 
 
-def div_residual(eta):
-    """L^2 norm of div(eta) over the sphere, sqrt(r^T G r) with r = Dv c."""
-    D = eta.degree
-    return div_norms(D, make_basis(D).coframe_to_vector(eta))[0]
+def div_residual(D, c):
+    """L^2 norm of the div of the field c over the sphere, sqrt(r^T G r) with r = Dv c."""
+    return div_norms(D, c)[0]
 
 
 def gram_norm(D, v):
@@ -77,16 +81,9 @@ class ModeExpansion:
         """(eigenvalue, CoframeField) pairs, one per eigenvalue."""
         return list(zip(self.lam.tolist(), map(make_basis(self.D).coframe_from_vector, self.V.T)))
 
-    def coefficients(self, t):
-        """Coefficient vector of the solution at radius t, sum_lambda t^(lambda-2) eta_lambda."""
-        if t <= 0:
-            raise ValueError(f"the evolution lives on t > 0, got t = {t}")
-        return self.V @ (t ** (self.lam - 2.0))
-
-    def distance(self, field, t):
-        """L^2 distance between field and the solution at radius t."""
-        return gram_norm(self.D, make_basis(self.D).coframe_to_vector(field)
-                         - self.coefficients(t))
+    def distance(self, c, t):
+        """L^2 distance between the field c and the solution at radius t."""
+        return gram_norm(self.D, c - propagate(self, t))
 
 
 def _check_divergence(D, c):
@@ -96,7 +93,7 @@ def _check_divergence(D, c):
         raise ValueError(f"initial field is not divergence-free (residual {r:.3e})")
 
 
-def decompose_initial(eta0):
+def decompose_initial(D, c0):
     """Split a divergence-free field into its *d eigencomponents (no eigenvector).
 
     ``residual`` certifies them: the root sum of squares of the L^2 norms
@@ -105,8 +102,6 @@ def decompose_initial(eta0):
     norm of the sum, which cancels on any block split, it sees a wrong one.
     A field whose div passes DIV_TOL times its L^2 norm is rejected.
     """
-    D = eta0.degree
-    c0 = make_basis(D).coframe_to_vector(eta0)
     _check_divergence(D, c0)
     lam, V = spectrum.eigencomponents(D, c0)
     defect = sparse_apply(coframe_triples(D)["curl"], V, len(V)) + (2.0 - lam) * V
@@ -116,25 +111,25 @@ def decompose_initial(eta0):
 
 
 def propagate(expansion, t):
-    """Exact solution at radius t: sum_lambda t^(lambda - 2) eta_lambda."""
-    return make_basis(expansion.D).coframe_from_vector(expansion.coefficients(t))
+    """Coefficient vector of the exact solution at radius t: sum_lambda t^(lambda-2) eta_lambda."""
+    if t <= 0:
+        raise ValueError(f"the evolution lives on t > 0, got t = {t}")
+    return expansion.V @ (t ** (expansion.lam - 2.0))
 
 
-def evolve_ode(eta0, u0, u1, steps):
-    """Fourth-order Runge-Kutta integration of d eta/du = curl(eta).
+def evolve_ode(D, c0, u0, u1, steps):
+    """Fourth-order Runge-Kutta integration of d eta/du = curl(eta) from the field c0.
 
-    Runs in the polynomial coefficient space at the degree of eta0; the curl
-    operator does not raise the degree, so the truncation is exact.  The
-    divergence constraint is preserved along the flow.
+    Runs in the coefficient space of the degree <= D basis and returns the
+    coefficient vector at u1; the curl operator does not raise the degree,
+    so the truncation is exact.  The divergence constraint is preserved
+    along the flow.
     """
     if steps < 1:
         raise ValueError(f"need at least one step, got {steps}")
-    D = eta0.degree
-    basis = make_basis(D)
-    y = basis.coframe_to_vector(eta0)
-    _check_divergence(D, y)
+    _check_divergence(D, c0)
+    y, n = c0, len(c0)
     curl = coframe_triples(D)["curl"]
-    n = 3 * basis.dim
     h = (u1 - u0) / steps
     for _ in range(steps):
         k1 = sparse_apply(curl, y, n)
@@ -142,7 +137,7 @@ def evolve_ode(eta0, u0, u1, steps):
         k3 = sparse_apply(curl, y + 0.5 * h * k2, n)
         k4 = sparse_apply(curl, y + h * k3, n)
         y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return basis.coframe_from_vector(y)
+    return y
 
 
 def _read_record(name, i, rec):

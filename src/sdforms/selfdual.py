@@ -170,11 +170,6 @@ class SelfDualForm:
         """
         return cls([(1.0, 2, left_invariant_coframe(axis))])
 
-    @classmethod
-    def from_expansion(cls, expansion):
-        """The form of a sphere-side ModeExpansion: one term per eigenvalue."""
-        return cls([(1.0, lam, field) for lam, field in expansion.terms])
-
     @cached_property
     def _compiled(self):
         """(E, C, c, lam): one monomial table whose columns 3j..3j+2 are the

@@ -16,6 +16,7 @@ from sdforms import ale, cli, evolution, regularity, selfdual, spectrum
 from sdforms.polys import (
     CoframeField,
     left_invariant_coframe,
+    make_basis,
     right_invariant_coframe,
     sphere_integral,
 )
@@ -208,12 +209,14 @@ def test_criterion_10_orthogonality_and_evolution(modes_d3, modes_d2):
         eta0 = CoframeField.zero()
         for c, m in zip(rng.standard_normal(len(modes_d2)), modes_d2):
             eta0 = eta0 + float(c) * m.field
-        expansion = evolution.decompose_initial(eta0)
+        basis = make_basis(2)
+        c0 = basis.coframe_to_vector(eta0)
+        expansion = evolution.decompose_initial(2, c0)
         u1 = 0.3
         exact = evolution.propagate(expansion, float(np.exp(u1)))
 
         def err(steps):
-            diff = evolution.evolve_ode(eta0, 0.0, u1, steps) - exact
+            diff = basis.coframe_from_vector(evolution.evolve_ode(2, c0, 0.0, u1, steps) - exact)
             return float(np.sqrt(max(sphere_integral(diff.norm_sq_poly()), 0.0)))
 
         e20, e40 = err(20), err(40)

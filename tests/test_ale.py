@@ -74,9 +74,11 @@ def test_t_of_rho_stable_on_negative_end():
 
 
 def test_warp_identity():
-    model = ALEModel(0.37)
+    # (eps^2 t + 1/t)^2 = rho^2 + 4 eps^2
+    eps = 0.37
     ts = np.geomspace(1e-2, 1e2, 1000)
-    assert model.warp_identity_residual(ts).max() <= 1e-10
+    rho = ALEModel(eps).rho_of_t(ts)
+    assert np.abs((eps ** 2 * ts + 1 / ts) ** 2 - (rho ** 2 + 4 * eps ** 2)).max() <= 1e-10
 
 
 def test_minimal_sphere_area():

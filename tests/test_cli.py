@@ -113,6 +113,28 @@ def test_no_path_imports_numpy_random_polynomial_or_hashlib(tmp_path):
     assert loaded == []
 
 
+@pytest.mark.parametrize("argv, code, files", [
+    (["verify", "kato", "--samples", "50"], 0, ["verify_kato.json"]),
+    (["ale-report", "--epsilon", "2", "--ricci-samples", "5"], 1,
+     ["ale_profile.csv", "ale_report.json"]),
+    (["ale-report", "--epsilon", "0"], 2, []),
+])
+def test_closed_stdout_keeps_the_exit_code_and_the_files(tmp_path, argv, code, files):
+    # a reader that is gone before the report is printed: the run still exits
+    # with its own code, writes its --output files and prints no traceback
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sdforms.__file__))}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "sdforms.cli", *argv,
+                               "--output", str(tmp_path)],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (code, "")
+    assert sorted(p.name for p in tmp_path.iterdir()) == files
+
+
 #: numpy's LAPACK-backed solvers; the pointwise subcommands call none of them
 LAPACK_DRIVERS = ("eigh", "eigvalsh", "inv", "solve", "lstsq", "svd", "qr", "cholesky")
 
@@ -347,6 +369,17 @@ def test_config_rejects_unknown_schema(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_config_section_sets_output_and_seed(tmp_path, capsys):
+    # the common flags other than --config are flags of every subcommand
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+    cfg.write_text(json.dumps({"schema_version": 1,
+                               "spectrum": {"degree": 1, "output": str(out), "seed": 3}}))
+    code, rep = run(capsys, "--config", str(cfg), "spectrum")
+    assert (code, rep["seed"]) == (0, 3)
+    assert json.loads((out / "spectrum_d1.json").read_text()) == rep
+
+
 @pytest.mark.parametrize("text, named", [
     (None, "cannot read config file"),
     ('{"schema_version": 1,', "is not JSON"),
@@ -356,8 +389,15 @@ def test_config_rejects_unknown_schema(tmp_path, capsys):
     ('{"schema_version": 1, "spectrum": {"exact": 1}}', "must be true or false"),
     ('{"schema_version": 1, "spectrum": {"degree": 1.5}}', "must be int"),
     ('{"schema_version": 1, "spectrum": {"degree": true}}', "must be a string or a number"),
+    # True == 1 and 1.0 == 1 in Python, but neither is the JSON integer 1
+    ('{"schema_version": true}', "unsupported config schema_version True"),
+    ('{"schema_version": 1.0}', "unsupported config schema_version 1.0"),
+    # the file is read before any section, so a section naming another is not obeyed
+    ('{"schema_version": 1, "spectrum": {"config": "other.json"}}',
+     "config key 'config' is not a flag of spectrum that a config file can set"),
 ], ids=["missing", "invalid-json", "top-level-list", "section-list", "switch-string",
-        "switch-number", "int-fraction", "int-boolean"])
+        "switch-number", "int-fraction", "int-boolean", "schema-boolean", "schema-float",
+        "section-config"])
 def test_config_errors_are_usage_errors(tmp_path, capsys, text, named):
     # a config file that cannot be read, or a value the flag would not take
     # on the command line, exits 2 with a usage message before any work
@@ -618,6 +658,27 @@ def test_evolve_builds_no_eigenbasis(capsys, tmp_path, monkeypatch):
         assert 15.0 < rep["spectral_cross_check"]["step_doubling_ratio"] < 17.0
 
 
+def test_evolve_converts_the_field_once_each_way(capsys, tmp_path, monkeypatch):
+    # both routes run on coefficient vectors: the loaded field becomes one
+    # vector, and only the RK4 result becomes a field again, for final_field
+    from sdforms.polys import PolyBasis
+
+    init = tmp_path / "init.json"
+    pairings_input(3, init)
+    calls = {"coframe_to_vector": 0, "coframe_from_vector": 0}
+    for name in calls:
+        method = getattr(PolyBasis, name)
+
+        def counted(self, arg, name=name, method=method):
+            calls[name] += 1
+            return method(self, arg)
+
+        monkeypatch.setattr(PolyBasis, name, counted)
+    code, rep = run(capsys, "evolve", "--init", str(init))
+    assert (code, rep["spectral_cross_check"] is not None) == (0, True)
+    assert calls == {"coframe_to_vector": 1, "coframe_from_vector": 1}
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("t1, code", [("1e100", 2), ("5e50", 1)])
 def test_evolve_bounds_the_growth_of_the_field(capsys, tmp_path, t1, code):
@@ -683,17 +744,15 @@ def test_evolve_step_doubling_at_the_rounding_floor_passes(capsys, tmp_path, D, 
     assert cross["step_doubling_ratio"] is None
 
 
-def euler(eta0, u0, u1, steps):
+def euler(D, y, u0, u1, steps):
     """A first-order stepper in place of RK4."""
-    from sdforms.polys import coframe_triples, make_basis, sparse_apply
+    from sdforms.polys import coframe_triples, sparse_apply
 
-    basis = make_basis(eta0.degree)
-    curl = coframe_triples(eta0.degree)["curl"]
-    y = basis.coframe_to_vector(eta0)
+    curl = coframe_triples(D)["curl"]
     h = (u1 - u0) / steps
     for _ in range(steps):
         y = y + h * sparse_apply(curl, y, len(y))
-    return basis.coframe_from_vector(y)
+    return y
 
 
 @pytest.mark.parametrize("flags", [[], ["--steps", "3000"]])
@@ -891,8 +950,8 @@ def test_kato_fails_when_a_form_has_no_points(capsys, monkeypatch):
     (["--epsilon=-0.1"], "--epsilon"),
     (["--epsilon", "0.1", "--rho-max", "0"], "--rho-max"),
     (["--epsilon", "0.1", "--rho-max", "inf"], "--rho-max"),
-    (["--epsilon", "0.1", "--h", "nan"], "--h"),
-    (["--epsilon", "0.1", "--h=-1e-3"], "--h"),
+    (["--epsilon", "0.1", "--alpha", "inf"], "--alpha"),
+    (["--epsilon", "0.1", "--ricci-samples=-1"], "--ricci-samples"),
     (["--epsilon", "0.1", "--alpha", "nan"], "--alpha"),
     (["--epsilon", "0.1", "--beta=-inf"], "--beta"),
     (["--epsilon", "0.1", "--ricci-samples", "0"], "--ricci-samples"),
@@ -912,9 +971,6 @@ def test_kato_fails_when_a_form_has_no_points(capsys, monkeypatch):
     # the decay profile from |rho| = 10 spans less than a decade; these exited
     # 2 only after every other block ran, without naming the flag
     (["--epsilon", "0.1", "--rho-max", "99.9"], "--rho-max"),
-    # the Ricci oracle's rerun at 2h has a stencil that reaches the origin
-    (["--epsilon", "0.1", "--h", "0.25"], "--h"),
-    (["--epsilon", "0.1", "--h", "0.4"], "--h"),
 ])
 def test_ale_report_rejects_bad_flags(capsys, monkeypatch, flags, named):
     # the flags are checked before any computation

@@ -38,17 +38,32 @@ def l2_distance(a, b):
     return float(np.sqrt(max(sphere_integral(diff.norm_sq_poly()), 0.0)))
 
 
+def coefficients(eta):
+    """(degree, coefficient vector) of a field: the arguments the evolution takes."""
+    return eta.degree, make_basis(eta.degree).coframe_to_vector(eta)
+
+
+def energy(D, c):
+    """Squared L^2 norm of the field with coefficient vector c, on the dict route."""
+    return sphere_integral(make_basis(D).coframe_from_vector(c).norm_sq_poly())
+
+
+def distance(D, a, b):
+    """L^2 distance of two coefficient vectors, on the dict route."""
+    return float(np.sqrt(max(energy(D, a - b), 0.0)))
+
+
 # --------------------------------------------------------------- decompose
 
 def test_decompose_left_invariant():
-    exp = decompose_initial(left_invariant_coframe(1))
+    exp = decompose_initial(*coefficients(left_invariant_coframe(1)))
     assert exp.residual <= 1e-10
     assert [lam for lam, _ in exp.terms] == [2]
 
 
 def test_decompose_mixed_invariant():
     eta0 = left_invariant_coframe(1) + right_invariant_coframe(1)
-    exp = decompose_initial(eta0)
+    exp = decompose_initial(*coefficients(eta0))
     assert exp.residual <= 1e-10
     assert sorted(lam for lam, _ in exp.terms) == [-2, 2, 3, 4]
     parts = dict(exp.terms)
@@ -65,32 +80,33 @@ def test_decompose_mixed_invariant():
 def test_decompose_rejects_gradient():
     df = gradient_coframe(PolyScalar.coordinate(0))
     with pytest.raises(ValueError, match="divergence-free"):
-        decompose_initial(df)
+        decompose_initial(*coefficients(df))
 
 
 # --------------------------------------------------------------- propagate
 
 def test_propagate_identity_at_t0():
-    eta0 = left_invariant_coframe(1) + 0.5 * right_invariant_coframe(2)
-    exp = decompose_initial(eta0)
-    assert l2_distance(propagate(exp, 1.0), eta0) <= 1e-10
+    D, c0 = coefficients(left_invariant_coframe(1) + 0.5 * right_invariant_coframe(2))
+    exp = decompose_initial(D, c0)
+    assert distance(D, propagate(exp, 1.0), c0) <= 1e-10
 
 
 def test_propagate_stationary_kahler_mode():
-    exp = decompose_initial(left_invariant_coframe(1))
+    D, c0 = coefficients(left_invariant_coframe(1))
+    exp = decompose_initial(D, c0)
     for t in (0.5, 2.0, 7.3):
-        assert l2_distance(propagate(exp, t), left_invariant_coframe(1)) <= 1e-10
+        assert distance(D, propagate(exp, t), c0) <= 1e-10
 
 
 def test_propagate_minus_two_scaling():
-    exp = decompose_initial(right_invariant_coframe(1))
+    D, c0 = coefficients(right_invariant_coframe(1))
+    exp = decompose_initial(D, c0)
     out = propagate(exp, 2.0)
-    expected = (2.0 ** -4) * right_invariant_coframe(1)
-    assert l2_distance(out, expected) <= 1e-10
+    assert distance(D, out, (2.0 ** -4) * c0) <= 1e-10
 
 
 def test_propagate_rejects_nonpositive_time():
-    exp = decompose_initial(left_invariant_coframe(1))
+    exp = decompose_initial(*coefficients(left_invariant_coframe(1)))
     with pytest.raises(ValueError):
         propagate(exp, 0.0)
     with pytest.raises(ValueError):
@@ -104,36 +120,36 @@ def test_per_mode_energy_scaling():
     for D in (3, 4):
         basis = make_basis(D)
         rng = np.random.default_rng(40 + D)
-        exp = decompose_initial(star_d(basis.coframe_from_vector(
-            rng.standard_normal(3 * basis.dim))))
+        exp = decompose_initial(*coefficients(star_d(basis.coframe_from_vector(
+            rng.standard_normal(3 * basis.dim)))))
         assert sorted(exp.lam.tolist()) == [*range(-D, -1), *range(2, D + 3)]
         for t in (0.5, 1.5):
             energies = []
             for j, lam in enumerate(exp.lam):
                 part = ModeExpansion(D, exp.lam[j:j + 1], exp.V[:, j:j + 1])
-                e0 = sphere_integral(propagate(part, 1.0).norm_sq_poly())
-                energies.append(sphere_integral(propagate(part, t).norm_sq_poly()))
+                e0 = energy(D, propagate(part, 1.0))
+                energies.append(energy(D, propagate(part, t)))
                 assert e0 > 1e-3
                 assert_allclose(energies[-1], t ** (2 * lam - 4) * e0, rtol=1e-9)
-            assert_allclose(sphere_integral(propagate(exp, t).norm_sq_poly()), sum(energies),
+            assert_allclose(energy(D, propagate(exp, t)), sum(energies),
                             rtol=1e-9)
 
 
 # --------------------------------------------------------------- evolve_ode
 
 def test_evolve_stationary_field():
-    eta1 = left_invariant_coframe(1)
-    out = evolve_ode(eta1, 0.0, 1.0, steps=50)
-    assert l2_distance(out, eta1) <= 1e-12
+    D, c1 = coefficients(left_invariant_coframe(1))
+    out = evolve_ode(D, c1, 0.0, 1.0, steps=50)
+    assert distance(D, out, c1) <= 1e-12
 
 
 def test_evolve_minus_two_exact_solution():
     # over u in [0, log 2] the right-invariant field scales by 2^-4 = 1/16
-    phi = right_invariant_coframe(1)
+    D, phi = coefficients(right_invariant_coframe(1))
     errors = []
     for steps in (8, 16, 32):
-        out = evolve_ode(phi, 0.0, log(2.0), steps=steps)
-        errors.append(l2_distance(out, (1.0 / 16.0) * phi))
+        out = evolve_ode(D, phi, 0.0, log(2.0), steps=steps)
+        errors.append(distance(D, out, (1.0 / 16.0) * phi))
     # classical fourth order: halving the step shrinks the error ~16x
     assert errors[0] / errors[1] > 12
     assert errors[1] / errors[2] > 12
@@ -145,20 +161,19 @@ def test_evolve_agrees_with_propagate(modes_d2):
     eta0 = CoframeField.zero()
     for c, m in zip(coeffs, modes_d2):
         eta0 = eta0 + float(c) * m.field
-    exp = decompose_initial(eta0)
+    D, c0 = coefficients(eta0)
+    exp = decompose_initial(D, c0)
     u1 = 0.4
     exact = propagate(exp, float(np.exp(u1)))
-    errors = [l2_distance(evolve_ode(eta0, 0.0, u1, steps=s), exact)
+    errors = [distance(D, evolve_ode(D, c0, 0.0, u1, steps=s), exact)
               for s in (20, 40)]
     assert errors[0] <= 1e-6
     assert errors[0] / errors[1] > 12   # 4th-order convergence
 
 
-def dense_rk4(eta0, u0, u1, steps):
+def dense_rk4(D, y, u0, u1, steps):
     """The dense route RK4 replaced: every stage a product with the 3N x 3N curl."""
-    basis = make_basis(eta0.degree)
-    C = operator_matrix("curl", eta0.degree)
-    y = basis.coframe_to_vector(eta0)
+    C = operator_matrix("curl", D)
     h = (u1 - u0) / steps
     for _ in range(steps):
         k1 = C @ y
@@ -175,22 +190,23 @@ def test_sparse_rk4_matches_dense_curl(D):
     rng = np.random.default_rng(D)
     eta0 = star_d(basis.coframe_from_vector(rng.standard_normal(3 * basis.dim)))
     assert eta0.degree == D
-    expected = dense_rk4(eta0, 0.0, log(2.0), 30)
-    got = basis.coframe_to_vector(evolve_ode(eta0, 0.0, log(2.0), 30))
+    c0 = basis.coframe_to_vector(eta0)
+    expected = dense_rk4(D, c0, 0.0, log(2.0), 30)
+    got = evolve_ode(D, c0, 0.0, log(2.0), 30)
     assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
 def test_divergence_preserved_along_flow():
-    phi = right_invariant_coframe(3)
-    out = evolve_ode(phi, 0.0, 1.0, steps=100)
-    assert div_residual(out) <= 1e-8
+    D, phi = coefficients(right_invariant_coframe(3))
+    out = evolve_ode(D, phi, 0.0, 1.0, steps=100)
+    assert div_residual(D, out) <= 1e-8
 
 
 def test_evolve_rejects_bad_input():
     with pytest.raises(ValueError):
-        evolve_ode(gradient_coframe(PolyScalar.coordinate(1)), 0.0, 1.0, 10)
+        evolve_ode(*coefficients(gradient_coframe(PolyScalar.coordinate(1))), 0.0, 1.0, 10)
     with pytest.raises(ValueError):
-        evolve_ode(left_invariant_coframe(1), 0.0, 1.0, steps=0)
+        evolve_ode(*coefficients(left_invariant_coframe(1)), 0.0, 1.0, steps=0)
 
 
 # --------------------------------------------------------------- wire format
@@ -293,6 +309,6 @@ def test_nan_field_fails_the_divergence_guards():
     nan = CoframeField((PolyScalar({(1, 0, 0, 0): float("nan")}), PolyScalar.zero(),
                         PolyScalar.zero()))
     with pytest.raises(ValueError, match="not divergence-free"):
-        evolve_ode(nan, 0.0, 1.0, 4)
+        evolve_ode(*coefficients(nan), 0.0, 1.0, 4)
     with pytest.raises(ValueError, match="not divergence-free"):
-        decompose_initial(nan)
+        decompose_initial(*coefficients(nan))

@@ -7,9 +7,11 @@ their input files written by ``perfbench/workloads.generate`` into a
 temporary directory, and a fixed list of further invocations that reach the
 edges the workloads do not (large samples and degrees, failing ε, both
 decay ends, a ``verify frames`` that crosses block boundaries, the exact
-and float eigenfield routes on blocks of both parities, and ``evolve`` on
-the seeded degree-14 field of ``tools/memory_guard.py``, whose
-eigencomponent split runs through every parity).  Each runs once in each
+and float eigenfield routes on blocks of both parities, ``evolve`` on the
+seeded degree-14 field of ``tools/memory_guard.py``, whose eigencomponent
+split runs through every parity, and ``evolve`` on a seeded degree-3 field
+where the step-doubling ratio is null, where the field grows and where the
+run goes backward).  Each runs once in each
 checkout as a fresh ``python3 -m sdforms.cli`` process through
 ``spectrum_ladder.run_child``, which imports the program from
 ``CHECKOUT/src``.  One line per invocation says ``same`` or
@@ -50,6 +52,13 @@ EXTRA = (
     ["verify", "orthogonality", "--degree", "6"],
     ["verify", "orthogonality", "--degree", "8"],
 )
+#: flags of ``evolve`` on the seeded degree-3 field: a ratio at the rounding
+#: floor (null), a growing field and a backward run
+EVOLVE_D3 = (
+    ["--steps", "1000"],
+    ["--t1", "1e4", "--steps", "2000"],
+    ["--t0", "2", "--t1", "0.5", "--steps", "300"],
+)
 
 
 def invocations(tmp):
@@ -61,9 +70,11 @@ def invocations(tmp):
             for inv in workloads.generate(workload, seed, str(d)):
                 # manifest paths are relative to the workload directory
                 out.append([str(d / a) if (d / a).is_file() else a for a in inv["argv"]])
-    evolve_input = str(Path(tmp) / "evolve-d14.json")
+    evolve_input, evolve_d3 = (str(Path(tmp) / f"evolve-d{D}.json") for D in (14, 3))
     workloads.write_evolve_input(7, 14, evolve_input)
-    return out + [list(argv) for argv in EXTRA] + [["evolve", "--init", evolve_input]]
+    workloads.write_evolve_input(7, 3, evolve_d3)
+    return (out + [list(argv) for argv in EXTRA] + [["evolve", "--init", evolve_input]]
+            + [["evolve", "--init", evolve_d3, *flags] for flags in EVOLVE_D3])
 
 
 def main(argv=None):
