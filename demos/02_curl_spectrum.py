@@ -33,8 +33,8 @@ print("max div residual     :", report.max_div_residual)
 # eigenfields at +-2 have constant pointwise norm; higher modes do not
 modes = eigenmodes(3)
 for lam in (2, -2, 3):
-    mode = next(m for m in modes if m.lam_int == lam)
-    print(f"norm spread lambda={lam:+d} :", constant_norm_check(mode))
+    field = modes.field(list(modes.lam_int).index(lam))
+    print(f"norm spread lambda={lam:+d} :", constant_norm_check(field))
 
 # the Hodge Laplacian on this subspace is the square of *d: spectrum >= 4
 print("\nHodge Laplacian check:", json.dumps(hodge_laplacian_check(2), default=str))

@@ -40,8 +40,9 @@ basis = make_basis(D)
 as_field = basis.coframe_from_vector
 c0 = basis.coframe_to_vector(eta0)
 expansion = decompose_initial(D, c0)
-print("component eigenvalues :", sorted(lam for lam, field in expansion.terms
-                                         if l2_norm(field) > 1e-12))
+print("component eigenvalues :", sorted(lam for lam, v in zip(expansion.lam.tolist(),
+                                                              expansion.V.T)
+                                         if l2_norm(as_field(v)) > 1e-12))
 print("*d certificate        :", expansion.residual)
 
 # per-mode power laws: lambda = +2 is stationary, lambda = -2 scales by t^-4

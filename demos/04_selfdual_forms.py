@@ -62,9 +62,9 @@ print("pure -2 family saturates:", kato_ratio(decaying, x, 1e-5)[0])
 
 # shells of distinct eigenvalues do not interact
 modes = eigenmodes(2)
-by_lam = {}
-for m in modes:
-    by_lam.setdefault(m.lam_int, []).append(m)
-print("\nshell pairing (+2, -2):", l2_shell_orthogonality(by_lam[2][0], by_lam[-2][0], 1.0))
-print("shell pairing (+2, +3):", l2_shell_orthogonality(by_lam[2][0], by_lam[3][0], 1.0))
-print("shell self-pairing (+2):", l2_shell_orthogonality(by_lam[2][0], by_lam[2][0], 1.0))
+first = {}
+for i, lam in enumerate(modes.lam_int.tolist()):
+    first.setdefault(lam, i)
+print("\nshell pairing (+2, -2):", l2_shell_orthogonality(modes, first[2], first[-2], 1.0))
+print("shell pairing (+2, +3):", l2_shell_orthogonality(modes, first[2], first[3], 1.0))
+print("shell self-pairing (+2):", l2_shell_orthogonality(modes, first[2], first[2], 1.0))

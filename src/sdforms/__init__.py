@@ -47,7 +47,7 @@ _EXPORTS = {
     "regularity": ("moser_product", "sqrt_elliptic_check"),
     "selfdual": ("SelfDualForm", "d_residual", "kato_ratio", "l2_shell_orthogonality",
                  "shell_pairings"),
-    "spectrum": ("ModeSet", "SpectralMode", "SpectrumReport", "constant_norm_check",
+    "spectrum": ("ModeSet", "SpectrumReport", "constant_norm_check",
                  "divergence_free_subspace", "eigen_decompose", "eigenmodes",
                  "hodge_laplacian_check", "trusted_window"),
 }

@@ -17,8 +17,13 @@ sorted, so identical configurations give byte-identical output).  Sampling
 is seeded (``sampling.Sampler``: the standard library's Mersenne Twister,
 53-bit uniforms and Box-Muller normals) and the seed is recorded in the
 report.  Exit codes: 0 all checks passed, 1 at least one failure
-(machine-readable failure records in the report), 2 usage errors.  A JSON config file with a schema_version field
-supplies per-subcommand defaults; explicit flags win over the file.
+(machine-readable failure records in the report; a check that raises
+ArithmeticError or LinAlgError is one), 2 usage errors: an error in the
+arguments or the config file prints argparse's usage message on stderr and
+nothing on stdout, one found after parsing prints the report
+{"status": "error", "message": ...}.  A JSON config file with a
+schema_version field supplies per-subcommand defaults; explicit flags win
+over the file.
 """
 
 # Every layer module is imported here, before the standard library: the
@@ -253,7 +258,7 @@ def _verify_orthogonality(args):
     failures = []
     modes = spectrum.eigenmodes(args.degree)
     lam = modes.lam_int
-    i, j = np.triu_indices(len(modes), k=1)
+    i, j = np.triu_indices(len(modes.lam), k=1)
     distinct = lam[i] != lam[j]
     i, j = i[distinct], j[distinct]
     n_pairs = len(i)
@@ -577,22 +582,35 @@ def _run(args):
 
     The subcommand returns ``(failures, fields)``.  The report is the fields
     plus ``seed``, ``status`` and ``failures``; with ``--output`` it is also
-    written to the subcommand's report file, beside its other artifacts.  A
-    stdout whose reader has closed it changes neither the files nor the code.
+    written to the subcommand's report file, beside its other artifacts, and
+    printed only once they are written.  A subcommand that raises
+    ArithmeticError (a failed certificate; OverflowError, a flag outside the
+    float range, excepted) or LinAlgError (a singular matrix) reports one
+    failure record, with the exception's message as its reason, and writes
+    no other artifact.  A stdout whose reader has closed it changes neither
+    the files nor the code.
     """
-    failures, report = args.func(args)
+    artifacts = ARTIFACTS.get(args.command, {})
+    try:
+        failures, report = args.func(args)
+    except OverflowError:
+        raise
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        flags = {k: v for k, v in vars(args).items()
+                 if k not in ("func", "command", "config", "output", "seed")}
+        failures = [failure(args.command, type(exc).__name__, flags, None, None, str(exc))]
+        report, artifacts = {}, {}
     report.update(seed=args.seed, status="fail" if failures else "pass",
                   failures=failures)
     blob = json.dumps(_round_floats(report), indent=1, sort_keys=True, allow_nan=False)
-    _print(blob)
     if args.output:
         files = {_report_name(args): blob + "\n"}
-        files.update((name, write(args, report))
-                     for name, write in ARTIFACTS.get(args.command, {}).items())
+        files.update((name, write(args, report)) for name, write in artifacts.items())
         os.makedirs(args.output, exist_ok=True)
         for name, text in files.items():
             with open(os.path.join(args.output, name), "w") as fh:
                 fh.write(text)
+    _print(blob)
     return 1 if failures else 0
 
 

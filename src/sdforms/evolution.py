@@ -15,7 +15,7 @@ Both routes, and :func:`div_residual` and :meth:`ModeExpansion.distance`,
 take and return coefficient vectors on the degree <= D basis
 (``make_basis(D).coframe_to_vector``); a ``CoframeField`` is built only
 where a field is read or written (:func:`load_initial_field`,
-:func:`dump_initial_field`) or asked for (:attr:`ModeExpansion.terms`).
+:func:`dump_initial_field`).
 L^2 norms and pairings take the scalar Gram matrix per frame component; no
 dense 3N x 3N operator or Gram matrix is formed.  A field is divergence-free
 here when the L^2 norm of its div is at most DIV_TOL times its own.
@@ -39,7 +39,6 @@ from .polys import (
     coframe_pairings,
     coframe_triples,
     div_norms,
-    make_basis,
     sparse_apply,
 )
 
@@ -75,11 +74,6 @@ class ModeExpansion:
     lam: np.ndarray  # one integer eigenvalue per column of V
     V: np.ndarray  # (3N, L): the eta_lambda at t = 1 on the degree <= D basis
     residual: float = 0.0  # root sum of squares of the ||(*d - lambda) eta_lambda||
-
-    @property
-    def terms(self):
-        """(eigenvalue, CoframeField) pairs, one per eigenvalue."""
-        return list(zip(self.lam.tolist(), map(make_basis(self.D).coframe_from_vector, self.V.T)))
 
     def distance(self, c, t):
         """L^2 distance between the field c and the solution at radius t."""

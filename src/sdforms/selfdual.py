@@ -305,17 +305,20 @@ def kato_ratio(sdf, x, h):
     return stencil_batch(rule, sdf, x, h)
 
 
-def l2_shell_orthogonality(mode1, mode2, t):
-    """Shell integral of i_dt(omega_1 ^ omega_2) over |x| = t.
+def l2_shell_orthogonality(modes, i, j, t):
+    """Shell integral of i_dt(omega_i ^ omega_j) over |x| = t for eigenfields i, j of
+    a :class:`~sdforms.spectrum.ModeSet`.
 
-    Reduces exactly to t^(lam1+lam2-1) times the L^2 pairing of the two
+    Reduces exactly to t^(lam_i + lam_j - 1) times the L^2 pairing of the two
     eigenfields on the unit sphere, hence vanishes for distinct eigenvalues;
-    a mode paired with itself returns its positive shell energy.
+    a mode paired with itself returns its positive shell energy.  The
+    pairing is the dict-of-monomials product, the reference for entry
+    (i, j) of :func:`shell_pairings`.
     """
     if t <= 0:
         raise ValueError(f"shell radius must be positive, got {t}")
-    pairing = float(coframe_inner(mode1.field, mode2.field))
-    return t ** (mode1.lam_int + mode2.lam_int - 1) * pairing
+    pairing = float(coframe_inner(modes.field(i), modes.field(j)))
+    return t ** (int(modes.lam_int[i]) + int(modes.lam_int[j]) - 1) * pairing
 
 
 def shell_pairings(modes, t):

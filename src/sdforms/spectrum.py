@@ -63,7 +63,6 @@ other value, in particular none of -1, 0, +1, is an eigenvalue there.
 """
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from itertools import accumulate
@@ -78,7 +77,6 @@ from .polys import coframe_curl, make_basis
 from .sampling import Sampler
 
 __all__ = [
-    "SpectralMode",
     "ModeSet",
     "SpectrumReport",
     "failure",
@@ -124,36 +122,13 @@ def trusted_window(D):
 
 
 @dataclass(eq=False)
-class SpectralMode:
-    """One L^2-normalized eigenfield of *d with its eigenvalue.
-
-    The field is kept as its coefficient vector on the degree <= D basis and
-    materialized as a :class:`CoframeField` on first access of ``field``.
-    """
-
-    lam: float
-    lam_int: int
-    coeffs: np.ndarray
-    degree: int
-
-    @cached_property
-    def field(self):
-        return make_basis(self.degree).coframe_from_vector(self.coeffs)
-
-    def norm_spread(self, points):
-        vals = np.sum(self.field.evaluate(points) ** 2, axis=-1)
-        return float(vals.max() - vals.min())
-
-
-@dataclass(eq=False)
-class ModeSet(Sequence):
+class ModeSet:
     """Eigenfields of *d sorted by eigenvalue.
 
     ``lam`` holds the float eigenvalues, ``lam_int`` the integers they
     cluster to and ``C`` (3N, K) the Gram-orthonormal coefficient vectors on
-    the degree <= D coframe basis, in eigenvalue order (:func:`_sorted_modes`).
-    The set is a sequence of :class:`SpectralMode` views of the columns of
-    ``C``, built once, so a field materialized once serves every later access.
+    the degree <= D coframe basis, in eigenvalue order (:func:`_sorted_modes`):
+    eigenfield i is column i of ``C``.
     """
 
     D: int
@@ -161,16 +136,9 @@ class ModeSet(Sequence):
     lam_int: np.ndarray
     C: np.ndarray
 
-    @cached_property
-    def _modes(self):
-        return [SpectralMode(float(self.lam[k]), int(self.lam_int[k]), self.C[:, k], self.D)
-                for k in range(len(self))]
-
-    def __len__(self):
-        return len(self.lam)
-
-    def __getitem__(self, i):
-        return self._modes[i]
+    def field(self, i):
+        """Eigenfield i as a new :class:`CoframeField`."""
+        return make_basis(self.D).coframe_from_vector(self.C[:, i])
 
     @cached_property
     def _pairings(self):
@@ -887,13 +855,14 @@ def _exact_report(sub, spaces):
     )
 
 
-def constant_norm_check(mode):
-    """Spread max-min of the pointwise |eta|^2 over 1000 seeded sphere points.
+def constant_norm_check(field):
+    """Spread max-min of the pointwise |eta|^2 of a field over 1000 seeded sphere points.
 
-    For eigenvalues +-2 the norm is constant and the spread vanishes; for
-    other eigenvalues the returned spread is informational.
+    For eigenfields of eigenvalue +-2 the norm is constant and the spread
+    vanishes; for other eigenvalues the returned spread is informational.
     """
-    return mode.norm_spread(Sampler(7).directions(1000))
+    vals = np.sum(field.evaluate(Sampler(7).directions(1000)) ** 2, axis=-1)
+    return float(vals.max() - vals.min())
 
 
 def hodge_laplacian_check(D):

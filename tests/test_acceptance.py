@@ -44,7 +44,7 @@ def modes_d3():
 
 def series_test_forms(modes_d3):
     """The generated closed series forms exercised by criteria 3 and 4."""
-    lam_m3 = next(m for m in modes_d3 if m.lam_int == -3)
+    lam_m3 = modes_d3.field(list(modes_d3.lam_int).index(-3))
     return {
         "kahler": selfdual.SelfDualForm.kahler(1),
         "pure_minus_two": selfdual.SelfDualForm(
@@ -53,7 +53,7 @@ def series_test_forms(modes_d3):
             [(0.7, 2, left_invariant_coframe(2)),
              (1.3, -2, right_invariant_coframe(1))]),
         "ak_eps02": ale.ak_form(ale.AKFormParams(1.0, 1.0, 0.2)),
-        "lambda_minus3": selfdual.SelfDualForm([(1.0, -3, lam_m3.field)]),
+        "lambda_minus3": selfdual.SelfDualForm([(1.0, -3, lam_m3)]),
     }
 
 
@@ -76,10 +76,9 @@ def test_criterion_1_spectral_gap_and_multiplicities(tmp_path, capsys):
 def test_criterion_2_constant_norm_modes(modes_d2):
     with criterion(2, "lambda = +-2 eigenfields have constant norm (spread <= 1e-10, 1000 points)"):
         checked = 0
-        for mode in modes_d2:
-            if abs(mode.lam_int) == 2:
-                assert spectrum.constant_norm_check(mode) <= 1e-10
-                checked += 1
+        for i in np.flatnonzero(np.abs(modes_d2.lam_int) == 2):
+            assert spectrum.constant_norm_check(modes_d2.field(i)) <= 1e-10
+            checked += 1
         assert checked == 6
 
 
@@ -201,14 +200,14 @@ def test_criterion_9_switching_behavior():
 
 def test_criterion_10_orthogonality_and_evolution(modes_d3, modes_d2):
     with criterion(10, "shell pairings <= 1e-10 for distinct lambda; evolution cross-check 4th order"):
-        for i, m1 in enumerate(modes_d3):
-            for m2 in modes_d3[i + 1:]:
-                if m1.lam_int != m2.lam_int:
-                    assert abs(selfdual.l2_shell_orthogonality(m1, m2, 1.0)) <= 1e-10
+        lam = modes_d3.lam_int
+        for i, j in zip(*np.triu_indices(len(lam), k=1)):
+            if lam[i] != lam[j]:
+                assert abs(selfdual.l2_shell_orthogonality(modes_d3, i, j, 1.0)) <= 1e-10
         rng = np.random.default_rng(101)
         eta0 = CoframeField.zero()
-        for c, m in zip(rng.standard_normal(len(modes_d2)), modes_d2):
-            eta0 = eta0 + float(c) * m.field
+        for i, c in enumerate(rng.standard_normal(len(modes_d2.lam))):
+            eta0 = eta0 + float(c) * modes_d2.field(i)
         basis = make_basis(2)
         c0 = basis.coframe_to_vector(eta0)
         expansion = evolution.decompose_initial(2, c0)

@@ -17,6 +17,8 @@ from sdforms.cli import dispatch
 from sdforms.evolution import dump_initial_field
 from sdforms.polys import left_invariant_coframe, right_invariant_coframe
 
+# Every parametrized case has an explicit id, spelled as pytest's positional
+# id was when it was fixed, so deleting a case renames no other.
 
 def run(capsys, *argv):
     code = dispatch(list(argv))
@@ -66,7 +68,7 @@ def test_spectrum_deterministic_output(capsys):
     ["verify", "kato"],
     ["verify", "elliptic"],
     ["ale-report", "--epsilon", "0.1"],
-])
+], ids=["argv0", "argv1", "argv2"])
 def test_seeded_output_is_deterministic(capsys, argv):
     # the same seed draws the same points: stdout is byte-identical
     texts = []
@@ -89,7 +91,7 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(dispatch(argv))
 ale.sup_grad((1.0, 1.0), [0.2])
-spectrum.constant_norm_check(spectrum.eigenmodes(1)[0])
+spectrum.constant_norm_check(spectrum.eigenmodes(1).field(0))
 print(json.dumps([codes, sorted(m for m in ("numpy.random", "numpy.polynomial", "hashlib")
                                 if m in sys.modules)]))
 """
@@ -118,7 +120,7 @@ def test_no_path_imports_numpy_random_polynomial_or_hashlib(tmp_path):
     (["ale-report", "--epsilon", "2", "--ricci-samples", "5"], 1,
      ["ale_profile.csv", "ale_report.json"]),
     (["ale-report", "--epsilon", "0"], 2, []),
-])
+], ids=["argv0-0-files0", "argv1-1-files1", "argv2-2-files2"])
 def test_closed_stdout_keeps_the_exit_code_and_the_files(tmp_path, argv, code, files):
     # a reader that is gone before the report is printed: the run still exits
     # with its own code, writes its --output files and prints no traceback
@@ -135,6 +137,35 @@ def test_closed_stdout_keeps_the_exit_code_and_the_files(tmp_path, argv, code, f
     assert sorted(p.name for p in tmp_path.iterdir()) == files
 
 
+def test_unwritable_output_prints_one_json_document(capsys, tmp_path):
+    # the report is printed only once its files are written: an --output
+    # naming a file gives the error report alone, not the report and then it
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, rep = run(capsys, "spectrum", "--degree", "1", "--output", str(taken))
+    assert code == 2
+    assert rep["status"] == "error" and "File exists" in rep["message"]
+
+
+def test_raised_arithmetic_error_is_a_failure_but_overflow_a_usage_error(capsys, monkeypatch):
+    # an ArithmeticError, a failed certificate, is a failed check (exit 1);
+    # an OverflowError means a flag left the float range (exit 2)
+    from sdforms import spectrum
+
+    for exc, code in ((ArithmeticError("certificate failed"), 1),
+                      (OverflowError("math range error"), 2)):
+        def raising(*args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(spectrum, "_frame_laplacian", raising)
+        got, rep = run(capsys, "spectrum", "--degree", "3")
+        assert got == code
+        if code == 1:
+            assert [f["reason"] for f in rep["failures"]] == ["certificate failed"]
+        else:
+            assert rep == {"status": "error", "message": "math range error"}
+
+
 #: numpy's LAPACK-backed solvers; the pointwise subcommands call none of them
 LAPACK_DRIVERS = ("eigh", "eigvalsh", "inv", "solve", "lstsq", "svd", "qr", "cholesky")
 
@@ -146,7 +177,7 @@ LAPACK_DRIVERS = ("eigh", "eigvalsh", "inv", "solve", "lstsq", "svd", "qr", "cho
     ["decay", "--epsilon", "0.1", "--end", "plus"],
     ["decay", "--epsilon", "0.1", "--end", "minus"],
     ["moser"],
-])
+], ids=["argv0", "argv1", "argv2", "argv3", "argv4", "argv5"])
 def test_pointwise_commands_call_no_lapack(capsys, monkeypatch, argv):
     # the Gauss rules are cached, so they are rebuilt under the patch
     from sdforms import quadrature
@@ -341,7 +372,7 @@ def test_config_file_defaults(capsys, tmp_path):
     {"no_such_flag": 1},
     {"degree": "three"},
     {"seed": [1]},
-])
+], ids=["section0", "section1", "section2", "section3", "section4", "section5", "section6"])
 def test_config_sets_only_the_subcommand_flags(tmp_path, capsys, section):
     # anything but a flag of the subcommand, of the flag's type, is a usage error
     cfg = tmp_path / "cfg.json"
@@ -517,7 +548,8 @@ def test_orthogonality_fails_when_nothing_checked(capsys):
     (["--steps", "0"], "--steps"),
     (["--steps", "-3"], "--steps"),
     (["--t0", "1.5", "--t1", "1.5"], "--t1 must differ from --t0"),
-])
+], ids=["flags0---t1", "flags1---t1", "flags2---t0", "flags3---t0", "flags4---t0",
+        "flags5---steps", "flags6---steps", "flags7---t1 must differ from --t0"])
 def test_evolve_rejects_bad_flags(capsys, tmp_path, flags, named):
     # the flags are checked before the initial-data file is even read
     code, rep = run(capsys, "evolve", "--init", str(tmp_path / "missing.json"), *flags)
@@ -731,7 +763,8 @@ def write_random_field(D, path, seed=5):
                        str(path))
 
 
-@pytest.mark.parametrize("D, flags", [(4, ["--t1", "1.01"]), (3, ["--steps", "3000"])])
+@pytest.mark.parametrize("D, flags", [(4, ["--t1", "1.01"]), (3, ["--steps", "3000"])],
+                         ids=["4-flags0", "3-flags1"])
 def test_evolve_step_doubling_at_the_rounding_floor_passes(capsys, tmp_path, D, flags):
     # both RK4 errors down at the comparison's own rounding: the ratio
     # measures nothing there and is not judged
@@ -755,7 +788,7 @@ def euler(D, y, u0, u1, steps):
     return y
 
 
-@pytest.mark.parametrize("flags", [[], ["--steps", "3000"]])
+@pytest.mark.parametrize("flags", [[], ["--steps", "3000"]], ids=["flags0", "flags1"])
 def test_evolve_first_order_stepper_fails(capsys, tmp_path, monkeypatch, flags):
     # the rounding floor must leave a first-order error visible: the ratio
     # is about 2, far above the floor, at the default steps and at 3000
@@ -971,7 +1004,12 @@ def test_kato_fails_when_a_form_has_no_points(capsys, monkeypatch):
     # the decay profile from |rho| = 10 spans less than a decade; these exited
     # 2 only after every other block ran, without naming the flag
     (["--epsilon", "0.1", "--rho-max", "99.9"], "--rho-max"),
-])
+], ids=["flags0---epsilon", "flags1---epsilon", "flags2---epsilon", "flags3---epsilon",
+        "flags4---rho-max", "flags5---rho-max", "flags6---alpha", "flags7---ricci-samples",
+        "flags8---alpha", "flags9---beta", "flags10---ricci-samples", "flags11---epsilon",
+        "flags12---rho-max", "flags13---rho-max", "flags14---alpha", "flags15---beta",
+        "flags16---epsilon", "flags17---epsilon", "flags18---epsilon", "flags19---epsilon",
+        "flags20---rho-max"])
 def test_ale_report_rejects_bad_flags(capsys, monkeypatch, flags, named):
     # the flags are checked before any computation
     from sdforms import ale
@@ -998,7 +1036,9 @@ def test_ale_report_rejects_bad_flags(capsys, monkeypatch, flags, named):
     (["--epsilon", "1e300", "--end", "plus"], "--epsilon"),
     # the profile from |rho| = 10 spans less than a decade
     (["--epsilon", "0.1", "--end", "minus", "--rho-max", "99.9"], "--rho-max"),
-])
+], ids=["flags0---epsilon", "flags1---epsilon", "flags2---epsilon", "flags3---rho-max",
+        "flags4---alpha", "flags5---alpha", "flags6---beta", "flags7---epsilon",
+        "flags8---rho-max"])
 def test_decay_rejects_bad_flags(capsys, monkeypatch, flags, named):
     # the flags are checked before any computation; epsilon^2 underflowing
     # to 0 made a flat model that reported pass
@@ -1015,7 +1055,8 @@ def test_decay_rejects_bad_flags(capsys, monkeypatch, flags, named):
 
 
 @pytest.mark.parametrize("argv", [["decay", "--epsilon", "0.1", "--end", "plus"],
-                                  ["ale-report", "--epsilon", "0.1", "--ricci-samples", "5"]])
+                                  ["ale-report", "--epsilon", "0.1", "--ricci-samples", "5"]],
+                         ids=["argv0", "argv1"])
 def test_rho_max_of_one_decade_passes(capsys, argv):
     code, rep = run(capsys, *argv, "--rho-max", "100")
     assert (code, rep["status"]) == (0, "pass")
@@ -1072,7 +1113,9 @@ def test_non_finite_report_value_is_an_error(capsys, monkeypatch):
     # e^c overflows a float for c above about 709.78
     (["--c-max", "1e3"], "--c-max must be <= 709.78"),
     (["--c-min", "800"], "--c-min must be <= 709.78"),
-])
+], ids=["flags0---points", "flags1---c-min", "flags2---c-min", "flags3---c-max",
+        "flags4---c-max", "flags5---c-max must be <= 709.78",
+        "flags6---c-min must be <= 709.78"])
 def test_moser_rejects_bad_flags(capsys, monkeypatch, flags, named):
     # the flags are checked before any computation; --points 0 used to pass
     def forbidden(*args, **kwargs):

@@ -5,6 +5,7 @@ eigenproblem B^T G S B v = lam B^T G B v on an SVD basis B of ker(div) over
 all monomials at once, reduced to a standard problem by a Cholesky factor.
 """
 
+import json
 import math
 import os
 import subprocess
@@ -99,8 +100,8 @@ def test_float_and_exact_blocks_agree_at_degree5(exact_ring):
 def test_mode_degree_is_its_harmonic_degree(exact_ring, ring):
     # eigenvalue k + 2 lives on H_k, eigenvalue -k too
     modes = eigenmodes(5) if ring == "float" else exact_ring(5)[0]
-    for m in modes:
-        assert m.field.degree == (m.lam_int - 2 if m.lam_int > 0 else -m.lam_int)
+    for i, lam in enumerate(modes.lam_int.tolist()):
+        assert modes.field(i).degree == (lam - 2 if lam > 0 else -lam)
 
 
 def test_structure_certificate_exact_at_degree3():
@@ -193,18 +194,46 @@ def test_incomplete_report_fails():
         "eigenspaces do not span the divergence-free subspace"]
 
 
-@pytest.mark.parametrize("ring", ["float", "exact"])
-def test_broken_derivative_entry_is_rejected(monkeypatch, ring):
-    original = polys.derivative_triples
-
+def broken_first_frame(original):
+    """``polys.derivative_triples`` whose E1 sends a degree-1 monomial to the constant."""
     def broken(D):
         (r, c, v, shape), *rest = original(D)
-        # E1 now sends a degree-1 monomial to the constant
         return [(np.append(r, 0), np.append(c, 4), np.append(v, 1), shape), *rest]
+    return broken
 
-    monkeypatch.setattr(polys, "derivative_triples", broken)
+
+def cli_failures(capsys, argv):
+    """The exit code and the (operation, reason) of each failure record of one run."""
+    code = dispatch(argv)
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["status"] == "fail"
+    return code, [(f["operation"], f["reason"]) for f in rep["failures"]]
+
+
+@pytest.mark.parametrize("ring", ["float", "exact"])
+def test_broken_derivative_entry_is_rejected(monkeypatch, ring):
+    monkeypatch.setattr(polys, "derivative_triples", broken_first_frame(polys.derivative_triples))
     with pytest.raises(ArithmeticError, match="does not commute with the frame Laplacian"):
         eigen_decompose(2, ring=ring)
+
+
+def test_broken_derivative_entry_is_a_failure_record(monkeypatch, capsys):
+    # the exact ring's certificate fails: exit 1 with one failure record
+    monkeypatch.setattr(polys, "derivative_triples", broken_first_frame(polys.derivative_triples))
+    code, failures = cli_failures(capsys, ["spectrum", "--degree", "2", "--exact"])
+    assert code == 1
+    assert len(failures) == 1 and failures[0][0] == "ArithmeticError"
+    assert "does not commute with the frame Laplacian" in failures[0][1]
+
+
+def test_singular_gram_factor_is_a_failure_record(monkeypatch, capsys, tmp_path):
+    # numpy's LinAlgError is a ValueError, the type of a usage error; here it
+    # is a failed check: exit 1 with one failure record and the report written
+    original = spectrum._gram_factor
+    monkeypatch.setattr(spectrum, "_gram_factor", lambda m, k, T: np.zeros_like(original(m, k, T)))
+    argv = ["verify", "orthogonality", "--degree", "2", "--output", str(tmp_path)]
+    assert cli_failures(capsys, argv) == (1, [("LinAlgError", "Singular matrix")])
+    assert [p.name for p in tmp_path.iterdir()] == ["verify_orthogonality.json"]
 
 
 def forbidden(*args, **kwargs):
@@ -262,7 +291,7 @@ def test_block_residual_matches_dense_route(exact_ring, D, ring):
     assert report.max_div_residual <= 1e-13
     assert max(polys.div_norms(D, modes.C)) <= 1e-12
     Dv = operator_matrix("div", D)
-    assert len(modes) == report.subspace_dim == Dv.shape[1] - np.linalg.matrix_rank(Dv)
+    assert len(modes.lam) == report.subspace_dim == Dv.shape[1] - np.linalg.matrix_rank(Dv)
     Q = np.linalg.qr(modes.C)[0]
     image = operator_matrix("star_d", D) @ Q
     assert np.linalg.norm(image - Q @ (Q.T @ image)) <= 1e-10

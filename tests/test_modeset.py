@@ -27,7 +27,7 @@ from sdforms.polys import (
     star_d,
 )
 from sdforms.selfdual import l2_shell_orthogonality, shell_pairings
-from sdforms.spectrum import ModeSet, SpectralMode, eigencomponents, eigenmodes
+from sdforms.spectrum import ModeSet, eigencomponents, eigenmodes
 
 TOL = 1e-12
 
@@ -57,29 +57,30 @@ def unit_field(D, seed):
 def dict_components(eta0, modes):
     """The field's part in each eigenspace of the modes, by polynomial products."""
     parts = {}
-    for m in modes:
-        parts[m.lam_int] = (parts.get(m.lam_int, CoframeField.zero())
-                            + float(coframe_inner(eta0, m.field)) * m.field)
+    for i, lam in enumerate(modes.lam_int.tolist()):
+        field = modes.field(i)
+        part = float(coframe_inner(eta0, field)) * field
+        parts[lam] = parts.get(lam, CoframeField.zero()) + part
     return parts
 
 
-# ------------------------------------------------------------- sequence API
+# ------------------------------------------------------------- columns
 
-def test_modeset_is_a_sequence_of_modes(modes_d2):
+def test_modeset_fields_are_its_columns(modes_d2):
     assert isinstance(modes_d2, ModeSet)
-    assert len(modes_d2) == modes_d2.C.shape[1] == 29
-    assert modes_d2.C.shape[0] == 3 * make_basis(2).dim
-    listed = list(modes_d2)
-    assert len(listed) == 29
-    assert all(isinstance(m, SpectralMode) for m in listed)
-    assert modes_d2[-1] is listed[-1]
-    assert [m.lam_int for m in listed] == sorted(m.lam_int for m in listed)
+    assert len(modes_d2.lam) == len(modes_d2.lam_int) == modes_d2.C.shape[1] == 29
+    basis = make_basis(2)
+    assert modes_d2.C.shape[0] == 3 * basis.dim
+    assert list(modes_d2.lam_int) == sorted(modes_d2.lam_int)
+    for i in (0, 28, -1):
+        assert_allclose(basis.coframe_to_vector(modes_d2.field(i)), modes_d2.C[:, i],
+                        rtol=0, atol=0)
     with pytest.raises(IndexError):
-        modes_d2[29]
+        modes_d2.field(29)
 
 
 def test_modes_gram_orthonormal(modes_d3):
-    assert_allclose(modes_d3.pairings(), np.eye(len(modes_d3)), atol=1e-10)
+    assert_allclose(modes_d3.pairings(), np.eye(len(modes_d3.lam)), atol=1e-10)
 
 
 def test_fields_materialized_lazily(monkeypatch):
@@ -92,12 +93,8 @@ def test_fields_materialized_lazily(monkeypatch):
 
     monkeypatch.setattr(PolyBasis, "coframe_from_vector", counting)
     modes = eigenmodes(3)
-    list(modes)
     assert len(calls) == 0
-    field = modes[5].field
-    assert len(calls) == 1
-    assert modes[5].field is field
-    assert list(modes)[5].field is field
+    modes.field(5)
     assert len(calls) == 1
 
 
@@ -107,10 +104,10 @@ def test_pairing_table_matches_coframe_inner_d2(modes_d2):
     P = modes_d2.pairings()
     lam = modes_d2.lam_int
     checked = 0
-    for i in range(len(modes_d2)):
-        for j in range(i + 1, len(modes_d2)):
+    for i in range(len(lam)):
+        for j in range(i + 1, len(lam)):
             if lam[i] != lam[j]:
-                dict_value = coframe_inner(modes_d2[i].field, modes_d2[j].field)
+                dict_value = coframe_inner(modes_d2.field(i), modes_d2.field(j))
                 assert abs(P[i, j] - dict_value) <= TOL
                 checked += 1
     assert checked == 267
@@ -119,13 +116,13 @@ def test_pairing_table_matches_coframe_inner_d2(modes_d2):
 def test_pairing_table_matches_coframe_inner_d3_sample(modes_d3):
     P = modes_d3.pairings()
     lam = modes_d3.lam_int
-    i, j = np.triu_indices(len(modes_d3), k=1)
+    i, j = np.triu_indices(len(lam), k=1)
     distinct = lam[i] != lam[j]
     pairs = np.column_stack([i[distinct], j[distinct]])
     rng = np.random.default_rng(20240817)
     sample = pairs[rng.choice(len(pairs), size=120, replace=False)]
     for a, b in sample:
-        dict_value = coframe_inner(modes_d3[a].field, modes_d3[b].field)
+        dict_value = coframe_inner(modes_d3.field(a), modes_d3.field(b))
         assert abs(P[a, b] - dict_value) <= TOL
 
 
@@ -140,8 +137,8 @@ def test_pairing_table_matches_coframe_gram(D):
 def test_shell_pairings_match_pairwise_route(modes_d2, t):
     S = shell_pairings(modes_d2, t)
     rng = np.random.default_rng(7)
-    for a, b in rng.integers(0, len(modes_d2), size=(40, 2)):
-        expected = l2_shell_orthogonality(modes_d2[a], modes_d2[b], t)
+    for a, b in rng.integers(0, len(modes_d2.lam), size=(40, 2)):
+        expected = l2_shell_orthogonality(modes_d2, a, b, t)
         assert abs(S[a, b] - expected) <= TOL * max(1.0, abs(expected))
     assert np.all(np.diag(S) > 0)
     with pytest.raises(ValueError):
@@ -159,8 +156,9 @@ def test_decompose_matches_dict_route(modes_d2, eta0):
     # each eigencomponent is the field's projection on the modes of its
     # eigenvalue; eigenvalues without a component have none
     D = eta0.degree
-    exp = decompose_initial(D, make_basis(D).coframe_to_vector(eta0))
-    parts = dict(exp.terms)
+    basis = make_basis(D)
+    exp = decompose_initial(D, basis.coframe_to_vector(eta0))
+    parts = dict(zip(exp.lam.tolist(), map(basis.coframe_from_vector, exp.V.T)))
     for lam, expected in dict_components(eta0, modes_d2).items():
         got = parts.pop(lam, CoframeField.zero())
         assert l2_norm(got - expected) <= TOL
@@ -193,8 +191,8 @@ def test_propagate_matches_dict_route(t):
     basis = make_basis(2)
     exp = decompose_initial(2, basis.coframe_to_vector(unit_field(2, 7)))
     expected = CoframeField.zero()
-    for lam, field in exp.terms:
-        expected = expected + t ** (lam - 2) * field
+    for lam, v in zip(exp.lam.tolist(), exp.V.T):
+        expected = expected + t ** (lam - 2) * basis.coframe_from_vector(v)
     assert_allclose(propagate(exp, t), basis.coframe_to_vector(expected), rtol=0, atol=TOL)
 
 
@@ -212,4 +210,4 @@ def test_exact_ring_modeset(exact_ring):
     modes, _ = exact_ring(2)
     assert isinstance(modes, ModeSet)
     assert list(modes.lam_int) == sorted(modes.lam_int)
-    assert_allclose(modes.pairings(), np.eye(len(modes)), atol=1e-10)
+    assert_allclose(modes.pairings(), np.eye(len(modes.lam)), atol=1e-10)

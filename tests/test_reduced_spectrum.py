@@ -5,6 +5,7 @@ The full blocks (``divergence_free_subspace`` and one eigh per block) are
 the oracle for both, and the exact ring on full blocks is the second route.
 """
 
+import json
 import math
 
 import numpy as np
@@ -151,6 +152,22 @@ def test_perturbed_right_triple_is_rejected(monkeypatch, i):
                         lambda D, table=LEFT_MULT: perturbed_right(D, table, i))
     with pytest.raises(ArithmeticError):
         eigen_decompose(3)
+
+
+def test_perturbed_right_triple_is_a_failure_record(monkeypatch, capsys, tmp_path):
+    # a failed certificate is a failed check: exit 1 with one failure record,
+    # the certificate's message its reason, and the report still written
+    monkeypatch.setattr(polys, "derivative_triples",
+                        lambda D, table=LEFT_MULT: perturbed_right(D, table, 0))
+    with pytest.raises(ArithmeticError) as raised:
+        eigen_decompose(3)
+    assert dispatch(["spectrum", "--degree", "3", "--output", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    rep = json.loads(out)
+    assert rep["status"] == "fail"
+    assert [(f["operation"], f["reason"]) for f in rep["failures"]] == [
+        ("ArithmeticError", str(raised.value))]
+    assert (tmp_path / "spectrum_d3.json").read_text() == out
 
 
 def test_wrong_weight_action_is_rejected(monkeypatch):

@@ -44,8 +44,10 @@ def tangent_covector(field, x):
 def expansion_form(eta0):
     """The form of eta0's *d eigencomponents: one term per eigenvalue."""
     D = eta0.degree
-    exp = decompose_initial(D, make_basis(D).coframe_to_vector(eta0))
-    return SelfDualForm([(1.0, lam, field) for lam, field in exp.terms])
+    basis = make_basis(D)
+    exp = decompose_initial(D, basis.coframe_to_vector(eta0))
+    return SelfDualForm([(1.0, lam, basis.coframe_from_vector(v))
+                         for lam, v in zip(exp.lam.tolist(), exp.V.T)])
 
 
 def f_t_map(M, x):
@@ -61,12 +63,12 @@ def f_t_inverse(xi, x):
     return np.moveaxis(M, (0, 1), (-2, -1))
 
 
-def ball_orthogonality(mode1, mode2, radius, n_nodes=64):
-    """Ball integral of omega_1 ^ omega_2 by radial quadrature of shell values."""
+def ball_orthogonality(modes, i, j, radius, n_nodes=64):
+    """Ball integral of omega_i ^ omega_j by radial quadrature of shell values."""
     if radius <= 0:
         raise ValueError(f"ball radius must be positive, got {radius}")
     ts, ws = radial_gauss(radius * 1e-6, radius, n_nodes)
-    return float(sum(w * l2_shell_orthogonality(mode1, mode2, t)
+    return float(sum(w * l2_shell_orthogonality(modes, i, j, t)
                      for t, w in zip(ts, ws)))
 
 
@@ -90,6 +92,14 @@ def dump_point_samples(sdf, points, path):
 @pytest.fixture(scope="module")
 def modes_d2():
     return eigenmodes(2)
+
+
+def by_eigenvalue(modes):
+    """The indices of the modes of each integer eigenvalue, in order."""
+    by_lam = {}
+    for i, lam in enumerate(modes.lam_int.tolist()):
+        by_lam.setdefault(lam, []).append(i)
+    return by_lam
 
 
 def random_points(n, seed=0, lo=0.3, hi=2.5):
@@ -283,9 +293,9 @@ def test_series_batch_matches_one_point_values():
     modes_d3 = eigenmodes(3)
     rng = np.random.default_rng(30)
     eta0 = CoframeField.zero()
+    first = {lam: i[0] for lam, i in by_eigenvalue(modes_d3).items()}
     for lam in (-3, -2, 3, 4, 5):
-        mode = next(m for m in modes_d3 if m.lam_int == lam)
-        eta0 = eta0 + mode.field * float(rng.uniform(0.5, 1.5))
+        eta0 = eta0 + modes_d3.field(first[lam]) * float(rng.uniform(0.5, 1.5))
     forms = {
         "ak_mixed": ak_form(AKFormParams(1.0, 1.0, 0.2)),
         "pure_minus_two": minus_two_form(),
@@ -341,8 +351,8 @@ def test_series_sums_table_nonzeros_like_dense_contraction():
     modes_d3 = eigenmodes(3)
     rng = np.random.default_rng(32)
     eta0 = CoframeField.zero()
-    for mode in modes_d3[::3]:
-        eta0 = eta0 + mode.field * float(rng.uniform(0.5, 1.5))
+    for i in range(0, len(modes_d3.lam), 3):
+        eta0 = eta0 + modes_d3.field(i) * float(rng.uniform(0.5, 1.5))
     pts = random_points(300, seed=33).reshape(3, 100, 4)
     for sdf in (ak_form(AKFormParams(1.0, 1.0, 0.2)),
                 expansion_form(eta0)):
@@ -370,12 +380,12 @@ def test_d_residual_minus_two_small():
 def test_d_residual_second_order(modes_d2):
     # h-halving shrinks the residual ~4x wherever it is above rounding noise
     modes_d3 = eigenmodes(3)
-    lam_m3 = next(m for m in modes_d3 if m.lam_int == -3)
+    lam_m3 = modes_d3.field(by_eigenvalue(modes_d3)[-3][0])
     forms = [
         minus_two_form(),
         SelfDualForm([(0.7, 2, left_invariant_coframe(2)),
                       (1.3, -2, right_invariant_coframe(1))]),
-        SelfDualForm([(1.0, -3, lam_m3.field)]),
+        SelfDualForm([(1.0, -3, lam_m3)]),
     ]
     x = np.array([0.8, 0.4, -0.3, 0.9])
     for sdf in forms:
@@ -389,8 +399,8 @@ def test_d_residual_polynomial_modes_exact(modes_d2):
     # positive-eigenvalue modes give polynomial component matrices of degree
     # lambda - 2, for which the central stencil is exact: the residual sits
     # at rounding level for every h instead of decaying like h^2
-    lam3 = next(m for m in modes_d2 if m.lam_int == 3)
-    sdf = SelfDualForm([(1.0, 3, lam3.field)])
+    lam3 = modes_d2.field(by_eigenvalue(modes_d2)[3][0])
+    sdf = SelfDualForm([(1.0, 3, lam3)])
     x = np.array([0.8, 0.4, -0.3, 0.9])
     for h in (1e-2, 5e-3, 2.5e-3):
         value, accepted = d_residual(sdf, x, h)
@@ -540,28 +550,23 @@ def test_in_blocks_equals_one_call(rows, pair):
 # ----------------------------------------------------------------- orthogonality
 
 def test_shell_orthogonality_distinct_lambda(modes_d2):
-    by_lam = {}
-    for m in modes_d2:
-        by_lam.setdefault(m.lam_int, []).append(m)
+    by_lam = by_eigenvalue(modes_d2)
     pairs = [(by_lam[2][0], by_lam[-2][0]),
              (by_lam[2][0], by_lam[3][0]),
              (by_lam[-2][1], by_lam[4][0])]
-    for m1, m2 in pairs:
+    for i, j in pairs:
         for t in (0.5, 1.0, 2.0):
-            assert abs(l2_shell_orthogonality(m1, m2, t)) <= 1e-10
+            assert abs(l2_shell_orthogonality(modes_d2, i, j, t)) <= 1e-10
 
 
 def test_shell_self_pairing_positive(modes_d2):
-    m = modes_d2[0]
-    assert l2_shell_orthogonality(m, m, 1.0) > 0
+    assert l2_shell_orthogonality(modes_d2, 0, 0, 1.0) > 0
 
 
 def test_ball_orthogonality(modes_d2):
-    by_lam = {}
-    for m in modes_d2:
-        by_lam.setdefault(m.lam_int, []).append(m)
-    assert abs(ball_orthogonality(by_lam[2][0], by_lam[-2][0], 2.0)) <= 1e-10
-    assert abs(ball_orthogonality(by_lam[3][0], by_lam[4][0], 2.0)) <= 1e-10
+    by_lam = by_eigenvalue(modes_d2)
+    assert abs(ball_orthogonality(modes_d2, by_lam[2][0], by_lam[-2][0], 2.0)) <= 1e-10
+    assert abs(ball_orthogonality(modes_d2, by_lam[3][0], by_lam[4][0], 2.0)) <= 1e-10
 
 
 # ----------------------------------------------------------------- dumps

@@ -63,7 +63,7 @@ def test_divfree_members_are_divergence_free():
     # the eigenfields span the subspace
     basis = make_basis(1)
     modes = eigenmodes(1)
-    assert len(modes) == divergence_free_subspace(1).dim
+    assert len(modes.lam) == divergence_free_subspace(1).dim
     for v in modes.C.T:
         residual = div(basis.coframe_from_vector(v))
         assert all(abs(c) < 1e-10 for c in residual.coeffs.values())
@@ -107,7 +107,7 @@ def test_spectrum_degree3(report_d3):
 
 
 def test_spectral_gap(modes_d3):
-    lams = np.array([m.lam for m in modes_d3])
+    lams = modes_d3.lam
     assert np.all(np.abs(lams) >= 2 - 1e-8)
     assert not np.any((np.abs(lams) < 2 - 1e-8) & (np.abs(lams) > 1e-8))
 
@@ -117,9 +117,10 @@ def test_modes_l2_normalized_and_orthogonal(modes_d3):
     D = 3
     basis = make_basis(D)
     G = coframe_gram(D)
-    vecs = np.column_stack([basis.coframe_to_vector(m.field) for m in modes])
+    vecs = np.column_stack([basis.coframe_to_vector(modes.field(i))
+                            for i in range(len(modes.lam))])
     gram = vecs.T @ G @ vecs
-    lams = np.array([m.lam_int for m in modes])
+    lams = modes.lam_int
     distinct = lams[:, None] != lams[None, :]
     assert np.max(np.abs(gram[distinct])) <= 1e-10
     assert_allclose(np.diag(gram), 1.0, atol=1e-10)
@@ -158,7 +159,7 @@ def test_exact_spectrum_degree2(exact_ring, monkeypatch):
     assert report.max_integer_deviation == 0.0
     assert report.max_div_residual <= 1e-12
     # exact eigenfields, converted to floats, are Gram-orthonormal
-    lams = sorted(m.lam_int for m in modes)
+    lams = sorted(modes.lam_int.tolist())
     assert lams == sorted(
         lam for lam, mult in report.multiplicities.items() for _ in range(mult))
 
@@ -176,7 +177,7 @@ def test_exact_degree3_matches_float(exact_ring, report_d3):
     assert exact.complete and exact.subspace_dim == flt.subspace_dim
     assert exact.max_div_residual <= 1e-14
     pairings = modes.pairings()
-    assert np.max(np.abs(pairings - np.eye(len(modes)))) <= 1e-10
+    assert np.max(np.abs(pairings - np.eye(len(modes.lam)))) <= 1e-10
 
 
 def test_exact_subspace_is_primitive_integer_kernel(monkeypatch):
@@ -228,23 +229,24 @@ def test_exact_ring_rejects_non_integer_operator(monkeypatch):
 # ------------------------------------------------------------- mode checks
 
 def test_constant_norm_for_plus_minus_two(modes_d3):
-    for m in modes_d3:
-        if abs(m.lam_int) == 2:
-            assert constant_norm_check(m) <= 1e-10
+    for i in np.flatnonzero(np.abs(modes_d3.lam_int) == 2):
+        assert constant_norm_check(modes_d3.field(i)) <= 1e-10
 
 
 def test_norm_spread_takes_no_dict_product(modes_d3, monkeypatch):
     from sdforms.polys import CoframeField
 
     def forbidden(self):
-        raise AssertionError("norm_spread formed |eta|^2 as a polynomial")
+        raise AssertionError("constant_norm_check formed |eta|^2 as a polynomial")
 
     monkeypatch.setattr(CoframeField, "norm_sq_poly", forbidden)
-    assert constant_norm_check(next(m for m in modes_d3 if m.lam_int == -2)) <= 1e-10
+    i = list(modes_d3.lam_int).index(-2)
+    assert constant_norm_check(modes_d3.field(i)) <= 1e-10
 
 
 def test_nonconstant_norm_for_lambda3(modes_d3):
-    spreads = [constant_norm_check(m) for m in modes_d3 if m.lam_int == 3]
+    spreads = [constant_norm_check(modes_d3.field(i))
+               for i in np.flatnonzero(modes_d3.lam_int == 3)]
     assert max(spreads) > 0.1
 
 
@@ -257,10 +259,9 @@ def test_invariant_frames_realize_plus_minus_two():
                        (right_invariant_coframe(1), -2)]:
         v = basis.coframe_to_vector(field)
         proj = np.zeros_like(v)
-        for m in modes:
-            if m.lam_int == lam:
-                mv = basis.coframe_to_vector(m.field)
-                proj += (mv @ G @ v) * mv
+        for i in np.flatnonzero(modes.lam_int == lam):
+            mv = basis.coframe_to_vector(modes.field(i))
+            proj += (mv @ G @ v) * mv
         assert_allclose(proj, v, atol=1e-9)
 
 

@@ -11,14 +11,19 @@ and float eigenfield routes on blocks of both parities, ``evolve`` on the
 seeded degree-14 field of ``tools/memory_guard.py``, whose eigencomponent
 split runs through every parity, and ``evolve`` on a seeded degree-3 field
 where the step-doubling ratio is null, where the field grows and where the
-run goes backward).  Each runs once in each
+run goes backward, the smallest mode sets of ``verify orthogonality`` and
+two error reports).  Each runs once in each
 checkout as a fresh ``python3 -m sdforms.cli`` process through
 ``spectrum_ladder.run_child``, which imports the program from
-``CHECKOUT/src``.  One line per invocation says ``same`` or
-``DIFF``; the exit code is 1 when any stdout or exit code differs.
+``CHECKOUT/src``.  Then every ``demos/*.py`` of either checkout runs in
+each, from the checkout's directory with its ``src`` on the path.  One line
+per invocation or demo says ``same`` or ``DIFF``; the exit code is 1 when
+any stdout or exit code differs.
 """
 
 import argparse
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -51,6 +56,12 @@ EXTRA = (
     ["verify", "hodge", "--degree", "12"],
     ["verify", "orthogonality", "--degree", "6"],
     ["verify", "orthogonality", "--degree", "8"],
+    # degree 0 has no distinct eigenvalue pair, a failure record
+    ["verify", "orthogonality", "--degree", "0"],
+    ["verify", "orthogonality", "--degree", "1"],
+    # error reports
+    ["verify", "kato", "--samples", "0"],
+    ["spectrum", "--degree", "-1"],
 )
 #: flags of ``evolve`` on the seeded degree-3 field: a ratio at the rounding
 #: floor (null), a growing field and a backward run
@@ -77,20 +88,33 @@ def invocations(tmp):
             + [["evolve", "--init", evolve_d3, *flags] for flags in EVOLVE_D3])
 
 
+def run_demo(root, name):
+    """Exit code and stdout of ``demos/NAME`` run in the checkout ``root``."""
+    root = Path(root).resolve()
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, str(root / "demos" / name)], cwd=root, env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    return {"exit": proc.returncode, "stdout": proc.stdout}
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--before", required=True, help="checkout of the parent commit")
     ap.add_argument("--after", required=True, help="checkout of the change")
     args = ap.parse_args(argv)
+    demos = sorted({p.name for root in (args.before, args.after)
+                    for p in Path(root).glob("demos/*.py")})
     diffs = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for cmd in invocations(tmp):
-            before, after = run_child(args.before, cmd), run_child(args.after, cmd)
+        runs = [(run_child, cmd, " ".join(Path(a).name if a.startswith(tmp) else a for a in cmd))
+                for cmd in invocations(tmp)]
+        runs += [(run_demo, name, f"demos/{name}") for name in demos]
+        for run, what, label in runs:
+            before, after = run(args.before, what), run(args.after, what)
             same = (before["exit"], before["stdout"]) == (after["exit"], after["stdout"])
             diffs += not same
             print(f"{'same' if same else 'DIFF'}  exit {before['exit']} -> {after['exit']}  "
-                  + " ".join(Path(a).name if a.startswith(tmp) else a for a in cmd),
-                  flush=True)
+                  + label, flush=True)
     return 1 if diffs else 0
 
 
