@@ -23,7 +23,9 @@ arguments or the config file prints argparse's usage message on stderr and
 nothing on stdout, one found after parsing prints the report
 {"status": "error", "message": ...}.  A JSON config file with a
 schema_version field supplies per-subcommand defaults; explicit flags win
-over the file.
+over the file.  Each subcommand's block in ``_build_parser`` declares its
+flags, their ranges, its report file and its artifacts; a flag out of range
+is found once the config file is applied, before any work, and named.
 """
 
 # Every layer module is imported here, before the standard library: the
@@ -132,7 +134,6 @@ def _check_growth(args, D, norm):
 
 
 def cmd_evolve(args):
-    _check_flags(args, positive=("t0", "t1"), limits=(("steps", ">=", 1),))
     if args.t1 == args.t0:
         raise ValueError(f"--t1 must differ from --t0, both are {args.t0}: "
                          "no evolution to compare")
@@ -310,7 +311,6 @@ VERIFY_SUITES = {
 
 
 def cmd_verify(args):
-    _check_flags(args, limits=(("samples", ">=", 1),))
     failures, details = VERIFY_SUITES[args.suite](args)
     return failures, {"suite": args.suite, "details": details}
 
@@ -473,17 +473,6 @@ ALE_BLOCKS = {
 
 
 def cmd_ale_report(args):
-    # the energy takes alpha^2, beta^2 and epsilon^8, the asymptotics rho_max^-2;
-    # the epsilon^9 and epsilon^-10 bounds keep the curvature block in range:
-    # below them ricci_closed_form's |x|^4 (t2 ** 2) overflows on the window
-    # -5 <= rho <= 5 (epsilon = 1e-60), above them the closed form of |Ric|^2
-    # underflows to 0 and the identity's relative error divides by it (1e40).
-    # The decay profile runs from |rho| = 10 to rho_max and must span a decade
-    _check_flags(args, positive=("epsilon", "rho_max"), finite=("alpha", "beta"),
-                 limits=(("ricci_samples", ">=", 1), ("rho_max", ">=", 100)),
-                 squared=("epsilon", "rho_max"),
-                 powers=(("alpha", 2), ("beta", 2), ("epsilon", 9), ("epsilon", -10),
-                         ("rho_max", 2)))
     params = ale.AKFormParams(args.alpha, args.beta, args.epsilon)
     failures = []
     report = {"epsilon": args.epsilon, "alpha": args.alpha, "beta": args.beta}
@@ -505,10 +494,6 @@ def _ale_profile_csv(args, report):
 
 
 def cmd_moser(args):
-    # e^c overflows a float past c = log(float max), about 709.78
-    _check_flags(args, positive=("c_min", "c_max"),
-                 limits=(("points", ">=", 1), ("c_min", "<=", regularity.LOG_FLOAT_MAX),
-                         ("c_max", "<=", regularity.LOG_FLOAT_MAX)))
     failures = []
     cs = np.geomspace(args.c_min, args.c_max, args.points)
     csv_text = regularity.moser_sweep_csv(cs)
@@ -532,10 +517,6 @@ def _moser_sweep_csv(args, report):
 
 
 def cmd_decay(args):
-    # the profile runs from |rho| = 10 to rho_max and must span a decade
-    _check_flags(args, positive=("epsilon", "rho_max"), finite=("alpha", "beta"),
-                 limits=(("rho_max", ">=", 100),), squared=("epsilon",),
-                 powers=(("alpha", 2), ("beta", 2), ("epsilon", 2)))
     params = ale.AKFormParams(args.alpha, args.beta, args.epsilon)
     failures, decay, profile = _decay_end(params, args.end, args.rho_max)
     return failures, {
@@ -549,22 +530,6 @@ def cmd_decay(args):
 
 
 # ------------------------------------------------------------- plumbing
-
-#: the files ``--output`` writes beside the JSON report, by subcommand
-ARTIFACTS = {
-    "ale-report": {"ale_profile.csv": _ale_profile_csv},
-    "moser": {"moser_sweep.csv": _moser_sweep_csv},
-}
-
-
-def _report_name(args):
-    """File name of the JSON report under ``--output``."""
-    if args.command == "spectrum":
-        return f"spectrum_d{args.degree}.json"
-    if args.command == "verify":
-        return f"verify_{args.suite}.json"
-    return args.command.replace("-", "_") + ".json"
-
 
 def _print(text):
     """Print ``text``; a stdout whose reader is gone is pointed at the null device,
@@ -580,32 +545,35 @@ def _print(text):
 def _run(args):
     """Run one subcommand and emit its report; the exit code is 0 or 1.
 
-    The subcommand returns ``(failures, fields)``.  The report is the fields
+    The flag rules the subcommand declares (:func:`_build_parser`) are
+    checked first; a flag out of range is a ValueError naming it.  The
+    subcommand returns ``(failures, fields)``.  The report is the fields
     plus ``seed``, ``status`` and ``failures``; with ``--output`` it is also
-    written to the subcommand's report file, beside its other artifacts, and
-    printed only once they are written.  A subcommand that raises
-    ArithmeticError (a failed certificate; OverflowError, a flag outside the
-    float range, excepted) or LinAlgError (a singular matrix) reports one
-    failure record, with the exception's message as its reason, and writes
-    no other artifact.  A stdout whose reader has closed it changes neither
-    the files nor the code.
+    written to the report file the subcommand declares, beside its declared
+    artifacts, and printed only once they are written.  A subcommand that
+    raises ArithmeticError (a failed certificate; OverflowError, a flag
+    outside the float range, excepted) or LinAlgError (a singular matrix)
+    reports one failure record, with the exception's message as its reason,
+    and writes no other artifact.  A stdout whose reader has closed it
+    changes neither the files nor the code.
     """
-    artifacts = ARTIFACTS.get(args.command, {})
+    func, rules, report_name, artifacts = args.declared
+    _check_flags(args, **rules)
     try:
-        failures, report = args.func(args)
+        failures, report = func(args)
     except OverflowError:
         raise
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         flags = {k: v for k, v in vars(args).items()
-                 if k not in ("func", "command", "config", "output", "seed")}
+                 if k not in ("declared", "command", "config", "output", "seed")}
         failures = [failure(args.command, type(exc).__name__, flags, None, None, str(exc))]
-        report, artifacts = {}, {}
+        report, artifacts = {}, ()
     report.update(seed=args.seed, status="fail" if failures else "pass",
                   failures=failures)
     blob = json.dumps(_round_floats(report), indent=1, sort_keys=True, allow_nan=False)
     if args.output:
-        files = {_report_name(args): blob + "\n"}
-        files.update((name, write(args, report)) for name, write in artifacts.items())
+        files = {report_name.format(**vars(args)): blob + "\n"}
+        files.update((name, write(args, report)) for name, write in artifacts)
         os.makedirs(args.output, exist_ok=True)
         for name, text in files.items():
             with open(os.path.join(args.output, name), "w") as fh:
@@ -630,40 +598,69 @@ def _build_parser():
         description="verification pipelines for the sphere spectral calculus")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, func, **kwargs):
-        p = sub.add_parser(name, parents=[common], allow_abbrev=False, **kwargs)
-        p.set_defaults(func=func)
+    def add_parser(name, func, help, report, artifacts=(), **rules):
+        """Declare one subcommand: ``func`` runs it, ``rules`` are its flags'
+        ranges (the keywords of :func:`_check_flags`), ``report`` the name of
+        its report file under ``--output``, formatted with its flags, and
+        ``artifacts`` the (file name, writer) pairs of its other files."""
+        p = sub.add_parser(name, parents=[common], allow_abbrev=False, help=help)
+        p.set_defaults(declared=(func, rules, report, artifacts))
         return p
 
-    p = add_parser("spectrum", cmd_spectrum, help="eigenvalue report of *d")
+    p = add_parser("spectrum", cmd_spectrum, "eigenvalue report of *d",
+                   "spectrum_d{degree}.json", limits=(("degree", ">=", 0),))
     p.add_argument("--degree", type=int, default=3)
     p.add_argument("--exact", action="store_true",
                    help="exact integer kernel ranks instead of a float solver")
 
-    p = add_parser("evolve", cmd_evolve, help="evolve an initial field")
+    p = add_parser("evolve", cmd_evolve, "evolve an initial field", "evolve.json",
+                   positive=("t0", "t1"), limits=(("steps", ">=", 1),))
     p.add_argument("--init", required=True, help="JSON initial-data file")
     p.add_argument("--t0", type=float, default=1.0)
     p.add_argument("--t1", type=float, default=2.0)
     p.add_argument("--steps", type=int, default=100)
 
-    p = add_parser("verify", cmd_verify, help="named check suites")
+    # both flags are checked whatever the suite: a config section can set either
+    p = add_parser("verify", cmd_verify, "named check suites", "verify_{suite}.json",
+                   limits=(("samples", ">=", 1), ("degree", ">=", 0)))
     p.add_argument("suite", choices=sorted(VERIFY_SUITES))
     p.add_argument("--degree", type=int, default=3)
     p.add_argument("--samples", type=int, default=500)
 
-    p = add_parser("ale-report", cmd_ale_report, help="2-ended model report")
+    # the energy takes alpha^2, beta^2 and epsilon^8, the asymptotics rho_max^-2;
+    # the epsilon^9 and epsilon^-10 bounds keep the curvature block in range:
+    # below them ricci_closed_form's |x|^4 (t2 ** 2) overflows on the window
+    # -5 <= rho <= 5 (epsilon = 1e-60), above them the closed form of |Ric|^2
+    # underflows to 0 and the identity's relative error divides by it (1e40).
+    # The decay profile runs from |rho| = 10 to rho_max and must span a decade
+    p = add_parser("ale-report", cmd_ale_report, "2-ended model report", "ale_report.json",
+                   artifacts=(("ale_profile.csv", _ale_profile_csv),),
+                   positive=("epsilon", "rho_max"), finite=("alpha", "beta"),
+                   limits=(("ricci_samples", ">=", 1), ("rho_max", ">=", 100)),
+                   squared=("epsilon", "rho_max"),
+                   powers=(("alpha", 2), ("beta", 2), ("epsilon", 9), ("epsilon", -10),
+                           ("rho_max", 2)))
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--rho-max", type=float, default=1000.0)
     p.add_argument("--ricci-samples", type=int, default=100)
 
-    p = add_parser("moser", cmd_moser, help="iteration product sweep")
+    # e^c overflows a float past c = log(float max), about 709.78
+    p = add_parser("moser", cmd_moser, "iteration product sweep", "moser.json",
+                   artifacts=(("moser_sweep.csv", _moser_sweep_csv),),
+                   positive=("c_min", "c_max"),
+                   limits=(("points", ">=", 1), ("c_min", "<=", regularity.LOG_FLOAT_MAX),
+                           ("c_max", "<=", regularity.LOG_FLOAT_MAX)))
     p.add_argument("--c-min", type=float, default=1e-8)
     p.add_argument("--c-max", type=float, default=10.0)
     p.add_argument("--points", type=int, default=33)
 
-    p = add_parser("decay", cmd_decay, help="decay classification of one end")
+    # the profile runs from |rho| = 10 to rho_max and must span a decade
+    p = add_parser("decay", cmd_decay, "decay classification of one end", "decay.json",
+                   positive=("epsilon", "rho_max"), finite=("alpha", "beta"),
+                   limits=(("rho_max", ">=", 100),), squared=("epsilon",),
+                   powers=(("alpha", 2), ("beta", 2), ("epsilon", 2)))
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=0.0)

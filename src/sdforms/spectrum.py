@@ -529,7 +529,7 @@ def divergence_free_subspace(D, ring="float"):
     """
     if D < 0:
         raise ValueError(f"degree bound must be >= 0, got {D}")
-    exact = ring == "exact"
+    exact = _is_exact(ring)
     frame = polys.derivative_triples(D)
     if exact:
         frame = [_integer_entries(E) for E in frame]
@@ -542,6 +542,13 @@ def divergence_free_subspace(D, ring="float"):
         blocks.append(_exact_block(k, lap, offs, E_k) if exact
                       else _float_block(k, lap, offs, monomials, E_k))
     return DivergenceFreeSubspace(D, blocks, frame)
+
+
+def _is_exact(ring):
+    """Whether ``ring`` is "exact"; a name other than "float" or "exact" is an error."""
+    if ring not in ("float", "exact"):
+        raise ValueError(f"ring must be 'float' or 'exact', got {ring!r}")
+    return ring == "exact"
 
 
 def _integer_entries(triples):
@@ -677,7 +684,7 @@ def eigen_decompose(D, ring="float"):
     (multiplicities sum to the subspace dimension) and the absence of
     spectrum at -1, 0, +1.  The eigenfields are :func:`eigenmodes`.
     """
-    if ring == "exact":
+    if _is_exact(ring):
         sub = divergence_free_subspace(D, ring)
         return _exact_report(sub, _exact_eigenspaces(sub))
     return _float_report(D, _reduced_blocks(D))

@@ -162,6 +162,8 @@ def test_raised_arithmetic_error_is_a_failure_but_overflow_a_usage_error(capsys,
         assert got == code
         if code == 1:
             assert [f["reason"] for f in rep["failures"]] == ["certificate failed"]
+            # the record's input is the subcommand's own flags, no declared value
+            assert rep["failures"][0]["input"] == {"degree": 3, "exact": False}
         else:
             assert rep == {"status": "error", "message": "math range error"}
 
@@ -372,7 +374,9 @@ def test_config_file_defaults(capsys, tmp_path):
     {"no_such_flag": 1},
     {"degree": "three"},
     {"seed": [1]},
-], ids=["section0", "section1", "section2", "section3", "section4", "section5", "section6"])
+    {"declared": 1},
+], ids=["section0", "section1", "section2", "section3", "section4", "section5", "section6",
+        "section7"])
 def test_config_sets_only_the_subcommand_flags(tmp_path, capsys, section):
     # anything but a flag of the subcommand, of the flag's type, is a usage error
     cfg = tmp_path / "cfg.json"
@@ -947,13 +951,38 @@ def test_frames_batches_stay_within_the_block(capsys, monkeypatch):
         "structure_residual": 2 * 5000, "left_frame_at": 5000, "right_frame_at": 5000}
 
 
-@pytest.mark.parametrize("suite", ["frames", "kato", "elliptic", "hodge"])
+@pytest.mark.parametrize("suite", ["frames", "kato", "elliptic", "hodge", "orthogonality"])
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_verify_rejects_nonpositive_samples(capsys, suite, samples):
     code, rep = run(capsys, "verify", suite, "--samples", samples)
     assert code == 2
     assert rep["status"] == "error"
     assert "--samples" in rep["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum"],
+    ["spectrum", "--exact"],
+    ["verify", "frames"],
+    ["verify", "hodge"],
+    ["verify", "kato"],
+    ["verify", "orthogonality"],
+    ["verify", "elliptic"],
+], ids=["spectrum", "spectrum-exact", "frames", "hodge", "kato", "orthogonality", "elliptic"])
+def test_negative_degree_is_named(capsys, argv):
+    # every subcommand with --degree checks it before any work, whatever the suite
+    code, rep = run(capsys, *argv, "--degree", "-1")
+    assert (code, rep) == (2, {"status": "error", "message": "--degree must be >= 0, got -1"})
+
+
+def test_config_value_out_of_range_is_named(capsys, tmp_path):
+    # the flag rules run once the config file is applied, and name the flag
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "verify": {"degree": -7}}))
+    code, rep = run(capsys, "--config", str(cfg), "--output", str(tmp_path / "out"),
+                    "verify", "kato")
+    assert (code, rep["message"]) == (2, "--degree must be >= 0, got -7")
+    assert not (tmp_path / "out").exists()
 
 
 def test_kato_reports_points_evaluated(capsys):

@@ -297,6 +297,14 @@ def test_negative_degree_rejected():
         eigenmodes(-1)
 
 
+@pytest.mark.parametrize("call", [eigen_decompose, divergence_free_subspace],
+                         ids=["eigen_decompose", "divergence_free_subspace"])
+def test_unknown_ring_rejected(call):
+    # only "exact" selects the exact ring; a misspelling must not run the float one
+    with pytest.raises(ValueError, match="ring must be 'float' or 'exact', got 'exakt'"):
+        call(2, ring="exakt")
+
+
 @pytest.mark.parametrize("above", [False, True])
 def test_bound_passes_at_the_bound_and_records_past_it(above):
     args = ("spectral", "op", {"degree": 3})

@@ -12,13 +12,15 @@ seeded degree-14 field of ``tools/memory_guard.py``, whose eigencomponent
 split runs through every parity, and ``evolve`` on a seeded degree-3 field
 where the step-doubling ratio is null, where the field grows and where the
 run goes backward, the smallest mode sets of ``verify orthogonality`` and
-two error reports).  Each runs once in each
-checkout as a fresh ``python3 -m sdforms.cli`` process through
-``spectrum_ladder.run_child``, which imports the program from
+the error reports of out-of-range ``--samples`` and ``--degree``).  Each
+runs once in each checkout as a fresh ``python3 -m sdforms.cli`` process
+through ``spectrum_ladder.run_child``, which imports the program from
 ``CHECKOUT/src``.  Then every ``demos/*.py`` of either checkout runs in
 each, from the checkout's directory with its ``src`` on the path.  One line
 per invocation or demo says ``same`` or ``DIFF``; the exit code is 1 when
-any stdout or exit code differs.
+any stdout or exit code differs.  With ``--before . --after .`` it checks
+that stdout is deterministic: every run happens twice, each in a fresh
+process with its own random hash seed unless ``PYTHONHASHSEED`` is set.
 """
 
 import argparse
@@ -61,7 +63,11 @@ EXTRA = (
     ["verify", "orthogonality", "--degree", "1"],
     # error reports
     ["verify", "kato", "--samples", "0"],
+    ["verify", "orthogonality", "--samples", "0"],
+    ["verify", "kato", "--degree", "-1"],
+    ["verify", "hodge", "--degree", "-1"],
     ["spectrum", "--degree", "-1"],
+    ["spectrum", "--degree", "-1", "--exact"],
 )
 #: flags of ``evolve`` on the seeded degree-3 field: a ratio at the rounding
 #: floor (null), a growing field and a backward run
