@@ -37,7 +37,6 @@ from . import ale, evolution, regularity, selfdual, spectrum
 from .frames import hodge_star_s3, left_frame_at, right_frame_at, structure_residual
 from .polys import left_invariant_coframe, make_basis, right_invariant_coframe
 from .sampling import Sampler
-from .spectrum import bound, failure
 
 import argparse
 import json
@@ -78,11 +77,30 @@ def _annulus_samples(n, seed, lo=0.4, hi=2.5):
     return pts
 
 
+def failure(module, operation, inputs, observed, tolerance, reason):
+    """One machine-readable failure record, the form every report uses."""
+    return {"module": module, "operation": operation, "input": inputs,
+            "observed": observed, "tolerance": tolerance, "reason": reason}
+
+
+def bound(failures, module, operation, inputs, observed, tolerance, reason, above=False):
+    """Append the failure record of one value checked against one bound.
+
+    The check passes when ``observed <= tolerance``, or ``observed >=
+    tolerance`` with ``above``, or ``lo <= observed <= hi`` for a ``(lo, hi)``
+    tolerance; anything else, NaN included, fails.
+    """
+    lo, hi = tolerance if isinstance(tolerance, tuple) else (
+        (tolerance, math.inf) if above else (-math.inf, tolerance))
+    if not lo <= observed <= hi:
+        failures.append(failure(module, operation, inputs, observed, tolerance, reason))
+
+
 # ------------------------------------------------------------- subcommands
 
 def cmd_spectrum(args):
     report = spectrum.eigen_decompose(args.degree, ring="exact" if args.exact else "float")
-    return report.verify(), report.to_json()
+    return _spectrum_checks(report), report.to_json()
 
 
 def _power_is_finite(value, p):
@@ -211,6 +229,34 @@ def _verify_frames(args):
         "max_star_involution_defect": worst_star,
         "samples": args.samples,
     }
+
+
+def _spectrum_checks(report):
+    """Failure records of the spectrum's laws: no eigenvalue in the gap
+    |lambda| < 2, multiplicity lambda^2 - 1 inside the trusted window,
+    integer eigenvalues, eigenspaces spanning the divergence-free subspace
+    and no exact kernel at -1, 0 or 1."""
+    failures = []
+    where = ("spectrum", "eigen_decompose")
+    deg = {"degree": report.degree}
+    lo, hi = report.window
+    for lam, mult in sorted(report.multiplicities.items()):
+        at = {**deg, "lambda": lam}
+        if abs(lam) < 2:
+            bound(failures, *where, at, mult, 0, "eigenvalue inside the spectral gap")
+        elif lo <= lam <= hi and mult != lam * lam - 1:
+            failures.append(failure(*where, at, mult, lam * lam - 1,
+                                    "multiplicity differs from lambda^2 - 1"))
+    bound(failures, *where, deg, report.max_integer_deviation, spectrum.CLUSTER_TOL,
+          "eigenvalue deviates from the integers")
+    if not report.complete:
+        failures.append(failure(*where, deg, sum(report.multiplicities.values()),
+                                report.subspace_dim,
+                                "eigenspaces do not span the divergence-free subspace"))
+    for lam, mult in report.forbidden_multiplicities.items():
+        bound(failures, *where, {**deg, "lambda": lam}, mult, 0,
+              "exact kernel found inside the spectral gap")
+    return failures
 
 
 def _verify_hodge(args):

@@ -66,7 +66,6 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from itertools import accumulate
-from typing import ClassVar
 
 import numpy as np
 from numpy.linalg import eigh
@@ -79,8 +78,6 @@ from .sampling import Sampler
 __all__ = [
     "ModeSet",
     "SpectrumReport",
-    "failure",
-    "bound",
     "trusted_window",
     "divergence_free_subspace",
     "eigen_decompose",
@@ -95,25 +92,6 @@ __all__ = [
 WINDOW_POS_OFFSET = 2
 WINDOW_NEG_OFFSET = 0
 CLUSTER_TOL = 1e-8
-
-
-def failure(module, operation, inputs, observed, tolerance, reason):
-    """One machine-readable failure record, the form every report uses."""
-    return {"module": module, "operation": operation, "input": inputs,
-            "observed": observed, "tolerance": tolerance, "reason": reason}
-
-
-def bound(failures, module, operation, inputs, observed, tolerance, reason, above=False):
-    """Append the failure record of one value checked against one bound.
-
-    The check passes when ``observed <= tolerance``, or ``observed >=
-    tolerance`` with ``above``, or ``lo <= observed <= hi`` for a ``(lo, hi)``
-    tolerance; anything else, NaN included, fails.
-    """
-    lo, hi = tolerance if isinstance(tolerance, tuple) else (
-        (tolerance, math.inf) if above else (-math.inf, tolerance))
-    if not lo <= observed <= hi:
-        failures.append(failure(module, operation, inputs, observed, tolerance, reason))
 
 
 def trusted_window(D):
@@ -154,7 +132,7 @@ class ModeSet:
 
 @dataclass
 class SpectrumReport:
-    """Multiplicity table and residual statistics of one decomposition."""
+    """Multiplicity table and residual statistics of one decomposition; the CLI judges it."""
 
     degree: int
     ring: str
@@ -163,35 +141,8 @@ class SpectrumReport:
     multiplicities: dict
     max_integer_deviation: float
     max_div_residual: float
-    cluster_tol: ClassVar[float] = CLUSTER_TOL
     complete: bool = False
     forbidden_multiplicities: dict = field(default_factory=dict)
-
-    def expected_multiplicity(self, lam):
-        return lam * lam - 1
-
-    def verify(self):
-        """Failure records for the gap, integrality and multiplicity laws."""
-        fail = partial(failure, "spectrum", "eigen_decompose")
-        deg = {"degree": self.degree}
-        failures = []
-        lo, hi = self.window
-        for lam, mult in sorted(self.multiplicities.items()):
-            at = {**deg, "lambda": lam}
-            if abs(lam) < 2:
-                failures.append(fail(at, mult, 0, "eigenvalue inside the spectral gap"))
-            elif lo <= lam <= hi and mult != self.expected_multiplicity(lam):
-                failures.append(fail(at, mult, self.expected_multiplicity(lam),
-                                     "multiplicity differs from lambda^2 - 1"))
-        bound(failures, "spectrum", "eigen_decompose", deg, self.max_integer_deviation,
-              self.cluster_tol, "eigenvalue deviates from the integers")
-        if not self.complete:
-            failures.append(fail(deg, sum(self.multiplicities.values()), self.subspace_dim,
-                                 "eigenspaces do not span the divergence-free subspace"))
-        failures += [fail({**deg, "lambda": lam}, mult, 0,
-                          "exact kernel found inside the spectral gap")
-                     for lam, mult in self.forbidden_multiplicities.items() if mult]
-        return failures
 
     def to_json(self):
         return {
@@ -206,7 +157,7 @@ class SpectrumReport:
             "residuals": {
                 "max_integer_deviation": self.max_integer_deviation,
                 "max_div_residual": self.max_div_residual,
-                "cluster_tol": self.cluster_tol,
+                "cluster_tol": CLUSTER_TOL,
             },
             "complete": self.complete,
         }
@@ -527,8 +478,6 @@ def divergence_free_subspace(D, ring="float"):
     basis and its frame, the exact ring an exact harmonic basis and the
     integer frame.  The dimension is 2 * sum_{d<=D}(d+1)^2 + 1.
     """
-    if D < 0:
-        raise ValueError(f"degree bound must be >= 0, got {D}")
     exact = _is_exact(ring)
     frame = polys.derivative_triples(D)
     if exact:

@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdforms
-from sdforms.cli import dispatch
+from sdforms.cli import bound, dispatch, failure
 from sdforms.evolution import dump_initial_field
 from sdforms.polys import left_invariant_coframe, right_invariant_coframe
+from sdforms.spectrum import SpectrumReport
 
 # Every parametrized case has an explicit id, spelled as pytest's positional
 # id was when it was fixed, so deleting a case renames no other.
@@ -64,6 +65,30 @@ def test_spectrum_deterministic_output(capsys):
     assert text1 == text2
 
 
+def test_spectrum_report_breaking_every_law_fails(capsys, monkeypatch):
+    # one record per broken law, in the order the laws are checked
+    report = SpectrumReport(degree=2, ring="exact", subspace_dim=29, window=(-2, 4),
+                            multiplicities={-2: 3, 1: 2, 2: 3, 3: 7, 4: 15},
+                            max_integer_deviation=1e-6, max_div_residual=0.0,
+                            complete=False, forbidden_multiplicities={-1: 0, 0: 2, 1: 0})
+    monkeypatch.setattr("sdforms.cli.spectrum.eigen_decompose", lambda D, ring: report)
+    code, rep = run(capsys, "spectrum", "--degree", "2", "--exact")
+    assert (code, rep["status"]) == (1, "fail")
+    where = {"module": "spectrum", "operation": "eigen_decompose"}
+    assert rep["failures"] == [
+        {**where, "input": {"degree": 2, "lambda": 1}, "observed": 2, "tolerance": 0,
+         "reason": "eigenvalue inside the spectral gap"},
+        {**where, "input": {"degree": 2, "lambda": 3}, "observed": 7, "tolerance": 8,
+         "reason": "multiplicity differs from lambda^2 - 1"},
+        {**where, "input": {"degree": 2}, "observed": 1e-6, "tolerance": 1e-8,
+         "reason": "eigenvalue deviates from the integers"},
+        {**where, "input": {"degree": 2}, "observed": 30, "tolerance": 29,
+         "reason": "eigenspaces do not span the divergence-free subspace"},
+        {**where, "input": {"degree": 2, "lambda": 0}, "observed": 2, "tolerance": 0,
+         "reason": "exact kernel found inside the spectral gap"},
+    ]
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "kato"],
     ["verify", "elliptic"],
@@ -85,7 +110,7 @@ def test_seeded_output_is_deterministic(capsys, argv):
 IMPORT_GUARD = """\
 import contextlib, io, json, sys
 from sdforms import ale, spectrum
-from sdforms.cli import dispatch
+from sdforms.cli import bound, dispatch, failure
 codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -486,6 +511,32 @@ def test_failure_records_shape(capsys, monkeypatch):
             "reason"} <= set(rec)
     # the same reason as the decay block of ale-report
     assert rec["reason"] == "decay classification off the dichotomy"
+
+
+@pytest.mark.parametrize("above", [False, True])
+def test_bound_passes_at_the_bound_and_records_past_it(above):
+    args = ("spectral", "op", {"degree": 3})
+    failures = []
+    bound(failures, *args, 0.5, 0.5, "at the bound", above=above)
+    assert failures == []
+    past = 0.25 if above else 0.75
+    bound(failures, *args, past, 0.5, "past the bound", above=above)
+    bound(failures, *args, float("nan"), 0.5, "not a number", above=above)
+    assert failures[0] == failure(*args, past, 0.5, "past the bound")
+    assert [f["reason"] for f in failures] == ["past the bound", "not a number"]
+
+
+def test_bound_with_a_range_passes_inside_it_only():
+    args = ("regularity", "moser_product", {"c": 1e-6})
+    failures = []
+    for inside in (1.0, 1.00005, 1.0001):
+        bound(failures, *args, inside, (1.0, 1.0001), "inside")
+    assert failures == []
+    for outside in (1.0 - 1e-12, 1.0002, float("nan")):
+        bound(failures, *args, outside, (1.0, 1.0001), "outside")
+    assert failures[0] == failure(*args, 1.0 - 1e-12, (1.0, 1.0001), "outside")
+    assert [f["observed"] for f in failures[1:2]] == [1.0002]
+    assert len(failures) == 3
 
 
 def test_zero_form_is_zero_in_both_commands(capsys):

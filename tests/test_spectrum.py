@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sdforms import exactla, polys
+from sdforms.cli import _spectrum_checks
 from sdforms.polys import (
     coframe_gram,
     left_invariant_coframe,
@@ -19,12 +20,10 @@ from sdforms.spectrum import (
     _frame_laplacian,
     _harmonic_basis,
     _integer_entries,
-    bound,
     constant_norm_check,
     divergence_free_subspace,
     eigen_decompose,
     eigenmodes,
-    failure,
     hodge_laplacian_check,
     trusted_window,
 )
@@ -94,7 +93,7 @@ def test_spectrum_degree2():
     report = eigen_decompose(2)
     assert report.multiplicities == {-2: 3, 2: 3, 3: 8, 4: 15}
     assert report.window == (-2, 4)
-    assert not report.verify()
+    assert not _spectrum_checks(report)
 
 
 def test_spectrum_degree3(report_d3):
@@ -297,35 +296,18 @@ def test_negative_degree_rejected():
         eigenmodes(-1)
 
 
+@pytest.mark.parametrize("ring", ["float", "exact"])
+@pytest.mark.parametrize("call", [eigen_decompose, divergence_free_subspace],
+                         ids=["eigen_decompose", "divergence_free_subspace"])
+def test_negative_degree_is_named_in_the_library(call, ring):
+    # the basis rejects it, before any operator is built
+    with pytest.raises(ValueError, match="^degree bound must be >= 0, got -1$"):
+        call(-1, ring=ring)
+
+
 @pytest.mark.parametrize("call", [eigen_decompose, divergence_free_subspace],
                          ids=["eigen_decompose", "divergence_free_subspace"])
 def test_unknown_ring_rejected(call):
     # only "exact" selects the exact ring; a misspelling must not run the float one
     with pytest.raises(ValueError, match="ring must be 'float' or 'exact', got 'exakt'"):
         call(2, ring="exakt")
-
-
-@pytest.mark.parametrize("above", [False, True])
-def test_bound_passes_at_the_bound_and_records_past_it(above):
-    args = ("spectral", "op", {"degree": 3})
-    failures = []
-    bound(failures, *args, 0.5, 0.5, "at the bound", above=above)
-    assert failures == []
-    past = 0.25 if above else 0.75
-    bound(failures, *args, past, 0.5, "past the bound", above=above)
-    bound(failures, *args, float("nan"), 0.5, "not a number", above=above)
-    assert failures[0] == failure(*args, past, 0.5, "past the bound")
-    assert [f["reason"] for f in failures] == ["past the bound", "not a number"]
-
-
-def test_bound_with_a_range_passes_inside_it_only():
-    args = ("regularity", "moser_product", {"c": 1e-6})
-    failures = []
-    for inside in (1.0, 1.00005, 1.0001):
-        bound(failures, *args, inside, (1.0, 1.0001), "inside")
-    assert failures == []
-    for outside in (1.0 - 1e-12, 1.0002, float("nan")):
-        bound(failures, *args, outside, (1.0, 1.0001), "outside")
-    assert failures[0] == failure(*args, 1.0 - 1e-12, (1.0, 1.0001), "outside")
-    assert [f["observed"] for f in failures[1:2]] == [1.0002]
-    assert len(failures) == 3
