@@ -110,7 +110,7 @@ def test_seeded_output_is_deterministic(capsys, argv):
 IMPORT_GUARD = """\
 import contextlib, io, json, sys
 from sdforms import ale, spectrum
-from sdforms.cli import bound, dispatch, failure
+from sdforms.cli import dispatch
 codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
