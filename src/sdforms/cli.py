@@ -398,7 +398,9 @@ def _ale_curvature(args, params):
         lambda x: (model.ricci_norm_sq(x), model.scalar_curvature(x)), selfdual.EVAL_BLOCK, X)
     worst_norm = float(np.max(np.abs(norm_sq - expected) / expected))
     worst_scalar = float(np.max(np.abs(scalar)))
-    rhos_fd = sampler.uniform(-1.0, 5.0, args.ricci_samples)
+    # in units of eps: on the homothetic family, with step h |x|, the oracle's error
+    # is one number at every eps (the identity window's R bound is absolute)
+    rhos_fd = sampler.uniform(-10.0 * params.epsilon, 50.0 * params.epsilon, args.ricci_samples)
     X = model.t_of_rho(rhos_fd)[:, None] * dirs
     # in the oracle's blocks, so the closed form is held for one block at a time
     rel = selfdual.in_blocks(lambda x: _fd_relative_error(model, x, RICCI_H),
@@ -443,12 +445,17 @@ def _ale_asymptotics(args, params):
 
 
 def _ale_energy(args, params):
-    if params.alpha == 0.0 and params.beta == 0.0:
-        return [], {"boundary": 0.0, "volume": 0.0, "relative_agreement": 0.0}
     # the family is homothetic (g_eps pulled back by x = y / eps is eps^2 g_1): cut
     # off at rho = 1000 eps, both routes see one model at every eps (100 at 0.1)
     A = 1000.0 * params.epsilon
     boundary = ale.grad_energy_boundary(params, A)
+    failures = []
+    if params.alpha == 0.0 and params.beta == 0.0:
+        # no relative agreement is defined at 0: both routes must give exactly 0
+        volume = ale.grad_energy_volume(params, A)
+        bound(failures, "ale_models", "grad_energy_boundary", {"A": A},
+              abs(boundary) + abs(volume), 0.0, "zero form has nonzero energy")
+        return failures, {"boundary": boundary, "volume": volume, "relative_agreement": 0.0}
     if boundary == 0.0:
         raise ValueError(f"boundary energy underflows to 0 for the non-zero form "
                          f"alpha = {params.alpha}, beta = {params.beta}")
@@ -459,7 +466,6 @@ def _ale_energy(args, params):
     volume = ale.grad_energy_volume(params, A)
     rel = abs(volume - boundary) / abs(boundary)
     refs = ale.energy_reference_values(params)
-    failures = []
     bound(failures, "ale_models", "grad_energy_boundary", {"A": A}, rel, 0.01,
           "boundary and volume energies disagree")
     return failures, {

@@ -25,6 +25,7 @@ eta^3.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import factorial, pi
 
 import numpy as np
@@ -414,15 +415,22 @@ def _reduced_monomials(D):
 
 
 class PolyBasis:
-    """Reduced-monomial basis of the degree <= D polynomial model of the sphere."""
+    """Reduced-monomial basis of the degree <= D polynomial model of the sphere.
+
+    ``exponents`` is the read-only int64 table (N, 4) of ``monomials``, in
+    degree order; ``offsets`` holds where each degree's (d + 1)^2 rows start, then N.
+    """
 
     def __init__(self, D):
         if D < 0:
             raise ValueError(f"degree bound must be >= 0, got {D}")
         self.D = D
-        self.monomials = _reduced_monomials(D)
-        self.index = {e: k for k, e in enumerate(self.monomials)}
-        self.dim = len(self.monomials)
+        self.monomials = monomials = _reduced_monomials(D)
+        self.index = {e: k for k, e in enumerate(monomials)}
+        self.dim = len(monomials)
+        self.exponents = np.array(monomials, dtype=np.int64)
+        self.exponents.flags.writeable = False
+        self.offsets = tuple(accumulate(((d + 1) ** 2 for d in range(D + 1)), initial=0))
 
     def to_vector(self, f):
         v = np.zeros(self.dim)
@@ -468,7 +476,7 @@ def _scalar_gram(D):
     of each is converted to a float once, its exponents read back from the
     digits, and the N x N key sums index the table.
     """
-    E = np.array(make_basis(D).monomials, dtype=np.int64)
+    E = make_basis(D).exponents
     base = 2 * D + 1
     place = base ** np.arange(3, -1, -1, dtype=np.int64)
     key = E @ place
@@ -512,7 +520,8 @@ def exponent_index(E, base):
     return lambda X: by_key[np.searchsorted(keys, X @ place, sorter=by_key)]
 
 
-def derivative_triples(D, table=LEFT_MULT):
+@lru_cache(maxsize=8)
+def derivative_triples(D, frame="left"):
     """The three frame-derivative matrices on the degree <= D reduced basis, sparse.
 
     Each is ``(rows, cols, values, (N, N))``: integer entries, no zeros or
@@ -520,20 +529,18 @@ def derivative_triples(D, table=LEFT_MULT):
     arithmetic on the monomial table: e_m(x^e) = sum e_nu L_m[nu, mu]
     x^(e - u_nu + u_mu) over the nonzero entries of the generator L_m, with
     x3^2 -> 1 - x0^2 - x1^2 - x2^2 applied where the x3-exponent reaches 2.
-    ``table`` holds the three generators: LEFT_MULT gives the frame E_i of
-    :func:`frame_derivative` (the same operator on dict polynomials),
-    RIGHT_MULT the opposite frame R_i.
+    ``frame`` names the generators as :func:`sdforms.frames.structure_residual`
+    does: "left" gives the frame E_i of :func:`frame_derivative` (the same
+    operator on dict polynomials), "right" the opposite frame R_i.
     """
-    return _derivative_triples(D, np.asarray(table, dtype=np.int64).tobytes())
-
-
-@lru_cache(maxsize=8)
-def _derivative_triples(D, table):
-    E = np.array(make_basis(D).monomials, dtype=np.int64).reshape(-1, 4)
+    generators = {"left": LEFT_MULT, "right": RIGHT_MULT}.get(frame)
+    if generators is None:
+        raise ValueError(f"frame must be 'left' or 'right', got {frame!r}")
+    E = make_basis(D).exponents
     n = len(E)
     index = exponent_index(E, D + 1)
     out = []
-    for L in np.frombuffer(table, dtype=np.int64).reshape(3, 4, 4):
+    for L in generators:
         targets, cols, vals = [], [], []
         for nu, mu in zip(*np.nonzero(L)):
             col = np.flatnonzero(E[:, nu])

@@ -65,7 +65,6 @@ other value, in particular none of -1, 0, +1, is an eigenvalue there.
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
-from itertools import accumulate
 
 import numpy as np
 from numpy.linalg import eigh
@@ -242,11 +241,6 @@ class DivergenceFreeSubspace:
         return sum(b.dim for b in self.blocks)
 
 
-def _degree_offsets(D):
-    """Start of each degree's reduced monomials in the degree <= D basis, then N."""
-    return [0, *accumulate((d + 1) ** 2 for d in range(D + 1))]
-
-
 def _product_entries(A, B):
     """Flat positions and values of the terms of A @ B for sparse triples A, B.
 
@@ -309,7 +303,7 @@ def _frame_laplacian(D, frame):
     for i, E in enumerate(frame):
         if not _is_zero(lap[3], _commutator_entries(E, lap)):
             raise ArithmeticError(f"E{i + 1} does not commute with the frame Laplacian")
-    offs = _degree_offsets(D)
+    offs = make_basis(D).offsets
     degree = np.repeat(np.arange(D + 1), np.diff(offs))
     r, c, v, _ = lap
     dr, dc = degree[r], degree[c]
@@ -412,11 +406,11 @@ def _homogeneous(d):
     return H, polys.exponent_index(H, d + 1)
 
 
-def _gram_factor(monomials, k, T):
+def _gram_factor(E, k, T):
     """Upper triangular U with U^T U the L^2 Gram matrix of the columns of T.
 
-    T spans H_k on the reduced monomials ``monomials`` (degree <= k).  On
-    the sphere a column equals its homogeneous form h = sum_j |x|^(2j) p_j,
+    T spans H_k on the reduced monomials with exponent rows E (degree <= k).
+    On the sphere a column equals its homogeneous form h = sum_j |x|^(2j) p_j,
     p_j its degree k - 2j part, and for homogeneous harmonic h, g of degree
     k the L^2 product is the Fischer product 2 pi^2 sum_a a! h_a g_a
     / (2^k (k + 1)!) (Axler-Bourdon-Ramey, Harmonic Function Theory,
@@ -425,7 +419,6 @@ def _gram_factor(monomials, k, T):
     coefficients.  Unlike T^T G T on the monomial Gram this loses no digits
     to cancellation.
     """
-    E = np.array(monomials, dtype=np.int64).reshape(-1, 4)
     degree = E.sum(axis=1)
     h, H = None, None
     for d in range(k % 2, k + 1, 2):
@@ -444,15 +437,15 @@ def _gram_factor(monomials, k, T):
     return math.sqrt(2 * math.pi ** 2 / (2.0 ** k * math.factorial(k + 1))) * R
 
 
-def _float_block(k, lap, offs, monomials, E_k):
+def _float_block(k, lap, layout, E_k):
     """Block k in L^2-orthonormal coordinates: basis T U^-1, U the Gram factor of T.
 
     Raises ArithmeticError when the basis's relative harmonic defect
     (:func:`_harmonic_defect`) passes 1e-10: the modes assembled from it
     would leave H_k.
     """
-    T = _harmonic_basis(lap, offs, k)
-    U = _gram_factor(monomials[:len(T)], k, T)
+    T = _harmonic_basis(lap, layout.offsets, k)
+    U = _gram_factor(layout.exponents[:len(T)], k, T)
     Ui = np.linalg.inv(U)
     basis = T @ Ui
     defect = _harmonic_defect(lap, k, basis)
@@ -483,13 +476,12 @@ def divergence_free_subspace(D, ring="float"):
     if exact:
         frame = [_integer_entries(E) for E in frame]
     lap = _frame_laplacian(D, frame)
-    monomials = make_basis(D).monomials
-    offs = _degree_offsets(D)
+    basis = make_basis(D)
     blocks = []
     for k in range(D + 1):
-        E_k = [_degree_block(E, offs, k, object if exact else float) for E in frame]
-        blocks.append(_exact_block(k, lap, offs, E_k) if exact
-                      else _float_block(k, lap, offs, monomials, E_k))
+        E_k = [_degree_block(E, basis.offsets, k, object if exact else float) for E in frame]
+        blocks.append(_exact_block(k, lap, basis.offsets, E_k) if exact
+                      else _float_block(k, lap, basis, E_k))
     return DivergenceFreeSubspace(D, blocks, frame)
 
 
@@ -565,14 +557,14 @@ def _weight_columns(D):
     columns of degree k - 1; exact, on Python ints once the entries near
     the int64 range (each step at most quadruples them).
     """
-    monomials = np.array(make_basis(D).monomials, dtype=np.int64).reshape(-1, 4)
-    offs = _degree_offsets(D)
+    basis = make_basis(D)
+    E, offs = basis.exponents, basis.offsets
     C = np.array([[1, 0]], dtype=np.int64)  # Re and Im of f_0 = 1
     yield C[:, :1]
     for k in range(1, D + 1):
-        top = monomials[offs[k]:offs[k + 1]]
+        top = E[offs[k]:offs[k + 1]]
         x0, x1, x2, x3 = (partial(polys.sparse_apply, T, n=len(top)) for T in _coordinate_products(
-            monomials[offs[k - 1]:offs[k]], polys.exponent_index(top, k + 1)))
+            E[offs[k - 1]:offs[k]], polys.exponent_index(top, k + 1)))
         P, Q = np.hsplit(_exact(C, 4), 2)
         p, q = P[:, -1:], Q[:, -1:]
         C = np.hstack([x2(P) + x3(Q), x0(p) - x1(q), x2(Q) - x3(P), x1(p) + x0(q)])
@@ -597,9 +589,9 @@ def _reduced_blocks(D):
     """
     frame = polys.derivative_triples(D)
     lap = _frame_laplacian(D, frame)
-    right = polys.derivative_triples(D, RIGHT_MULT)
+    right = polys.derivative_triples(D, "right")
     _right_frame_certificate(frame, right, lap)
-    offs = _degree_offsets(D)
+    offs = make_basis(D).offsets
     tables = [*LEFT_MULT, RIGHT_MULT[0]]
     blocks = []
     for k, C in zip(range(D + 1), _weight_columns(D)):
@@ -683,7 +675,7 @@ def eigencomponents(D, c0):
     projects onto the first."""
     lap = _frame_laplacian(D, polys.derivative_triples(D))
     curl = polys.coframe_triples(D)["curl"]
-    offs = _degree_offsets(D)
+    offs = make_basis(D).offsets
     rest = c0.reshape(3, -1).astype(float)
     cols = []
     for k in range(D, -1, -1):
@@ -755,10 +747,10 @@ def _exact_eigenspaces(sub):
     The report (:func:`_exact_report`) and the exact ring's eigenfields
     (:func:`_sorted_modes`, a reference for the float ones) both read them.
     """
-    monomials = make_basis(sub.degree).monomials
+    exponents = make_basis(sub.degree).exponents
     spaces = []
     for b in sub.blocks:
-        U3 = np.kron(np.eye(3), _gram_factor(monomials[:len(b.basis)], b.k, b.basis))
+        U3 = np.kron(np.eye(3), _gram_factor(exponents[:len(b.basis)], b.k, b.basis))
         null = exactla.nullspace(b.div.tolist())
         if len(null) != b.dim:
             raise ArithmeticError(f"div kernel of harmonic block {b.k} has dimension "

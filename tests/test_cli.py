@@ -287,10 +287,27 @@ def test_ale_report(capsys, tmp_path):
 
 def test_ale_report_ricci_norm_identity_at_small_epsilon(capsys):
     # |Ric|^2 does not underflow on the plus end at the smallest epsilon the
-    # flags allow; the Ricci oracle still fails there, a separate defect
-    _, rep = run(capsys, "ale-report", "--epsilon", "1.5e-31")
+    # flags allow, and the oracle, sampled in units of epsilon, passes there
+    code, rep = run(capsys, "ale-report", "--epsilon", "1.5e-31")
     assert rep["ricci_check"]["max_norm_identity_error"] <= 1e-14
-    assert "|Ric|^2 identity violated" not in [f["reason"] for f in rep["failures"]]
+    assert code == 0 and rep["failures"] == []
+
+
+@pytest.mark.parametrize("epsilon", ["1e-6", "1e-2", "0.1", "1", "1e3"])
+def test_ale_ricci_oracle_is_one_number_in_units_of_epsilon(capsys, epsilon):
+    # the oracle samples -10 eps <= rho <= 50 eps of a homothetic family with
+    # the step h |x|, so its error is one number at every epsilon; on the
+    # absolute window -1 <= rho <= 5 it read 0.083 at 1e-2 and 8.3e6 at 1e-6
+    code, rep = run(capsys, "ale-report", "--epsilon", epsilon)
+    ricci = rep["ricci_check"]
+    assert ricci["max_fd_relative_error"] == pytest.approx(8.494e-4, rel=1e-3)
+    assert 1.9 <= ricci["fd_convergence_order"] <= 2.1
+    assert not [f for f in rep["failures"] if f["module"] == "ale_models"
+                and f["operation"] in ("ricci_numeric", "ricci_closed_form")]
+    # at larger epsilon the asymptotics and decay blocks still fail: their
+    # windows are absolute
+    if float(epsilon) <= 1.0:
+        assert code == 0
 
 
 def test_ale_report_energy_constants_reported(capsys):
@@ -1289,8 +1306,8 @@ def test_ale_asymptotics_fail_far_from_the_end_regime(capsys):
 def test_ale_energy_at_large_epsilon(capsys, epsilon):
     # the cut-off 1000 epsilon is the same point of the rescaled model at
     # every epsilon, far from the neck and inside the float range at both
-    # extremes; the Ricci, asymptotics and decay blocks may still fail there
-    # (their windows do not scale with epsilon)
+    # extremes; the asymptotics and decay blocks may still fail there (their
+    # windows do not scale with epsilon)
     code, rep = run(capsys, "ale-report", "--epsilon", epsilon, "--ricci-samples", "5")
     assert code in (0, 1)
     energy = rep["energy"]
@@ -1312,6 +1329,26 @@ def test_ale_energy_cutoff(epsilon, cutoff):
     assert failures == []
     assert energy["cutoff"] == cutoff
     assert 2.9e-6 <= energy["relative_agreement"] <= 3.1e-6
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 1e-6, 1e-30, 1e28])
+def test_zero_form_energy_is_zero_on_both_routes(epsilon):
+    from sdforms.ale import AKFormParams
+    from sdforms.cli import _ale_energy
+
+    assert _ale_energy(None, AKFormParams(0.0, 0.0, epsilon)) == (
+        [], {"boundary": 0.0, "volume": 0.0, "relative_agreement": 0.0})
+
+
+def test_zero_form_energy_is_evaluated(capsys, monkeypatch):
+    # the zero form's energy is checked, not assumed: a volume route that
+    # reads 1e-3 there is one failure record
+    monkeypatch.setattr("sdforms.cli.ale.grad_energy_volume", lambda params, A: 1e-3)
+    code, rep = run(capsys, "ale-report", "--epsilon", "0.1", "--alpha", "0", "--beta", "0",
+                    "--ricci-samples", "5")
+    assert code == 1
+    assert [(f["operation"], f["observed"], f["tolerance"]) for f in rep["failures"]] == [
+        ("grad_energy_boundary", 1e-3, 0.0)]
 
 
 def test_ale_report_overflowing_energy_is_an_error(capsys):

@@ -21,7 +21,6 @@ from sdforms.cli import _spectrum_checks, dispatch
 from sdforms.polys import coframe_gram, make_basis, monomial_integral_over_pi2, operator_matrix
 from sdforms.spectrum import (
     SpectrumReport,
-    _degree_offsets,
     _exact_eigenspaces,
     _exact_report,
     _float_modes,
@@ -109,7 +108,7 @@ def test_structure_certificate_exact_at_degree3():
     Dv = operator_matrix("div", D)
     S = operator_matrix("star_d", D)
     lap = dense(_frame_laplacian(D, polys.derivative_triples(D)))
-    offs = _degree_offsets(D)
+    offs = make_basis(D).offsets
     N = offs[-1]
     E = [Dv[:, i * N:(i + 1) * N] for i in range(3)]
     assert np.array_equal(lap, -sum(e @ e for e in E))
@@ -155,7 +154,7 @@ def test_harmonic_solve_steps_over_its_own_parity(monkeypatch, ring):
     if ring == "exact":
         frame = [_integer_entries(E) for E in frame]
     lap = _frame_laplacian(D, frame)
-    offs = _degree_offsets(D)
+    offs = make_basis(D).offsets
     slices = []
     block_triples = spectrum._block_triples
     monkeypatch.setattr(spectrum, "_block_triples",
@@ -174,12 +173,12 @@ def test_fischer_gram_factor_matches_monomial_gram():
     # U^T U from the homogeneous forms equals T^T G T from the monomial integrals
     D = 6
     lap = _frame_laplacian(D, polys.derivative_triples(D))
-    offs = _degree_offsets(D)
+    offs = make_basis(D).offsets
     G = make_basis(D).gram()
     for k in range(D + 1):
         T = _harmonic_basis(lap, offs, k)
         m = len(T)
-        U = _gram_factor(make_basis(D).monomials[:m], k, T)
+        U = _gram_factor(make_basis(D).exponents[:m], k, T)
         assert np.allclose(U, np.triu(U))
         gram = T.T @ G[:m, :m] @ T
         assert np.max(np.abs(U.T @ U - gram)) <= 1e-12 * np.max(np.abs(gram))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sdforms.frames import LEVI_CIVITA
+from sdforms.frames import LEVI_CIVITA, RIGHT_MULT
 from sdforms.polys import (
     CoframeField,
     PolyScalar,
@@ -324,6 +324,56 @@ def test_derivative_triples_match_dict_route(D, axis):
             assert c.denominator == 1
             expected[(basis.index[ee], col)] = int(c)
     assert {(int(r), int(c)): int(v) for r, c, v in zip(rows, cols, vals)} == expected
+
+
+@pytest.mark.parametrize("D", [*range(7), 12])
+def test_basis_layout(D):
+    # the exponent table is the monomial list, read-only, and offsets[d]
+    # starts the (d + 1)^2 rows of degree d, then N
+    basis = make_basis(D)
+    E, offs = basis.exponents, basis.offsets
+    assert E.dtype == np.int64 and not E.flags.writeable
+    assert [tuple(e) for e in E.tolist()] == basis.monomials
+    assert offs[0] == 0 and offs[-1] == basis.dim and len(offs) == D + 2
+    for d in range(D + 1):
+        assert offs[d + 1] - offs[d] == (d + 1) ** 2
+        assert np.all(E[offs[d]:offs[d + 1]].sum(axis=1) == d)
+
+
+def right_derivative(e, axis):
+    """R_axis(x^e) = sum_nu (R x)_nu d/dx_nu x^e for R = RIGHT_MULT[axis - 1],
+    in the dict algebra, with Fraction coefficients."""
+    R = RIGHT_MULT[axis - 1]
+    out = PolyScalar.zero()
+    for nu in range(4):
+        if e[nu]:
+            lower = tuple(k - (i == nu) for i, k in enumerate(e))
+            Rx = PolyScalar({tuple(int(i == mu) for i in range(4)): Fraction(int(R[nu, mu]))
+                             for mu in range(4) if R[nu, mu]})
+            out = out + Rx * PolyScalar({lower: Fraction(e[nu])})
+    return out
+
+
+@pytest.mark.parametrize("D", [*range(7), 12])
+def test_right_derivative_triples_match_dict_route(D):
+    basis = make_basis(D)
+    right = derivative_triples(D, "right")
+    assert derivative_triples(D, "right") is right
+    for axis in (1, 2, 3):
+        rows, cols, vals, shape = right[axis - 1]
+        assert shape == (basis.dim, basis.dim) and vals.dtype.kind == "i"
+        assert np.all(np.diff(rows * basis.dim + cols) > 0)
+        expected = {}
+        for col, e in enumerate(basis.monomials):
+            for ee, c in right_derivative(e, axis).coeffs.items():
+                expected[(basis.index[ee], col)] = int(c)
+        assert {(int(r), int(c)): int(v) for r, c, v in zip(rows, cols, vals)} == expected
+
+
+@pytest.mark.parametrize("frame", ["middle", "Left", None])
+def test_derivative_triples_unknown_frame(frame):
+    with pytest.raises(ValueError, match="frame must be 'left' or 'right'"):
+        derivative_triples(2, frame)
 
 
 def dense_operators(D):

@@ -13,10 +13,8 @@ import pytest
 
 from sdforms import polys, spectrum
 from sdforms.cli import _spectrum_checks, dispatch
-from sdforms.frames import LEFT_MULT, RIGHT_MULT
 from sdforms.spectrum import (
     _block_eigh,
-    _degree_offsets,
     _frame_laplacian,
     _gram_factor,
     _harmonic_basis,
@@ -114,11 +112,11 @@ def test_weight_columns_have_the_fischer_gram(k):
     # norms in the ratio sqrt(a! b!), which the reduced frame assumes
     D = k
     lap = _frame_laplacian(D, polys.derivative_triples(D))
-    offs = _degree_offsets(D)
+    offs = polys.make_basis(D).offsets
     T = _harmonic_basis(lap, offs, k)
     C = list(_weight_columns(D))[k].astype(float)
     V = T @ C
-    U = _gram_factor(polys.make_basis(D).monomials[:len(T)], k, V)
+    U = _gram_factor(polys.make_basis(D).exponents[:len(T)], k, V)
     gram = U.T @ U
     fischer = np.tile([math.factorial(a) * math.factorial(k - a) for a in range(k + 1)], 2)
     expected = fischer * gram[0, 0] / fischer[0]
@@ -135,10 +133,10 @@ def test_reduced_frame_is_antisymmetric():
 ORIGINAL_TRIPLES = polys.derivative_triples
 
 
-def perturbed_right(D, table, i):
-    """The triples of ``table``; for RIGHT_MULT, R_i also sends a degree-1 monomial to 1."""
-    triples = list(ORIGINAL_TRIPLES(D, table))
-    if table is RIGHT_MULT:
+def perturbed_right(D, frame, i):
+    """The triples of ``frame``; in the right frame, R_i also sends a degree-1 monomial to 1."""
+    triples = list(ORIGINAL_TRIPLES(D, frame))
+    if frame == "right":
         r, c, v, shape = triples[i]
         triples[i] = polys.sparse_triples(np.append(r, 0) * shape[1] + np.append(c, 4),
                                           np.append(v, 1), shape)
@@ -149,7 +147,7 @@ def perturbed_right(D, table, i):
 def test_perturbed_right_triple_is_rejected(monkeypatch, i):
     # an extra entry in R_i breaks a commutator, a bracket or the Casimir
     monkeypatch.setattr(polys, "derivative_triples",
-                        lambda D, table=LEFT_MULT: perturbed_right(D, table, i))
+                        lambda D, frame="left": perturbed_right(D, frame, i))
     with pytest.raises(ArithmeticError):
         eigen_decompose(3)
 
@@ -158,7 +156,7 @@ def test_perturbed_right_triple_is_a_failure_record(monkeypatch, capsys, tmp_pat
     # a failed certificate is a failed check: exit 1 with one failure record,
     # the certificate's message its reason, and the report still written
     monkeypatch.setattr(polys, "derivative_triples",
-                        lambda D, table=LEFT_MULT: perturbed_right(D, table, 0))
+                        lambda D, frame="left": perturbed_right(D, frame, 0))
     with pytest.raises(ArithmeticError) as raised:
         eigen_decompose(3)
     assert dispatch(["spectrum", "--degree", "3", "--output", str(tmp_path)]) == 1
@@ -194,7 +192,8 @@ def test_weight_checks_switch_to_python_ints():
     assert max(abs(v) for v in C.ravel()) > 2 ** 63
     # Re (x0 + i x1)^48 has x0^48 with coefficient 1 and x0^24 x1^24 with
     # (-1)^12 binom(48, 24)
-    top = polys.make_basis(48).monomials[_degree_offsets(48)[48]:]
+    basis = polys.make_basis(48)
+    top = basis.monomials[basis.offsets[48]:]
     re_z48 = dict(zip(top, C[:, 48]))
     assert re_z48[(48, 0, 0, 0)] == 1
     assert re_z48[(24, 24, 0, 0)] == math.comb(48, 24)

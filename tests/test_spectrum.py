@@ -15,7 +15,6 @@ from sdforms.polys import (
     right_invariant_coframe,
 )
 from sdforms.spectrum import (
-    _degree_offsets,
     _exact_eigenspaces,
     _frame_laplacian,
     _harmonic_basis,
@@ -197,7 +196,7 @@ def test_exact_subspace_is_primitive_integer_kernel(monkeypatch):
     monkeypatch.setattr(exactla, "nullspace", recording)
     _exact_eigenspaces(sub)
     lap = _frame_laplacian(D, [_integer_entries(E) for E in polys.derivative_triples(D)])
-    offs = _degree_offsets(D)
+    offs = make_basis(D).offsets
     Dv = operator_matrix("div", D).astype(np.int64).astype(object)
     assert len(kernels) == len(sub.blocks)
     for b, N in zip(sub.blocks, kernels):

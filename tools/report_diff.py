@@ -5,8 +5,9 @@
 Runs every invocation of the benchmark workloads at seeds 1, 2 and 7, with
 their input files written by ``perfbench/workloads.generate`` into a
 temporary directory, and a fixed list of further invocations that reach the
-edges the workloads do not (large samples and degrees, failing ε, both
-decay ends, a ``verify frames`` that crosses block boundaries, the exact
+edges the workloads do not (large samples and degrees, failing ε, the
+Ricci oracle from ε = 1.5e-31 to 1e28, the zero form's energy, both decay
+ends, a ``verify frames`` that crosses block boundaries, the exact
 and float eigenfield routes on blocks of both parities, ``evolve`` on the
 seeded degree-14 field of ``tools/memory_guard.py``, whose eigencomponent
 split runs through every parity, and ``evolve`` on a seeded degree-3 field
@@ -46,10 +47,14 @@ EXTRA = (
     ["verify", "frames", "--samples", "5000"],
     ["verify", "kato", "--samples", "2000"],
     ["verify", "elliptic", "--samples", "2000"],
+    ["ale-report", "--epsilon", "1"],
     ["ale-report", "--epsilon", "2"],
     ["ale-report", "--epsilon", "1e-2"],
     ["ale-report", "--epsilon", "1e-6"],
+    ["ale-report", "--epsilon", "1.5e-31"],
     ["ale-report", "--epsilon", "1e28"],
+    # the zero form, whose energy both routes evaluate
+    ["ale-report", "--epsilon", "0.1", "--alpha", "0", "--beta", "0"],
     ["decay", "--epsilon", "0.1", "--end", "plus"],
     ["decay", "--epsilon", "0.1", "--end", "minus"],
     ["moser"],
