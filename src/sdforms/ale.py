@@ -589,7 +589,7 @@ def decay_profile(params, end, rho_max=1000.0):
     at 40 points from 10 to rho_max."""
     if end not in ("plus", "minus"):
         raise ValueError(f"end must be 'plus' or 'minus', got {end!r}")
-    pairing = float(frame_pairing_poly()(PROFILE_DIRECTION))
+    pairing = float(_ETA_PLUS.evaluate(PROFILE_DIRECTION) @ _ETA_MINUS.evaluate(PROFILE_DIRECTION))
     rhos = np.geomspace(10.0, rho_max, 40)
     if end == "minus":
         rhos = -rhos

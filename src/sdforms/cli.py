@@ -35,7 +35,7 @@ is found once the config file is applied, before any work, and named.
 # process's peak RSS, follows the load order.
 from . import ale, evolution, regularity, selfdual, spectrum
 from .frames import hodge_star_s3, left_frame_at, right_frame_at, structure_residual
-from .polys import left_invariant_coframe, make_basis, right_invariant_coframe
+from .polys import l2_norms, left_invariant_coframe, make_basis, right_invariant_coframe
 from .sampling import Sampler
 
 import argparse
@@ -55,15 +55,16 @@ KATO_BOUND = 2.0 / 3.0 + 1e-6
 KATO_DEFAULT_H = 1e-4
 RICCI_H = 1e-3
 SHELL_RADII = (0.5, 1.0, 2.0)
+REPORT_DIGITS = 12
 
 
-def _round_floats(obj, digits=12):
+def _round_floats(obj):
     if isinstance(obj, (float, np.floating)):
-        return float(f"{obj:.{digits}e}") if math.isfinite(obj) else float(obj)
+        return float(f"{obj:.{REPORT_DIGITS}e}") if math.isfinite(obj) else float(obj)
     if isinstance(obj, dict):
-        return {k: _round_floats(v, digits) for k, v in obj.items()}
+        return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v, digits) for v in obj]
+        return [_round_floats(v) for v in obj]
     if isinstance(obj, (np.integer,)):
         return int(obj)
     return obj
@@ -159,7 +160,7 @@ def cmd_evolve(args):
     D = eta0.degree
     basis = make_basis(D)
     c0 = basis.coframe_to_vector(eta0)
-    size0 = evolution.gram_norm(D, c0)
+    size0 = l2_norms(D, c0)[0]
     _check_growth(args, D, size0)
     t = args.t1 / args.t0
     expansion = evolution.decompose_initial(D, c0)
@@ -167,7 +168,7 @@ def cmd_evolve(args):
     # larger of ||eta0|| and the exact solution's norm at t1 once it is certified
     tol = evolution.DIV_TOL * size0
     certified = expansion.residual <= tol
-    size = max(size0, evolution.gram_norm(D, evolution.propagate(expansion, t))
+    size = max(size0, l2_norms(D, evolution.propagate(expansion, t))[0]
                if certified else 0.0)
     failures = []
     u0, u1 = math.log(args.t0), math.log(args.t1)
@@ -684,12 +685,12 @@ def _build_parser():
     # below them ricci_closed_form's |x|^4 (t2 ** 2) overflows on the window
     # -5 <= rho <= 5 (epsilon = 1e-60), above them the closed form of |Ric|^2
     # underflows to 0 and the identity's relative error divides by it (1e40).
-    # The decay profile runs from |rho| = 10 to rho_max and must span a decade
+    # The decay profile runs from |rho| = 10 to rho_max and must span a decade.
+    # epsilon^-10 finite and rho_max >= 100 already keep both squares > 0
     p = add_parser("ale-report", cmd_ale_report, "2-ended model report", "ale_report.json",
                    artifacts=(("ale_profile.csv", _ale_profile_csv),),
                    positive=("epsilon", "rho_max"), finite=("alpha", "beta"),
                    limits=(("ricci_samples", ">=", 1), ("rho_max", ">=", 100)),
-                   squared=("epsilon", "rho_max"),
                    powers=(("alpha", 2), ("beta", 2), ("epsilon", 9), ("epsilon", -10),
                            ("rho_max", 2)))
     p.add_argument("--epsilon", type=float, required=True)

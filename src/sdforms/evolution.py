@@ -16,7 +16,7 @@ take and return coefficient vectors on the degree <= D basis
 (``make_basis(D).coframe_to_vector``); a ``CoframeField`` is built only
 where a field is read or written (:func:`load_initial_field`,
 :func:`dump_initial_field`).
-L^2 norms and pairings take the scalar Gram matrix per frame component; no
+L^2 norms take the scalar Gram per frame component (``polys.l2_norms``); no
 dense 3N x 3N operator or Gram matrix is formed.  A field is divergence-free
 here when the L^2 norm of its div is at most DIV_TOL times its own.
 
@@ -36,9 +36,9 @@ from . import spectrum
 from .polys import (
     CoframeField,
     PolyScalar,
-    coframe_pairings,
     coframe_triples,
     div_norms,
+    l2_norms,
     sparse_apply,
 )
 
@@ -48,7 +48,6 @@ __all__ = [
     "propagate",
     "evolve_ode",
     "div_residual",
-    "gram_norm",
     "load_initial_field",
     "dump_initial_field",
 ]
@@ -59,11 +58,6 @@ DIV_TOL = 1e-8
 def div_residual(D, c):
     """L^2 norm of the div of the field c over the sphere, sqrt(r^T G r) with r = Dv c."""
     return div_norms(D, c)[0]
-
-
-def gram_norm(D, v):
-    """L^2 norm of the coframe field with coefficient vector v on the degree <= D basis."""
-    return float(np.sqrt(max(coframe_pairings(D, v, v), 0.0)))
 
 
 @dataclass
@@ -77,13 +71,13 @@ class ModeExpansion:
 
     def distance(self, c, t):
         """L^2 distance between the field c and the solution at radius t."""
-        return gram_norm(self.D, c - propagate(self, t))
+        return l2_norms(self.D, c - propagate(self, t))[0]
 
 
 def _check_divergence(D, c):
     """Reject c unless its div has L^2 norm at most DIV_TOL times its own."""
     r = div_norms(D, c)[0]
-    if not r <= DIV_TOL * gram_norm(D, c):
+    if not r <= DIV_TOL * l2_norms(D, c)[0]:
         raise ValueError(f"initial field is not divergence-free (residual {r:.3e})")
 
 
@@ -100,8 +94,7 @@ def decompose_initial(D, c0):
     lam, V = spectrum.eigencomponents(D, c0)
     defect = sparse_apply(coframe_triples(D)["curl"], V, len(V)) + (2.0 - lam) * V
     keep = np.abs(lam) >= 2
-    residual = math.sqrt(max(float(np.trace(coframe_pairings(D, defect, defect))), 0.0))
-    return ModeExpansion(D, lam[keep], V[:, keep], residual)
+    return ModeExpansion(D, lam[keep], V[:, keep], math.hypot(*l2_norms(D, defect)))
 
 
 def propagate(expansion, t):

@@ -9,8 +9,8 @@ dimension sum_{d<=D} (d+1)^2.
 Frame derivatives, divergence, curl and the first-order operator *d all act
 degree-non-increasingly on this model, so every operator is realized as an
 exact finite matrix, applied as sparse integer triples (:func:`sparse_apply`);
-L^2 pairings take the scalar Gram matrix per frame component.  The dense
-:func:`operator_matrix` and :func:`coframe_gram` are oracles only.
+L^2 norms (:func:`l2_norms`) and pairings take the scalar Gram per frame
+component; :func:`operator_matrix` and :func:`coframe_gram` are dense oracles.
 The dict algebra works with any coefficient type and keeps it, so the
 coefficient type decides exactness and no switch selects it: 64-bit floats
 give float results, and ``fractions.Fraction`` (or int) coefficients give
@@ -54,6 +54,7 @@ __all__ = [
     "coframe_gram",
     "coframe_pairings",
     "div_norms",
+    "l2_norms",
     "left_invariant_coframe",
     "right_invariant_coframe",
     "gradient_coframe",
@@ -630,17 +631,22 @@ def coframe_pairings(D, A, B):
     return sum(A[m * n:(m + 1) * n].T @ (G @ B[m * n:(m + 1) * n]) for m in range(3))
 
 
-def div_norms(D, C):
-    """L^2 norms of div over the coefficient columns of C.
+def l2_norms(D, X):
+    """L^2 norms of the columns of X, (cN,) or (cN, K) on the degree <= D basis.
 
-    ``C`` is one coframe coefficient vector on the degree <= D basis, or a
-    (3N, K) matrix of them; the result lists one norm per vector.
+    c = 1 for scalar fields and 3 for coframe fields, component-major; the
+    scalar Gram of :meth:`PolyBasis.gram` acts on each component.
     """
     G = make_basis(D).gram()
-    n = len(G)
-    R = sparse_apply(coframe_triples(D)["div"], np.asarray(C, dtype=float).reshape(3 * n, -1), n)
-    sq = np.einsum("ik,ik->k", R, G @ R)
+    Y = np.asarray(X, dtype=float).reshape(len(X) // len(G), len(G), -1)
+    sq = np.einsum("cik,cik->k", Y, G @ Y)
     return np.sqrt(np.maximum(sq, 0.0)).tolist()
+
+
+def div_norms(D, C):
+    """L^2 norms of div over the coframe coefficient columns of C, (3N,) or (3N, K)."""
+    n = make_basis(D).dim
+    return l2_norms(D, sparse_apply(coframe_triples(D)["div"], np.asarray(C, dtype=float), n))
 
 
 def operator_matrix(kind, D):

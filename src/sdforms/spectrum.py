@@ -776,18 +776,17 @@ def _exact_report(sub, spaces):
 
     The multiplicities are the kernel ranks.  The divergence residual of a
     mode is taken on its monomial coefficients: the sparse monomial div,
-    normed under the monomial Gram on the degree <= k monomials, a second
-    route to the L^2 product that also sees the rounding of the float block
-    basis.
+    normed under the monomial Gram of degree k (:func:`polys.l2_norms`), a
+    second route to the L^2 product that also sees the rounding of the float
+    block basis.
     """
-    G = make_basis(sub.degree).gram()
     residuals = []
     for b, (_, Y) in zip(sub.blocks, spaces):
         m, n = b.basis.shape
         fields = b.basis @ Y.reshape(3, n, -1)
         div = sum(polys.sparse_apply(_block_triples(E, 0, m), F, m)
                   for E, F in zip(sub.frame, fields))
-        residuals.append(np.sqrt(np.maximum(np.einsum("ik,ik->k", div, G[:m, :m] @ div), 0.0)))
+        residuals.append(polys.l2_norms(b.k, div))
     values, counts = np.unique(np.concatenate([lam for lam, _ in spaces]), return_counts=True)
     mults = dict(zip(values.tolist(), counts.tolist()))
     return SpectrumReport(

@@ -11,6 +11,9 @@ from sdforms.ale import (
     ASYMPTOTICALLY_KAHLER,
     FAST_DECAY,
     INDETERMINATE,
+    PROFILE_DIRECTION,
+    _ETA_MINUS,
+    _ETA_PLUS,
     AKFormParams,
     ALEModel,
     _metric_inverse,
@@ -340,6 +343,19 @@ def test_pairing_absolute_bound_and_zero_mean():
     vals = pairing(pts)
     assert np.max(np.abs(vals)) <= 1.0 + 1e-12
     assert abs(frame_pairing_mean()) <= 1e-14
+
+
+@pytest.mark.parametrize("end", ["plus", "minus"])
+def test_profile_pairing_matches_polynomial_route(end):
+    # decay_profile reads <eta_2, eta_{-2}> off the two frames at its one
+    # direction; the polynomial product gives the same value and profile
+    params = AKFormParams(1.0, 1.0, 0.1)
+    poly_pairing = float(frame_pairing_poly()(PROFILE_DIRECTION))
+    frames_pairing = _ETA_PLUS.evaluate(PROFILE_DIRECTION) @ _ETA_MINUS.evaluate(PROFILE_DIRECTION)
+    assert abs(frames_pairing - poly_pairing) <= 1e-15
+    rho, value = np.array(decay_profile(params, end)).T
+    expected = ak_norm_sq_closed_form(params, params.model.t_of_rho(rho), poly_pairing)
+    assert_allclose(value, np.sqrt(expected), rtol=1e-13)
 
 
 # --------------------------------------------------------------- asymptotics

@@ -713,7 +713,7 @@ def test_evolve_uncertified_split_does_not_loosen_conservation(capsys, tmp_path,
     # eigenvalues k + 5 in place of k + 2 grow the spectral side by a further
     # t^3 = 1e12; the certificate rejects the split, so conservation of the
     # same grown RK4 run is judged against DIV_TOL ||eta0|| and fails
-    from sdforms import evolution, spectrum
+    from sdforms import evolution, polys, spectrum
 
     split = spectrum.eigencomponents
 
@@ -725,7 +725,7 @@ def test_evolve_uncertified_split_does_not_loosen_conservation(capsys, tmp_path,
     init = tmp_path / "init.json"
     pairings_input(3, init)
     eta0 = evolution.load_initial_field(str(init))
-    size0 = evolution.gram_norm(3, spectrum.make_basis(3).coframe_to_vector(eta0))
+    size0 = polys.l2_norms(3, spectrum.make_basis(3).coframe_to_vector(eta0))[0]
     code, rep = run(capsys, "evolve", "--init", str(init), "--t1", "1e4", "--steps", "2000")
     assert (code, rep["spectral_cross_check"]) == (1, None)
     assert [f["operation"] for f in rep["failures"]] == ["evolve_ode", "decompose_initial"]
@@ -760,6 +760,18 @@ def test_evolve_builds_no_eigenbasis(capsys, tmp_path, monkeypatch):
         code, rep = run(capsys, "evolve", "--init", str(init), "--steps", "100")
         assert (code, rep["status"]) == (0, "pass")
         assert 15.0 < rep["spectral_cross_check"]["step_doubling_ratio"] < 17.0
+
+
+def test_evolve_forms_no_pairing_table(capsys, tmp_path, monkeypatch):
+    # every norm of evolve, its certificate included, goes through l2_norms
+    from sdforms import polys
+
+    forbid_everywhere(monkeypatch, polys, ("coframe_pairings",), "pairing table formed")
+    for D in (3, 4):
+        init = tmp_path / f"init_d{D}.json"
+        pairings_input(D, init)
+        code, rep = run(capsys, "evolve", "--init", str(init), "--steps", "100")
+        assert (code, rep["status"]) == (0, "pass")
 
 
 def test_evolve_converts_the_field_once_each_way(capsys, tmp_path, monkeypatch):

@@ -33,11 +33,6 @@ def modes_d2():
     return eigenmodes(2)
 
 
-def l2_distance(a, b):
-    diff = a - b
-    return float(np.sqrt(max(sphere_integral(diff.norm_sq_poly()), 0.0)))
-
-
 def coefficients(eta):
     """(degree, coefficient vector) of a field: the arguments the evolution takes."""
     return eta.degree, make_basis(eta.degree).coframe_to_vector(eta)
@@ -73,8 +68,8 @@ def test_decompose_mixed_invariant():
     # L^2-orthogonal
     from sdforms.polys import coframe_inner
 
-    assert l2_distance(parts[2], left_invariant_coframe(1)) <= 1e-12
-    assert l2_distance(parts[-2], right_invariant_coframe(1)) <= 1e-12
+    assert (parts[2] - left_invariant_coframe(1)).l2_norm() <= 1e-12
+    assert (parts[-2] - right_invariant_coframe(1)).l2_norm() <= 1e-12
     assert abs(coframe_inner(parts[2], parts[-2])) <= 1e-12
 
 
@@ -217,7 +212,7 @@ def test_initial_field_roundtrip(tmp_path):
     path = tmp_path / "init.json"
     dump_initial_field(eta, path)
     loaded = load_initial_field(str(path))
-    assert l2_distance(loaded, eta) <= 1e-14
+    assert (loaded - eta).l2_norm() <= 1e-14
     # the file is a plain list of monomial/axis/coefficient records
     records = json.loads(path.read_text())
     assert {"monomial", "axis", "coefficient"} == set(records[0])

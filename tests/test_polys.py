@@ -9,6 +9,7 @@ from sdforms.frames import LEVI_CIVITA, RIGHT_MULT
 from sdforms.polys import (
     CoframeField,
     PolyScalar,
+    _scalar_gram,
     coframe_gram,
     coframe_triples,
     curl,
@@ -17,6 +18,7 @@ from sdforms.polys import (
     div_norms,
     frame_derivative,
     gradient_coframe,
+    l2_norms,
     left_invariant_coframe,
     make_basis,
     monomial_integral_over_pi2,
@@ -428,6 +430,27 @@ def test_div_norms_match_dense_oracle(D):
     expected = np.sqrt(np.einsum("ik,ik->k", R, G @ R))
     assert_allclose(div_norms(D, C), expected, rtol=1e-12)
     assert_allclose(div_norms(D, C[:, 2]), expected[2:3], rtol=1e-12)
+
+
+@pytest.mark.parametrize("D", range(5))
+@pytest.mark.parametrize("c", [1, 3])
+def test_l2_norms_match_dense_quadratic_form(D, c):
+    # c = 3 coframe columns under kron(I_3, G), c = 1 scalar columns under G
+    G = coframe_gram(D) if c == 3 else make_basis(D).gram()
+    rng = np.random.default_rng(10 * D + c)
+    X = rng.standard_normal((len(G), 4))
+    expected = np.sqrt(np.diag(X.T @ G @ X))
+    assert_allclose(l2_norms(D, X), expected, rtol=1e-12)
+    assert_allclose(l2_norms(D, X[:, 1]), expected[1:2], rtol=1e-12)
+
+
+def test_scalar_gram_of_lower_degree_is_its_leading_block():
+    # an entry depends only on its exponent sum, so the degree-k Gram that
+    # norms a degree-k block is bit for bit the leading block of a larger one
+    G = _scalar_gram(12)
+    for k in range(13):
+        m = make_basis(k).dim
+        assert np.array_equal(_scalar_gram(k), G[:m, :m])
 
 
 def test_operator_matrix_rejects_bad_kind():

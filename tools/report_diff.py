@@ -7,13 +7,14 @@ their input files written by ``perfbench/workloads.generate`` into a
 temporary directory, and a fixed list of further invocations that reach the
 edges the workloads do not (large samples and degrees, failing ε, the
 Ricci oracle from ε = 1.5e-31 to 1e28, the zero form's energy, both decay
-ends, a ``verify frames`` that crosses block boundaries, the exact
-and float eigenfield routes on blocks of both parities, ``evolve`` on the
-seeded degree-14 field of ``tools/memory_guard.py``, whose eigencomponent
-split runs through every parity, and ``evolve`` on a seeded degree-3 field
-where the step-doubling ratio is null, where the field grows and where the
-run goes backward, the smallest mode sets of ``verify orthogonality`` and
-the error reports of out-of-range ``--samples`` and ``--degree``).  Each
+ends with and without the β cross term, a ``verify frames`` that crosses
+block boundaries, the exact and float eigenfield routes on blocks of both
+parities, ``evolve`` on the seeded degree-14 field of
+``tools/memory_guard.py``, whose eigencomponent split runs through every
+parity, and ``evolve`` on a seeded degree-3 field where the step-doubling
+ratio is null, where the field grows and where the run goes backward, the
+smallest mode sets of ``verify orthogonality`` and the error reports of
+out-of-range ``--samples``, ``--degree`` and ``--epsilon``).  Each
 runs once in each checkout as a fresh ``python3 -m sdforms.cli`` process
 through ``spectrum_ladder.run_child``, which imports the program from
 ``CHECKOUT/src``.  Then every ``demos/*.py`` of either checkout runs in
@@ -57,6 +58,9 @@ EXTRA = (
     ["ale-report", "--epsilon", "0.1", "--alpha", "0", "--beta", "0"],
     ["decay", "--epsilon", "0.1", "--end", "plus"],
     ["decay", "--epsilon", "0.1", "--end", "minus"],
+    # beta != 0 reaches the cross term <eta_2, eta_{-2}> of the decay profile
+    ["decay", "--epsilon", "0.1", "--end", "plus", "--beta", "1"],
+    ["decay", "--epsilon", "0.1", "--end", "minus", "--beta", "1"],
     ["moser"],
     ["spectrum", "--degree", "12"],
     ["spectrum", "--degree", "6", "--exact"],
@@ -73,6 +77,8 @@ EXTRA = (
     ["verify", "hodge", "--degree", "-1"],
     ["spectrum", "--degree", "-1"],
     ["spectrum", "--degree", "-1", "--exact"],
+    # epsilon^2 underflows to 0: the epsilon^-10 rule names --epsilon
+    ["ale-report", "--epsilon", "1e-300"],
 )
 #: flags of ``evolve`` on the seeded degree-3 field: a ratio at the rounding
 #: floor (null), a growing field and a backward run
